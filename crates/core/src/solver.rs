@@ -956,6 +956,23 @@ impl<A: Algebra> System<A> {
         self.vars.len()
     }
 
+    /// Number of constructor declarations.
+    pub fn num_constructors(&self) -> usize {
+        self.constructors.len()
+    }
+
+    /// Worklist facts processed so far (including duplicates); O(1),
+    /// unlike reading it through [`System::stats`].
+    pub fn facts_processed(&self) -> usize {
+        self.facts_processed
+    }
+
+    /// Worklist steps charged against limited budgets so far; O(1),
+    /// unlike reading it through [`System::stats`].
+    pub fn fuel_spent(&self) -> usize {
+        self.fuel_spent
+    }
+
     /// Declares a constructor with the given argument variances (the arity
     /// is `signature.len()`; an empty signature declares a constant).
     pub fn constructor(&mut self, name: &str, signature: &[Variance]) -> ConsId {
@@ -1708,6 +1725,11 @@ impl<A: Algebra> System<A> {
     }
 
     /// Aggregate statistics about the solved system.
+    ///
+    /// O(vars): the edge and bound totals walk every variable's maps (on
+    /// a fork, through the shared base layers). Not for per-request use —
+    /// read [`System::num_vars`], [`System::num_constructors`],
+    /// [`System::facts_processed`] or [`System::fuel_spent`] instead.
     pub fn stats(&self) -> SolverStats {
         let mut edges = 0;
         let mut lower = 0;
@@ -2649,8 +2671,9 @@ impl<A: Algebra + SnapshotAlgebra> System<A> {
 /// Produced by [`System::into_base`], which freezes every layered store
 /// (entry logs, constructor buckets, intern tables, constraints,
 /// provenance) into `Arc`-shared cores. Forks bump those `Arc`s instead of
-/// re-deserializing or re-solving, so forking is near-constant time and
-/// each fork's private memory is proportional to its own deltas.
+/// re-deserializing or re-solving: a fork costs O(vars) `Arc` bumps (no
+/// solved-form entry is copied), and each fork's private memory is
+/// proportional to its own deltas.
 #[derive(Debug)]
 pub struct BaseSystem<A: Algebra>(System<A>);
 
@@ -2661,7 +2684,8 @@ impl<A: Algebra> BaseSystem<A> {
         &self.0
     }
 
-    /// Aggregate statistics of the frozen solved form.
+    /// Aggregate statistics of the frozen solved form; O(vars), like
+    /// [`System::stats`].
     pub fn stats(&self) -> SolverStats {
         self.0.stats()
     }

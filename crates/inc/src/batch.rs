@@ -244,9 +244,10 @@ pub struct BatchEngine {
     request_base: RequestStats,
 }
 
-/// Point-in-time engine figures cheap enough to sample around every
-/// request: the serve layer's slow-query log and the
-/// `{"cmd":"stats","scope":"request"}` command both diff two of these.
+/// Point-in-time engine figures sampled around every request: the serve
+/// layer's slow-query log and the `{"cmd":"stats","scope":"request"}`
+/// command both diff two of these. Every field is a counter the engine
+/// already keeps, so a sample is O(1) whatever the engine's size.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct RequestStats {
     /// Worklist fuel charged against limited budgets so far.
@@ -326,10 +327,10 @@ impl BatchEngine {
     /// An engine forked from a shared read-only [`crate::EngineBase`].
     ///
     /// The solved form, provenance records, and name maps are aliased
-    /// copy-on-write (a handful of `Arc` bumps plus the per-variable
-    /// bookkeeping), so forking is near-constant-time in the size of the
-    /// base. Connection state — limits, caps, cancellation, hooks —
-    /// starts fresh exactly as with [`BatchEngine::new`].
+    /// copy-on-write: no solved-form entry is copied, but the
+    /// per-variable bookkeeping makes a fork O(vars) `Arc` bumps.
+    /// Connection state — limits, caps, cancellation, hooks — starts
+    /// fresh exactly as with [`BatchEngine::new`].
     pub fn fork_from(base: &crate::EngineBase) -> BatchEngine {
         BatchEngine {
             session: Session::fork_from(&base.base),
@@ -443,15 +444,20 @@ impl BatchEngine {
         self.request_base = self.request_stats();
     }
 
-    /// The engine figures a per-request delta is computed from — cheap
-    /// enough to sample around every request (used by the serve layer's
-    /// slow-query log).
+    /// The change in the engine figures since the last
+    /// [`BatchEngine::begin_request`] (see [`RequestStats::delta_since`]).
+    pub fn request_delta(&self) -> RequestStats {
+        self.request_stats().delta_since(&self.request_base)
+    }
+
+    /// The engine figures a per-request delta is computed from; O(1), so
+    /// it is cheap to sample around every request.
     pub fn request_stats(&self) -> RequestStats {
-        let s = self.session.stats();
+        let sys = self.session.system();
         let c = self.session.cache_stats();
         RequestStats {
-            fuel_spent: u64::try_from(s.fuel_spent).unwrap_or(u64::MAX),
-            facts_processed: u64::try_from(s.facts_processed).unwrap_or(u64::MAX),
+            fuel_spent: u64::try_from(sys.fuel_spent()).unwrap_or(u64::MAX),
+            facts_processed: u64::try_from(sys.facts_processed()).unwrap_or(u64::MAX),
             epoch_depth: self.session.epoch_depth(),
             cache_hits: c.hits,
             cache_misses: c.misses,
@@ -542,14 +548,15 @@ impl BatchEngine {
     /// Drops name bindings that refer to rolled-away ids (after any
     /// `pop_epoch`).
     fn prune_names(&mut self) {
-        let stats = self.session.stats();
+        let n_vars = self.session.system().num_vars();
+        let n_cons = self.session.system().num_constructors();
         // Only copy-on-write the shared maps when something actually
         // rolled away (the common pop touches no names).
-        if self.vars.values().any(|v| v.index() >= stats.vars) {
-            Arc::make_mut(&mut self.vars).retain(|_, v| v.index() < stats.vars);
+        if self.vars.values().any(|v| v.index() >= n_vars) {
+            Arc::make_mut(&mut self.vars).retain(|_, v| v.index() < n_vars);
         }
-        if self.cons.values().any(|c| c.index() >= stats.constructors) {
-            Arc::make_mut(&mut self.cons).retain(|_, c| c.index() < stats.constructors);
+        if self.cons.values().any(|c| c.index() >= n_cons) {
+            Arc::make_mut(&mut self.cons).retain(|_, c| c.index() < n_cons);
         }
     }
 
@@ -920,7 +927,7 @@ impl BatchEngine {
                 "constraints",
                 Json::from(self.session.system().num_constraints()),
             ),
-            ("vars", Json::from(self.session.stats().vars)),
+            ("vars", Json::from(self.session.system().num_vars())),
             ("consistent", Json::from(self.session.is_consistent())),
         ]))
     }
@@ -935,7 +942,7 @@ impl BatchEngine {
             Some(scope) => match scope.as_str() {
                 Some("session") => Ok(self.stats()),
                 Some("request") => {
-                    let d = self.request_stats().delta_since(&self.request_base);
+                    let d = self.request_delta();
                     let mut fields = vec![
                         ("ok", Json::from("stats")),
                         ("scope", Json::from("request")),
@@ -1426,7 +1433,7 @@ mod tests {
         assert!(base_fuel > 0);
         // …then the epoch rolls back, moving fuel_spent backwards.
         run(&mut e, r#"{"cmd":"pop"}"#);
-        let d = e.request_stats().delta_since(&e.request_base);
+        let d = e.request_delta();
         assert_eq!(d.fuel_spent, 0, "saturates instead of underflowing");
         assert_eq!(d.epoch_depth, 0);
     }

@@ -100,7 +100,8 @@ impl<A: Algebra> Session<A> {
     /// [`System::fork`]): the solved form is shared by `Arc`, only deltas
     /// made through this session allocate, and every query — including
     /// stats and provenance — answers identically to a session restored
-    /// from the base's snapshot. Near-constant time; no re-solve.
+    /// from the base's snapshot. O(vars) `Arc` bumps; no re-solve, and no
+    /// solved-form entry is copied.
     pub fn fork_from(base: &BaseSystem<A>) -> Session<A>
     where
         A: Clone,
@@ -352,7 +353,9 @@ impl<A: Algebra> Session<A> {
         self.cache.len()
     }
 
-    /// Solver statistics (uncached; cheap).
+    /// Solver statistics, recomputed on every call: O(vars), like
+    /// [`System::stats`]. For the `stats` command and benches, not for
+    /// per-request bookkeeping.
     pub fn stats(&self) -> SolverStats {
         self.sys.stats()
     }

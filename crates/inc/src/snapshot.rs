@@ -261,13 +261,12 @@ fn decode_engine_snapshot(bytes: &[u8], sigma: &Alphabet) -> Result<DecodedEngin
     }
 
     let sys = System::restore_sections(&reader)?;
-    let stats = sys.stats();
+    let (n_vars, n_cons) = (sys.num_vars(), sys.num_constructors());
     let mut cons = HashMap::with_capacity(names.len());
     for (name, id) in names {
-        if id as usize >= stats.constructors {
+        if id as usize >= n_cons {
             return Err(SnapshotError::corrupt(format!(
-                "constructor map entry `{name}` has id {id} but only {} constructors",
-                stats.constructors
+                "constructor map entry `{name}` has id {id} but only {n_cons} constructors"
             )));
         }
         if cons
@@ -281,10 +280,9 @@ fn decode_engine_snapshot(bytes: &[u8], sigma: &Alphabet) -> Result<DecodedEngin
     }
     let mut vars = HashMap::with_capacity(var_names.len());
     for (name, id) in var_names {
-        if id as usize >= stats.vars {
+        if id as usize >= n_vars {
             return Err(SnapshotError::corrupt(format!(
-                "variable map entry `{name}` has id {id} but only {} variables",
-                stats.vars
+                "variable map entry `{name}` has id {id} but only {n_vars} variables"
             )));
         }
         if vars
@@ -304,8 +302,8 @@ fn decode_engine_snapshot(bytes: &[u8], sigma: &Alphabet) -> Result<DecodedEngin
 /// The serve layer decodes its warm-start image into one of these **once**
 /// and hands an `Arc<EngineBase>` to every connection;
 /// [`BatchEngine::fork_from`] then builds a private copy-on-write engine
-/// over it in near-constant time, instead of re-parsing the snapshot per
-/// connection.
+/// over it with O(vars) `Arc` bumps, instead of re-parsing the snapshot
+/// per connection.
 #[derive(Debug)]
 pub struct EngineBase {
     pub(crate) sigma: Alphabet,
@@ -340,7 +338,8 @@ impl EngineBase {
     }
 
     /// Solver statistics of the frozen solved form (useful for logging
-    /// what a warm start loaded).
+    /// what a warm start loaded); O(vars), like
+    /// [`rasc_core::System::stats`].
     pub fn stats(&self) -> rasc_core::SolverStats {
         self.base.stats()
     }

@@ -59,11 +59,11 @@ pub struct ServeConfig {
     pub allow_shutdown_command: bool,
     /// Warm-restart directory. When set, the server decodes
     /// `<dir>/current.snap` **once** at startup into a shared read-only
-    /// base that every new connection forks copy-on-write (near-constant
-    /// time per connection), routes the in-band `{"cmd":"snapshot"}`
-    /// command to that file (client-chosen paths are disabled), and
-    /// checkpoints the latest base image there again on graceful
-    /// shutdown. A corrupt base file is rejected with a
+    /// base that every new connection forks copy-on-write (O(vars) `Arc`
+    /// bumps per connection; no solved-form entry is copied), routes the
+    /// in-band `{"cmd":"snapshot"}` command to that file (client-chosen
+    /// paths are disabled), and checkpoints the latest base image there
+    /// again on graceful shutdown. A corrupt base file is rejected with a
     /// `snap.corrupt_rejected` counter and the server starts cold; an
     /// unreadable (but present) file is counted as
     /// `serve.base.io_errors`.
@@ -813,20 +813,21 @@ fn serve_request<W: Write>(
         shared.draining.store(true, Ordering::SeqCst);
         return false;
     }
-    let req_id = shared.next_req.fetch_add(1, Ordering::SeqCst) + 1;
-    engine.begin_request(Some(req_id));
-    let before = engine.request_stats();
     let inflight = shared.inflight.fetch_add(1, Ordering::SeqCst) + 1;
     obs::gauge(
         "serve.inflight",
         u64::try_from(inflight).unwrap_or(u64::MAX),
     );
     let _inflight = InflightGuard(shared);
+    // The timer and the span cover the request's own accounting too, so
+    // `serve.request.micros` is what the request cost the server.
+    let started = Instant::now();
     let _span = obs::span("serve.request");
+    let req_id = shared.next_req.fetch_add(1, Ordering::SeqCst) + 1;
     // The id gauge rides inside the span, correlating trace events with
     // slow-log lines and the `"req"` field on error responses.
     obs::gauge("serve.request.id", req_id);
-    let started = Instant::now();
+    engine.begin_request(Some(req_id));
     let mut tee = ResponseTee {
         inner: writer,
         prefix: Vec::new(),
@@ -852,8 +853,7 @@ fn serve_request<W: Write>(
             {
                 if micros >= threshold.saturating_mul(1000) {
                     obs::counter("serve.slow_requests", 1);
-                    let after = engine.request_stats();
-                    let delta = after.delta_since(&before);
+                    let delta = engine.request_delta();
                     let cmd = Json::parse(request.trim())
                         .ok()
                         .and_then(|j| j.get("cmd").and_then(Json::as_str).map(str::to_owned))
@@ -871,7 +871,7 @@ fn serve_request<W: Write>(
                             ("cmd", Json::Str(cmd)),
                             ("micros", Json::from(micros)),
                             ("fuel", Json::from(delta.fuel_spent)),
-                            ("epoch_depth", Json::from(after.epoch_depth)),
+                            ("epoch_depth", Json::from(delta.epoch_depth)),
                             ("outcome", Json::Str(outcome)),
                         ])
                         .render(),

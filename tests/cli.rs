@@ -1,7 +1,8 @@
 //! End-to-end tests of the `rasc` command-line interface against the
 //! bundled sample specifications and programs.
 
-use std::process::Command;
+use std::path::PathBuf;
+use std::process::{Command, Output};
 
 fn rasc(args: &[&str]) -> (bool, String) {
     let out = Command::new(env!("CARGO_BIN_EXE_rasc"))
@@ -9,12 +10,42 @@ fn rasc(args: &[&str]) -> (bool, String) {
         .current_dir(env!("CARGO_MANIFEST_DIR"))
         .output()
         .expect("binary runs");
+    report(&out)
+}
+
+fn report(out: &Output) -> (bool, String) {
     let text = format!(
         "{}{}",
         String::from_utf8_lossy(&out.stdout),
         String::from_utf8_lossy(&out.stderr)
     );
     (out.status.success(), text)
+}
+
+/// Runs the sample session script through `rasc batch` (plus `extra`
+/// arguments) from the directory `name` under the system temp dir, and
+/// returns that directory too. The script snapshots to the relative path
+/// `target/session.snap`, so the directory gets a `target/`; one
+/// directory per test keeps parallel tests from racing over that file,
+/// and keeps it out of the checkout and the build tree.
+fn run_session(name: &str, extra: &[&str]) -> (bool, String, PathBuf) {
+    let dir = std::env::temp_dir().join(name);
+    std::fs::create_dir_all(dir.join("target")).unwrap();
+    let manifest = env!("CARGO_MANIFEST_DIR");
+    let out = Command::new(env!("CARGO_BIN_EXE_rasc"))
+        .args([
+            "batch",
+            "--spec",
+            &format!("{manifest}/assets/specs/privilege.spec"),
+            "--input",
+            &format!("{manifest}/assets/batch/session.jsonl"),
+        ])
+        .args(extra)
+        .current_dir(&dir)
+        .output()
+        .expect("binary runs");
+    let (ok, text) = report(&out);
+    (ok, text, dir)
 }
 
 #[test]
@@ -194,13 +225,7 @@ fn bad_usage_is_reported() {
 
 #[test]
 fn batch_runs_an_incremental_session() {
-    let (ok, text) = rasc(&[
-        "batch",
-        "--spec",
-        "assets/specs/privilege.spec",
-        "--input",
-        "assets/batch/session.jsonl",
-    ]);
+    let (ok, text, _) = run_session("rasc_cli_session_test", &[]);
     assert!(ok, "{text}");
     let lines: Vec<&str> = text.lines().collect();
     // One response per non-comment line of the script.
@@ -280,32 +305,9 @@ fn batch_runs_an_incremental_session() {
 
 #[test]
 fn batch_trace_writes_a_valid_chrome_trace() {
-    let dir = std::env::temp_dir().join("rasc_cli_trace_test");
-    // The session script snapshots to `target/session.snap` relative to
-    // its working directory; an isolated cwd keeps this run from racing
-    // the plain batch test over the same file.
-    std::fs::create_dir_all(dir.join("target")).unwrap();
-    let trace_path = dir.join("session_trace.json");
-    let manifest = env!("CARGO_MANIFEST_DIR");
-    let out = Command::new(env!("CARGO_BIN_EXE_rasc"))
-        .args([
-            "batch",
-            "--spec",
-            &format!("{manifest}/assets/specs/privilege.spec"),
-            "--input",
-            &format!("{manifest}/assets/batch/session.jsonl"),
-            "--trace",
-            trace_path.to_str().unwrap(),
-            "--profile",
-        ])
-        .current_dir(&dir)
-        .output()
-        .expect("binary runs");
-    let ok = out.status.success();
-    let text = format!(
-        "{}{}",
-        String::from_utf8_lossy(&out.stdout),
-        String::from_utf8_lossy(&out.stderr)
+    let (ok, text, dir) = run_session(
+        "rasc_cli_trace_test",
+        &["--trace", "session_trace.json", "--profile"],
     );
     assert!(ok, "{text}");
     // --trace reports what it wrote; --profile prints the event summary.
@@ -313,7 +315,7 @@ fn batch_trace_writes_a_valid_chrome_trace() {
     assert!(text.contains("counters:"), "{text}");
     assert!(text.contains("solver.facts"), "{text}");
     // The file is a schema-valid Chrome trace with real solver activity.
-    let trace = std::fs::read_to_string(&trace_path).unwrap();
+    let trace = std::fs::read_to_string(dir.join("session_trace.json")).unwrap();
     let summary = rasc_devtools::validate_chrome_trace(&trace).expect("schema-valid trace");
     assert!(summary.events > 0);
     assert_eq!(summary.begins, summary.ends, "spans balance");
