@@ -219,31 +219,6 @@ impl Monoid {
         id
     }
 
-    /// Read-only composition: `later ∘ earlier` if the result is already
-    /// interned (identity shortcut, memo hit, or a product whose
-    /// representative function exists in `by_fn`), else `None`.
-    ///
-    /// Never allocates a new element and never touches the memo table or
-    /// counters, so concurrent speculative readers observe exactly the ids
-    /// a later mutable [`Monoid::compose`] would return.
-    pub fn try_compose(&self, later: FnId, earlier: FnId) -> Option<FnId> {
-        if later == self.identity {
-            return Some(earlier);
-        }
-        if earlier == self.identity {
-            return Some(later);
-        }
-        if let Some(&id) = self.memo.get(&(later, earlier)) {
-            return Some(id);
-        }
-        let images: Vec<u32> = self.fns[earlier.index()]
-            .0
-            .iter()
-            .map(|&mid| self.fns[later.index()].0[mid as usize])
-            .collect();
-        self.by_fn.get(&ReprFn(images)).copied()
-    }
-
     /// The representative function of a word (composing generators).
     pub fn of_word(&mut self, word: &[SymbolId]) -> FnId {
         let mut f = self.identity;

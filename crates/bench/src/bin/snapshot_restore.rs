@@ -10,9 +10,11 @@
 //! the solved form, while the restore path is linear in the solved form
 //! itself.
 //!
-//! Emits `BENCH_snapshot.json` (one row per rung, 2k → 32k constraints)
-//! and enforces the acceptance bound: at the largest rung the warm
-//! restart must be at least 5× faster than the cold replay.
+//! Emits `BENCH_snapshot.json` (one row per rung, 2k → 32k constraints,
+//! each with the cold solve's `facts_processed` against the
+//! `solved_entries` it leaves, plus the host's core count) and enforces
+//! the acceptance bound: at the largest rung the warm restart must be at
+//! least 5× faster than the cold replay.
 //!
 //! Usage: `snapshot_restore [out.json]`.
 
@@ -45,11 +47,12 @@ fn main() {
         .nth(1)
         .unwrap_or_else(|| "BENCH_snapshot.json".to_owned());
     let (sigma, machine) = adversarial_machine(4);
+    let cores = std::thread::available_parallelism().map_or(1, usize::from);
 
-    println!("rasc-inc: warm restart (snapshot restore) vs cold replay");
+    println!("rasc-inc: warm restart (snapshot restore) vs cold replay ({cores} cores)");
     println!(
-        "{:>12} {:>8} {:>10} {:>14} {:>14} {:>9}",
-        "graph", "edges", "snap (KB)", "replay (ms)", "restore (ms)", "speedup"
+        "{:>12} {:>8} {:>10} {:>9} {:>10} {:>14} {:>14} {:>9}",
+        "graph", "edges", "facts", "entries", "snap (KB)", "replay (ms)", "restore (ms)", "speedup"
     );
 
     let mut rows: Vec<Json> = Vec::new();
@@ -63,6 +66,9 @@ fn main() {
         // The durable artifact: one solved form, serialized once.
         let base = build_solved(&machine, &wl);
         let bytes = base.snapshot_bytes().expect("solved session snapshots");
+        // What one cold replay processes against what it keeps.
+        let stats = base.stats();
+        let solved_entries = stats.edges + stats.lower_bounds + stats.upper_bounds;
 
         // Cold replay: rebuild the system and re-solve every constraint.
         let replay = bench("replay", 5, Duration::from_millis(400), || {
@@ -79,9 +85,11 @@ fn main() {
         let speedup = replay.median_ns / restore.median_ns;
         last_speedup = speedup;
         println!(
-            "{:>12} {:>8} {:>10.1} {:>14.3} {:>14.3} {:>8.1}x",
+            "{:>12} {:>8} {:>10} {:>9} {:>10.1} {:>14.3} {:>14.3} {:>8.1}x",
             format!("{n_vars}x{out_degree}"),
             wl.edges.len(),
+            stats.facts_processed,
+            solved_entries,
             bytes.len() as f64 / 1024.0,
             replay.median_ns / 1e6,
             restore.median_ns / 1e6,
@@ -91,6 +99,8 @@ fn main() {
             ("n_vars", Json::from(n_vars)),
             ("out_degree", Json::from(out_degree)),
             ("constraints", Json::from(wl.edges.len())),
+            ("facts_processed", Json::from(stats.facts_processed)),
+            ("solved_entries", Json::from(solved_entries)),
             ("snapshot_bytes", Json::from(bytes.len())),
             ("replay_median_ns", Json::Num(replay.median_ns)),
             ("restore_median_ns", Json::Num(restore.median_ns)),
@@ -101,6 +111,7 @@ fn main() {
     let report = obj([
         ("bench", Json::from("snapshot_restore_vs_replay")),
         ("machine", Json::from("adversarial(4)")),
+        ("cores", Json::from(cores)),
         ("rows", Json::Arr(rows)),
     ]);
     std::fs::write(&out_path, report.render() + "\n").expect("write report");

@@ -119,14 +119,6 @@ impl Algebra for GenKillAlgebra {
         self.intern(gen, kill)
     }
 
-    fn try_compose(&self, later: AnnId, earlier: AnnId) -> Option<AnnId> {
-        let (g2, k2) = self.anns[later.index()];
-        let (g1, k1) = self.anns[earlier.index()];
-        let gen = g2 | (g1 & !k2);
-        let kill = (k2 | k1) & !gen;
-        self.by_ann.get(&(gen, kill)).copied()
-    }
-
     fn is_accepting(&self, a: AnnId) -> bool {
         // A word of the product language is accepted by fact i's machine
         // iff fact i holds after running from the empty fact set; "some

@@ -47,20 +47,6 @@ pub trait Algebra {
     /// `se₁ ⊆^f X ⊆^g se₂ ⇒ se₁ ⊆^{g∘f} se₂`).
     fn compose(&mut self, later: AnnId, earlier: AnnId) -> AnnId;
 
-    /// Read-only composition: `Some(compose(later, earlier))` when the
-    /// result is already interned and reachable without mutating any
-    /// table, else `None`.
-    ///
-    /// Implementations must guarantee that a `Some(id)` is exactly the id
-    /// a subsequent [`Algebra::compose`] call would return; the parallel
-    /// solver's speculation phase relies on this to precompute facts
-    /// against a frozen read view. The default is conservatively `None`
-    /// (speculation falls back to sequential replay).
-    fn try_compose(&self, later: AnnId, earlier: AnnId) -> Option<AnnId> {
-        let _ = (later, earlier);
-        None
-    }
-
     /// Whether the annotation represents *full words* of the annotation
     /// language — membership in the paper's `F_accept` (§3.2).
     fn is_accepting(&self, a: AnnId) -> bool;

@@ -150,10 +150,6 @@ impl Algebra for MonoidAlgebra {
         self.compose_now(later, earlier)
     }
 
-    fn try_compose(&self, later: AnnId, earlier: AnnId) -> Option<AnnId> {
-        self.monoid.try_compose(fnid(later), fnid(earlier)).map(ann)
-    }
-
     fn is_accepting(&self, a: AnnId) -> bool {
         self.monoid.is_accepting(fnid(a))
     }

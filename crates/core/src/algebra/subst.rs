@@ -299,18 +299,6 @@ impl Algebra for SubstAlgebra {
         id
     }
 
-    fn try_compose(&self, later: AnnId, earlier: AnnId) -> Option<AnnId> {
-        if later == self.identity() {
-            return Some(earlier);
-        }
-        if earlier == self.identity() {
-            return Some(later);
-        }
-        // The full environment product may intern new monoid elements, so
-        // only memo hits are answerable read-only.
-        self.memo.get(&(later, earlier)).copied()
-    }
-
     fn is_accepting(&self, a: AnnId) -> bool {
         let env = &self.envs[a.index()];
         env.entries

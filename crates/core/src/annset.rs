@@ -253,18 +253,6 @@ impl<K: Copy + Eq + std::hash::Hash> AnnMap<K> {
         self.remove_with(key, a, || {})
     }
 
-    /// Membership test across both layers: O(1)/O(log n) via the key's
-    /// [`AnnSet`]s. Read-only — the parallel solver's speculation phase
-    /// probes with this against the frozen pre-round view.
-    pub(crate) fn contains(&self, key: K, a: AnnId) -> bool {
-        self.over.index.get(&key).is_some_and(|s| s.contains(a))
-            || self
-                .base
-                .as_deref()
-                .and_then(|b| b.index.get(&key))
-                .is_some_and(|s| s.contains(a))
-    }
-
     /// Total live entries across all keys and both layers — O(1).
     pub(crate) fn len(&self) -> usize {
         self.base_len() + self.over.entries.len()
@@ -503,7 +491,7 @@ mod tests {
                 .eq([(1, ann(10)), (2, ann(20)), (1, ann(11))]),
             "insertion order, duplicates dropped"
         );
-        assert!(m.contains(1, ann(11)));
+        assert_eq!(set_of(&m, 1), vec![ann(10), ann(11)]);
         // Reverse-order removal (the rollback path) restores each prefix.
         let mut emptied = 0;
         assert!(m.remove_with(1, ann(11), || emptied += 1));
@@ -547,8 +535,7 @@ mod tests {
         assert_eq!(fork.entry(0), Some((1, ann(10))));
         assert_eq!(fork.entry(2), Some((1, ann(11))));
         assert_eq!(fork.entry(3), Some((3, ann(30))));
-        assert!(fork.contains(1, ann(10)));
-        assert!(fork.contains(3, ann(30)));
+        assert_eq!(set_of(&fork, 3), vec![ann(30)]);
 
         // Rollback-style removal touches only the overlay; emptying an
         // overlay set whose key survives in the base must not fire the

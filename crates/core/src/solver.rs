@@ -23,8 +23,6 @@ use std::sync::Arc;
 
 use rasc_obs as obs;
 
-mod parallel;
-
 use crate::algebra::{Algebra, AnnId};
 use crate::annset::{AnnMap, AnnSet};
 use crate::budget::{Budget, Outcome};
@@ -118,7 +116,7 @@ pub(crate) type ExprKey = (ConsId, Vec<VarId>);
 /// A resolved source/sink meeting: `(source key, sink key, g, h)`.
 pub(crate) type MeetEntry = (ExprKey, ExprKey, AnnId, AnnId);
 
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+#[derive(Debug, Clone, Copy)]
 enum Fact {
     Edge(VarId, VarId, AnnId),
     Lb(VarId, SrcId, AnnId),
@@ -296,7 +294,10 @@ impl<T: Clone> CowVec<T> {
     /// Panicking index (mirrors `Vec` indexing; ids are validated on
     /// construction).
     fn index(&self, i: usize) -> &T {
-        self.get(i).expect("index within CowVec bounds")
+        match self.get(i) {
+            Some(v) => v,
+            None => panic!("CowVec index out of bounds: ids are validated on construction"),
+        }
     }
 
     fn push(&mut self, value: T) {
@@ -400,7 +401,10 @@ impl<T: Clone + Eq + std::hash::Hash> InternTable<T> {
 
     /// Panicking index (ids handed out by `intern` are always in range).
     fn index(&self, i: usize) -> &T {
-        self.get(i).expect("index within InternTable bounds")
+        match self.get(i) {
+            Some(v) => v,
+            None => panic!("InternTable index out of bounds: `intern` hands out in-range ids"),
+        }
     }
 
     fn lookup(&self, value: &T) -> Option<u32> {

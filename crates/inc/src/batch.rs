@@ -213,9 +213,6 @@ pub struct BatchEngine {
     /// How many times the effective clamp was rebuilt (a plain counter so
     /// the no-recompute-per-`add` invariant stays pinned by a test).
     effective_rebuilds: u64,
-    /// Worker threads used to drain each `add`'s consequences
-    /// (see [`Session::bulk_solve`]); 1 means the sequential drain.
-    solve_threads: usize,
     /// Cooperative cancellation observed by every bounded `add` (wired by
     /// the serve layer so disconnects and forced shutdown interrupt
     /// in-flight solves).
@@ -313,7 +310,6 @@ impl BatchEngine {
             caps: Limits::default(),
             effective: Limits::default(),
             effective_rebuilds: 0,
-            solve_threads: 1,
             cancel: None,
             clock: None,
             snapshot_path: None,
@@ -341,7 +337,6 @@ impl BatchEngine {
             caps: Limits::default(),
             effective: Limits::default(),
             effective_rebuilds: 0,
-            solve_threads: 1,
             cancel: None,
             clock: None,
             snapshot_path: None,
@@ -388,25 +383,6 @@ impl BatchEngine {
     #[doc(hidden)]
     pub fn effective_rebuilds(&self) -> u64 {
         self.effective_rebuilds
-    }
-
-    /// Sets the number of worker threads used to drain each `add`'s
-    /// consequences (clamped to at least 1). The solved form is
-    /// byte-identical whatever the thread count; see
-    /// [`rasc_core::System::solve_parallel`].
-    pub fn set_solve_threads(&mut self, threads: usize) {
-        self.solve_threads = threads.max(1);
-    }
-
-    /// The configured worker thread count for solves.
-    pub fn solve_threads(&self) -> usize {
-        self.solve_threads
-    }
-
-    /// Drains any pending worklist on the configured worker threads (see
-    /// [`Session::bulk_solve`]).
-    pub fn bulk_solve(&mut self) -> Outcome {
-        self.session.bulk_solve(self.solve_threads)
     }
 
     /// Attaches a cancellation token observed by every subsequent `add`:
@@ -699,13 +675,9 @@ impl BatchEngine {
             None => {
                 let lhs = self.parse_expr(&lhs_text)?;
                 let rhs = self.parse_expr(&rhs_text)?;
-                let result = if self.solve_threads > 1 {
-                    self.session.add_bulk(lhs, rhs, ann, self.solve_threads)
-                } else {
-                    match ann {
-                        Some(a) => self.session.add_ann(lhs, rhs, a),
-                        None => self.session.add(lhs, rhs),
-                    }
+                let result = match ann {
+                    Some(a) => self.session.add_ann(lhs, rhs, a),
+                    None => self.session.add(lhs, rhs),
                 };
                 result.map_err(|e| BatchError::new("constraint_rejected", format!("add: {e}")))?;
             }
@@ -725,14 +697,9 @@ impl BatchEngine {
                         return Err(err);
                     }
                 };
-                let outcome = if self.solve_threads > 1 {
-                    self.session
-                        .add_bulk_bounded(lhs, rhs, ann, &budget, self.solve_threads)
-                } else {
-                    match ann {
-                        Some(a) => self.session.add_ann_bounded(lhs, rhs, a, &budget),
-                        None => self.session.add_bounded(lhs, rhs, &budget),
-                    }
+                let outcome = match ann {
+                    Some(a) => self.session.add_ann_bounded(lhs, rhs, a, &budget),
+                    None => self.session.add_bounded(lhs, rhs, &budget),
                 };
                 match outcome {
                     Err(e) => {

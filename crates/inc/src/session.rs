@@ -252,74 +252,6 @@ impl<A: Algebra> Session<A> {
         self.sys.push_epoch();
     }
 
-    /// Drains the pending worklist on `threads` worker threads (see
-    /// [`System::solve_parallel`]). The solved form is byte-identical to a
-    /// sequential drain, so the stamped query cache stays sound without
-    /// special handling.
-    pub fn bulk_solve(&mut self, threads: usize) -> Outcome
-    where
-        A: Sync,
-    {
-        self.sys.solve_parallel(threads)
-    }
-
-    /// Bounded variant of [`Session::bulk_solve`]; interruption semantics
-    /// match [`Session::add_bounded`] (resume or pop the epoch before
-    /// querying).
-    pub fn bulk_solve_bounded(&mut self, budget: &Budget, threads: usize) -> Outcome
-    where
-        A: Sync,
-    {
-        self.sys.solve_parallel_bounded(budget, threads)
-    }
-
-    /// Adds `lhs ⊆^ann rhs` (ε when `ann` is `None`) and drains the
-    /// consequences on `threads` worker threads.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`System::add_ann`]; on error the system is unchanged.
-    pub fn add_bulk(
-        &mut self,
-        lhs: SetExpr,
-        rhs: SetExpr,
-        ann: Option<AnnId>,
-        threads: usize,
-    ) -> Result<()>
-    where
-        A: Sync,
-    {
-        match ann {
-            Some(a) => self.sys.add_ann(lhs, rhs, a)?,
-            None => self.sys.add(lhs, rhs)?,
-        }
-        self.sys.solve_parallel(threads);
-        Ok(())
-    }
-
-    /// Bounded variant of [`Session::add_bulk`].
-    ///
-    /// # Errors
-    ///
-    /// Same as [`System::add_ann`]; on error the system is unchanged.
-    pub fn add_bulk_bounded(
-        &mut self,
-        lhs: SetExpr,
-        rhs: SetExpr,
-        ann: Option<AnnId>,
-        budget: &Budget,
-        threads: usize,
-    ) -> Result<Outcome>
-    where
-        A: Sync,
-    {
-        match ann {
-            Some(a) => self.sys.add_ann(lhs, rhs, a)?,
-            None => self.sys.add(lhs, rhs)?,
-        }
-        Ok(self.sys.solve_parallel_bounded(budget, threads))
-    }
-
     /// Rolls back to the matching [`Session::push_epoch`]. Returns `false`
     /// when no epoch is open. Cached results taken mid-epoch are
     /// invalidated by their stamps (stamps only move forward), not purged

@@ -89,13 +89,6 @@ pub struct ServeConfig {
     /// Destination of the slow-query log. `None` with
     /// [`ServeConfig::slow_millis`] set defaults to stderr.
     pub slow_log: Option<Arc<SlowLog>>,
-    /// Solver threads per connection (`rasc serve --solve-threads`).
-    /// Values above 1 route every unconditional `add` solve through
-    /// [`BatchEngine::bulk_solve`]'s sharded parallel fixpoint engine;
-    /// answers and snapshots are byte-identical to the sequential solver
-    /// by construction, so this is purely a latency knob for large
-    /// constraint batches.
-    pub solve_threads: usize,
 }
 
 impl Default for ServeConfig {
@@ -114,7 +107,6 @@ impl Default for ServeConfig {
             admin_addr: None,
             slow_millis: None,
             slow_log: None,
-            solve_threads: 1,
         }
     }
 }
@@ -685,7 +677,6 @@ fn handle_connection(shared: &Arc<Shared>, stream: TcpStream) {
         None => BatchEngine::new(shared.sigma.clone(), &shared.dfa),
     };
     engine.set_caps(shared.config.caps);
-    engine.set_solve_threads(shared.config.solve_threads);
     if let Some(clock) = &shared.config.clock {
         engine.set_clock(Arc::clone(clock));
     }

@@ -8,9 +8,9 @@
 //! rasc spec       --spec FILE [--dot] [--monoid]
 //! rasc cfg        --program FILE [--dot]
 //! rasc batch      --spec FILE [--input FILE] [--trace FILE] [--profile]
-//! rasc serve      --spec FILE [--addr HOST:PORT] [--threads N] [--solve-threads N]
-//!                 [--limits SPEC] [--max-connections N] [--snapshot-dir DIR]
-//!                 [--trace FILE] [--profile] [--admin-addr HOST:PORT] [--slow-millis N]
+//! rasc serve      --spec FILE [--addr HOST:PORT] [--threads N] [--limits SPEC]
+//!                 [--max-connections N] [--snapshot-dir DIR] [--trace FILE] [--profile]
+//!                 [--admin-addr HOST:PORT] [--slow-millis N]
 //! rasc stats      --addr HOST:PORT [--metrics] [--watch SECS]
 //! rasc snapshot   --spec FILE --out SNAP [--input FILE]
 //! rasc restore    --spec FILE --snapshot SNAP [--input FILE]
@@ -27,15 +27,13 @@
 //!
 //! `serve` exposes the same protocol over TCP (one session per
 //! connection; see `rasc::serve`): `--threads` sizes the worker pool,
-//! `--solve-threads N` solves each large `add` batch on N solver threads
-//! (deterministic — answers and snapshots are byte-identical to the
-//! sequential solver), `--max-connections` caps admission, and `--limits
-//! steps=N,millis=N,terms=N,entries=N` sets server-wide per-request
-//! resource caps. The server drains gracefully when any client sends
-//! `{"cmd":"shutdown"}` or on SIGINT/SIGTERM; with `--snapshot-dir DIR`
-//! it warm-starts every connection from `DIR/current.snap`, routes
-//! in-band `{"cmd":"snapshot"}` commands there, and checkpoints on
-//! graceful shutdown. `--trace`/`--profile` work as in `batch`.
+//! `--max-connections` caps admission, and
+//! `--limits steps=N,millis=N,terms=N,entries=N` sets server-wide
+//! per-request resource caps. The server drains gracefully when any
+//! client sends `{"cmd":"shutdown"}` or on SIGINT/SIGTERM; with
+//! `--snapshot-dir DIR` it warm-starts every connection from
+//! `DIR/current.snap`, routes in-band `{"cmd":"snapshot"}` commands
+//! there, and checkpoints on graceful shutdown. `--trace`/`--profile` work as in `batch`.
 //! `--admin-addr` opens the telemetry plane — an HTTP listener
 //! answering `GET /metrics` (Prometheus text), `GET /stats` (JSON
 //! with quantile estimates), and `GET /healthz` — and `--slow-millis N`
@@ -77,25 +75,25 @@ fn run(args: &[String]) -> Result<(), String> {
     let Some(cmd) = args.first() else {
         return Err(usage());
     };
-    let opts = parse_opts(cmd, &args[1..])?;
-    match cmd.as_str() {
-        "check" => check(&opts),
-        "dataflow" => dataflow(&opts),
-        "flow" => flow(&opts),
-        "points-to" => points_to(&opts),
-        "spec" => spec_cmd(&opts),
-        "cfg" => cfg_cmd(&opts),
-        "batch" => batch(&opts),
-        "serve" => serve(&opts),
-        "stats" => stats_cmd(&opts),
-        "snapshot" => snapshot_cmd(&opts),
-        "restore" => restore_cmd(&opts),
+    let command: fn(&Opts) -> Result<(), String> = match cmd.as_str() {
+        "check" => check,
+        "dataflow" => dataflow,
+        "flow" => flow,
+        "points-to" => points_to,
+        "spec" => spec_cmd,
+        "cfg" => cfg_cmd,
+        "batch" => batch,
+        "serve" => serve,
+        "stats" => stats_cmd,
+        "snapshot" => snapshot_cmd,
+        "restore" => restore_cmd,
         "help" | "--help" | "-h" => {
             println!("{}", usage());
-            Ok(())
+            return Ok(());
         }
-        other => Err(format!("unknown command `{other}`\n{}", usage())),
-    }
+        other => return Err(format!("unknown command `{other}`\n{}", usage())),
+    };
+    command(&parse_opts(cmd, &args[1..])?)
 }
 
 fn usage() -> String {
@@ -107,7 +105,7 @@ fn usage() -> String {
      rasc spec       --spec FILE [--dot] [--monoid]\n  \
      rasc cfg        --program FILE [--dot]\n  \
      rasc batch      --spec FILE [--input FILE] [--trace FILE] [--profile]   (JSON-lines commands on stdin or FILE)\n  \
-     rasc serve      --spec FILE [--addr HOST:PORT] [--threads N] [--solve-threads N] [--limits steps=N,millis=N,terms=N,entries=N] [--max-connections N] [--snapshot-dir DIR] [--trace FILE] [--profile] [--admin-addr HOST:PORT] [--slow-millis N]\n  \
+     rasc serve      --spec FILE [--addr HOST:PORT] [--threads N] [--limits steps=N,millis=N,terms=N,entries=N] [--max-connections N] [--snapshot-dir DIR] [--trace FILE] [--profile] [--admin-addr HOST:PORT] [--slow-millis N]\n  \
      rasc stats      --addr HOST:PORT [--metrics] [--watch SECS]   (poll a running server's admin endpoint)\n  \
      rasc snapshot   --spec FILE --out SNAP [--input FILE]   (run a command stream, then persist the solved form)\n  \
      rasc restore    --spec FILE --snapshot SNAP [--input FILE]   (reload a solved form, then run a command stream)"
@@ -142,25 +140,45 @@ impl Opts {
     }
 }
 
-/// Options taking N values (everything else is a flag). Arity is
-/// per-command: `check --trace` is a bare flag (print a witness trace),
-/// while `batch --trace FILE` names the trace-event output file.
-fn arity(cmd: &str, name: &str) -> usize {
-    match name {
-        "spec" | "program" | "entry" | "engine" | "fact" | "from" | "to" | "at" | "input" => 1,
-        "trace" if cmd == "batch" || cmd == "serve" => 1,
-        "threads" | "solve-threads" | "limits" | "max-connections" | "snapshot-dir"
-        | "admin-addr" | "slow-millis"
-            if cmd == "serve" =>
-        {
-            1
-        }
-        "addr" if cmd == "serve" || cmd == "stats" => 1,
-        "watch" if cmd == "stats" => 1,
-        "out" if cmd == "snapshot" => 1,
-        "snapshot" if cmd == "restore" => 1,
-        "alias" => 2,
-        _ => 0,
+/// How many values `cmd`'s option `--name` takes (0 for a bare flag), or
+/// `None` when `cmd` has no such option. Arity is per-command: `check
+/// --trace` is a bare flag (print a witness trace), while `batch --trace
+/// FILE` names the trace-event output file.
+fn arity(cmd: &str, name: &str) -> Option<usize> {
+    let (flags, valued): (&[&str], &[&str]) = match cmd {
+        "check" => (&["trace"], &["spec", "program", "entry", "engine"]),
+        "dataflow" => (&[], &["program", "fact", "at"]),
+        "flow" => (&["dual", "pn"], &["program", "from", "to"]),
+        "points-to" if name == "alias" => return Some(2),
+        "points-to" => (&["sets", "stack-aware"], &["program"]),
+        "spec" => (&["dot", "monoid"], &["spec"]),
+        "cfg" => (&["dot"], &["program"]),
+        "batch" => (&["profile"], &["spec", "input", "trace"]),
+        "serve" => (
+            &["profile"],
+            &[
+                "spec",
+                "addr",
+                "threads",
+                "limits",
+                "max-connections",
+                "snapshot-dir",
+                "trace",
+                "admin-addr",
+                "slow-millis",
+            ],
+        ),
+        "stats" => (&["metrics"], &["addr", "watch"]),
+        "snapshot" => (&[], &["spec", "out", "input"]),
+        "restore" => (&[], &["spec", "snapshot", "input"]),
+        _ => (&[], &[]),
+    };
+    if flags.contains(&name) {
+        Some(0)
+    } else if valued.contains(&name) {
+        Some(1)
+    } else {
+        None
     }
 }
 
@@ -172,7 +190,9 @@ fn parse_opts(cmd: &str, args: &[String]) -> Result<Opts, String> {
         let Some(name) = arg.strip_prefix("--") else {
             return Err(format!("unexpected argument `{arg}`"));
         };
-        let n = arity(cmd, name);
+        let Some(n) = arity(cmd, name) else {
+            return Err(format!("unknown option --{name} for {cmd}"));
+        };
         if n == 0 {
             opts.flags.push(name.to_owned());
             i += 1;
@@ -479,9 +499,6 @@ fn serve(opts: &Opts) -> Result<(), String> {
     let mut config = rasc::serve::ServeConfig::default();
     if let Some(n) = parse_num("threads")? {
         config.threads = n.max(1);
-    }
-    if let Some(n) = parse_num("solve-threads")? {
-        config.solve_threads = n.max(1);
     }
     if let Some(n) = parse_num("max-connections")? {
         config.max_connections = n.max(1);

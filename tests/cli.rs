@@ -218,6 +218,28 @@ fn bad_usage_is_reported() {
     let (ok, text) = rasc(&["frobnicate"]);
     assert!(!ok);
     assert!(text.contains("unknown command"), "{text}");
+    let (ok, text) = rasc(&[
+        "check",
+        "--spec",
+        "assets/specs/privilege.spec",
+        "--program",
+        "assets/programs/vulnerable.mimp",
+        "--tracee",
+    ]);
+    assert!(!ok, "a misspelled flag must not be ignored: {text}");
+    assert!(text.contains("unknown option --tracee for check"), "{text}");
+    let (ok, text) = rasc(&[
+        "serve",
+        "--spec",
+        "assets/specs/privilege.spec",
+        "--solve-threads",
+        "4",
+    ]);
+    assert!(!ok, "{text}");
+    assert!(
+        text.contains("unknown option --solve-threads for serve"),
+        "{text}"
+    );
     let (ok, text) = rasc(&["help"]);
     assert!(ok);
     assert!(text.contains("usage:"), "{text}");

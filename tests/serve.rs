@@ -145,9 +145,18 @@ fn hostile_tcp_input_never_kills_the_connection() {
     }
     assert_eq!(got, expected);
 
-    // The same connection still serves well-formed requests afterwards.
+    // The same connection still serves well-formed requests afterwards,
+    // and a served `stats` reports the solver's fact counter.
     let r = c.roundtrip(r#"{"cmd":"stats"}"#);
     assert!(r.contains(r#""ok":"stats""#), "{r}");
+    let stats = Json::parse(&r).expect("stats is valid JSON");
+    assert!(
+        stats
+            .get("facts_processed")
+            .and_then(Json::as_u64)
+            .is_some(),
+        "stats response should report solver facts: {r}"
+    );
 
     handle.shutdown();
     join.join().expect("server joins");
@@ -967,53 +976,4 @@ fn concurrent_forks_race_in_band_snapshot_swaps() {
     handle.shutdown();
     join.join().expect("server joins");
     let _ = std::fs::remove_dir_all(&dir);
-}
-
-#[test]
-fn solve_threads_server_matches_sequential_answers() {
-    // The same conversation against a sequential server and a
-    // `solve_threads: 4` server must produce byte-identical response
-    // lines — the parallel engine is a latency knob, never a semantics
-    // knob (`rasc serve --solve-threads N` smoke for CI).
-    let conversation: Vec<String> = {
-        let mut lines = vec![r#"{"cmd":"declare","cons":"pc"}"#.to_owned()];
-        // A dense little diamond so the bulk drain has real rounds.
-        for i in 0..24 {
-            lines.push(format!(
-                r#"{{"cmd":"add","lhs":"pc","rhs":"V{i}","ann":["g"]}}"#
-            ));
-            lines.push(format!(
-                r#"{{"cmd":"add","lhs":"V{i}","rhs":"V{}","ann":["k"]}}"#,
-                (i + 7) % 24
-            ));
-        }
-        lines.push(r#"{"cmd":"query","kind":"occurs","var":"V3","cons":"pc"}"#.to_owned());
-        lines.push(r#"{"cmd":"stats"}"#.to_owned());
-        lines
-    };
-
-    let transcript = |solve_threads: usize| -> Vec<String> {
-        let (handle, join) = spawn_server(ServeConfig {
-            solve_threads,
-            ..ServeConfig::default()
-        });
-        let mut c = Client::connect(handle.addr());
-        let out: Vec<String> = conversation.iter().map(|l| c.roundtrip(l)).collect();
-        drop(c);
-        handle.shutdown();
-        join.join().expect("server joins");
-        out
-    };
-
-    let sequential = transcript(1);
-    let parallel = transcript(4);
-    assert_eq!(
-        sequential, parallel,
-        "solve-threads changed an observable answer"
-    );
-    assert!(
-        sequential.last().expect("stats line").contains("facts"),
-        "stats response should report solver facts: {:?}",
-        sequential.last()
-    );
 }
