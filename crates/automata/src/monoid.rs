@@ -7,15 +7,21 @@
 //! `{f_σ}` and the identity `f_ε` form the transition monoid.
 //!
 //! The constraint solver composes annotations with `∘`; this module interns
-//! functions to dense [`FnId`]s and memoizes composition so each `f ∘ g` is
-//! an O(1) table lookup after the first computation — exactly the paper's
-//! "precomputed table" (§4, §8), built lazily so that machines with
-//! superexponential monoids (Figure 2) degrade gracefully.
+//! functions to dense [`FnId`]s and memoizes composition in a dense table
+//! indexed by both ids, so each `f ∘ g` is two array reads after the first
+//! computation — exactly the paper's "precomputed table" (§4, §8), filled
+//! lazily so that machines with superexponential monoids (Figure 2)
+//! degrade gracefully: a row is allocated only for a function that is
+//! actually composed after something.
 
 use std::collections::HashMap;
 
 use crate::alphabet::{Alphabet, SymbolId};
 use crate::dfa::{Dfa, StateId};
+
+/// The composition-table cell of a pair not composed yet. No function id
+/// is this large: `u32::MAX` functions would be interned before it.
+const NOT_COMPOSED: u32 = u32::MAX;
 
 /// An interned representative function (an element of `F_M^≡`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -90,8 +96,11 @@ pub struct Monoid {
     identity: FnId,
     /// Generator function per alphabet symbol.
     generators: Vec<FnId>,
-    /// Memoized composition: `(later, earlier) → later ∘ earlier`.
-    memo: HashMap<(FnId, FnId), FnId>,
+    /// The composition table: `table[later][earlier]` is the raw id of
+    /// `later ∘ earlier`, or [`NOT_COMPOSED`]. Each row is sized to the
+    /// interned function count on its first write, and grows if a later
+    /// write needs a larger `earlier`.
+    table: Vec<Vec<u32>>,
     /// Whether the monoid has been closed under composition.
     closed: bool,
 }
@@ -118,7 +127,7 @@ impl Monoid {
             by_fn: HashMap::new(),
             identity: FnId(0),
             generators: Vec::new(),
-            memo: HashMap::new(),
+            table: Vec::new(),
             closed: false,
         };
         let identity = monoid.intern(ReprFn((0..n as u32).collect()));
@@ -205,8 +214,12 @@ impl Monoid {
         if earlier == self.identity {
             return later;
         }
-        if let Some(&id) = self.memo.get(&(later, earlier)) {
-            return id;
+        let known = self
+            .table
+            .get(later.index())
+            .and_then(|row| row.get(earlier.index()));
+        if let Some(&id) = known.filter(|&&id| id != NOT_COMPOSED) {
+            return FnId(id);
         }
         let images: Vec<u32> = self.fns[earlier.index()]
             .0
@@ -214,7 +227,14 @@ impl Monoid {
             .map(|&mid| self.fns[later.index()].0[mid as usize])
             .collect();
         let id = self.intern(ReprFn(images));
-        self.memo.insert((later, earlier), id);
+        if self.table.len() <= later.index() {
+            self.table.resize_with(later.index() + 1, Vec::new);
+        }
+        let row = &mut self.table[later.index()];
+        if row.len() <= earlier.index() {
+            row.resize(self.fns.len().max(earlier.index() + 1), NOT_COMPOSED);
+        }
+        row[earlier.index()] = id.0;
         rasc_obs::counter("monoid.compose.memoized", 1);
         id
     }
@@ -290,7 +310,7 @@ impl Monoid {
     }
 
     /// Rebuilds a monoid from previously exported parts (see the snapshot
-    /// subsystem in `rasc-core`). The memo table starts empty and the
+    /// subsystem in `rasc-core`). The composition table starts empty and the
     /// monoid is treated as unclosed — compositions re-memoize on demand,
     /// which keeps the export format small and order-independent.
     ///
@@ -372,7 +392,7 @@ impl Monoid {
             by_fn,
             identity: FnId(crate::id_u32(identity_index, "monoid functions")),
             generators,
-            memo: HashMap::new(),
+            table: Vec::new(),
             closed: false,
         })
     }

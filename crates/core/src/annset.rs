@@ -8,30 +8,41 @@
 //! sets, clone-free iteration — is what lets set-constraint solvers scale;
 //! this module provides the two building blocks:
 //!
-//! * [`AnnSet`] — a tiered annotation set: a sorted small-vec tier (cheap,
-//!   cache-friendly, deterministic iteration order) that promotes to a
-//!   shadow hash tier for O(1) membership once it outgrows
-//!   [`ANNSET_PROMOTE_LEN`]. The sorted vec is always maintained, so
-//!   iteration order and rendered output stay deterministic regardless of
-//!   tier.
-//! * [`AnnMap`] — a keyed family of [`AnnSet`]s plus a flat append-ordered
-//!   *entry log* of live `(key, ann)` pairs. The log is the snapshot-cursor
-//!   substrate: the propagation loop walks it by index, copying one `Copy`
-//!   pair per step, instead of cloning the whole category up front. It also
-//!   makes entry counts O(1) and insertion-order iteration deterministic
-//!   (the old per-`HashMap` iteration order was stable only within one map
-//!   instance).
+//! * [`AnnMap`] — one category: a flat append-ordered *entry log* of live
+//!   `(key, ann)` pairs, plus per-key sets once the log is long enough to
+//!   need them. The log is the snapshot-cursor substrate: the propagation
+//!   loop walks it by index, copying one `Copy` pair per step, instead of
+//!   cloning the whole category up front. It also makes entry counts O(1)
+//!   and insertion-order iteration deterministic.
+//! * [`AnnSet`] — one key's annotations: a sorted vec that grows a shadow
+//!   hash set for O(1) membership once it outgrows [`ANNSET_PROMOTE_LEN`].
+//!   The sorted vec is always maintained, so iteration order stays
+//!   deterministic regardless of tier.
+//!
+//! Storage is tiered by size, because most categories are tiny (in the
+//! pushdown encoding nearly all edge categories and most bound categories
+//! hold a handful of entries) while a few grow large:
+//!
+//! 1. **Log only**, up to [`ANNMAP_INDEX_LEN`] entries: membership,
+//!    `has_key` and per-key reads scan the log. A category in this tier
+//!    owns one allocation, the log itself.
+//! 2. **Per-key sorted sets**: past [`ANNMAP_INDEX_LEN`] entries the
+//!    category also keeps a `HashMap<K, AnnSet>`, built when the log
+//!    outgrows the first tier and dropped when rollback shrinks it back.
+//! 3. **Hashed sets**: a key's [`AnnSet`] past [`ANNSET_PROMOTE_LEN`]
+//!    annotations also keeps a hash set.
 //!
 //! # Copy-on-write layering
 //!
 //! An [`AnnMap`] is two layers: an optional immutable **base**
 //! (`Arc`-shared between every session forked from the same solved form)
 //! and a mutable **overlay** recording only the entries added since the
-//! fork. Reads merge both layers; writes touch only the overlay. A map
-//! that never forked simply has no base layer, so the single-session hot
-//! path pays one `Option` check per operation. [`AnnMap::freeze`] flattens
-//! the overlay onto the base (reusing the `Arc` untouched when the overlay
-//! is empty), which is how a solved system becomes a new shareable base.
+//! fork. Each layer picks its tier from its own length. Reads merge both
+//! layers; writes touch only the overlay. A map that never forked simply
+//! has no base layer, so the single-session hot path pays one `Option`
+//! check per operation. [`AnnMap::freeze`] flattens the overlay onto the
+//! base (reusing the `Arc` untouched when the overlay is empty), which is
+//! how a solved system becomes a new shareable base.
 //!
 //! Rollback discipline: epoch undo removes entries in exact reverse
 //! insertion order, so [`AnnMap::remove`] looks the log up from the back —
@@ -44,6 +55,12 @@ use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
 
 use crate::algebra::AnnId;
+
+/// Log-only tier capacity: an [`AnnMap`] layer with at most this many
+/// entries keeps no per-key index and answers per-key reads by scanning
+/// its log, which at this length is cheaper than a hash probe and saves
+/// the map and per-key vecs.
+pub(crate) const ANNMAP_INDEX_LEN: usize = 8;
 
 /// Sorted-vec tier capacity: an [`AnnSet`] longer than this grows a shadow
 /// `HashSet` for O(1) membership tests. Below it, binary search over a
@@ -123,10 +140,6 @@ impl AnnSet {
         AnnSet { sorted, hash }
     }
 
-    pub(crate) fn len(&self) -> usize {
-        self.sorted.len()
-    }
-
     pub(crate) fn is_empty(&self) -> bool {
         self.sorted.is_empty()
     }
@@ -137,28 +150,121 @@ impl AnnSet {
     }
 }
 
-/// The dense single-layer storage: entry log plus per-key sets. One of
-/// these is either an [`AnnMap`]'s private overlay or its `Arc`-shared
-/// immutable base.
+/// The single-layer storage: the entry log, plus per-key sets past the
+/// log-only tier. One of these is either an [`AnnMap`]'s private overlay
+/// or its `Arc`-shared immutable base.
 #[derive(Debug, Clone)]
 struct AnnMapCore<K> {
-    /// Live `(key, ann)` entries in insertion order.
+    /// Live `(key, ann)` entries in insertion order; the source of truth.
     entries: Vec<(K, AnnId)>,
-    index: HashMap<K, AnnSet>,
+    /// Per-key sets, present iff `entries` is longer than
+    /// [`ANNMAP_INDEX_LEN`].
+    index: Option<HashMap<K, AnnSet>>,
 }
 
 impl<K> Default for AnnMapCore<K> {
     fn default() -> Self {
         AnnMapCore {
             entries: Vec::new(),
-            index: HashMap::new(),
+            index: None,
         }
     }
 }
 
-/// A solved-form category for one variable: per-key [`AnnSet`]s plus the
-/// flat entry log the propagation cursors iterate, layered as an optional
-/// shared base plus a private overlay. See the module docs.
+/// Scans a log-only layer for `(key, a)`: returns whether `key` has any
+/// entry and whether the pair itself is present.
+fn scan_log<K: Copy + Eq>(entries: &[(K, AnnId)], key: K, a: AnnId) -> (bool, bool) {
+    let mut has_key = false;
+    for &(k, x) in entries {
+        if k == key {
+            if x == a {
+                return (true, true);
+            }
+            has_key = true;
+        }
+    }
+    (has_key, false)
+}
+
+impl<K: Copy + Eq + std::hash::Hash> AnnMapCore<K> {
+    /// Whether `key` has any entry, and whether `(key, a)` is one.
+    fn probe(&self, key: K, a: AnnId) -> (bool, bool) {
+        match &self.index {
+            Some(index) => index
+                .get(&key)
+                .map_or((false, false), |s| (true, s.contains(a))),
+            None => scan_log(&self.entries, key, a),
+        }
+    }
+
+    fn has_key(&self, key: K) -> bool {
+        match &self.index {
+            Some(index) => index.contains_key(&key),
+            None => self.entries.iter().any(|&(k, _)| k == key),
+        }
+    }
+
+    /// The annotations of `key`: sorted from the index, in insertion
+    /// order from a log-only layer.
+    fn anns(&self, key: K) -> impl Iterator<Item = AnnId> + '_ {
+        let (sorted, log): (&[AnnId], &[(K, AnnId)]) = match &self.index {
+            Some(index) => (index.get(&key).map_or(&[], AnnSet::as_slice), &[]),
+            None => (&[], &self.entries),
+        };
+        sorted
+            .iter()
+            .copied()
+            .chain(log.iter().filter(move |&&(k, _)| k == key).map(|&(_, a)| a))
+    }
+
+    /// Appends an entry the caller has checked is absent, building the
+    /// index when the log outgrows the log-only tier.
+    fn push(&mut self, key: K, a: AnnId) {
+        self.entries.push((key, a));
+        match &mut self.index {
+            Some(index) => {
+                index.entry(key).or_default().insert(a);
+            }
+            None if self.entries.len() > ANNMAP_INDEX_LEN => {
+                let mut index: HashMap<K, AnnSet> = HashMap::new();
+                for &(k, x) in &self.entries {
+                    index.entry(k).or_default().insert(x);
+                }
+                self.index = Some(index);
+            }
+            None => {}
+        }
+    }
+
+    /// Removes `(key, a)`, dropping the index when the log shrinks back to
+    /// the log-only tier. Returns `None` when absent, otherwise whether
+    /// `key` has no entry left.
+    fn remove(&mut self, key: K, a: AnnId) -> Option<bool> {
+        let pos = self.entries.iter().rposition(|&e| e == (key, a))?;
+        self.entries.remove(pos);
+        if self.entries.len() <= ANNMAP_INDEX_LEN {
+            self.index = None;
+        }
+        match &mut self.index {
+            None => Some(!self.has_key(key)),
+            Some(index) => {
+                let emptied = index.get_mut(&key).is_some_and(|set| {
+                    set.remove(a);
+                    set.is_empty()
+                });
+                if emptied {
+                    index.remove(&key);
+                }
+                Some(emptied)
+            }
+        }
+    }
+}
+
+/// A solved-form category for one variable: the flat entry log the
+/// propagation cursors iterate plus per-key sets past the log-only tier,
+/// layered as an optional shared base plus a private overlay. See the
+/// module docs.
 #[derive(Debug, Clone)]
 pub(crate) struct AnnMap<K> {
     /// The immutable shared layer (entries present at fork time).
@@ -191,19 +297,21 @@ impl<K: Copy + Eq + std::hash::Hash> AnnMap<K> {
     /// annotation in *either* layer (the hook that maintains secondary
     /// indexes, e.g. the per-constructor buckets).
     pub(crate) fn insert_with<F: FnOnce()>(&mut self, key: K, a: AnnId, on_new_key: F) -> bool {
-        let in_base = self.base.as_deref().and_then(|b| b.index.get(&key));
-        if in_base.is_some_and(|s| s.contains(a)) {
+        let (in_base, dup) = self
+            .base
+            .as_deref()
+            .map_or((false, false), |b| b.probe(key, a));
+        if dup {
             return false;
         }
-        let set = self.over.index.entry(key).or_default();
-        let was_empty = set.is_empty();
-        if !set.insert(a) {
+        let (in_over, dup) = self.over.probe(key, a);
+        if dup {
             return false;
         }
-        if was_empty && in_base.is_none() {
+        if !in_base && !in_over {
             on_new_key();
         }
-        self.over.entries.push((key, a));
+        self.over.push(key, a);
         true
     }
 
@@ -221,29 +329,11 @@ impl<K: Copy + Eq + std::hash::Hash> AnnMap<K> {
     /// Epoch rollback removes entries in exact reverse insertion order, so
     /// the back-to-front log scan terminates immediately on that path.
     pub(crate) fn remove_with<F: FnOnce()>(&mut self, key: K, a: AnnId, on_key_emptied: F) -> bool {
-        let Some(set) = self.over.index.get_mut(&key) else {
+        let Some(emptied) = self.over.remove(key, a) else {
             return false;
         };
-        if !set.remove(a) {
-            return false;
-        }
-        if set.is_empty() {
-            self.over.index.remove(&key);
-            let in_base = self
-                .base
-                .as_deref()
-                .is_some_and(|b| b.index.contains_key(&key));
-            if !in_base {
-                on_key_emptied();
-            }
-        }
-        if let Some(pos) = self
-            .over
-            .entries
-            .iter()
-            .rposition(|&(k, x)| k == key && x == a)
-        {
-            self.over.entries.remove(pos);
+        if emptied && !self.base.as_deref().is_some_and(|b| b.has_key(key)) {
+            on_key_emptied();
         }
         true
     }
@@ -279,39 +369,23 @@ impl<K: Copy + Eq + std::hash::Hash> AnnMap<K> {
             .chain(self.over.entries.iter().copied())
     }
 
-    /// The (up to two) annotation sets recorded for `key`: the base
-    /// layer's set, then the overlay's. The two are disjoint by
-    /// construction (inserts dedupe across layers), so chaining them
-    /// enumerates each annotation exactly once.
-    pub(crate) fn sets(&self, key: K) -> impl Iterator<Item = &AnnSet> {
+    /// The annotations recorded for `key`: the base layer's, then the
+    /// overlay's. The two are disjoint by construction (inserts dedupe
+    /// across layers), so each annotation appears exactly once. Order
+    /// within a layer is sorted past the log-only tier and insertion
+    /// order within it; callers that need one order sort.
+    pub(crate) fn anns(&self, key: K) -> impl Iterator<Item = AnnId> + '_ {
         self.base
             .as_deref()
-            .and_then(|b| b.index.get(&key))
             .into_iter()
-            .chain(self.over.index.get(&key))
+            .flat_map(move |b| b.anns(key))
+            .chain(self.over.anns(key))
     }
 
     /// Whether `key` has any live annotation in either layer.
     #[cfg(test)]
     pub(crate) fn has_key(&self, key: K) -> bool {
-        self.over.index.contains_key(&key)
-            || self
-                .base
-                .as_deref()
-                .is_some_and(|b| b.index.contains_key(&key))
-    }
-
-    /// Iterates `(key, sorted annotations)` groups (hash order; use
-    /// [`AnnMap::iter_entries`] where determinism matters). A key with
-    /// annotations in both layers yields **twice**, with disjoint sets —
-    /// callers enumerating `(key, ann)` pairs see each pair exactly once.
-    pub(crate) fn iter(&self) -> impl Iterator<Item = (&K, &AnnSet)> {
-        self.base
-            .as_deref()
-            .map(|b| b.index.iter())
-            .into_iter()
-            .flatten()
-            .chain(self.over.index.iter())
+        self.over.has_key(key) || self.base.as_deref().is_some_and(|b| b.has_key(key))
     }
 
     /// Flattens the overlay onto the base, leaving an empty overlay over
@@ -321,27 +395,20 @@ impl<K: Copy + Eq + std::hash::Hash> AnnMap<K> {
     /// first, so freezing never reorders what [`AnnMap::iter_entries`]
     /// (and therefore snapshot bytes) observe.
     pub(crate) fn freeze(&mut self) {
-        if self.over.entries.is_empty() && self.over.index.is_empty() {
+        if self.over.entries.is_empty() {
             return;
         }
-        let mut core = match self.base.take() {
-            Some(b) => Arc::try_unwrap(b).unwrap_or_else(|arc| (*arc).clone()),
-            None => AnnMapCore::default(),
-        };
         let over = std::mem::take(&mut self.over);
-        for (k, set) in over.index {
-            match core.index.entry(k) {
-                std::collections::hash_map::Entry::Occupied(mut e) => {
-                    for &a in set.as_slice() {
-                        e.get_mut().insert(a);
-                    }
+        let core = match self.base.take() {
+            None => over,
+            Some(b) => {
+                let mut core = Arc::try_unwrap(b).unwrap_or_else(|arc| (*arc).clone());
+                for (k, a) in over.entries {
+                    core.push(k, a);
                 }
-                std::collections::hash_map::Entry::Vacant(e) => {
-                    e.insert(set);
-                }
+                core
             }
-        }
-        core.entries.extend(over.entries);
+        };
         self.base = Some(Arc::new(core));
     }
 }
@@ -349,12 +416,12 @@ impl<K: Copy + Eq + std::hash::Hash> AnnMap<K> {
 impl<K: Copy + Eq + Ord + std::hash::Hash> AnnMap<K> {
     /// Bulk-loads an insertion-ordered entry log into an empty map (the
     /// overlay of a map with no base). Structurally identical to replaying
-    /// [`AnnMap::insert_with`] entry by entry, but groups entries with one
-    /// key sort instead of paying one hash probe plus one sorted-vec shift
-    /// per entry — the snapshot *restore* hot path, where the whole solved
-    /// form streams back in at once. `on_new_key` fires once per distinct
-    /// key, in first-appearance order (the same order incremental inserts
-    /// would have fired it).
+    /// [`AnnMap::insert_with`] entry by entry, but a log past the log-only
+    /// tier groups its entries with one key sort instead of paying one
+    /// hash probe plus one sorted-vec shift per entry — the snapshot
+    /// *restore* hot path, where the whole solved form streams back in at
+    /// once. `on_new_key` fires once per distinct key, in first-appearance
+    /// order (the same order incremental inserts would have fired it).
     ///
     /// Returns `false` on a duplicate `(key, ann)` pair; the map contents
     /// are unspecified after a failure (restore discards the system), but
@@ -364,10 +431,18 @@ impl<K: Copy + Eq + Ord + std::hash::Hash> AnnMap<K> {
         entries: Vec<(K, AnnId)>,
         mut on_new_key: F,
     ) -> bool {
-        debug_assert!(
-            self.base.is_none() && self.over.entries.is_empty() && self.over.index.is_empty()
-        );
-        if entries.is_empty() {
+        debug_assert!(self.base.is_none() && self.over.entries.is_empty());
+        if entries.len() <= ANNMAP_INDEX_LEN {
+            for (i, &(key, a)) in entries.iter().enumerate() {
+                let (seen, dup) = scan_log(&entries[..i], key, a);
+                if dup {
+                    return false;
+                }
+                if !seen {
+                    on_new_key(key);
+                }
+            }
+            self.over.entries = entries;
             return true;
         }
         // Stable grouping: sort positions by (key, position) so each key's
@@ -379,6 +454,7 @@ impl<K: Copy + Eq + Ord + std::hash::Hash> AnnMap<K> {
         // (and relied upon by the per-constructor buckets) to fire in
         // first-appearance order, so collect and re-sort by position.
         let mut new_keys: Vec<(u32, K)> = Vec::new();
+        let mut index: HashMap<K, AnnSet> = HashMap::new();
         let mut i = 0;
         while i < order.len() {
             let key = entries[order[i] as usize].0;
@@ -395,13 +471,16 @@ impl<K: Copy + Eq + Ord + std::hash::Hash> AnnMap<K> {
                 return false;
             }
             new_keys.push((order[start], key));
-            self.over.index.insert(key, AnnSet::from_sorted(anns));
+            index.insert(key, AnnSet::from_sorted(anns));
         }
         new_keys.sort_unstable_by_key(|&(pos, _)| pos);
         for &(_, key) in &new_keys {
             on_new_key(key);
         }
-        self.over.entries = entries;
+        self.over = AnnMapCore {
+            entries,
+            index: Some(index),
+        };
         true
     }
 }
@@ -415,10 +494,7 @@ mod tests {
     }
 
     fn set_of<K: Copy + Eq + std::hash::Hash>(m: &AnnMap<K>, key: K) -> Vec<AnnId> {
-        let mut anns: Vec<AnnId> = m
-            .sets(key)
-            .flat_map(|s| s.as_slice().iter().copied())
-            .collect();
+        let mut anns: Vec<AnnId> = m.anns(key).collect();
         anns.sort_unstable();
         anns
     }
@@ -444,10 +520,91 @@ mod tests {
         assert!(s.hash.is_none(), "emptied set demoted");
     }
 
+    /// Checks every read of `m` against the naive model `log` (the merged
+    /// entry log, base first), plus the tier invariant of each layer.
+    fn assert_matches_model(m: &AnnMap<u32>, log: &[(u32, AnnId)], keys: u32) {
+        assert_eq!(m.len(), log.len());
+        assert!(m.iter_entries().eq(log.iter().copied()));
+        for (i, &e) in log.iter().enumerate() {
+            assert_eq!(m.entry(i), Some(e));
+        }
+        assert_eq!(m.entry(log.len()), None);
+        for key in 0..keys {
+            let mut want: Vec<AnnId> = log
+                .iter()
+                .filter(|&&(k, _)| k == key)
+                .map(|&(_, a)| a)
+                .collect();
+            want.sort_unstable();
+            assert_eq!(set_of(m, key), want, "anns({key})");
+            assert_eq!(m.has_key(key), !want.is_empty(), "has_key({key})");
+            for x in 0..24 {
+                let member = m.anns(key).any(|a| a == ann(x));
+                assert_eq!(member, want.binary_search(&ann(x)).is_ok(), "({key}, {x})");
+            }
+        }
+        for core in m.base.as_deref().into_iter().chain([&m.over]) {
+            assert_eq!(
+                core.index.is_some(),
+                core.entries.len() > ANNMAP_INDEX_LEN,
+                "a layer is indexed iff past the log-only tier"
+            );
+        }
+    }
+
+    #[test]
+    fn log_only_tier_matches_naive_model_across_the_index_boundary() {
+        const KEYS: u32 = 3;
+        // Entry `i` of a layer: keys cycle so every key gains several
+        // annotations, and annotations differ between the layers.
+        let entry = |layer: u32, i: u32| (i % KEYS, ann(layer * 12 + i));
+        for base_len in [0u32, 5, ANNMAP_INDEX_LEN as u32 + 3] {
+            let mut m: AnnMap<u32> = AnnMap::default();
+            let mut model: Vec<(u32, AnnId)> = Vec::new();
+            for i in 0..base_len {
+                assert!(m.insert(entry(0, i).0, entry(0, i).1));
+                model.push(entry(0, i));
+            }
+            if base_len > 0 {
+                m.freeze();
+                assert_eq!(m.base_len(), base_len as usize);
+            }
+            assert_matches_model(&m, &model, KEYS);
+            // The overlay crosses its own threshold on the way up...
+            let over_len = ANNMAP_INDEX_LEN as u32 + 4;
+            for i in 0..over_len {
+                let (k, a) = entry(1, i);
+                let mut fired = false;
+                assert!(m.insert_with(k, a, || fired = true));
+                assert_eq!(fired, !model.iter().any(|&(mk, _)| mk == k), "new key {k}");
+                model.push((k, a));
+                for &(k, a) in &model {
+                    assert!(!m.insert_with(k, a, || panic!("duplicate")), "dup");
+                }
+                assert_matches_model(&m, &model, KEYS);
+            }
+            // ... and back down, undoing in reverse to the base.
+            for i in (0..over_len).rev() {
+                let (k, a) = entry(1, i);
+                let mut fired = false;
+                assert!(m.remove_with(k, a, || fired = true));
+                assert!(!m.remove(k, a), "already removed");
+                model.pop();
+                assert_eq!(fired, !model.iter().any(|&(mk, _)| mk == k), "emptied {k}");
+                assert_matches_model(&m, &model, KEYS);
+            }
+            for &(k, a) in &model {
+                assert!(!m.remove(k, a), "base entries are immutable");
+            }
+            assert_matches_model(&m, &model, KEYS);
+        }
+    }
+
     #[test]
     fn bulk_load_matches_incremental_inserts() {
         // A log with interleaved keys, enough entries on key 1 to cross the
-        // promote threshold, and first appearances out of key order.
+        // promote threshold, and first appearances out of key order; then
+        // its short prefixes, which stay in the log-only tier.
         let mut log: Vec<(u32, AnnId)> = Vec::new();
         for i in 0..(ANNSET_PROMOTE_LEN as u32 + 4) {
             log.push((1, ann(100 + (i * 13) % 29)));
@@ -456,25 +613,31 @@ mod tests {
         log.insert(3, (0, ann(9)));
         log.push((7, ann(1)));
 
-        let mut incremental: AnnMap<u32> = AnnMap::default();
-        let mut inc_keys = Vec::new();
-        for &(k, a) in &log {
-            incremental.insert_with(k, a, || inc_keys.push(k));
-        }
-        let mut bulk: AnnMap<u32> = AnnMap::default();
-        let mut bulk_keys = Vec::new();
-        assert!(bulk.load_log(log.clone(), |k| bulk_keys.push(k)));
+        for len in [0, 3, ANNMAP_INDEX_LEN, ANNMAP_INDEX_LEN + 1, log.len()] {
+            let log = &log[..len];
+            let mut incremental: AnnMap<u32> = AnnMap::default();
+            let mut inc_keys = Vec::new();
+            for &(k, a) in log {
+                incremental.insert_with(k, a, || inc_keys.push(k));
+            }
+            let mut bulk: AnnMap<u32> = AnnMap::default();
+            let mut bulk_keys = Vec::new();
+            assert!(bulk.load_log(log.to_vec(), |k| bulk_keys.push(k)));
 
-        assert!(bulk.iter_entries().eq(incremental.iter_entries()));
-        assert_eq!(bulk_keys, inc_keys, "new-key hook order preserved");
-        for k in [0u32, 1, 7] {
-            assert_eq!(set_of(&bulk, k), set_of(&incremental, k));
-        }
+            assert!(bulk.iter_entries().eq(incremental.iter_entries()));
+            assert_eq!(bulk_keys, inc_keys, "new-key hook order preserved");
+            assert_eq!(bulk.over.index.is_some(), len > ANNMAP_INDEX_LEN);
+            for k in [0u32, 1, 7] {
+                assert_eq!(set_of(&bulk, k), set_of(&incremental, k));
+            }
 
-        let mut dup = log.clone();
-        dup.push(dup[0]);
-        let mut rejecting: AnnMap<u32> = AnnMap::default();
-        assert!(!rejecting.load_log(dup, |_| {}), "duplicate pair rejected");
+            if let Some(&first) = log.first() {
+                let mut dup = log.to_vec();
+                dup.push(first);
+                let mut rejecting: AnnMap<u32> = AnnMap::default();
+                assert!(!rejecting.load_log(dup, |_| {}), "duplicate pair rejected");
+            }
+        }
     }
 
     #[test]

@@ -510,24 +510,19 @@ impl ForwardSystem {
                     }
                 }
             }
-            let entries: Vec<(u32, Vec<AnnId>)> = self.vars[x]
-                .cons_lbs
-                .iter()
-                .map(|(&p, gs)| (p, gs.clone()))
-                .collect();
-            for (p, gs) in entries {
+            for (&p, gs) in &self.vars[x].cons_lbs {
                 let Pattern::Cons { args, .. } = &self.patterns[p as usize] else {
                     continue;
                 };
                 for &arg in args {
-                    for &g in &gs {
+                    for &g in gs {
                         uses[arg.index()].push((x, g));
                     }
                 }
             }
         }
         while let Some((y, s)) = worklist.pop_front() {
-            for &(x, g) in &uses[y].clone() {
+            for &(x, g) in &uses[y] {
                 let s2 = self.algebra.apply(g, s);
                 if insert_state(&mut occ[x], s2) {
                     worklist.push_back((x, s2));

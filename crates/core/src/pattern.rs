@@ -11,7 +11,7 @@
 use std::collections::HashSet;
 
 use crate::algebra::{Algebra, AnnId};
-use crate::solver::{System, VarId};
+use crate::solver::{SrcId, System, VarId};
 use crate::term::ConsId;
 
 /// A predicate on a term node's composed annotation class.
@@ -134,48 +134,43 @@ impl<A: Algebra> System<A> {
         pattern: &TermPattern,
         in_progress: &mut HashSet<(VarId, AnnId, usize)>,
     ) -> bool {
-        let entries: Vec<(ConsId, Vec<VarId>, Vec<AnnId>)> = self
-            .lbs_of(x)
-            .map(|(s, anns)| (s.cons, s.args.clone(), anns.to_vec()))
-            .collect();
-        for (cons, args, anns) in entries {
-            for f in anns {
-                let total = self.algebra_mut().compose(outer, f);
-                match pattern {
-                    TermPattern::Any => {
-                        if self.inhabited(&args, total, in_progress) {
-                            return true;
-                        }
+        // One `Copy` pair per entry: the recursion below needs `&mut self`.
+        let lbs: Vec<(SrcId, AnnId)> = self.lbs_of(x).collect();
+        for (src, f) in lbs {
+            let total = self.algebra_mut().compose(outer, f);
+            let (cons, arity) = (self.source(src).cons, self.source(src).args.len());
+            match pattern {
+                TermPattern::Any => {
+                    if self.inhabited(src, total, in_progress) {
+                        return true;
                     }
-                    TermPattern::Annotated(pred) => {
-                        if pred.holds(self.algebra(), total)
-                            && self.inhabited(&args, total, in_progress)
-                        {
-                            return true;
-                        }
+                }
+                TermPattern::Annotated(pred) => {
+                    if pred.holds(self.algebra(), total) && self.inhabited(src, total, in_progress)
+                    {
+                        return true;
                     }
-                    TermPattern::Cons {
-                        cons: want,
-                        ann,
-                        args: arg_pats,
-                    } => {
-                        if cons != *want || !ann.holds(self.algebra(), total) {
-                            continue;
-                        }
-                        // A pattern whose arity disagrees with the
-                        // constructor's cannot describe any of its terms:
-                        // no match (rather than a debug panic).
-                        if arg_pats.len() != args.len() {
-                            continue;
-                        }
-                        let all = args
-                            .clone()
-                            .into_iter()
-                            .zip(arg_pats)
-                            .all(|(a, p)| self.pattern_match(a, total, p, in_progress));
-                        if all {
-                            return true;
-                        }
+                }
+                TermPattern::Cons {
+                    cons: want,
+                    ann,
+                    args: arg_pats,
+                } => {
+                    if cons != *want || !ann.holds(self.algebra(), total) {
+                        continue;
+                    }
+                    // A pattern whose arity disagrees with the
+                    // constructor's cannot describe any of its terms:
+                    // no match (rather than a debug panic).
+                    if arg_pats.len() != arity {
+                        continue;
+                    }
+                    let all = arg_pats.iter().enumerate().all(|(i, p)| {
+                        let a = self.source(src).args[i];
+                        self.pattern_match(a, total, p, in_progress)
+                    });
+                    if all {
+                        return true;
                     }
                 }
             }
@@ -183,17 +178,19 @@ impl<A: Algebra> System<A> {
         false
     }
 
-    /// Whether all component variables are inhabited under `outer` (for
-    /// wildcard patterns: the term must actually exist in the least
-    /// solution).
+    /// Whether all of `src`'s component variables are inhabited under
+    /// `outer` (for wildcard patterns: the term must actually exist in the
+    /// least solution).
     fn inhabited(
         &mut self,
-        args: &[VarId],
+        src: SrcId,
         outer: AnnId,
         in_progress: &mut HashSet<(VarId, AnnId, usize)>,
     ) -> bool {
-        args.iter()
-            .all(|&a| self.pattern_match(a, outer, &TermPattern::Any, in_progress))
+        (0..self.source(src).args.len()).all(|i| {
+            let a = self.source(src).args[i];
+            self.pattern_match(a, outer, &TermPattern::Any, in_progress)
+        })
     }
 }
 

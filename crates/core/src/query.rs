@@ -9,7 +9,7 @@
 use std::collections::{HashMap, HashSet, VecDeque};
 
 use crate::algebra::{Algebra, AnnId};
-use crate::solver::{System, VarId};
+use crate::solver::{SrcId, System, VarId};
 use crate::term::{ConsId, GroundTerm};
 
 /// A witness for an occurrence query: the chain of constructors wrapping
@@ -41,21 +41,21 @@ impl<A: Algebra> System<A> {
         let mut queue: VecDeque<(VarId, AnnId)> = VecDeque::new();
         seen.insert((x, id));
         queue.push_back((x, id));
+        // Reused per pop: `compose` needs `&mut self`, so the entries are
+        // copied out as `Copy` pairs first.
+        let mut lbs: Vec<(SrcId, AnnId)> = Vec::new();
         while let Some((v, outer)) = queue.pop_front() {
-            let entries: Vec<(ConsId, Vec<VarId>, Vec<AnnId>)> = self
-                .lbs_of(v)
-                .map(|(s, anns)| (s.cons, s.args.clone(), anns.to_vec()))
-                .collect();
-            for (cons, args, anns) in entries {
-                for f in anns {
-                    let total = self.algebra_mut().compose(outer, f);
-                    if cons == target {
-                        found.push(total);
-                    }
-                    for &arg in &args {
-                        if seen.insert((arg, total)) {
-                            queue.push_back((arg, total));
-                        }
+            lbs.clear();
+            lbs.extend(self.lbs_of(v));
+            for &(src, f) in &lbs {
+                let total = self.algebra_mut().compose(outer, f);
+                let s = self.source(src);
+                if s.cons == target {
+                    found.push(total);
+                }
+                for &arg in &s.args {
+                    if seen.insert((arg, total)) {
+                        queue.push_back((arg, total));
                     }
                 }
             }
@@ -84,32 +84,29 @@ impl<A: Algebra> System<A> {
         let mut queue: VecDeque<(VarId, AnnId)> = VecDeque::new();
         seen.insert(start);
         queue.push_back(start);
+        let mut lbs: Vec<(SrcId, AnnId)> = Vec::new();
         while let Some((v, outer)) = queue.pop_front() {
-            // Collect this variable's lower bounds first (borrow split).
-            let entries: Vec<(ConsId, Vec<VarId>, Vec<AnnId>)> = self
-                .lbs_of(v)
-                .map(|(s, anns)| (s.cons, s.args.clone(), anns.to_vec()))
-                .collect();
-            for (cons, args, anns) in entries {
-                for f in anns {
-                    let total = self.algebra_mut().compose(outer, f);
-                    if cons == target && self.algebra().is_accepting(total) {
-                        // Reconstruct the wrapping stack.
-                        let mut stack = Vec::new();
-                        let mut cur = (v, outer);
-                        while let Some(&(prev, via)) = parents.get(&cur) {
-                            stack.push(via);
-                            cur = prev;
-                        }
-                        stack.reverse();
-                        return Some(OccurrenceWitness { stack, ann: total });
+            lbs.clear();
+            lbs.extend(self.lbs_of(v));
+            for &(src, f) in &lbs {
+                let total = self.algebra_mut().compose(outer, f);
+                let s = self.source(src);
+                if s.cons == target && self.algebra().is_accepting(total) {
+                    // Reconstruct the wrapping stack.
+                    let mut stack = Vec::new();
+                    let mut cur = (v, outer);
+                    while let Some(&(prev, via)) = parents.get(&cur) {
+                        stack.push(via);
+                        cur = prev;
                     }
-                    for &arg in &args {
-                        let next = (arg, total);
-                        if seen.insert(next) {
-                            parents.insert(next, ((v, outer), cons));
-                            queue.push_back(next);
-                        }
+                    stack.reverse();
+                    return Some(OccurrenceWitness { stack, ann: total });
+                }
+                for &arg in &s.args {
+                    let next = (arg, total);
+                    if seen.insert(next) {
+                        parents.insert(next, ((v, outer), s.cons));
+                        queue.push_back(next);
                     }
                 }
             }
@@ -125,36 +122,42 @@ impl<A: Algebra> System<A> {
     /// pass instead of one descent per variable:
     /// `occ(X) = {f | (target, f) ∈ lb(X)} ∪
     ///           {f ∘ h | (c(…,Y,…), f) ∈ lb(X), h ∈ occ(Y)}`.
-    #[allow(clippy::needless_range_loop)] // x is a variable id
     pub fn constant_occurrence_map(&mut self, target: ConsId) -> Vec<Vec<AnnId>> {
         let n = self.num_vars();
         let mut occ: Vec<Vec<AnnId>> = vec![Vec::new(); n];
-        // arg-uses[y] = (x, f, via-constructor) for each lb entry of x whose
-        // source has y as an argument.
+        // uses[y] = (x, f) for each lb entry `c(…) ⊆^f x` whose source has
+        // an argument in y's class. Only class roots are visited, and uses
+        // are keyed by root, so each cycle class is solved once.
         let mut uses: Vec<Vec<(usize, AnnId)>> = vec![Vec::new(); n];
         let mut worklist: VecDeque<(usize, AnnId)> = VecDeque::new();
-        for x in 0..n {
-            let entries: Vec<(ConsId, Vec<VarId>, Vec<AnnId>)> = self
-                .lbs_of(VarId(x as u32))
-                .map(|(s, anns)| (s.cons, s.args.clone(), anns.to_vec()))
-                .collect();
-            for (cons, args, anns) in entries {
-                for &f in &anns {
-                    if cons == target && insert_sorted(&mut occ[x], f) {
-                        worklist.push_back((x, f));
-                    }
-                    for &arg in &args {
-                        uses[arg.index()].push((x, f));
-                    }
+        for (x, occ_x) in occ.iter_mut().enumerate() {
+            let v = VarId(x as u32);
+            if self.find(v) != v {
+                continue;
+            }
+            for (src, f) in self.lbs_of(v) {
+                let s = self.source(src);
+                if s.cons == target && insert_sorted(occ_x, f) {
+                    worklist.push_back((x, f));
+                }
+                for &arg in &s.args {
+                    uses[self.find(arg).index()].push((x, f));
                 }
             }
         }
         while let Some((y, h)) = worklist.pop_front() {
-            for &(x, f) in &uses[y].clone() {
+            for &(x, f) in &uses[y] {
                 let composed = self.algebra_mut().compose(f, h);
                 if insert_sorted(&mut occ[x], composed) {
                     worklist.push_back((x, composed));
                 }
+            }
+        }
+        // Collapsed ids share their root's occurrences.
+        for x in 0..n {
+            let root = self.find(VarId(x as u32)).index();
+            if root != x {
+                occ[x] = occ[root].clone();
             }
         }
         occ
@@ -180,9 +183,12 @@ impl<A: Algebra> System<A> {
                     continue;
                 }
                 let v_id = VarId(v as u32);
-                let productive = self
-                    .lbs_of(v_id)
-                    .any(|(s, _)| s.args.iter().all(|a| alive[self.find(*a).index()]));
+                let productive = self.lbs_of(v_id).any(|(src, _)| {
+                    self.source(src)
+                        .args
+                        .iter()
+                        .all(|a| alive[self.find(*a).index()])
+                });
                 if productive {
                     alive[v] = true;
                     changed = true;
@@ -216,20 +222,14 @@ impl<A: Algebra> System<A> {
         index.insert((x, y), 0);
         pairs.push((x, y));
         while let Some((a, b)) = stack.pop() {
-            let a_entries: Vec<(ConsId, Vec<VarId>)> = self
-                .lbs_of(a)
-                .map(|(s, _)| (s.cons, s.args.clone()))
-                .collect();
-            let b_entries: Vec<(ConsId, Vec<VarId>)> = self
-                .lbs_of(b)
-                .map(|(s, _)| (s.cons, s.args.clone()))
-                .collect();
-            for (ca, args_a) in &a_entries {
-                for (cb, args_b) in &b_entries {
-                    if ca != cb {
+            for (src_a, _) in self.lbs_of(a) {
+                let sa = self.source(src_a);
+                for (src_b, _) in self.lbs_of(b) {
+                    let sb = self.source(src_b);
+                    if sa.cons != sb.cons {
                         continue;
                     }
-                    for (&pa, &pb) in args_a.iter().zip(args_b) {
+                    for (&pa, &pb) in sa.args.iter().zip(&sb.args) {
                         if let std::collections::hash_map::Entry::Vacant(e) = index.entry((pa, pb))
                         {
                             e.insert(pairs.len());
@@ -247,14 +247,13 @@ impl<A: Algebra> System<A> {
                 if truth[i] {
                     continue;
                 }
-                let a_entries: Vec<(ConsId, Vec<VarId>)> = self
-                    .lbs_of(a)
-                    .map(|(s, _)| (s.cons, s.args.clone()))
-                    .collect();
-                let holds = a_entries.iter().any(|(ca, args_a)| {
-                    self.lbs_of(b).any(|(sb, _)| {
-                        sb.cons == *ca
-                            && args_a
+                let holds = self.lbs_of(a).any(|(src_a, _)| {
+                    let sa = self.source(src_a);
+                    self.lbs_of(b).any(|(src_b, _)| {
+                        let sb = self.source(src_b);
+                        sb.cons == sa.cons
+                            && sa
+                                .args
                                 .iter()
                                 .zip(&sb.args)
                                 .all(|(&pa, &pb)| truth[index[&(pa, pb)]])
@@ -320,23 +319,20 @@ impl<A: Algebra> System<A> {
         let x0 = self.find(x);
         seen.insert((x0, id));
         bfs.push_back((x0, id));
+        let mut lbs: Vec<(SrcId, AnnId)> = Vec::new();
         while let Some((v, outer)) = bfs.pop_front() {
-            for f in q[v.index()].clone() {
+            for &f in &q[v.index()] {
                 let total = self.algebra_mut().compose(outer, f);
                 insert_sorted(&mut out, total);
             }
-            let entries: Vec<(Vec<VarId>, Vec<AnnId>)> = self
-                .lbs_of(v)
-                .map(|(s, anns)| (s.args.clone(), anns.to_vec()))
-                .collect();
-            for (args, anns) in entries {
-                for f in anns {
-                    let total = self.algebra_mut().compose(outer, f);
-                    for &arg in &args {
-                        let arg = self.find(arg);
-                        if seen.insert((arg, total)) {
-                            bfs.push_back((arg, total));
-                        }
+            lbs.clear();
+            lbs.extend(self.lbs_of(v));
+            for &(src, f) in &lbs {
+                let total = self.algebra_mut().compose(outer, f);
+                for &arg in &self.source(src).args {
+                    let arg = self.find(arg);
+                    if seen.insert((arg, total)) {
+                        bfs.push_back((arg, total));
                     }
                 }
             }
@@ -427,77 +423,74 @@ impl<A: Algebra> System<A> {
         if max_depth == 0 || max_count == 0 {
             return out;
         }
-        let entries: Vec<(ConsId, Vec<VarId>, Vec<AnnId>)> = self
-            .lbs_of(x)
-            .map(|(s, anns)| (s.cons, s.args.clone(), anns.to_vec()))
-            .collect();
-        for (cons, args, anns) in entries {
+        let lbs: Vec<(SrcId, AnnId)> = self.lbs_of(x).collect();
+        for (src, f) in lbs {
+            let key = (self.source(src).cons, self.source(src).args.clone());
             let occ_anns = cons_anns
-                .get(&(cons, args.clone()))
+                .get(&key)
                 .cloned()
                 .unwrap_or_else(|| vec![self.algebra().identity()]);
-            for f in anns {
-                if out.len() >= max_count {
-                    return out;
+            let (cons, args) = key;
+            if out.len() >= max_count {
+                return out;
+            }
+            // The component path annotation (appended to everything
+            // below this level).
+            let path = self.algebra_mut().compose(outer, f);
+            if args.is_empty() {
+                for &alpha in &occ_anns {
+                    let root = self.algebra_mut().compose(path, alpha);
+                    out.insert(GroundTerm::constant(cons, root));
+                    if out.len() >= max_count {
+                        return out;
+                    }
                 }
-                // The component path annotation (appended to everything
-                // below this level).
-                let path = self.algebra_mut().compose(outer, f);
-                if args.is_empty() {
-                    for &alpha in &occ_anns {
-                        let root = self.algebra_mut().compose(path, alpha);
-                        out.insert(GroundTerm::constant(cons, root));
-                        if out.len() >= max_count {
-                            return out;
+                continue;
+            }
+            // Cartesian product of component terms (distinct terms
+            // only, capped).
+            let mut component_terms: Vec<Vec<GroundTerm>> = Vec::with_capacity(args.len());
+            let mut dead = false;
+            for &arg in &args {
+                let terms: Vec<GroundTerm> = self
+                    .ground_terms_at(arg, path, max_depth - 1, max_count, cons_anns)
+                    .into_iter()
+                    .collect();
+                if terms.is_empty() {
+                    dead = true;
+                    break;
+                }
+                component_terms.push(terms);
+            }
+            if dead {
+                continue;
+            }
+            let mut combos: Vec<Vec<GroundTerm>> = vec![Vec::new()];
+            for terms in &component_terms {
+                let mut next = Vec::new();
+                'outer: for combo in &combos {
+                    for t in terms {
+                        if next.len() > max_count {
+                            break 'outer;
                         }
+                        let mut c = combo.clone();
+                        c.push(t.clone());
+                        next.push(c);
                     }
-                    continue;
                 }
-                // Cartesian product of component terms (distinct terms
-                // only, capped).
-                let mut component_terms: Vec<Vec<GroundTerm>> = Vec::with_capacity(args.len());
-                let mut dead = false;
-                for &arg in &args {
-                    let terms: Vec<GroundTerm> = self
-                        .ground_terms_at(arg, path, max_depth - 1, max_count, cons_anns)
-                        .into_iter()
-                        .collect();
-                    if terms.is_empty() {
-                        dead = true;
-                        break;
+                combos = next;
+            }
+            for combo in combos {
+                for &alpha in &occ_anns {
+                    if out.len() >= max_count {
+                        return out;
                     }
-                    component_terms.push(terms);
-                }
-                if dead {
-                    continue;
-                }
-                let mut combos: Vec<Vec<GroundTerm>> = vec![Vec::new()];
-                for terms in &component_terms {
-                    let mut next = Vec::new();
-                    'outer: for combo in &combos {
-                        for t in terms {
-                            if next.len() > max_count {
-                                break 'outer;
-                            }
-                            let mut c = combo.clone();
-                            c.push(t.clone());
-                            next.push(c);
-                        }
-                    }
-                    combos = next;
-                }
-                for combo in combos {
-                    for &alpha in &occ_anns {
-                        if out.len() >= max_count {
-                            return out;
-                        }
-                        let root = self.algebra_mut().compose(path, alpha);
-                        out.insert(GroundTerm {
-                            cons,
-                            ann: root,
-                            args: combo.clone(),
-                        });
-                    }
+                    let root = self.algebra_mut().compose(path, alpha);
+                    out.insert(GroundTerm {
+                        cons,
+                        ann: root,
+                        args: combo.clone(),
+                    });
                 }
             }
         }

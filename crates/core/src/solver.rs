@@ -24,7 +24,7 @@ use std::sync::Arc;
 use rasc_obs as obs;
 
 use crate::algebra::{Algebra, AnnId};
-use crate::annset::{AnnMap, AnnSet};
+use crate::annset::{AnnMap, ANNMAP_INDEX_LEN};
 use crate::budget::{Budget, Outcome};
 use crate::constraint::{Constraint, SetExpr};
 use crate::error::{CoreError, Result};
@@ -191,57 +191,113 @@ struct VarData {
 }
 
 /// The per-constructor lower-bound buckets, copy-on-write layered like
-/// [`AnnMap`]: an immutable `Arc`-shared base plus an overlay of buckets
-/// grown since the fork. Reads chain both layers; writes (and epoch
-/// rollback, which only ever removes post-fork entries) touch the overlay
-/// alone.
+/// [`AnnMap`]: an immutable `Arc`-shared base plus an overlay grown since
+/// the fork. Reads chain both layers; writes (and epoch rollback, which
+/// only ever removes post-fork entries) touch the overlay alone.
 #[derive(Debug, Default, Clone)]
 struct ConsIndex {
-    base: Option<Arc<HashMap<ConsId, Vec<SrcId>>>>,
-    over: HashMap<ConsId, Vec<SrcId>>,
+    base: Option<Arc<ConsIndexCore>>,
+    over: ConsIndexCore,
+}
+
+/// One layer of a [`ConsIndex`], tiered like an [`AnnMap`] layer: a flat
+/// `(head, source)` list that a bucket read scans, plus per-head buckets
+/// once the list outgrows [`ANNMAP_INDEX_LEN`].
+#[derive(Debug, Default, Clone)]
+struct ConsIndexCore {
+    /// `(head, source)` per live key, in key-creation order.
+    keys: Vec<(ConsId, SrcId)>,
+    /// Per-head buckets, present iff `keys` is longer than
+    /// [`ANNMAP_INDEX_LEN`].
+    by_head: Option<HashMap<ConsId, Vec<SrcId>>>,
+}
+
+impl ConsIndexCore {
+    fn push(&mut self, head: ConsId, src: SrcId) {
+        self.keys.push((head, src));
+        match &mut self.by_head {
+            Some(by_head) => by_head.entry(head).or_default().push(src),
+            None if self.keys.len() > ANNMAP_INDEX_LEN => {
+                let mut by_head: HashMap<ConsId, Vec<SrcId>> = HashMap::new();
+                for &(h, s) in &self.keys {
+                    by_head.entry(h).or_default().push(s);
+                }
+                self.by_head = Some(by_head);
+            }
+            None => {}
+        }
+    }
+
+    /// Removes the most recent entry for `src` (rollback path:
+    /// reverse-order undo puts it at the back).
+    fn remove_last(&mut self, head: ConsId, src: SrcId) {
+        let Some(pos) = self.keys.iter().rposition(|&k| k == (head, src)) else {
+            return;
+        };
+        self.keys.remove(pos);
+        if self.keys.len() <= ANNMAP_INDEX_LEN {
+            self.by_head = None;
+        }
+        if let Some(by_head) = &mut self.by_head {
+            if let Some(bucket) = by_head.get_mut(&head) {
+                if let Some(pos) = bucket.iter().rposition(|&s| s == src) {
+                    bucket.remove(pos);
+                }
+                if bucket.is_empty() {
+                    by_head.remove(&head);
+                }
+            }
+        }
+    }
+
+    /// The sources with head `c`, in key-creation order.
+    fn bucket(&self, c: ConsId) -> impl Iterator<Item = SrcId> + '_ {
+        let (bucket, keys): (&[SrcId], &[(ConsId, SrcId)]) = match &self.by_head {
+            Some(by_head) => (by_head.get(&c).map_or(&[], Vec::as_slice), &[]),
+            None => (&[], &self.keys),
+        };
+        bucket.iter().copied().chain(
+            keys.iter()
+                .filter(move |&&(head, _)| head == c)
+                .map(|&(_, src)| src),
+        )
+    }
 }
 
 impl ConsIndex {
     fn push(&mut self, head: ConsId, src: SrcId) {
-        self.over.entry(head).or_default().push(src);
+        self.over.push(head, src);
     }
 
-    /// Removes the most recent overlay bucket entry for `src` (rollback
-    /// path: reverse-order undo puts it at the back).
     fn remove_last(&mut self, head: ConsId, src: SrcId) {
-        if let Some(bucket) = self.over.get_mut(&head) {
-            if let Some(pos) = bucket.iter().rposition(|&s| s == src) {
-                bucket.remove(pos);
-            }
-            if bucket.is_empty() {
-                self.over.remove(&head);
-            }
-        }
+        self.over.remove_last(head, src);
     }
 
-    /// The sources with head `c`, base bucket first.
+    /// The sources with head `c`, base layer first.
     fn bucket(&self, c: ConsId) -> impl Iterator<Item = SrcId> + '_ {
-        let base: &[SrcId] = self
-            .base
+        self.base
             .as_deref()
-            .and_then(|b| b.get(&c))
-            .map_or(&[], Vec::as_slice);
-        let over: &[SrcId] = self.over.get(&c).map_or(&[], Vec::as_slice);
-        base.iter().copied().chain(over.iter().copied())
+            .into_iter()
+            .flat_map(move |b| b.bucket(c))
+            .chain(self.over.bucket(c))
     }
 
     /// Flattens the overlay onto the base (see [`AnnMap::freeze`]).
     fn freeze(&mut self) {
-        if self.over.is_empty() {
+        if self.over.keys.is_empty() {
             return;
         }
-        let mut core = match self.base.take() {
-            Some(b) => Arc::try_unwrap(b).unwrap_or_else(|arc| (*arc).clone()),
-            None => HashMap::new(),
+        let over = std::mem::take(&mut self.over);
+        let core = match self.base.take() {
+            None => over,
+            Some(b) => {
+                let mut core = Arc::try_unwrap(b).unwrap_or_else(|arc| (*arc).clone());
+                for (head, src) in over.keys {
+                    core.push(head, src);
+                }
+                core
+            }
         };
-        for (head, bucket) in std::mem::take(&mut self.over) {
-            core.entry(head).or_default().extend(bucket);
-        }
         self.base = Some(Arc::new(core));
     }
 }
@@ -839,16 +895,16 @@ impl<A: Algebra> System<A> {
         self.pending_counts.lbs_removed += data.lbs.len() as u64;
         self.pending_counts.ubs_removed += data.ubs.len() as u64;
         let why = Reason::Collapsed { from: loser };
-        for (y, ann) in data.succs.iter_entries().collect::<Vec<_>>() {
+        for (y, ann) in data.succs.iter_entries() {
             self.push_fact(Fact::Edge(winner, y, ann), why);
         }
-        for (x, ann) in data.preds.iter_entries().collect::<Vec<_>>() {
+        for (x, ann) in data.preds.iter_entries() {
             self.push_fact(Fact::Edge(x, winner, ann), why);
         }
-        for (src, ann) in data.lbs.iter_entries().collect::<Vec<_>>() {
+        for (src, ann) in data.lbs.iter_entries() {
             self.push_fact(Fact::Lb(winner, src, ann), why);
         }
-        for (snk, ann) in data.ubs.iter_entries().collect::<Vec<_>>() {
+        for (snk, ann) in data.ubs.iter_entries() {
             self.push_fact(Fact::Ub(winner, snk, ann), why);
         }
         if let Some(j) = self.journal.as_mut() {
@@ -1695,15 +1751,15 @@ impl<A: Algebra> System<A> {
     pub fn lower_bound_annotations(&self, x: VarId, c: ConsId) -> Vec<AnnId> {
         let x = self.find(x);
         let data = &self.vars[x.index()];
-        // Constructor-indexed: only `c`-headed sources are visited, and
-        // their annotation sets are already sorted and deduplicated, so
-        // the common one-source case returns without sorting anything.
-        let sets: Vec<&AnnSet> = data
+        // Constructor-indexed: only `c`-headed sources are visited.
+        let mut anns: Vec<AnnId> = data
             .lbs_by_cons
             .bucket(c)
-            .flat_map(|src| data.lbs.sets(src))
+            .flat_map(|src| data.lbs.anns(src))
             .collect();
-        merge_sorted_anns(&sets)
+        anns.sort_unstable();
+        anns.dedup();
+        anns
     }
 
     /// All solved-form lower bounds of `x`: `(constructor, args, annotation)`
@@ -1782,10 +1838,8 @@ impl<A: Algebra> System<A> {
         let data = &self.vars[root.index()];
         let mut candidates: Vec<(u32, AnnId)> = Vec::new();
         for src in data.lbs_by_cons.bucket(c) {
-            for anns in data.lbs.sets(src) {
-                for &a in anns.as_slice() {
-                    candidates.push((src.0, a));
-                }
+            for a in data.lbs.anns(src) {
+                candidates.push((src.0, a));
             }
         }
         candidates.sort();
@@ -2146,35 +2200,30 @@ impl<A: Algebra> System<A> {
     pub(crate) fn source_sink_meets(&self, x: VarId) -> Vec<MeetEntry> {
         let data = &self.vars[self.find(x).index()];
         let mut out = Vec::new();
-        for (&src, gs) in data.lbs.iter() {
+        for (src, g) in data.lbs.iter_entries() {
             let source = self.source(src);
-            for (&snk, hs) in data.ubs.iter() {
+            for (snk, h) in data.ubs.iter_entries() {
                 let Sink::Cons { cons, args } = self.sink(snk) else {
                     continue;
                 };
-                if *cons != source.cons {
-                    continue;
-                }
-                for &g in gs.as_slice() {
-                    for &h in hs.as_slice() {
-                        out.push((
-                            (source.cons, source.args.clone()),
-                            (*cons, args.clone()),
-                            g,
-                            h,
-                        ));
-                    }
+                if *cons == source.cons {
+                    out.push((
+                        (source.cons, source.args.clone()),
+                        (*cons, args.clone()),
+                        g,
+                        h,
+                    ));
                 }
             }
         }
         out
     }
 
-    pub(crate) fn lbs_of(&self, x: VarId) -> impl Iterator<Item = (&Source, &[AnnId])> {
-        self.vars[self.find(x).index()]
-            .lbs
-            .iter()
-            .map(|(src, anns)| (self.source(*src), anns.as_slice()))
+    /// The lower bounds of `x`'s class as `(source, annotation)` entries,
+    /// one at a time in insertion order (`source` gives the constructor
+    /// expression behind an entry).
+    pub(crate) fn lbs_of(&self, x: VarId) -> impl Iterator<Item = (SrcId, AnnId)> + '_ {
+        self.vars[self.find(x).index()].lbs.iter_entries()
     }
 }
 
@@ -2981,25 +3030,6 @@ fn entry_count(data: &VarData) -> usize {
     data.succs.len() + data.lbs.len() + data.ubs.len()
 }
 
-/// Merges the sorted annotation slices of several [`AnnSet`]s into one
-/// sorted, duplicate-free vec without a full re-sort (the per-constructor
-/// bucket query path: usually a single source per head).
-fn merge_sorted_anns(sets: &[&AnnSet]) -> Vec<AnnId> {
-    match sets {
-        [] => Vec::new(),
-        [one] => one.as_slice().to_vec(),
-        many => {
-            let mut out: Vec<AnnId> = Vec::with_capacity(many.iter().map(|s| s.len()).sum());
-            for s in many {
-                out.extend_from_slice(s.as_slice());
-            }
-            out.sort_unstable();
-            out.dedup();
-            out
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -3607,5 +3637,52 @@ mod tests {
         let keys = sys.constructor_expr_keys();
         let heads: Vec<ConsId> = keys.iter().map(|(cons, _)| *cons).collect();
         assert_eq!(heads, vec![c, o, d], "first-occurrence order, deduped");
+    }
+
+    /// `ConsIndex` across its flat/bucketed threshold, with no base, a
+    /// flat base and a bucketed one: every bucket read matches a naive
+    /// `(head, source)` list while keys are added past the threshold and
+    /// then removed in reverse.
+    #[test]
+    fn cons_index_buckets_match_naive_model_across_the_threshold() {
+        const HEADS: u32 = 3;
+        fn check(index: &ConsIndex, model: &[(ConsId, SrcId)]) {
+            for c in (0..HEADS).map(ConsId) {
+                let want: Vec<SrcId> = model
+                    .iter()
+                    .filter(|&&(h, _)| h == c)
+                    .map(|&(_, s)| s)
+                    .collect();
+                assert!(index.bucket(c).eq(want), "bucket {c:?}");
+            }
+            for core in index.base.as_deref().into_iter().chain([&index.over]) {
+                assert_eq!(core.by_head.is_some(), core.keys.len() > ANNMAP_INDEX_LEN);
+            }
+        }
+        let key = |layer: u32, i: u32| (ConsId(i % HEADS), SrcId(layer * 100 + i));
+        for base_len in [0u32, 5, ANNMAP_INDEX_LEN as u32 + 3] {
+            let mut index = ConsIndex::default();
+            let mut model = Vec::new();
+            for i in 0..base_len {
+                let (h, s) = key(0, i);
+                index.push(h, s);
+                model.push((h, s));
+            }
+            index.freeze();
+            check(&index, &model);
+            let over_len = ANNMAP_INDEX_LEN as u32 + 4;
+            for i in 0..over_len {
+                let (h, s) = key(1, i);
+                index.push(h, s);
+                model.push((h, s));
+                check(&index, &model);
+            }
+            for i in (0..over_len).rev() {
+                let (h, s) = key(1, i);
+                index.remove_last(h, s);
+                model.pop();
+                check(&index, &model);
+            }
+        }
     }
 }

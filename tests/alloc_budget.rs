@@ -1,0 +1,99 @@
+//! Pins the solver's allocation budget with exact counts.
+//!
+//! A counting global allocator tallies, per thread, the blocks it hands
+//! out (`alloc`, `alloc_zeroed`) and the blocks it frees (`dealloc`); a
+//! `realloc` resizes a block and counts as neither. Solving one fixed generated program and
+//! dropping the solved system must stay under a budget per solved entry.
+//! The counts depend only on the program and the code, not on hash seeds
+//! or timing, so they repeat exactly from run to run.
+//!
+//! This file holds a single test: the allocator is process-wide, and
+//! counting per thread keeps the harness's own threads out of the tally.
+
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
+
+use rasc::cfgir::Cfg;
+use rasc::pdmc::{properties, ConstraintChecker};
+use rasc_bench::workload::{generate, WorkloadConfig};
+
+struct Counting;
+
+thread_local! {
+    static ALLOCS: Cell<u64> = const { Cell::new(0) };
+    static FREES: Cell<u64> = const { Cell::new(0) };
+}
+
+fn bump(counter: &'static std::thread::LocalKey<Cell<u64>>) {
+    // `try_with`: the slot is gone while the thread tears down.
+    let _ = counter.try_with(|c| c.set(c.get() + 1));
+}
+
+// SAFETY: every method forwards its arguments unchanged to the system
+// allocator, which upholds the `GlobalAlloc` contract; the counters are
+// const-initialized thread-locals, so counting never allocates.
+unsafe impl GlobalAlloc for Counting {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        bump(&ALLOCS);
+        // SAFETY: the caller's guarantees on `layout` carry over.
+        unsafe { System.alloc(layout) }
+    }
+
+    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+        bump(&ALLOCS);
+        // SAFETY: as for `alloc`.
+        unsafe { System.alloc_zeroed(layout) }
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        // SAFETY: `ptr` came from this allocator, which is `System`
+        // underneath, with `layout`; the caller guarantees `new_size`.
+        unsafe { System.realloc(ptr, layout, new_size) }
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        bump(&FREES);
+        // SAFETY: `ptr` came from this allocator with `layout`.
+        unsafe { System.dealloc(ptr, layout) }
+    }
+}
+
+#[global_allocator]
+static GLOBAL: Counting = Counting;
+
+fn counts() -> (u64, u64) {
+    (ALLOCS.with(Cell::get), FREES.with(Cell::get))
+}
+
+/// Solve allocations plus drop frees per solved entry. Measured on this
+/// program: 5.06 (45,859 + 47,035 for 18,376 entries) when every solved
+/// category kept a `HashMap` with one vec per key, 1.94 (15,743 + 19,916)
+/// with log-only storage for categories of up to eight entries. The bound
+/// sits between the two.
+const BUDGET_PER_ENTRY: f64 = 3.0;
+
+#[test]
+fn solve_and_drop_stay_within_the_allocation_budget() {
+    let (sigma, dfa) = properties::full_privilege_property();
+    let names: Vec<String> = sigma.symbols().map(|s| sigma.name(s).to_owned()).collect();
+    let program = generate(&WorkloadConfig::sized(3000, names, 3));
+    let cfg = Cfg::build(&program).unwrap();
+    let mut checker = ConstraintChecker::new(&cfg, &sigma, &dfa, "main").unwrap();
+
+    let before = counts();
+    checker.solve();
+    let solve_allocs = counts().0 - before.0;
+    let entries = checker.system().solved_entries();
+    let before = counts();
+    drop(checker);
+    let drop_frees = counts().1 - before.1;
+
+    let per_entry = (solve_allocs + drop_frees) as f64 / entries as f64;
+    println!("{solve_allocs} solve allocations, {drop_frees} drop frees, {entries} entries");
+    assert!(entries > 10_000, "the program is large enough to measure");
+    assert!(
+        per_entry <= BUDGET_PER_ENTRY,
+        "{per_entry:.2} allocations plus frees per solved entry (budget {BUDGET_PER_ENTRY}): \
+         {solve_allocs} solve allocations + {drop_frees} drop frees for {entries} entries"
+    );
+}

@@ -5,6 +5,7 @@
 
 use rasc::automata::{Alphabet, Dfa, PropertySpec};
 use rasc::cfgir::{Cfg, EdgeLabel, NodeId, Program};
+use rasc::constraints::algebra::Algebra;
 use rasc::constraints::forward::ForwardSystem;
 use rasc::constraints::Variance;
 use rasc::pdmc::{properties, ConstraintChecker};
@@ -125,4 +126,41 @@ fn engines_agree_on_deep_recursion() {
     assert!(!x.is_empty());
     assert_eq!(x, y);
     assert_eq!(x, z);
+}
+
+/// Query answers must not depend on hash order. Queries intern the
+/// compositions they make, so two checkers that walked lower bounds in
+/// different orders number the same annotations differently: the served
+/// `anns` listing (annotations in id order) and the witness found first
+/// would then change from one checker to the next.
+#[test]
+fn fresh_checkers_give_identical_listings_and_witnesses() {
+    let (sigma, dfa) = properties::full_privilege_property();
+    let names: Vec<String> = sigma.symbols().map(|s| sigma.name(s).to_owned()).collect();
+    let program = generate(&WorkloadConfig::sized(3000, names, 3));
+    let cfg = Cfg::build(&program).unwrap();
+    let answers = || {
+        let mut checker = ConstraintChecker::new(&cfg, &sigma, &dfa, "main").unwrap();
+        checker.solve();
+        let violations = checker.violations();
+        let mut out: Vec<String> = Vec::new();
+        for &node in violations.iter().step_by(violations.len() / 8 + 1) {
+            let anns = checker.pc_annotations(node);
+            let alg = checker.system().algebra();
+            out.push(
+                anns.iter()
+                    .map(|&a| alg.describe(a))
+                    .collect::<Vec<_>>()
+                    .join(" "),
+            );
+            let witness = checker.witness(node).expect("a violation has a witness");
+            out.push(checker.render_witness(&witness));
+        }
+        assert!(out.len() >= 8, "the program has violations to list");
+        out
+    };
+    let first = answers();
+    for _ in 0..5 {
+        assert_eq!(answers(), first);
+    }
 }
