@@ -106,6 +106,9 @@ impl GenKillAlgebra {
 }
 
 impl Algebra for GenKillAlgebra {
+    /// The fact vector a path reaches from the empty one.
+    type Class = u64;
+
     fn identity(&self) -> AnnId {
         AnnId(0)
     }
@@ -125,6 +128,18 @@ impl Algebra for GenKillAlgebra {
         // fact holds" is the natural acceptance for the product-of-accepts
         // query. Per-fact queries use [`GenKillAlgebra::apply`].
         self.anns[a.index()].0 != 0
+    }
+
+    fn start_class(&self) -> u64 {
+        0
+    }
+
+    fn apply_class(&mut self, f: AnnId, c: u64) -> u64 {
+        self.apply(f, c)
+    }
+
+    fn class_accepting(&self, c: u64) -> bool {
+        c != 0
     }
 
     fn describe(&self, a: AnnId) -> String {

@@ -37,7 +37,19 @@ impl AnnId {
 ///
 /// `compose` takes `&mut self` because elements are interned on demand
 /// (the paper's composition table, built lazily).
+///
+/// Besides the monoid, an algebra names the classes of the paper's right
+/// congruence `≡_r` (§5): `u ≡_r v` when `u·w ∈ L ⟺ v·w ∈ L` for every
+/// `w`. Acceptance of a path only depends on the class of its annotation,
+/// so a scan that only asks "accepting?" can carry classes instead of
+/// whole functions. The class laws are
+/// `is_accepting(f) == class_accepting(apply_class(f, start_class()))` and
+/// `apply_class(compose(f, g), c) == apply_class(f, apply_class(g, c))`.
 pub trait Algebra {
+    /// A class of the right congruence: what a path's future acceptance
+    /// depends on.
+    type Class: Copy + Ord;
+
     /// The identity annotation `f_ε` (the representative of the empty
     /// word).
     fn identity(&self) -> AnnId;
@@ -59,6 +71,15 @@ pub trait Algebra {
         let _ = a;
         true
     }
+
+    /// The class of the empty path.
+    fn start_class(&self) -> Self::Class;
+
+    /// The class reached from class `c` by a path annotated `f`.
+    fn apply_class(&mut self, f: AnnId, c: Self::Class) -> Self::Class;
+
+    /// Whether paths in class `c` are accepted.
+    fn class_accepting(&self, c: Self::Class) -> bool;
 
     /// Human-readable rendering for diagnostics.
     fn describe(&self, a: AnnId) -> String;

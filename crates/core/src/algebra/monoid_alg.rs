@@ -104,11 +104,6 @@ impl MonoidAlgebra {
         &self.monoid
     }
 
-    /// The machine state `f(s₀)` — the forward (right-congruence) class.
-    pub fn forward_class(&self, a: AnnId) -> StateId {
-        self.monoid.forward_class(fnid(a))
-    }
-
     /// Whether an accepting state is reachable from machine state `s` —
     /// i.e. whether a forward-propagated path in state `s` can still be
     /// extended to a word of `L(M)`.
@@ -142,6 +137,9 @@ fn fnid(a: AnnId) -> FnId {
 }
 
 impl Algebra for MonoidAlgebra {
+    /// The machine state `f(s₀)`.
+    type Class = StateId;
+
     fn identity(&self) -> AnnId {
         ann(self.monoid.identity())
     }
@@ -162,6 +160,18 @@ impl Algebra for MonoidAlgebra {
             .images()
             .enumerate()
             .any(|(s, img)| self.reachable[s] && self.coreachable[img.index()])
+    }
+
+    fn start_class(&self) -> StateId {
+        self.monoid.start_state()
+    }
+
+    fn apply_class(&mut self, f: AnnId, c: StateId) -> StateId {
+        self.monoid.apply(fnid(f), c)
+    }
+
+    fn class_accepting(&self, c: StateId) -> bool {
+        self.monoid.state_accepting(c)
     }
 
     fn describe(&self, a: AnnId) -> String {

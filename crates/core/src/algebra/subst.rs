@@ -240,6 +240,10 @@ impl SubstAlgebra {
 }
 
 impl Algebra for SubstAlgebra {
+    /// The environment itself, so a class scan composes whole
+    /// environments.
+    type Class = AnnId;
+
     fn identity(&self) -> AnnId {
         AnnId(0)
     }
@@ -305,6 +309,18 @@ impl Algebra for SubstAlgebra {
             .iter()
             .any(|(_, f)| self.monoid.is_accepting(*f))
             || self.monoid.is_accepting(env.residual)
+    }
+
+    fn start_class(&self) -> AnnId {
+        self.identity()
+    }
+
+    fn apply_class(&mut self, f: AnnId, c: AnnId) -> AnnId {
+        self.compose(f, c)
+    }
+
+    fn class_accepting(&self, c: AnnId) -> bool {
+        self.is_accepting(c)
     }
 
     fn describe(&self, a: AnnId) -> String {

@@ -1,12 +1,14 @@
 //! The forward unidirectional solver (paper §5).
 //!
 //! A forward solver only pushes *lower bounds* from sources toward sinks;
-//! upper bounds stay at the variable where they were asserted. This loses
-//! the online/separate-analysis ability of the bidirectional solver but
-//! allows a coarser congruence: by the right congruence `≡_r`, the class of
-//! a path annotation starting at the machine's start state is determined by
-//! the single state `δ(w, s₀)`, so the number of derived annotations per
-//! (source, variable) pair is `|S|` instead of up to `|S|^{|S|}` (§5.1).
+//! upper bounds stay at the variable where they were asserted (a rule the
+//! bidirectional [`crate::System`] shares). Tracking paths from the start
+//! state loses the online/separate-analysis ability of the bidirectional
+//! solver but allows a coarser congruence: by the right congruence `≡_r`,
+//! the class of a path annotation starting at the machine's start state is
+//! determined by the single state `δ(w, s₀)`, so the number of derived
+//! annotations per (source, variable) pair is `|S|` instead of up to
+//! `|S|^{|S|}` (§5.1).
 //!
 //! Concretely, this solver tracks *constant* (nullary) sources by machine
 //! state. Constructor sources keep full representative functions — their

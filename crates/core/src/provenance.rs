@@ -33,13 +33,6 @@ pub(crate) enum Reason {
         /// The lower-bound entry `(x, src, g)` that crossed it.
         lb: (VarId, SrcId, AnnId),
     },
-    /// Transitive closure: upper bound `ub` pulled back across `edge`.
-    TransUb {
-        /// The edge `(w, x, f)` the bound crossed (backwards).
-        edge: (VarId, VarId, AnnId),
-        /// The upper-bound entry `(x, snk, h)` that crossed it.
-        ub: (VarId, SnkId, AnnId),
-    },
     /// §3.1 resolution: a lower and an upper bound met at `var`.
     Meet {
         /// The variable where the bounds met.
@@ -138,8 +131,9 @@ pub struct ExplainStep {
     /// surface constraint.
     pub constraint: Option<usize>,
     /// The rule that produced the entry: `"constraint"`, `"trans-lb"`,
-    /// `"trans-ub"`, `"resolve"`, `"collapse"`, or `"axiom"` (an entry
-    /// that predates provenance recording).
+    /// `"resolve"`, `"collapse"`, or `"axiom"` (an entry that predates
+    /// provenance recording). Upper bounds never travel, so each one is
+    /// cited by the constraint that asserted it or by a collapse.
     pub rule: &'static str,
     /// Human-readable rendering of the step.
     pub description: String,

@@ -5,6 +5,11 @@
 //! queries here reconstruct the composed constructor annotations during the
 //! entailment computation itself, by a memoized descent over
 //! `(variable, annotation)` pairs.
+//!
+//! The whole-program violation scan
+//! ([`System::constant_occurrence_classes`]) only decides acceptance, and
+//! acceptance depends only on a path's class under the right congruence
+//! `≡_r` (§5), so it carries [`Algebra::Class`]es instead of functions.
 
 use std::collections::{HashMap, HashSet, VecDeque};
 
@@ -114,42 +119,59 @@ impl<A: Algebra> System<A> {
         None
     }
 
-    /// For every variable, the set of composed annotations at which the
-    /// constant `target` occurs at any depth in its least solution.
+    /// For every variable, the right-congruence classes
+    /// ([`Algebra::Class`]) of the paths by which the constant `target`
+    /// occurs at any depth in its least solution. `target` occurs at `X`
+    /// with an accepting annotation iff one of `X`'s classes satisfies
+    /// [`Algebra::class_accepting`].
     ///
     /// Computed *bottom-up* in a single fixpoint, so checking a whole
     /// program's worth of variables (the §6.2 violation scan) costs one
     /// pass instead of one descent per variable:
-    /// `occ(X) = {f | (target, f) ∈ lb(X)} ∪
-    ///           {f ∘ h | (c(…,Y,…), f) ∈ lb(X), h ∈ occ(Y)}`.
-    pub fn constant_occurrence_map(&mut self, target: ConsId) -> Vec<Vec<AnnId>> {
+    /// `occ(X) = {f(s₀) | (target, f) ∈ lb(X)} ∪
+    ///           {f(s) | (c(…,Y,…), f) ∈ lb(X), s ∈ occ(Y)}`.
+    /// Each class is `h(s₀)` for a composed annotation `h` that
+    /// [`System::occurrence_annotations`] would find at `X`. For a plain
+    /// property machine a class is one state rather than one function, so
+    /// the scan interns no compositions.
+    pub fn constant_occurrence_classes(&mut self, target: ConsId) -> Vec<Vec<A::Class>> {
         let n = self.num_vars();
-        let mut occ: Vec<Vec<AnnId>> = vec![Vec::new(); n];
+        let start = self.algebra().start_class();
+        let mut occ: Vec<Vec<A::Class>> = vec![Vec::new(); n];
         // uses[y] = (x, f) for each lb entry `c(…) ⊆^f x` whose source has
         // an argument in y's class. Only class roots are visited, and uses
         // are keyed by root, so each cycle class is solved once.
         let mut uses: Vec<Vec<(usize, AnnId)>> = vec![Vec::new(); n];
-        let mut worklist: VecDeque<(usize, AnnId)> = VecDeque::new();
-        for (x, occ_x) in occ.iter_mut().enumerate() {
+        // The `target` lower bounds, classed once the walk over the solved
+        // form (which borrows `self`) is done.
+        let mut seeds: Vec<(usize, AnnId)> = Vec::new();
+        for x in 0..n {
             let v = VarId(x as u32);
             if self.find(v) != v {
                 continue;
             }
             for (src, f) in self.lbs_of(v) {
                 let s = self.source(src);
-                if s.cons == target && insert_sorted(occ_x, f) {
-                    worklist.push_back((x, f));
+                if s.cons == target {
+                    seeds.push((x, f));
                 }
                 for &arg in &s.args {
                     uses[self.find(arg).index()].push((x, f));
                 }
             }
         }
-        while let Some((y, h)) = worklist.pop_front() {
+        let mut worklist: VecDeque<(usize, A::Class)> = VecDeque::new();
+        for (x, f) in seeds {
+            let c = self.algebra_mut().apply_class(f, start);
+            if insert_sorted(&mut occ[x], c) {
+                worklist.push_back((x, c));
+            }
+        }
+        while let Some((y, c)) = worklist.pop_front() {
             for &(x, f) in &uses[y] {
-                let composed = self.algebra_mut().compose(f, h);
-                if insert_sorted(&mut occ[x], composed) {
-                    worklist.push_back((x, composed));
+                let reached = self.algebra_mut().apply_class(f, c);
+                if insert_sorted(&mut occ[x], reached) {
+                    worklist.push_back((x, reached));
                 }
             }
         }
@@ -362,7 +384,9 @@ impl<A: Algebra> System<A> {
         // solution (an empty source satisfies the inclusion for any β).
         let alive = self.alive_vars();
         // Fixpoint over resolutions: for every variable where a source
-        // meets a constructor sink of the same head, push f∘α into β.
+        // meets a constructor sink of the same head, push f∘α into β —
+        // unless resolution discarded the meeting because `f` can never
+        // extend to an accepting word.
         loop {
             let mut changed = false;
             for x in 0..self.num_vars() {
@@ -373,6 +397,9 @@ impl<A: Algebra> System<A> {
                         continue;
                     }
                     let f = self.algebra_mut().compose(h, g);
+                    if !self.algebra().is_useful(f) {
+                        continue;
+                    }
                     let alphas = ann.get(&src_key).cloned().unwrap_or_default();
                     for a in alphas {
                         let v = self.algebra_mut().compose(f, a);
@@ -498,7 +525,7 @@ impl<A: Algebra> System<A> {
     }
 }
 
-fn insert_sorted(set: &mut Vec<AnnId>, a: AnnId) -> bool {
+fn insert_sorted<T: Ord>(set: &mut Vec<T>, a: T) -> bool {
     match set.binary_search(&a) {
         Ok(_) => false,
         Err(pos) => {
@@ -512,7 +539,7 @@ fn insert_sorted(set: &mut Vec<AnnId>, a: AnnId) -> bool {
 mod tests {
     use crate::algebra::{Algebra, MonoidAlgebra};
     use crate::{SetExpr, System, Variance};
-    use rasc_automata::{Alphabet, Dfa};
+    use rasc_automata::{Alphabet, Dfa, Regex};
 
     fn one_bit_system() -> (
         System<MonoidAlgebra>,
@@ -627,7 +654,7 @@ mod tests {
     }
 
     #[test]
-    fn occurrence_map_agrees_with_per_var_query() {
+    fn occurrence_classes_agree_with_per_var_query() {
         let (mut sys, g, k) = one_bit_system();
         let pc = sys.constructor("pc", &[]);
         let o1 = sys.constructor("o1", &[Variance::Covariant]);
@@ -648,17 +675,40 @@ mod tests {
         sys.add_ann(SetExpr::var(vars[3]), SetExpr::var(vars[5]), fg)
             .unwrap();
         sys.solve();
-        let occ = sys.constant_occurrence_map(pc);
+        let occ = sys.constant_occurrence_classes(pc);
         for (i, &v) in vars.iter().enumerate() {
             let expected = sys.occurs_accepting(v, pc);
             let got = occ[v.index()]
                 .iter()
-                .any(|&a| sys.algebra().is_accepting(a));
+                .any(|&c| sys.algebra().class_accepting(c));
             assert_eq!(got, expected, "var V{i}");
         }
         // Sanity: the g-then-k path is not accepting; g-then-g is.
         assert!(!sys.occurs_accepting(vars[4], pc));
         assert!(sys.occurs_accepting(vars[5], pc));
+    }
+
+    #[test]
+    fn constructor_annotations_skip_meetings_resolution_discards() {
+        // L = a: `aa` is a substring of no word, so resolution discards a
+        // meeting under it, and no annotation flows from that meeting.
+        let sigma = Alphabet::from_names(["a"]);
+        let a = sigma.lookup("a").unwrap();
+        let m = Regex::parse("a", &sigma).unwrap().compile(&sigma);
+        let mut sys = System::new(MonoidAlgebra::new(&m));
+        let k = sys.constructor("k", &[]);
+        let o = sys.constructor("o", &[Variance::Covariant]);
+        let (va, vb, x) = (sys.var("A"), sys.var("B"), sys.var("X"));
+        let fa = sys.algebra_mut().word(&[a]);
+        sys.add(SetExpr::cons(k, []), SetExpr::var(va)).unwrap();
+        sys.add_ann(SetExpr::cons_vars(o, [va]), SetExpr::var(x), fa)
+            .unwrap();
+        sys.add_ann(SetExpr::var(x), SetExpr::cons_vars(o, [vb]), fa)
+            .unwrap();
+        sys.solve();
+        assert!(!sys.nonempty(vb), "the meeting derived no edge into B");
+        let anns = sys.constructor_annotations();
+        assert_eq!(anns[&(o, vec![vb])], vec![sys.algebra().identity()]);
     }
 
     #[test]

@@ -5,7 +5,7 @@
 //!
 //! ```text
 //! magic "RASCSNAP" (8 bytes)
-//! version        u32 (little-endian, currently 1)
+//! version        u32 (little-endian, currently 2)
 //! section count  u32
 //! per section:
 //!   tag          4 bytes (ASCII, e.g. "ALGB", "SOLV", "ENGN")
@@ -39,7 +39,11 @@ use crate::algebra::Algebra;
 pub const SNAPSHOT_MAGIC: [u8; 8] = *b"RASCSNAP";
 
 /// The container format version this build writes and accepts.
-pub const SNAPSHOT_VERSION: u32 = 1;
+///
+/// Version 2 images hold only asserted upper bounds. Version 1 images
+/// also held upper bounds copied backward along edges, and their
+/// provenance could cite the retired reason tag 2, so they are rejected.
+pub const SNAPSHOT_VERSION: u32 = 2;
 
 /// Section tag: the annotation algebra's interned state (monoid table,
 /// reachability vectors).
@@ -550,6 +554,15 @@ mod tests {
         bytes[8] = 99;
         let err = SnapshotReader::parse(&bytes).unwrap_err();
         assert!(err.to_string().contains("version"), "{err}");
+        // The previous format, whose images also held upper bounds copied
+        // backward along edges, is a typed corruption, not a restore.
+        let mut bytes = one_section();
+        bytes[8..12].copy_from_slice(&1u32.to_le_bytes());
+        let err = SnapshotReader::parse(&bytes).unwrap_err();
+        assert!(
+            matches!(&err, SnapshotError::Corrupt { detail } if detail.contains("version 1")),
+            "{err}"
+        );
     }
 
     #[test]

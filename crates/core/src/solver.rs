@@ -8,11 +8,16 @@
 //! * *upper bounds*: constructor patterns and projections that `X` flows
 //!   into (`X ⊆^f c(…)`, `X ⊆^f c⁻ⁱ(…) ⊆ Z`).
 //!
-//! A worklist propagates lower bounds forward and upper bounds backward
-//! (hence *bidirectional*), composing annotations with the algebra's `∘` at
-//! each step — the paper's transitive-closure rule. When a lower bound
-//! meets an upper bound at a variable, the §3.1 resolution rules fire:
-//! decomposition, mismatch (clash), or projection.
+//! A worklist propagates lower bounds forward along edges, composing
+//! annotations with the algebra's `∘` at each step — the paper's
+//! transitive-closure rule. Upper bounds stay at the variable where they
+//! were asserted (the §5 forward solver's rule): every source that reaches
+//! a sink's variable arrives there as a lower bound, so each source meets
+//! each sink once, at the sink's own variable. When a lower bound meets an
+//! upper bound, the §3.1 resolution rules fire: decomposition, mismatch
+//! (clash), or projection. The solver is *bidirectional* in the paper's
+//! sense: its annotations are whole representative functions, which
+//! compose on either side.
 //!
 //! Following the §8 optimization, constructor-annotation variables (`α`,
 //! `β`, …) are never materialized during solving; queries reconstruct the
@@ -1410,17 +1415,6 @@ impl<A: Algebra> System<A> {
                     };
                     self.push_fact(Fact::Lb(y, src, h), why);
                 }
-                // Pull y's upper bounds across the new edge.
-                let mut i = 0;
-                while let Some((snk, g)) = self.vars[y.index()].ubs.entry(i) {
-                    i += 1;
-                    let h = self.algebra.compose(g, f);
-                    let why = Reason::TransUb {
-                        edge: (x, y, f),
-                        ub: (y, snk, g),
-                    };
-                    self.push_fact(Fact::Ub(x, snk, h), why);
-                }
             }
             Fact::Lb(x, src, g) => {
                 let x = self.find_mut(x);
@@ -1481,16 +1475,6 @@ impl<A: Algebra> System<A> {
                     j.ops.push(UndoOp::Ub(x, snk, h));
                 }
                 self.touch(x);
-                let mut i = 0;
-                while let Some((w, f)) = self.vars[x.index()].preds.entry(i) {
-                    i += 1;
-                    let composed = self.algebra.compose(h, f);
-                    let why = Reason::TransUb {
-                        edge: (w, x, f),
-                        ub: (x, snk, h),
-                    };
-                    self.push_fact(Fact::Ub(w, snk, composed), why);
-                }
                 let mut i = 0;
                 while let Some((src, g)) = self.vars[x.index()].lbs.entry(i) {
                     i += 1;
@@ -1915,25 +1899,6 @@ impl<A: Algebra> System<A> {
                     depth + 1,
                 );
                 self.explain_key(prov, ProvKey::Lb(lb.0, lb.1, lb.2), out, seen, depth + 1);
-            }
-            Reason::TransUb { edge, ub } => {
-                out.push(ExplainStep {
-                    constraint: None,
-                    rule: "trans-ub",
-                    description: format!(
-                        "{} — upper bound pulled back across edge {}",
-                        self.describe_key(key),
-                        self.describe_key(ProvKey::Edge(edge.0, edge.1, edge.2))
-                    ),
-                });
-                self.explain_key(
-                    prov,
-                    ProvKey::Edge(edge.0, edge.1, edge.2),
-                    out,
-                    seen,
-                    depth + 1,
-                );
-                self.explain_key(prov, ProvKey::Ub(ub.0, ub.1, ub.2), out, seen, depth + 1);
             }
             Reason::Meet {
                 var,
@@ -2960,15 +2925,6 @@ fn write_reason(w: &mut ByteWriter, reason: Reason) {
             w.u32(lb.1 .0);
             w.u32(lb.2 .0);
         }
-        Reason::TransUb { edge, ub } => {
-            w.u8(2);
-            w.u32(edge.0 .0);
-            w.u32(edge.1 .0);
-            w.u32(edge.2 .0);
-            w.u32(ub.0 .0);
-            w.u32(ub.1 .0);
-            w.u32(ub.2 .0);
-        }
         Reason::Meet {
             var,
             src,
@@ -3002,10 +2958,6 @@ fn read_reason(
         1 => Ok(Reason::TransLb {
             edge: (var_id(r.u32()?)?, var_id(r.u32()?)?, ann_id(r.u32()?)?),
             lb: (var_id(r.u32()?)?, src_id(r.u32()?)?, ann_id(r.u32()?)?),
-        }),
-        2 => Ok(Reason::TransUb {
-            edge: (var_id(r.u32()?)?, var_id(r.u32()?)?, ann_id(r.u32()?)?),
-            ub: (var_id(r.u32()?)?, snk_id(r.u32()?)?, ann_id(r.u32()?)?),
         }),
         3 => Ok(Reason::Meet {
             var: var_id(r.u32()?)?,

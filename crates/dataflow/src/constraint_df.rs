@@ -1,7 +1,7 @@
 //! Forward may-dataflow via annotated set constraints.
 
 use rasc_cfgir::{Cfg, CfgError, EdgeLabel, NodeId};
-use rasc_core::algebra::GenKillAlgebra;
+use rasc_core::algebra::{AnnId, GenKillAlgebra};
 use rasc_core::{ConsId, SetExpr, System, VarId, Variance};
 
 use crate::spec::GenKillSpec;
@@ -79,18 +79,16 @@ impl ConstraintDataflow {
         })
     }
 
-    /// Solves the constraints and computes per-node fact vectors.
+    /// Solves the constraints and computes per-node fact vectors: the
+    /// union of the fact vectors (the gen/kill algebra's classes) with
+    /// which `pc` reaches each node.
     pub fn solve(&mut self) {
         self.sys.solve();
-        let occ = self.sys.constant_occurrence_map(self.pc);
+        let occ = self.sys.constant_occurrence_classes(self.pc);
         self.facts = self
             .node_vars
             .iter()
-            .map(|&v| {
-                occ[v.index()]
-                    .iter()
-                    .fold(0u64, |m, &a| m | self.sys.algebra().apply(a, 0))
-            })
+            .map(|&v| occ[v.index()].iter().fold(0u64, |m, &c| m | c))
             .collect();
     }
 
@@ -107,8 +105,14 @@ impl ConstraintDataflow {
 
     /// Whether the node is reachable from the entry at all.
     pub fn reachable(&mut self, n: NodeId) -> bool {
+        !self.pc_annotations(n).is_empty()
+    }
+
+    /// The transfer functions with which `pc` reaches a node, one per
+    /// distinct composed path annotation.
+    pub fn pc_annotations(&mut self, n: NodeId) -> Vec<AnnId> {
         let var = self.node_vars[n.index()];
-        !self.sys.occurrence_annotations(var, self.pc).is_empty()
+        self.sys.occurrence_annotations(var, self.pc)
     }
 
     /// The underlying constraint system, for diagnostics.

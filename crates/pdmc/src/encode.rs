@@ -229,15 +229,16 @@ impl<A: Algebra> ConstraintChecker<A> {
     /// All program points where `pc` occurs (at any depth) with an
     /// *accepting* annotation — the reachable error configurations.
     ///
-    /// Uses the single-pass bottom-up occurrence map rather than one
+    /// Uses the single-pass bottom-up class scan
+    /// ([`System::constant_occurrence_classes`]) rather than one
     /// entailment per node.
     pub fn violations(&mut self) -> Vec<NodeId> {
-        let occ = self.sys.constant_occurrence_map(self.pc);
+        let occ = self.sys.constant_occurrence_classes(self.pc);
         let mut out = Vec::new();
         for (node, &var) in self.node_vars.iter().enumerate() {
             if occ[var.index()]
                 .iter()
-                .any(|&a| self.sys.algebra().is_accepting(a))
+                .any(|&c| self.sys.algebra().class_accepting(c))
             {
                 out.push(NodeId::from_index(node));
             }

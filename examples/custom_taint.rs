@@ -95,12 +95,12 @@ fn main() {
     sys.solve();
 
     // Query: can an injected state reach the point after the query?
-    let occ = sys.constant_occurrence_map(pc);
+    let occ = sys.constant_occurrence_classes(pc);
     let injected: Vec<usize> = (0..cfg.num_nodes())
         .filter(|&n| {
             occ[vars[n].index()]
                 .iter()
-                .any(|&a| sys.algebra().is_accepting(a))
+                .any(|&c| sys.algebra().class_accepting(c))
         })
         .collect();
     println!(
@@ -170,11 +170,11 @@ fn main() {
         .unwrap();
     }
     sys2.solve();
-    let occ2 = sys2.constant_occurrence_map(pc2);
+    let occ2 = sys2.constant_occurrence_classes(pc2);
     let any_injected = (0..fixed_cfg.num_nodes()).any(|n| {
         occ2[vars2[n].index()]
             .iter()
-            .any(|&a| sys2.algebra().is_accepting(a))
+            .any(|&c| sys2.algebra().class_accepting(c))
     });
     assert!(!any_injected, "sanitizing on every path removes the risk");
     println!("ok: custom taint analysis found the bug and cleared the fix");

@@ -13,6 +13,7 @@ use std::sync::{Arc, Condvar, Mutex};
 use std::time::Duration;
 
 use rasc::automata::{Alphabet, Dfa};
+use rasc::constraints::snapshot::SNAPSHOT_VERSION;
 use rasc::constraints::Clock;
 use rasc::inc::json::Json;
 use rasc::inc::EngineCaps;
@@ -445,6 +446,64 @@ fn corrupt_base_image_degrades_to_a_cold_start() {
     assert!(c
         .roundtrip(r#"{"cmd":"declare","cons":"pc"}"#)
         .contains(r#""ok":"declare""#));
+
+    handle.shutdown();
+    join.join().expect("server joins");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn previous_format_base_image_is_rejected_and_counted() {
+    let dir = snapshot_temp_dir("v1");
+
+    // Generation 1 writes a real image.
+    let (handle, join) = spawn_server(ServeConfig {
+        snapshot_dir: Some(dir.clone()),
+        ..ServeConfig::default()
+    });
+    let mut c = Client::connect(handle.addr());
+    assert!(c
+        .roundtrip(r#"{"cmd":"declare","cons":"pc"}"#)
+        .contains(r#""ok":"declare""#));
+    assert!(c
+        .roundtrip(r#"{"cmd":"add","lhs":"pc","rhs":"Main","ann":["g"]}"#)
+        .contains(r#""ok":"add""#));
+    assert!(c
+        .roundtrip(r#"{"cmd":"snapshot"}"#)
+        .contains(r#""ok":"snapshot""#));
+    handle.shutdown();
+    join.join().expect("server joins");
+
+    // Its header now names the previous format. The checksums cover the
+    // sections only, so everything after the version is still intact.
+    let path = dir.join("current.snap");
+    let mut bytes = std::fs::read(&path).expect("image written");
+    assert_eq!(
+        bytes[8..12],
+        SNAPSHOT_VERSION.to_le_bytes(),
+        "the image is in the current format"
+    );
+    bytes[8..12].copy_from_slice(&1u32.to_le_bytes());
+    std::fs::write(&path, &bytes).expect("rewrite header");
+
+    // Generation 2 rejects it as corrupt and starts cold.
+    let (handle, join) = spawn_server(ServeConfig {
+        snapshot_dir: Some(dir.clone()),
+        ..ServeConfig::default()
+    });
+    let snap = handle.metrics_snapshot();
+    assert_eq!(
+        snap.counters.get("snap.corrupt_rejected").copied(),
+        Some(1),
+        "a version-1 image must be counted as rejected: {:?}",
+        snap.counters
+    );
+    let mut c = Client::connect(handle.addr());
+    let r = c.roundtrip(r#"{"cmd":"query","kind":"occurs","var":"Main","cons":"pc"}"#);
+    assert!(
+        r.contains(r#""code":"unknown_constructor""#) || r.contains(r#""code":"unknown_variable""#),
+        "a version-1 image must yield a cold start: {r}"
+    );
 
     handle.shutdown();
     join.join().expect("server joins");
