@@ -5,7 +5,7 @@
 //!
 //! ```text
 //! magic "RASCSNAP" (8 bytes)
-//! version        u32 (little-endian, currently 2)
+//! version        u32 (little-endian, currently 3)
 //! section count  u32
 //! per section:
 //!   tag          4 bytes (ASCII, e.g. "ALGB", "SOLV", "ENGN")
@@ -40,10 +40,12 @@ pub const SNAPSHOT_MAGIC: [u8; 8] = *b"RASCSNAP";
 
 /// The container format version this build writes and accepts.
 ///
-/// Version 2 images hold only asserted upper bounds. Version 1 images
-/// also held upper bounds copied backward along edges, and their
-/// provenance could cite the retired reason tag 2, so they are rejected.
-pub const SNAPSHOT_VERSION: u32 = 2;
+/// Version 3 images hold one solver setting, the cycle-elimination
+/// switch. Version 2 images also held the retired projection-merging
+/// switch and memo and the cycle-search depth. Version 1 images also held
+/// upper bounds copied backward along edges, and their provenance could
+/// cite the retired reason tag 2. Both are rejected.
+pub const SNAPSHOT_VERSION: u32 = 3;
 
 /// Section tag: the annotation algebra's interned state (monoid table,
 /// reachability vectors).
@@ -125,7 +127,7 @@ impl From<io::Error> for SnapshotError {
 
 /// FNV-1a 64-bit — small, dependency-free, and plenty to catch torn
 /// writes and bit flips (this is an integrity check, not an authenticator).
-fn fnv1a64(bytes: &[u8]) -> u64 {
+pub(crate) fn fnv1a64(bytes: &[u8]) -> u64 {
     let mut h: u64 = 0xcbf2_9ce4_8422_2325;
     for &b in bytes {
         h ^= u64::from(b);
@@ -554,15 +556,19 @@ mod tests {
         bytes[8] = 99;
         let err = SnapshotReader::parse(&bytes).unwrap_err();
         assert!(err.to_string().contains("version"), "{err}");
-        // The previous format, whose images also held upper bounds copied
-        // backward along edges, is a typed corruption, not a restore.
-        let mut bytes = one_section();
-        bytes[8..12].copy_from_slice(&1u32.to_le_bytes());
-        let err = SnapshotReader::parse(&bytes).unwrap_err();
-        assert!(
-            matches!(&err, SnapshotError::Corrupt { detail } if detail.contains("version 1")),
-            "{err}"
-        );
+        // Earlier formats are a typed corruption, not a restore: version 2
+        // images also held the projection-merging memo and the cycle-search
+        // depth, version 1 images upper bounds copied backward along edges.
+        for old in [1u32, 2] {
+            let mut bytes = one_section();
+            bytes[8..12].copy_from_slice(&old.to_le_bytes());
+            let err = SnapshotReader::parse(&bytes).unwrap_err();
+            assert!(
+                matches!(&err, SnapshotError::Corrupt { detail }
+                    if detail.contains(&format!("version {old}"))),
+                "{err}"
+            );
+        }
     }
 
     #[test]

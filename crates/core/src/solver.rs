@@ -147,8 +147,6 @@ enum UndoOp {
     /// Restore a variable's solved-form data moved out by a cycle
     /// collapse.
     VarData { idx: u32, data: Box<VarData> },
-    /// Remove a projection-merging memo entry.
-    ProjMerge(ConsId, usize, VarId),
     /// Remove a provenance record.
     Prov(ProvKey),
 }
@@ -553,12 +551,12 @@ pub struct SolverStats {
     /// Bounded solves that stopped on a budget axis
     /// ([`Outcome::Interrupted`]).
     pub interruptions: usize,
-    /// Online cycle searches abandoned at the configured depth bound
-    /// ([`SolverConfig::cycle_search_depth`]).
+    /// Online cycle searches that failed after the depth bound cut them
+    /// short (a search expands at most 32 variables).
     pub depth_limit_hits: usize,
 }
 
-/// Tuning knobs for the bidirectional solver: the §8 engineering the
+/// The bidirectional solver's one switch: the §8 cycle elimination the
 /// paper inherits from BANSHEE.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SolverConfig {
@@ -566,23 +564,19 @@ pub struct SolverConfig {
     /// ε-annotated constraint cycles imply variable equality; members are
     /// collapsed with a union-find so work is not repeated around loops.
     pub cycle_elimination: bool,
-    /// Projection merging (Su et al., cited as \[27\]): multiple projections
-    /// `c⁻ⁱ(Y) ⊆ Z₁, Z₂, …` share one auxiliary variable so each
-    /// component edge is discovered once.
-    pub projection_merging: bool,
-    /// Depth bound for the online cycle search (per inserted ε edge).
-    pub cycle_search_depth: usize,
 }
 
 impl Default for SolverConfig {
     fn default() -> Self {
         SolverConfig {
             cycle_elimination: true,
-            projection_merging: true,
-            cycle_search_depth: 32,
         }
     }
 }
+
+/// The online cycle search's depth bound: the search from an inserted ε
+/// edge expands at most this many variables.
+const CYCLE_SEARCH_DEPTH: usize = 32;
 
 /// An online bidirectional solver for regularly annotated set constraints.
 ///
@@ -607,8 +601,6 @@ pub struct System<A: Algebra> {
     config: SolverConfig,
     /// Union-find parents for cycle elimination (self-parent = root).
     parent: Vec<u32>,
-    /// Memo for projection merging: (constructor, index, subject) → aux.
-    proj_merge: HashMap<(ConsId, usize, VarId), VarId>,
     /// Variables collapsed by cycle elimination.
     cycles_collapsed: usize,
     /// Per-variable mutation stamps: `versions[v]` is the value of
@@ -628,7 +620,7 @@ pub struct System<A: Algebra> {
     fuel_spent: usize,
     /// Bounded solves interrupted by their budget.
     interruptions: usize,
-    /// Cycle searches abandoned at the depth bound.
+    /// Failed cycle searches that the depth bound cut short.
     depth_limit_hits: usize,
     /// Present once provenance recording is enabled.
     prov: Option<Box<Provenance>>,
@@ -668,9 +660,9 @@ struct PendingCounts {
     depth_limit_hits_rolled_back: u64,
 }
 
-/// Reusable containers for the online cycle search. Allocating these per
-/// ε edge made deep-chain workloads superlinear (every budget-exhausting
-/// search re-grew four containers from empty); `clear` keeps capacity.
+/// Reusable containers for the online cycle search, so a search on each
+/// ε edge does not re-grow four containers from empty; `clear` keeps
+/// capacity.
 #[derive(Debug, Default)]
 struct CycleScratch {
     stack: Vec<VarId>,
@@ -744,8 +736,9 @@ impl<A: Algebra> System<A> {
         Self::with_config(algebra, SolverConfig::default())
     }
 
-    /// Creates an empty system with explicit solver configuration (used by
-    /// the ablation benchmarks).
+    /// Creates an empty system with explicit solver configuration
+    /// (`rasc-ptr` turns cycle elimination off; the ablation bench runs
+    /// both settings).
     pub fn with_config(algebra: A, config: SolverConfig) -> System<A> {
         System {
             algebra,
@@ -760,7 +753,6 @@ impl<A: Algebra> System<A> {
             facts_processed: 0,
             config,
             parent: Vec::new(),
-            proj_merge: HashMap::new(),
             cycles_collapsed: 0,
             versions: Vec::new(),
             mutation_counter: 0,
@@ -922,17 +914,14 @@ impl<A: Algebra> System<A> {
         self.touch(loser);
     }
 
-    /// Bounded DFS over ε-annotated edges looking for a path `from → to`;
-    /// on success every visited node on the path is collapsed into `to`
-    /// and `true` is returned.
-    ///
-    /// Visited-set membership and path reconstruction use a `HashSet` and
-    /// a parent map — a linear `Vec` scan here made long cycle searches
-    /// O(n²) (10k-node cycles took seconds; see the regression test).
+    /// DFS over ε-annotated edges looking for a path `from → to`, expanding
+    /// at most [`CYCLE_SEARCH_DEPTH`] variables; on success every visited
+    /// node on the path is collapsed into `to` and `true` is returned. A
+    /// search the bound cuts short counts as a depth-limit hit.
     fn try_collapse_cycle(&mut self, from: VarId, to: VarId) -> bool {
         // The containers live in per-system scratch (taken around the call
-        // so the borrow checker allows `&mut self` methods inside): a
-        // budget-exhausting search no longer re-grows them from empty.
+        // so the borrow checker allows `&mut self` methods inside), so a
+        // search does not re-grow them from empty.
         let mut s = std::mem::take(&mut self.scratch.cycle);
         let found = self.collapse_cycle_with(from, to, &mut s);
         s.clear();
@@ -944,14 +933,8 @@ impl<A: Algebra> System<A> {
         let id = self.algebra.identity();
         s.stack.push(from);
         s.visited.insert(from);
-        let mut budget = self.config.cycle_search_depth * 8;
+        let mut cut_short = false;
         while let Some(v) = s.stack.pop() {
-            if budget == 0 {
-                self.depth_limit_hits += 1;
-                self.pending_counts.depth_limit_hits += 1;
-                return false;
-            }
-            budget -= 1;
             if v == to {
                 // Reconstruct the path from `from` to `to` and collapse.
                 let mut cur = to;
@@ -978,11 +961,17 @@ impl<A: Algebra> System<A> {
                 let y = self.find(y);
                 if s.visited.insert(y) {
                     s.parent_of.insert(y, v);
-                    if s.visited.len() <= self.config.cycle_search_depth {
+                    if s.visited.len() <= CYCLE_SEARCH_DEPTH {
                         s.stack.push(y);
+                    } else {
+                        cut_short = true;
                     }
                 }
             }
+        }
+        if cut_short {
+            self.depth_limit_hits += 1;
+            self.pending_counts.depth_limit_hits += 1;
         }
         false
     }
@@ -1108,37 +1097,12 @@ impl<A: Algebra> System<A> {
                 self.resolve(src, ann, snk, why);
             }
             (SetExpr::Proj(c, i, x), SetExpr::Var(z)) => {
-                // Projection merging (§8 / [27]): all ε-annotated
-                // projections of the same subject share one auxiliary
-                // target, so component edges are discovered once.
-                if self.config.projection_merging && ann == self.algebra.identity() {
-                    let aux = match self.proj_merge.get(&(c, i, x)) {
-                        Some(&aux) => aux,
-                        None => {
-                            let aux = self.var("$projmerge");
-                            self.proj_merge.insert((c, i, x), aux);
-                            if let Some(j) = self.journal.as_mut() {
-                                j.ops.push(UndoOp::ProjMerge(c, i, x));
-                            }
-                            let snk = self.intern_sink(Sink::Proj {
-                                cons: c,
-                                index: i,
-                                target: aux,
-                            });
-                            let e = self.algebra.identity();
-                            self.push_fact(Fact::Ub(x, snk, e), why);
-                            aux
-                        }
-                    };
-                    self.push_fact(Fact::Edge(aux, z, ann), why);
-                } else {
-                    let snk = self.intern_sink(Sink::Proj {
-                        cons: c,
-                        index: i,
-                        target: z,
-                    });
-                    self.push_fact(Fact::Ub(x, snk, ann), why);
-                }
+                let snk = self.intern_sink(Sink::Proj {
+                    cons: c,
+                    index: i,
+                    target: z,
+                });
+                self.push_fact(Fact::Ub(x, snk, ann), why);
             }
             (SetExpr::Proj(c, i, x), SetExpr::Cons(c2, args2)) => {
                 // Normalize via an auxiliary variable:
@@ -1612,9 +1576,6 @@ impl<A: Algebra> System<A> {
                     self.pending_counts.ubs_added += data.ubs.len() as u64;
                     self.vars[idx as usize] = *data;
                     touched.insert(idx);
-                }
-                UndoOp::ProjMerge(c, i, v) => {
-                    self.proj_merge.remove(&(c, i, v));
                 }
                 UndoOp::Prov(key) => {
                     if let Some(p) = self.prov.as_mut() {
@@ -2222,8 +2183,6 @@ impl<A: Algebra + SnapshotAlgebra> System<A> {
 
         let mut w = ByteWriter::new();
         w.bool(self.config.cycle_elimination);
-        w.bool(self.config.projection_merging);
-        w.u64(self.config.cycle_search_depth as u64);
         w.seq_len(self.constructors.len());
         for c in self.constructors.iter() {
             w.str(&c.name);
@@ -2235,7 +2194,7 @@ impl<A: Algebra + SnapshotAlgebra> System<A> {
                 });
             }
         }
-        w.u64(self.vars.len() as u64);
+        w.seq_len(self.vars.len());
         w.seq_len(self.sources.len());
         for s in self.sources.iter() {
             w.u32(s.cons.0);
@@ -2280,19 +2239,6 @@ impl<A: Algebra + SnapshotAlgebra> System<A> {
             w.u64(ver);
         }
         w.u64(self.mutation_counter);
-        let mut pm: Vec<(u32, u64, u32, u32)> = self
-            .proj_merge
-            .iter()
-            .map(|(&(c, i, x), &aux)| (c.0, i as u64, x.0, aux.0))
-            .collect();
-        pm.sort_unstable();
-        w.seq_len(pm.len());
-        for (c, i, x, aux) in pm {
-            w.u32(c);
-            w.u64(i);
-            w.u32(x);
-            w.u32(aux);
-        }
         w.seq_len(self.constraints.len());
         for con in self.constraints.iter() {
             write_expr(&mut w, &con.lhs);
@@ -2376,8 +2322,6 @@ impl<A: Algebra + SnapshotAlgebra> System<A> {
         let mut r = reader.section(TAG_SOLVED)?;
         let config = SolverConfig {
             cycle_elimination: r.bool()?,
-            projection_merging: r.bool()?,
-            cycle_search_depth: r_usize(r.u64()?)?,
         };
         let n_cons = r.seq_len()?;
         let mut constructors = Vec::with_capacity(n_cons);
@@ -2398,7 +2342,7 @@ impl<A: Algebra + SnapshotAlgebra> System<A> {
             }
             constructors.push(Constructor { name, signature });
         }
-        let n_vars = r_usize(r.u64()?)?;
+        let n_vars = r.seq_len()?;
         let var_id = |v: u32| -> SnapResult<VarId> {
             if (v as usize) < n_vars {
                 Ok(VarId(v))
@@ -2511,7 +2455,9 @@ impl<A: Algebra + SnapshotAlgebra> System<A> {
             }
         };
 
-        let mut vars: Vec<VarData> = Vec::with_capacity(n_vars);
+        // A variable's record takes at least 40 bytes (a name length and
+        // four log lengths), so reserve no more than the payload can hold.
+        let mut vars: Vec<VarData> = Vec::with_capacity(n_vars.min(r.remaining() / 40));
         let mut live_entries = 0usize;
         for vi in 0..n_vars {
             let mut data = VarData {
@@ -2570,17 +2516,6 @@ impl<A: Algebra + SnapshotAlgebra> System<A> {
             versions.push(r.u64()?);
         }
         let mutation_counter = r.u64()?;
-        let n_pm = r.seq_len()?;
-        let mut proj_merge = HashMap::with_capacity(n_pm);
-        for _ in 0..n_pm {
-            let c = cons_id(r.u32()?)?;
-            let i = r_usize(r.u64()?)?;
-            let x = var_id(r.u32()?)?;
-            let aux = var_id(r.u32()?)?;
-            if proj_merge.insert((c, i, x), aux).is_some() {
-                return Err(SnapshotError::corrupt("duplicate projection-merge entry"));
-            }
-        }
         let n_constraints = r.seq_len()?;
         let mut constraints = Vec::with_capacity(n_constraints);
         for _ in 0..n_constraints {
@@ -2656,7 +2591,6 @@ impl<A: Algebra + SnapshotAlgebra> System<A> {
             facts_processed,
             config,
             parent,
-            proj_merge,
             cycles_collapsed,
             versions,
             mutation_counter,
@@ -2773,7 +2707,6 @@ impl<A: Algebra> System<A> {
             facts_processed: b.facts_processed,
             config: b.config,
             parent: b.parent.clone(),
-            proj_merge: b.proj_merge.clone(),
             cycles_collapsed: b.cycles_collapsed,
             versions: b.versions.clone(),
             mutation_counter: b.mutation_counter,
@@ -3528,41 +3461,78 @@ mod tests {
         assert_eq!(sys.stats(), before, "all new counters restored exactly");
     }
 
-    /// Regression test for the cycle-search visited set: with the old
-    /// linear `Vec::contains` scan a 10k-node ε-cycle cost O(n²) inside a
-    /// single worklist step; the hash-backed walk collapses it comfortably
-    /// within a modest step budget (DFS work is not metered, so the budget
-    /// bounds only the fact drain — the deadline below is the backstop).
+    /// The online cycle search has a fixed depth bound. A 10k-node ε-ring
+    /// carrying one lower bound still solves to completion: the search
+    /// its closing edge starts gives up after 32 variables, so the ring
+    /// stays uncollapsed and the bound travels all the way round. A
+    /// 16-node ring lies within the bound and collapses into one class.
     #[test]
-    fn ten_thousand_node_cycle_collapses_within_budget() {
-        let mut sigma = Alphabet::new();
-        let g = sigma.intern("g");
-        let k = sigma.intern("k");
-        let m = Dfa::one_bit(&sigma, g, k);
-        let mut sys = System::with_config(
-            MonoidAlgebra::new(&m),
-            SolverConfig {
-                cycle_search_depth: 20_000,
-                ..SolverConfig::default()
-            },
-        );
-        const N: usize = 10_000;
-        let vars: Vec<VarId> = (0..N).map(|i| sys.var(&format!("v{i}"))).collect();
-        for i in 0..N {
-            sys.add(SetExpr::var(vars[i]), SetExpr::var(vars[(i + 1) % N]))
+    fn depth_bound_limits_collapse_but_not_solving() {
+        fn ring(n: usize) -> (System<MonoidAlgebra>, Vec<VarId>, ConsId) {
+            let (mut sys, g, _) = one_bit_system();
+            let c = sys.constructor("c", &[]);
+            let vars: Vec<VarId> = (0..n).map(|i| sys.var(&format!("v{i}"))).collect();
+            let fg = sys.algebra_mut().word(&[g]);
+            sys.add_ann(SetExpr::cons(c, []), SetExpr::var(vars[0]), fg)
                 .unwrap();
+            for i in 0..n {
+                sys.add(SetExpr::var(vars[i]), SetExpr::var(vars[(i + 1) % n]))
+                    .unwrap();
+            }
+            (sys, vars, c)
         }
-        let outcome = sys.solve_bounded(
-            &Budget::unlimited()
-                .with_steps(500_000)
-                .with_deadline_millis(60_000),
-        );
+
+        let (mut big, vars, c) = ring(10_000);
+        let outcome = big.solve_bounded(&Budget::unlimited().with_deadline_millis(60_000));
         assert_eq!(outcome, Outcome::Complete);
-        assert!(sys.stats().cycles_collapsed >= 1);
-        let root = sys.find_root(vars[0]);
+        let stats = big.stats();
+        assert_eq!(stats.cycles_collapsed, 0, "beyond the depth bound");
+        assert_eq!(stats.depth_limit_hits, 1, "only the closing edge's search");
+        assert!(vars
+            .iter()
+            .all(|&v| big.lower_bound_annotations(v, c).len() == 1));
+
+        let (mut small, vars, c) = ring(16);
+        small.solve();
+        let stats = small.stats();
+        assert_eq!((stats.cycles_collapsed, stats.depth_limit_hits), (15, 0));
+        let root = small.find_root(vars[0]);
+        assert!(vars.iter().all(|&v| small.find_root(v) == root));
+        assert_eq!(small.lower_bound_annotations(vars[15], c).len(), 1);
+    }
+
+    /// A checksum-valid image whose variable count asks for 2^44
+    /// variables is corrupt: the count is checked against the payload
+    /// left before anything is allocated for it. (FNV-1a catches torn
+    /// writes, but anyone who can write the file can recompute it.)
+    #[test]
+    fn resealed_hostile_variable_count_is_corrupt() {
+        let (mut sys, _, _) = one_bit_system();
+        let vars: Vec<VarId> = (0..7).map(|i| sys.var(&format!("v{i}"))).collect();
+        sys.add(SetExpr::var(vars[0]), SetExpr::var(vars[1]))
+            .unwrap();
+        sys.solve();
+        let mut bytes = sys.snapshot_bytes().unwrap();
+        // Header (16 bytes), then ALGB's 20-byte frame and payload, then
+        // SOLV's frame: tag, payload length, checksum.
+        let le_u64 = |b: &[u8]| u64::from_le_bytes(b.try_into().unwrap());
+        let solv = 36 + le_u64(&bytes[20..28]) as usize;
+        assert_eq!(bytes[solv..solv + 4], TAG_SOLVED);
+        let payload = solv + 20..solv + 20 + le_u64(&bytes[solv + 4..solv + 12]) as usize;
+        // With no constructors, the first 7 in the payload is the
+        // variable count.
+        let count = payload.start
+            + bytes[payload.clone()]
+                .windows(8)
+                .position(|w| w == 7u64.to_le_bytes())
+                .unwrap();
+        bytes[count..count + 8].copy_from_slice(&(1u64 << 44).to_le_bytes());
+        let checksum = crate::snapshot::fnv1a64(&bytes[payload]);
+        bytes[solv + 12..solv + 20].copy_from_slice(&checksum.to_le_bytes());
+        let err = System::<MonoidAlgebra>::restore_bytes(&bytes).unwrap_err();
         assert!(
-            vars.iter().all(|&v| sys.find_root(v) == root),
-            "all 10k cycle members collapsed into one class"
+            matches!(&err, SnapshotError::Corrupt { detail } if detail.contains("17592186044416")),
+            "{err}"
         );
     }
 

@@ -18,26 +18,6 @@ pub struct BenchStats {
     pub min_ns: f64,
 }
 
-impl BenchStats {
-    /// Median time per iteration in seconds.
-    pub fn median_secs(&self) -> f64 {
-        self.median_ns / 1e9
-    }
-}
-
-/// Renders nanoseconds with an adaptive unit.
-fn human(ns: f64) -> String {
-    if ns >= 1e9 {
-        format!("{:.3} s", ns / 1e9)
-    } else if ns >= 1e6 {
-        format!("{:.3} ms", ns / 1e6)
-    } else if ns >= 1e3 {
-        format!("{:.3} µs", ns / 1e3)
-    } else {
-        format!("{ns:.0} ns")
-    }
-}
-
 /// Times `f` with a short warmup, then runs it until `min_time` elapses
 /// (at least `min_iters` iterations), returning per-iteration statistics.
 ///
@@ -74,75 +54,12 @@ pub fn bench<T>(
     }
 }
 
-/// Convenience: single timed run of `f`, in seconds (for long workloads
-/// where repeated sampling is too expensive).
-pub fn bench_secs<T>(f: impl FnOnce() -> T) -> (T, f64) {
-    let t0 = Instant::now();
-    let out = f();
-    (out, t0.elapsed().as_secs_f64())
-}
-
 #[inline]
 fn sink<T>(value: T) {
     // An opaque drop: reading the value through a volatile-ish pattern is
     // unnecessary — forbidding inlining of this sink is enough to keep the
     // computed value alive in practice for these coarse benchmarks.
     std::hint::black_box(value);
-}
-
-/// A small criterion-flavoured runner: collects [`BenchStats`] and prints
-/// one aligned line per benchmark as it completes.
-#[derive(Debug, Default)]
-pub struct Bencher {
-    min_iters: u32,
-    min_time: Duration,
-    results: Vec<BenchStats>,
-}
-
-impl Bencher {
-    /// A runner with the default sampling policy (10 iterations and at
-    /// least 300 ms per benchmark).
-    pub fn new() -> Bencher {
-        Bencher {
-            min_iters: 10,
-            min_time: Duration::from_millis(300),
-            results: Vec::new(),
-        }
-    }
-
-    /// Overrides the minimum number of measured iterations.
-    pub fn sample_size(mut self, iters: u32) -> Bencher {
-        self.min_iters = iters;
-        self
-    }
-
-    /// Overrides the minimum sampling time per benchmark.
-    pub fn min_time(mut self, d: Duration) -> Bencher {
-        self.min_time = d;
-        self
-    }
-
-    /// Runs and records one benchmark, printing its summary line.
-    pub fn bench<T>(&mut self, name: &str, f: impl FnMut() -> T) -> &BenchStats {
-        let stats = bench(name, self.min_iters, self.min_time, f);
-        println!(
-            "{:<44} median {:>12}  mean {:>12}  ({} iters)",
-            stats.name,
-            human(stats.median_ns),
-            human(stats.mean_ns),
-            stats.iters
-        );
-        self.results.push(stats);
-        match self.results.last() {
-            Some(s) => s,
-            None => unreachable!("just pushed"),
-        }
-    }
-
-    /// All results recorded so far.
-    pub fn results(&self) -> &[BenchStats] {
-        &self.results
-    }
 }
 
 #[cfg(test)]
@@ -158,16 +75,5 @@ mod tests {
         assert!(fast.median_ns > 0.0);
         assert!(slow.median_ns > fast.median_ns);
         assert!(fast.min_ns <= fast.median_ns);
-    }
-
-    #[test]
-    fn bencher_collects_results() {
-        let mut b = Bencher::new()
-            .sample_size(3)
-            .min_time(Duration::from_millis(1));
-        b.bench("a", || 42);
-        b.bench("b", || 43);
-        assert_eq!(b.results().len(), 2);
-        assert_eq!(b.results()[0].name, "a");
     }
 }

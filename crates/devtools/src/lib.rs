@@ -33,7 +33,7 @@ mod prop;
 mod rng;
 mod trace_check;
 
-pub use bench::{bench, bench_secs, BenchStats, Bencher};
+pub use bench::{bench, BenchStats};
 pub use fault::{FaultKind, FaultPlan, SteppedClock};
 pub use faultio::{FaultyWriter, IoFaultKind, IoFaultPlan};
 pub use promcheck::{validate_prometheus, PromSummary};

@@ -73,7 +73,7 @@ use std::sync::Arc;
 
 use rasc_automata::{Alphabet, Dfa};
 use rasc_core::algebra::{Algebra, MonoidAlgebra};
-use rasc_core::{Budget, Clock, ConsId, Outcome, SetExpr, SolverConfig, VarId, Variance};
+use rasc_core::{Budget, Clock, ConsId, Outcome, SetExpr, VarId, Variance};
 
 use rasc_core::{CancelToken, SnapshotError};
 
@@ -291,12 +291,7 @@ impl BatchEngine {
     /// An engine whose annotations range over `machine`'s transition
     /// monoid, with symbols named by `sigma`.
     pub fn new(sigma: Alphabet, machine: &Dfa) -> BatchEngine {
-        Self::with_config(sigma, machine, SolverConfig::default())
-    }
-
-    /// An engine with explicit solver configuration.
-    pub fn with_config(sigma: Alphabet, machine: &Dfa, config: SolverConfig) -> BatchEngine {
-        let mut session = Session::with_config(MonoidAlgebra::new(machine), config);
+        let mut session = Session::new(MonoidAlgebra::new(machine));
         // Batch sessions always record provenance so `explain` works for
         // every constraint the stream adds (recording must be on *before*
         // the facts it will be asked about are derived).

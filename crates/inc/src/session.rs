@@ -18,8 +18,8 @@ use std::collections::{HashMap, HashSet};
 
 use rasc_core::algebra::{Algebra, AnnId};
 use rasc_core::{
-    BaseSystem, Budget, Clash, ConsId, Outcome, Result, SetExpr, SnapshotError, SolverConfig,
-    SolverStats, System, VarId, Variance,
+    BaseSystem, Budget, Clash, ConsId, Outcome, Result, SetExpr, SnapshotError, SolverStats,
+    System, VarId, Variance,
 };
 
 /// Hit/miss counters for the session's query cache.
@@ -74,13 +74,8 @@ impl<A: Algebra> Session<A> {
     /// A session over an empty system with the default solver
     /// configuration.
     pub fn new(algebra: A) -> Session<A> {
-        Self::with_config(algebra, SolverConfig::default())
-    }
-
-    /// A session with explicit solver configuration.
-    pub fn with_config(algebra: A, config: SolverConfig) -> Session<A> {
         Session {
-            sys: System::with_config(algebra, config),
+            sys: System::new(algebra),
             cache: HashMap::new(),
             stats: CacheStats::default(),
         }

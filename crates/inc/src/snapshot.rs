@@ -22,7 +22,7 @@
 //! restores record `snap.restore.micros`; every rejected-corrupt load
 //! bumps `snap.corrupt_rejected`.
 
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 use std::io::Write;
 use std::path::Path;
 use std::sync::Arc;
@@ -352,10 +352,11 @@ fn read_name_map(
 ) -> Result<Vec<(String, u32)>, SnapshotError> {
     let n = r.seq_len()?;
     let mut out: Vec<(String, u32)> = Vec::with_capacity(n);
+    let mut seen = HashSet::with_capacity(n);
     for _ in 0..n {
         let name = r.str()?;
         let id = r.u32()?;
-        if out.iter().any(|&(_, seen)| seen == id) {
+        if !seen.insert(id) {
             return Err(SnapshotError::corrupt(format!(
                 "duplicate {what} id {id} in name map"
             )));
@@ -371,6 +372,7 @@ mod tests {
     use rasc_core::algebra::MonoidAlgebra;
     use rasc_core::{SetExpr, SnapshotError};
 
+    use super::{ByteWriter, SnapshotWriter, TAG_ENGINE};
     use crate::json::Json;
     use crate::{BatchEngine, Session};
 
@@ -514,6 +516,36 @@ mod tests {
             open.restore_bytes(&bytes),
             Err(SnapshotError::State { .. })
         ));
+    }
+
+    #[test]
+    fn duplicate_ids_in_a_name_map_are_corrupt() {
+        let e = loaded_engine();
+        for dup in ["constructor", "variable"] {
+            // A valid solved form under an `ENGN` section that gives two
+            // names the same id in one of its two maps.
+            let mut snap = SnapshotWriter::new();
+            e.session().system().snapshot_sections(&mut snap).unwrap();
+            let mut w = ByteWriter::new();
+            w.seq_len(e.sigma.len());
+            for sym in e.sigma.symbols() {
+                w.str(e.sigma.name(sym));
+            }
+            for map in ["constructor", "variable"] {
+                w.seq_len(2);
+                w.str("a");
+                w.u32(0);
+                w.str("b");
+                w.u32(if map == dup { 0 } else { 1 });
+            }
+            snap.section(TAG_ENGINE, w);
+            let err = engine().restore_bytes(&snap.finish()).unwrap_err();
+            assert!(
+                matches!(&err, SnapshotError::Corrupt { detail }
+                    if detail == &format!("duplicate {dup} id 0 in name map")),
+                "{err}"
+            );
+        }
     }
 
     #[test]

@@ -79,7 +79,7 @@ impl ConstraintChecker<MonoidAlgebra> {
     }
 
     /// Like [`ConstraintChecker::new`] with explicit solver configuration
-    /// (for the optimization-ablation benchmarks).
+    /// (for the cycle-elimination ablation bench).
     pub fn new_with_config(
         cfg: &Cfg,
         sigma: &Alphabet,

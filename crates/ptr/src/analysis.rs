@@ -66,7 +66,6 @@ impl PointsTo {
         // which collapsing would blur.
         let config = SolverConfig {
             cycle_elimination: false,
-            ..SolverConfig::default()
         };
         let mut sys = System::with_config(MonoidAlgebra::new(&trivial_machine()), config);
         let r#ref = sys.constructor("ref", &[Variance::Covariant, Variance::Contravariant]);

@@ -187,19 +187,8 @@ fn incremental_session_matches_fresh_batch_solve() {
         |cons| {
             let (sigma, dfa) = machine();
             let syms: Vec<SymbolId> = sigma.symbols().collect();
-            let configs = [
-                SolverConfig {
-                    cycle_elimination: true,
-                    projection_merging: true,
-                    ..SolverConfig::default()
-                },
-                SolverConfig {
-                    cycle_elimination: false,
-                    projection_merging: false,
-                    ..SolverConfig::default()
-                },
-            ];
-            for config in configs {
+            for cycle_elimination in [true, false] {
+                let config = SolverConfig { cycle_elimination };
                 // Batch: add everything, solve once.
                 let mut batch = System::with_config(MonoidAlgebra::new(&dfa), config);
                 let shape = declare(&mut batch);
@@ -211,7 +200,8 @@ fn incremental_session_matches_fresh_batch_solve() {
 
                 // Incremental: one constraint per `Session::add`, each
                 // re-draining the worklist before the next.
-                let mut sess = Session::with_config(MonoidAlgebra::new(&dfa), config);
+                let mut sess =
+                    Session::from_system(System::with_config(MonoidAlgebra::new(&dfa), config));
                 let shape_s = declare(sess.system_mut());
                 for c in cons {
                     apply(sess.system_mut(), &shape_s, &syms, c);

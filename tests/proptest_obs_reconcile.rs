@@ -189,8 +189,6 @@ fn recorder_counters_reconcile_with_solver_stats() {
                 SolverConfig::default(),
                 SolverConfig {
                     cycle_elimination: false,
-                    projection_merging: false,
-                    ..SolverConfig::default()
                 },
             ];
             for config in configs {

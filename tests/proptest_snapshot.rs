@@ -10,6 +10,11 @@
 //!   crash before/after rename, torn file, bit rot), recovery either
 //!   yields exactly the last durable snapshot's observables or a clean
 //!   typed [`SnapshotError`]. No panics, no silently divergent restores.
+//! * **Hostile images are typed errors or usable systems** — the section
+//!   checksum is FNV-1a, an integrity check that anyone who can write the
+//!   file can recompute. An image with payload bytes replaced and its
+//!   checksums recomputed either fails to restore as corrupt, or restores
+//!   to a system that survives solving, queries and rollback.
 //!
 //! Observables are compared through the same semantic signatures the
 //! governor fault suite uses (sorted renderings, never hash order), and
@@ -18,8 +23,8 @@
 
 use rasc::automata::{Alphabet, Dfa, SymbolId};
 use rasc::constraints::algebra::{Algebra, MonoidAlgebra};
-use rasc::constraints::snapshot::{read_snapshot_file, write_atomic};
-use rasc::constraints::{ConsId, SetExpr, SnapshotError, System, VarId, Variance};
+use rasc::constraints::snapshot::{read_snapshot_file, write_atomic, TAG_ALGEBRA, TAG_SOLVED};
+use rasc::constraints::{Budget, ConsId, SetExpr, SnapshotError, System, VarId, Variance};
 use rasc::Session;
 use rasc_devtools::{
     forall, prop_assert, prop_assert_eq, Config, FaultyWriter, IoFaultKind, IoFaultPlan, Rng,
@@ -420,4 +425,100 @@ fn crash_recovery_yields_last_durable_snapshot_or_typed_error() {
         },
     );
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// One hostile edit of an image: one or two payload bytes of the `SOLV`
+/// section (`true`) or the `ALGB` section (`false`) replaced, at offsets
+/// taken modulo the payload's length.
+type Edit = (bool, (u64, u8), Option<(u64, u8)>);
+
+fn arb_edit(rng: &mut Rng) -> Edit {
+    let byte = |rng: &mut Rng| (rng.next_u64(), rng.gen_range(0..256) as u8);
+    let first = byte(rng);
+    let second = rng.gen_bool(0.5).then(|| byte(rng));
+    (rng.gen_bool(0.5), first, second)
+}
+
+/// FNV-1a 64, the container's section checksum.
+fn fnv1a64(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}
+
+/// Applies `edit` to a copy of `image` and recomputes the edited
+/// section's checksum. The container is a 16-byte header, then per
+/// section a 4-byte tag, the payload length and the checksum (8 bytes
+/// each), and the payload.
+fn reseal(image: &[u8], edit: &Edit) -> Vec<u8> {
+    let mut out = image.to_vec();
+    let tag = if edit.0 { TAG_SOLVED } else { TAG_ALGEBRA };
+    let mut at = 16;
+    loop {
+        let len = u64::from_le_bytes(out[at + 4..at + 12].try_into().unwrap()) as usize;
+        let payload = at + 20..at + 20 + len;
+        if out[at..at + 4] == tag {
+            for (pos, byte) in [Some(edit.1), edit.2].into_iter().flatten() {
+                out[payload.start + (pos % len as u64) as usize] = byte;
+            }
+            let checksum = fnv1a64(&out[payload]);
+            out[at + 12..at + 20].copy_from_slice(&checksum.to_le_bytes());
+            return out;
+        }
+        at = payload.end;
+    }
+}
+
+/// Drives a restored system the way a server would: closes an ε-ring
+/// through every variable, solves under a step budget, reads the solved
+/// form, then adds and solves inside an epoch and rolls it back.
+fn exercise(sys: &mut System<MonoidAlgebra>) {
+    let mut ring: Vec<VarId> = (0..sys.num_vars()).map(VarId::from_index).collect();
+    ring.push(sys.var("ring"));
+    for (i, &v) in ring.iter().enumerate() {
+        let next = ring[(i + 1) % ring.len()];
+        sys.add(SetExpr::var(v), SetExpr::var(next)).unwrap();
+    }
+    sys.solve_bounded(&Budget::unlimited().with_steps(20_000));
+    let _ = sys.stats();
+    let _ = sys.render_solved_form();
+    for &v in &ring {
+        let _ = sys.lower_bounds(v).count();
+    }
+    sys.push_epoch();
+    let probe = sys.constructor("hostile-probe", &[]);
+    sys.add(SetExpr::cons(probe, []), SetExpr::var(ring[0]))
+        .unwrap();
+    sys.solve_bounded(&Budget::unlimited().with_steps(20_000));
+    let _ = sys.lower_bound_annotations(ring[ring.len() - 1], probe);
+    sys.pop_epoch();
+}
+
+#[test]
+fn resealed_hostile_images_are_corrupt_or_usable() {
+    forall(
+        "resealed_hostile_images_are_corrupt_or_usable",
+        Config::cases(400),
+        |rng| {
+            let cons = arb_cons(rng, 1, 16);
+            let edits: Vec<Edit> = (0..16).map(|_| arb_edit(rng)).collect();
+            (cons, edits)
+        },
+        |(cons, edits)| {
+            let (sigma, dfa) = machine();
+            let syms: Vec<SymbolId> = sigma.symbols().collect();
+            let (original, _) = build(&dfa, &syms, cons);
+            let bytes = original.snapshot_bytes().expect("solved session snapshots");
+            for edit in edits {
+                match System::<MonoidAlgebra>::restore_bytes(&reseal(&bytes, edit)) {
+                    Ok(mut sys) => exercise(&mut sys),
+                    Err(SnapshotError::Corrupt { .. }) => {}
+                    Err(other) => {
+                        prop_assert!(false, "edit {edit:?} gave non-corruption error {other:?}");
+                    }
+                }
+            }
+            Ok(())
+        },
+    );
 }

@@ -454,60 +454,66 @@ fn corrupt_base_image_degrades_to_a_cold_start() {
 
 #[test]
 fn previous_format_base_image_is_rejected_and_counted() {
-    let dir = snapshot_temp_dir("v1");
+    // Version 2 images also held the projection-merging memo and the
+    // cycle-search depth; version 1 images also held upper bounds copied
+    // backward along edges.
+    for old in [1u32, 2] {
+        let dir = snapshot_temp_dir(&format!("v{old}"));
 
-    // Generation 1 writes a real image.
-    let (handle, join) = spawn_server(ServeConfig {
-        snapshot_dir: Some(dir.clone()),
-        ..ServeConfig::default()
-    });
-    let mut c = Client::connect(handle.addr());
-    assert!(c
-        .roundtrip(r#"{"cmd":"declare","cons":"pc"}"#)
-        .contains(r#""ok":"declare""#));
-    assert!(c
-        .roundtrip(r#"{"cmd":"add","lhs":"pc","rhs":"Main","ann":["g"]}"#)
-        .contains(r#""ok":"add""#));
-    assert!(c
-        .roundtrip(r#"{"cmd":"snapshot"}"#)
-        .contains(r#""ok":"snapshot""#));
-    handle.shutdown();
-    join.join().expect("server joins");
+        // Generation 1 writes a real image.
+        let (handle, join) = spawn_server(ServeConfig {
+            snapshot_dir: Some(dir.clone()),
+            ..ServeConfig::default()
+        });
+        let mut c = Client::connect(handle.addr());
+        assert!(c
+            .roundtrip(r#"{"cmd":"declare","cons":"pc"}"#)
+            .contains(r#""ok":"declare""#));
+        assert!(c
+            .roundtrip(r#"{"cmd":"add","lhs":"pc","rhs":"Main","ann":["g"]}"#)
+            .contains(r#""ok":"add""#));
+        assert!(c
+            .roundtrip(r#"{"cmd":"snapshot"}"#)
+            .contains(r#""ok":"snapshot""#));
+        handle.shutdown();
+        join.join().expect("server joins");
 
-    // Its header now names the previous format. The checksums cover the
-    // sections only, so everything after the version is still intact.
-    let path = dir.join("current.snap");
-    let mut bytes = std::fs::read(&path).expect("image written");
-    assert_eq!(
-        bytes[8..12],
-        SNAPSHOT_VERSION.to_le_bytes(),
-        "the image is in the current format"
-    );
-    bytes[8..12].copy_from_slice(&1u32.to_le_bytes());
-    std::fs::write(&path, &bytes).expect("rewrite header");
+        // Its header now names an earlier format. The checksums cover the
+        // sections only, so everything after the version is still intact.
+        let path = dir.join("current.snap");
+        let mut bytes = std::fs::read(&path).expect("image written");
+        assert_eq!(
+            bytes[8..12],
+            SNAPSHOT_VERSION.to_le_bytes(),
+            "the image is in the current format"
+        );
+        bytes[8..12].copy_from_slice(&old.to_le_bytes());
+        std::fs::write(&path, &bytes).expect("rewrite header");
 
-    // Generation 2 rejects it as corrupt and starts cold.
-    let (handle, join) = spawn_server(ServeConfig {
-        snapshot_dir: Some(dir.clone()),
-        ..ServeConfig::default()
-    });
-    let snap = handle.metrics_snapshot();
-    assert_eq!(
-        snap.counters.get("snap.corrupt_rejected").copied(),
-        Some(1),
-        "a version-1 image must be counted as rejected: {:?}",
-        snap.counters
-    );
-    let mut c = Client::connect(handle.addr());
-    let r = c.roundtrip(r#"{"cmd":"query","kind":"occurs","var":"Main","cons":"pc"}"#);
-    assert!(
-        r.contains(r#""code":"unknown_constructor""#) || r.contains(r#""code":"unknown_variable""#),
-        "a version-1 image must yield a cold start: {r}"
-    );
+        // Generation 2 rejects it as corrupt and starts cold.
+        let (handle, join) = spawn_server(ServeConfig {
+            snapshot_dir: Some(dir.clone()),
+            ..ServeConfig::default()
+        });
+        let snap = handle.metrics_snapshot();
+        assert_eq!(
+            snap.counters.get("snap.corrupt_rejected").copied(),
+            Some(1),
+            "a version-{old} image must be counted as rejected: {:?}",
+            snap.counters
+        );
+        let mut c = Client::connect(handle.addr());
+        let r = c.roundtrip(r#"{"cmd":"query","kind":"occurs","var":"Main","cons":"pc"}"#);
+        assert!(
+            r.contains(r#""code":"unknown_constructor""#)
+                || r.contains(r#""code":"unknown_variable""#),
+            "a version-{old} image must yield a cold start: {r}"
+        );
 
-    handle.shutdown();
-    join.join().expect("server joins");
-    let _ = std::fs::remove_dir_all(&dir);
+        handle.shutdown();
+        join.join().expect("server joins");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
 }
 
 #[test]
