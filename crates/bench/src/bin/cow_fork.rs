@@ -103,14 +103,14 @@ fn main() {
 
         // Per-connection restore: deserialize the solved form and answer.
         let restore = bench("restore", 5, Duration::from_millis(400), || {
-            let mut sess = Session::<MonoidAlgebra>::restore_bytes(&bytes).expect("valid snapshot");
-            sess.nonempty(sink)
+            let sess = Session::<MonoidAlgebra>::restore_bytes(&bytes).expect("valid snapshot");
+            sess.system().nonempty(sink)
         });
 
         // Copy-on-write fork: alias the frozen base and answer.
         let fork = bench("fork", 5, Duration::from_millis(400), || {
-            let mut sess = Session::fork_from(&base);
-            sess.nonempty(sink)
+            let sess = Session::fork_from(&base);
+            sess.system().nonempty(sink)
         });
 
         let restore_rss = fleet_overhead_kb(|| {

@@ -72,14 +72,14 @@ fn main() {
 
         // Cold replay: rebuild the system and re-solve every constraint.
         let replay = bench("replay", 5, Duration::from_millis(400), || {
-            let mut sess = build_solved(&machine, &wl);
-            sess.nonempty(sink)
+            let sess = build_solved(&machine, &wl);
+            sess.system().nonempty(sink)
         });
 
         // Warm restart: deserialize the solved form and answer.
         let restore = bench("restore", 5, Duration::from_millis(400), || {
-            let mut sess = Session::<MonoidAlgebra>::restore_bytes(&bytes).expect("valid snapshot");
-            sess.nonempty(sink)
+            let sess = Session::<MonoidAlgebra>::restore_bytes(&bytes).expect("valid snapshot");
+            sess.system().nonempty(sink)
         });
 
         let speedup = replay.median_ns / restore.median_ns;

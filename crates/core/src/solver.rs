@@ -603,14 +603,6 @@ pub struct System<A: Algebra> {
     parent: Vec<u32>,
     /// Variables collapsed by cycle elimination.
     cycles_collapsed: usize,
-    /// Per-variable mutation stamps: `versions[v]` is the value of
-    /// `mutation_counter` when `v`'s solved-form data last changed. Query
-    /// caches compare stamps to invalidate only results whose dependency
-    /// variables actually changed.
-    versions: Vec<u64>,
-    /// Monotone mutation counter (never decreases, not even on rollback,
-    /// so stale cache stamps can never be revalidated by accident).
-    mutation_counter: u64,
     /// Live solved-form entry count (annotated edges + lower bounds +
     /// upper bounds), maintained incrementally so budget checks are O(1).
     live_entries: usize,
@@ -754,8 +746,6 @@ impl<A: Algebra> System<A> {
             config,
             parent: Vec::new(),
             cycles_collapsed: 0,
-            versions: Vec::new(),
-            mutation_counter: 0,
             live_entries: 0,
             journal: None,
             fuel_spent: 0,
@@ -808,32 +798,6 @@ impl<A: Algebra> System<A> {
         if let Some(j) = self.journal.as_mut() {
             j.ops.push(UndoOp::Prov(key));
         }
-    }
-
-    /// Marks `v`'s solved-form data as changed at a fresh mutation stamp.
-    fn touch(&mut self, v: VarId) {
-        self.mutation_counter += 1;
-        self.versions[v.index()] = self.mutation_counter;
-    }
-
-    /// The stamp of the last change to `v`'s cycle-class data. A cached
-    /// query result that recorded `(v, var_version(v))` for every variable
-    /// it visited remains valid while all stamps compare equal.
-    pub fn var_version(&self, v: VarId) -> u64 {
-        self.versions[self.find(v).index()]
-    }
-
-    /// The global mutation counter: changes whenever *any* variable's
-    /// solved-form data changes (including on rollback). Whole-system
-    /// queries (e.g. emptiness) cache against this.
-    pub fn global_version(&self) -> u64 {
-        self.mutation_counter
-    }
-
-    /// The canonical representative of `v`'s cycle-elimination class —
-    /// the stable key for caching query results about `v`.
-    pub fn find_root(&self, v: VarId) -> VarId {
-        self.find(v)
     }
 
     /// The representative of `v`'s cycle-elimination class (without path
@@ -910,8 +874,6 @@ impl<A: Algebra> System<A> {
                 data: Box::new(data),
             });
         }
-        self.touch(winner);
-        self.touch(loser);
     }
 
     /// DFS over ε-annotated edges looking for a path `from → to`, expanding
@@ -992,7 +954,6 @@ impl<A: Algebra> System<A> {
     pub fn var(&mut self, name: &str) -> VarId {
         let id = VarId(id_u32(self.vars.len(), "variables"));
         self.parent.push(id.0);
-        self.versions.push(0);
         self.vars.push(VarData {
             name: name.into(),
             ..VarData::default()
@@ -1355,8 +1316,6 @@ impl<A: Algebra> System<A> {
                     j.ops.push(UndoOp::Succ(x, y, f));
                     j.ops.push(UndoOp::Pred(x, y, f));
                 }
-                self.touch(x);
-                self.touch(y);
                 if self.config.cycle_elimination
                     && f == self.algebra.identity()
                     && self.try_collapse_cycle(y, x)
@@ -1399,7 +1358,6 @@ impl<A: Algebra> System<A> {
                 if let Some(j) = self.journal.as_mut() {
                     j.ops.push(UndoOp::Lb(x, src, g));
                 }
-                self.touch(x);
                 let mut i = 0;
                 while let Some((y, f)) = self.vars[x.index()].succs.entry(i) {
                     i += 1;
@@ -1438,7 +1396,6 @@ impl<A: Algebra> System<A> {
                 if let Some(j) = self.journal.as_mut() {
                     j.ops.push(UndoOp::Ub(x, snk, h));
                 }
-                self.touch(x);
                 let mut i = 0;
                 while let Some((src, g)) = self.vars[x.index()].lbs.entry(i) {
                     i += 1;
@@ -1497,10 +1454,6 @@ impl<A: Algebra> System<A> {
     /// classes, clash list, and stats of the pre-epoch state exactly.
     /// Returns `false` (and does nothing) when no epoch is open.
     ///
-    /// Mutation stamps keep moving forward across a rollback — a cached
-    /// query result taken mid-epoch can never be revalidated against the
-    /// restored state by accident.
-    ///
     /// The algebra's hash-cons tables are *not* shrunk: annotation ids are
     /// canonical by content, so entries interned mid-epoch are semantically
     /// inert and remain as warm memo state (the `annotations` stat may
@@ -1524,7 +1477,6 @@ impl<A: Algebra> System<A> {
         }
         obs::counter("solver.epochs.popped", 1);
         obs::histogram("solver.rollback.ops", ops.len() as u64);
-        let mut touched: HashSet<u32> = HashSet::new();
         for op in ops.into_iter().rev() {
             match op {
                 UndoOp::Succ(x, y, a) => {
@@ -1532,8 +1484,6 @@ impl<A: Algebra> System<A> {
                         self.live_entries -= 1;
                         self.pending_counts.edges_removed += 1;
                     }
-                    touched.insert(x.0);
-                    touched.insert(y.0);
                 }
                 UndoOp::Pred(x, y, a) => {
                     self.vars[y.index()].preds.remove(x, a);
@@ -1552,18 +1502,15 @@ impl<A: Algebra> System<A> {
                         self.live_entries -= 1;
                         self.pending_counts.lbs_removed += 1;
                     }
-                    touched.insert(x.0);
                 }
                 UndoOp::Ub(x, snk, a) => {
                     if self.vars[x.index()].ubs.remove(snk, a) {
                         self.live_entries -= 1;
                         self.pending_counts.ubs_removed += 1;
                     }
-                    touched.insert(x.0);
                 }
                 UndoOp::Parent { idx, old } => {
                     self.parent[idx as usize] = old;
-                    touched.insert(idx);
                 }
                 UndoOp::VarData { idx, data } => {
                     // The collapsed loser only ever holds its name after
@@ -1575,7 +1522,6 @@ impl<A: Algebra> System<A> {
                     self.pending_counts.lbs_added += data.lbs.len() as u64;
                     self.pending_counts.ubs_added += data.ubs.len() as u64;
                     self.vars[idx as usize] = *data;
-                    touched.insert(idx);
                 }
                 UndoOp::Prov(key) => {
                     if let Some(p) = self.prov.as_mut() {
@@ -1594,7 +1540,6 @@ impl<A: Algebra> System<A> {
         }
         self.vars.truncate(mark.n_vars);
         self.parent.truncate(mark.n_vars);
-        self.versions.truncate(mark.n_vars);
         self.constructors.truncate(mark.n_constructors);
         self.constraints.truncate(mark.n_constraints);
         self.pending_counts.facts_rolled_back +=
@@ -1611,13 +1556,6 @@ impl<A: Algebra> System<A> {
         self.fuel_spent = mark.fuel_spent;
         self.interruptions = mark.interruptions;
         self.depth_limit_hits = mark.depth_limit_hits;
-        // Advance the stamps of every variable the rollback touched.
-        for idx in touched {
-            if (idx as usize) < mark.n_vars {
-                self.touch(VarId(idx));
-            }
-        }
-        self.mutation_counter += 1;
         self.pending_counts.flush();
         true
     }
@@ -2234,11 +2172,6 @@ impl<A: Algebra + SnapshotAlgebra> System<A> {
             write_log(&mut w, v.ubs.len(), v.ubs.iter_entries(), |k: SnkId| k.0);
         }
         w.u32_seq(&self.parent);
-        w.seq_len(self.versions.len());
-        for &ver in &self.versions {
-            w.u64(ver);
-        }
-        w.u64(self.mutation_counter);
         w.seq_len(self.constraints.len());
         for con in self.constraints.iter() {
             write_expr(&mut w, &con.lhs);
@@ -2505,17 +2438,6 @@ impl<A: Algebra + SnapshotAlgebra> System<A> {
         for &p in &parent {
             var_id(p)?;
         }
-        let n_versions = r.seq_len()?;
-        if n_versions != n_vars {
-            return Err(SnapshotError::corrupt(format!(
-                "{n_versions} version stamps for {n_vars} variables"
-            )));
-        }
-        let mut versions = Vec::with_capacity(n_versions);
-        for _ in 0..n_versions {
-            versions.push(r.u64()?);
-        }
-        let mutation_counter = r.u64()?;
         let n_constraints = r.seq_len()?;
         let mut constraints = Vec::with_capacity(n_constraints);
         for _ in 0..n_constraints {
@@ -2592,8 +2514,6 @@ impl<A: Algebra + SnapshotAlgebra> System<A> {
             config,
             parent,
             cycles_collapsed,
-            versions,
-            mutation_counter,
             live_entries,
             journal: None,
             fuel_spent,
@@ -2708,8 +2628,6 @@ impl<A: Algebra> System<A> {
             config: b.config,
             parent: b.parent.clone(),
             cycles_collapsed: b.cycles_collapsed,
-            versions: b.versions.clone(),
-            mutation_counter: b.mutation_counter,
             live_entries: b.live_entries,
             journal: None,
             fuel_spent: b.fuel_spent,
@@ -2974,7 +2892,7 @@ mod tests {
             sys.lower_bound_annotations(z, c)
         );
         assert_eq!(back.explain(b, c).len(), sys.explain(b, c).len());
-        assert_eq!(back.find_root(b), sys.find_root(b), "union-find survives");
+        assert_eq!(back.find(b), sys.find(b), "union-find survives");
         // Deterministic serialization: snapshotting the restored system
         // reproduces the bytes exactly.
         assert_eq!(back.snapshot_bytes().unwrap(), bytes);
@@ -3313,27 +3231,6 @@ mod tests {
     }
 
     #[test]
-    fn version_stamps_move_forward_across_rollback() {
-        let (mut sys, g, _) = one_bit_system();
-        let c = sys.constructor("c", &[]);
-        let (x, y) = (sys.var("X"), sys.var("Y"));
-        let fg = sys.algebra_mut().word(&[g]);
-        sys.add_ann(SetExpr::cons(c, []), SetExpr::var(x), fg)
-            .unwrap();
-        sys.solve();
-        let v0 = sys.var_version(y);
-        let g0 = sys.global_version();
-        sys.push_epoch();
-        sys.add(SetExpr::var(x), SetExpr::var(y)).unwrap();
-        sys.solve();
-        let v1 = sys.var_version(y);
-        assert!(v1 > v0, "mid-epoch change stamped");
-        sys.pop_epoch();
-        assert!(sys.var_version(y) > v1, "rollback re-stamps, never rewinds");
-        assert!(sys.global_version() > g0);
-    }
-
-    #[test]
     fn useless_annotations_are_pruned() {
         // L = g exactly: annotation gg is a substring of no word and must
         // be dropped by the solver.
@@ -3496,8 +3393,8 @@ mod tests {
         small.solve();
         let stats = small.stats();
         assert_eq!((stats.cycles_collapsed, stats.depth_limit_hits), (15, 0));
-        let root = small.find_root(vars[0]);
-        assert!(vars.iter().all(|&v| small.find_root(v) == root));
+        let root = small.find(vars[0]);
+        assert!(vars.iter().all(|&v| small.find(v) == root));
         assert_eq!(small.lower_bound_annotations(vars[15], c).len(), 1);
     }
 

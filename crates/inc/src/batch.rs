@@ -46,7 +46,7 @@
 //!   constraint it came from. Provenance recording is always on for
 //!   batch sessions.
 //! * `stats` — solver statistics (including budget fuel, interruptions,
-//!   and cycle-search depth-limit hits) plus cache counters. An optional
+//!   and cycle-search depth-limit hits). An optional
 //!   `scope` selects `"session"` (the default: whole-session totals) or
 //!   `"request"` (deltas since the embedder's last
 //!   [`BatchEngine::begin_request`] boundary — what one request cost);
@@ -253,10 +253,6 @@ pub struct RequestStats {
     pub facts_processed: u64,
     /// Open epoch depth right now.
     pub epoch_depth: usize,
-    /// Incremental-cache hits so far.
-    pub cache_hits: u64,
-    /// Incremental-cache misses so far.
-    pub cache_misses: u64,
 }
 
 impl RequestStats {
@@ -268,8 +264,6 @@ impl RequestStats {
             fuel_spent: self.fuel_spent.saturating_sub(base.fuel_spent),
             facts_processed: self.facts_processed.saturating_sub(base.facts_processed),
             epoch_depth: self.epoch_depth,
-            cache_hits: self.cache_hits.saturating_sub(base.cache_hits),
-            cache_misses: self.cache_misses.saturating_sub(base.cache_misses),
         }
     }
 }
@@ -425,13 +419,10 @@ impl BatchEngine {
     /// it is cheap to sample around every request.
     pub fn request_stats(&self) -> RequestStats {
         let sys = self.session.system();
-        let c = self.session.cache_stats();
         RequestStats {
             fuel_spent: u64::try_from(sys.fuel_spent()).unwrap_or(u64::MAX),
             facts_processed: u64::try_from(sys.facts_processed()).unwrap_or(u64::MAX),
             epoch_depth: self.session.epoch_depth(),
-            cache_hits: c.hits,
-            cache_misses: c.misses,
         }
     }
 
@@ -753,15 +744,16 @@ impl BatchEngine {
                 )
             })
         };
+        let sys = self.session.system_mut();
         let result = match kind.as_str() {
-            "occurs" => Json::from(self.session.occurs_accepting(x, target()?)),
-            "nonempty" => Json::from(self.session.nonempty(x)),
+            "occurs" => Json::from(sys.occurs_accepting(x, target()?)),
+            "nonempty" => Json::from(sys.nonempty(x)),
             "anns" => {
-                let anns = self.session.occurrence_annotations(x, target()?);
+                let anns = sys.occurrence_annotations(x, target()?);
                 self.describe_all(&anns)
             }
             "pn" => {
-                let anns = self.session.pn_occurrence_annotations(x, target()?);
+                let anns = sys.pn_occurrence_annotations(x, target()?);
                 self.describe_all(&anns)
             }
             other => return Err(bad_request(format!("unknown query kind `{other}`"))),
@@ -911,8 +903,6 @@ impl BatchEngine {
                         ("fuel_spent", Json::from(d.fuel_spent)),
                         ("facts_processed", Json::from(d.facts_processed)),
                         ("epoch_depth", Json::from(d.epoch_depth)),
-                        ("cache_hits", Json::from(d.cache_hits)),
-                        ("cache_misses", Json::from(d.cache_misses)),
                     ];
                     if let Some(id) = self.request_id {
                         fields.push(("req", Json::from(id)));
@@ -928,7 +918,6 @@ impl BatchEngine {
 
     fn stats(&self) -> Json {
         let s = self.session.stats();
-        let c = self.session.cache_stats();
         obj([
             ("ok", Json::from("stats")),
             ("vars", Json::from(s.vars)),
@@ -957,9 +946,6 @@ impl BatchEngine {
             ("clashes", Json::from(self.session.clashes().len())),
             ("consistent", Json::from(self.session.is_consistent())),
             ("epoch_depth", Json::from(self.session.epoch_depth())),
-            ("cache_hits", Json::from(c.hits)),
-            ("cache_misses", Json::from(c.misses)),
-            ("cache_invalidations", Json::from(c.invalidations)),
         ])
     }
 

@@ -2,8 +2,8 @@
 //!
 //! The session layer over the bidirectional solver:
 //!
-//! * [`Session`] — incremental constraint addition, epoch-based rollback,
-//!   and a generation-stamped query cache;
+//! * [`Session`] — incremental constraint addition and epoch-based
+//!   rollback over a [`rasc_core::System`], which answers the queries;
 //! * [`BatchEngine`] — the JSON-lines batch protocol (`rasc batch` and
 //!   the `rasc serve` connection layer), with [`EngineCaps`] for
 //!   embedder-imposed resource caps;
@@ -21,5 +21,5 @@ mod snapshot;
 mod stream;
 
 pub use batch::{BatchEngine, EngineCaps, RequestStats};
-pub use session::{CacheStats, Session};
+pub use session::Session;
 pub use snapshot::EngineBase;

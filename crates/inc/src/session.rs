@@ -1,6 +1,6 @@
 //! The incremental session layer over the bidirectional solver.
 //!
-//! A [`Session`] owns a [`System`] and adds the three capabilities the
+//! A [`Session`] owns a [`System`] and adds the two capabilities the
 //! one-shot solver lacks for serving workloads:
 //!
 //! * **Incremental constraint addition** — [`Session::add`] enqueues only
@@ -10,11 +10,8 @@
 //! * **Epoch-based rollback** — [`Session::push_epoch`] /
 //!   [`Session::pop_epoch`] journal and undo exactly the delta, in the
 //!   style of BANSHEE's backtracking (§8).
-//! * **A stamped query cache** — query results are memoized together with
-//!   the mutation stamps of every variable they depended on; later
-//!   increments invalidate only results whose dependency stamps moved.
-
-use std::collections::{HashMap, HashSet};
+//!
+//! Queries go to the solved [`System`] itself ([`Session::system_mut`]).
 
 use rasc_core::algebra::{Algebra, AnnId};
 use rasc_core::{
@@ -22,52 +19,11 @@ use rasc_core::{
     System, VarId, Variance,
 };
 
-/// Hit/miss counters for the session's query cache.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct CacheStats {
-    /// Cache lookups answered without recomputation.
-    pub hits: u64,
-    /// Lookups that computed (and stored) a fresh result.
-    pub misses: u64,
-    /// Stored results discarded because a dependency stamp moved.
-    pub invalidations: u64,
-}
-
-/// What a cached result depended on: either an explicit set of variables
-/// (with the stamps they had when the result was computed), or — for
-/// whole-system queries — the global mutation counter.
-#[derive(Debug, Clone)]
-enum Stamp {
-    Vars(Vec<(VarId, u64)>),
-    Global(u64),
-}
-
-#[derive(Debug, Clone, PartialEq, Eq)]
-enum Value {
-    Anns(Vec<AnnId>),
-    Bool(bool),
-}
-
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-enum Key {
-    Occurrence(VarId, ConsId),
-    PnOccurrence(VarId, ConsId),
-    Nonempty(VarId),
-}
-
-#[derive(Debug, Clone)]
-struct Entry {
-    stamp: Stamp,
-    value: Value,
-}
-
-/// An incremental solving session: a [`System`] plus rollback epochs and
-/// a generation-stamped query cache. See the module docs.
+/// An incremental solving session: a [`System`] plus rollback epochs. See
+/// the module docs.
 #[derive(Debug)]
 pub struct Session<A: Algebra> {
     sys: System<A>,
-    cache: HashMap<Key, Entry>,
-    stats: CacheStats,
 }
 
 impl<A: Algebra> Session<A> {
@@ -76,19 +32,13 @@ impl<A: Algebra> Session<A> {
     pub fn new(algebra: A) -> Session<A> {
         Session {
             sys: System::new(algebra),
-            cache: HashMap::new(),
-            stats: CacheStats::default(),
         }
     }
 
     /// Wraps an existing (possibly already solved) system.
     pub fn from_system(mut sys: System<A>) -> Session<A> {
         sys.solve();
-        Session {
-            sys,
-            cache: HashMap::new(),
-            stats: CacheStats::default(),
-        }
+        Session { sys }
     }
 
     /// A session forked copy-on-write from a shared frozen base (see
@@ -103,15 +53,12 @@ impl<A: Algebra> Session<A> {
     {
         Session {
             sys: System::fork(base),
-            cache: HashMap::new(),
-            stats: CacheStats::default(),
         }
     }
 
     /// Freezes this session's solved form into a shared fork base (see
     /// [`System::into_base`]). Fails with a state error while facts are
-    /// pending or an epoch is open. The query cache is dropped — forks
-    /// start cold, exactly like restored sessions.
+    /// pending or an epoch is open.
     pub fn into_base(self) -> std::result::Result<BaseSystem<A>, SnapshotError> {
         self.sys.into_base()
     }
@@ -121,8 +68,8 @@ impl<A: Algebra> Session<A> {
         &self.sys
     }
 
-    /// The underlying system, mutable. Stamp validation keeps the cache
-    /// sound across direct mutations, but prefer the session methods.
+    /// The underlying system, mutable: queries are asked here. Unlike
+    /// [`Session::add`], constraints added here wait for the next solve.
     pub fn system_mut(&mut self) -> &mut System<A> {
         &mut self.sys
     }
@@ -248,11 +195,9 @@ impl<A: Algebra> Session<A> {
     }
 
     /// Rolls back to the matching [`Session::push_epoch`]. Returns `false`
-    /// when no epoch is open. Cached results taken mid-epoch are
-    /// invalidated by their stamps (stamps only move forward), not purged
-    /// eagerly — pre-epoch results stay warm. The algebra's hash-cons
-    /// tables are not shrunk (ids are canonical by content), so the
-    /// `annotations` stat may exceed its pre-epoch value.
+    /// when no epoch is open. The algebra's hash-cons tables are not
+    /// shrunk (ids are canonical by content), so the `annotations` stat
+    /// may exceed its pre-epoch value.
     pub fn pop_epoch(&mut self) -> bool {
         // Depth *before* the pop: how deep the rollback reached.
         rasc_obs::histogram("session.rollback.depth", self.sys.epoch_depth() as u64);
@@ -270,16 +215,6 @@ impl<A: Algebra> Session<A> {
         self.sys.epoch_depth()
     }
 
-    /// Cache hit/miss counters.
-    pub fn cache_stats(&self) -> CacheStats {
-        self.stats
-    }
-
-    /// Number of live cache entries.
-    pub fn cache_len(&self) -> usize {
-        self.cache.len()
-    }
-
     /// Solver statistics, recomputed on every call: O(vars), like
     /// [`System::stats`]. For the `stats` command and benches, not for
     /// per-request bookkeeping.
@@ -295,117 +230,6 @@ impl<A: Algebra> Session<A> {
     /// Whether the system is consistent.
     pub fn is_consistent(&self) -> bool {
         self.sys.is_consistent()
-    }
-
-    /// Cached [`System::occurrence_annotations`]: all composed annotations
-    /// with which `target` occurs at any depth in the least solution of
-    /// `x`. The cached result depends exactly on the variables reachable
-    /// from `x` through lower-bound arguments, so unrelated increments do
-    /// not evict it.
-    pub fn occurrence_annotations(&mut self, x: VarId, target: ConsId) -> Vec<AnnId> {
-        let key = Key::Occurrence(self.sys.find_root(x), target);
-        if let Some(Value::Anns(anns)) = self.lookup(&key) {
-            return anns;
-        }
-        let value = self.sys.occurrence_annotations(x, target);
-        let deps = self.lb_closure_stamps(x);
-        self.store(key, Stamp::Vars(deps), Value::Anns(value.clone()));
-        value
-    }
-
-    /// Cached acceptance query: whether `target` occurs in `ρ(x)` with an
-    /// accepting composed annotation (shares the
-    /// [`Session::occurrence_annotations`] cache entry).
-    pub fn occurs_accepting(&mut self, x: VarId, target: ConsId) -> bool {
-        self.occurrence_annotations(x, target)
-            .iter()
-            .any(|&a| self.sys.algebra().is_accepting(a))
-    }
-
-    /// Cached [`System::pn_occurrence_annotations`] (partially matched
-    /// reachability). PN descents traverse solved edges and projection
-    /// sinks anywhere in the system, so the entry is stamped against the
-    /// global mutation counter.
-    pub fn pn_occurrence_annotations(&mut self, x: VarId, target: ConsId) -> Vec<AnnId> {
-        let key = Key::PnOccurrence(self.sys.find_root(x), target);
-        if let Some(Value::Anns(anns)) = self.lookup(&key) {
-            return anns;
-        }
-        let value = self.sys.pn_occurrence_annotations(x, target);
-        let stamp = Stamp::Global(self.sys.global_version());
-        self.store(key, stamp, Value::Anns(value.clone()));
-        value
-    }
-
-    /// Cached [`System::nonempty`]. Emptiness is a whole-system
-    /// productivity fixpoint, so the entry is stamped against the global
-    /// mutation counter.
-    pub fn nonempty(&mut self, x: VarId) -> bool {
-        let key = Key::Nonempty(self.sys.find_root(x));
-        if let Some(Value::Bool(b)) = self.lookup(&key) {
-            return b;
-        }
-        let value = self.sys.nonempty(x);
-        let stamp = Stamp::Global(self.sys.global_version());
-        self.store(key, stamp, Value::Bool(value));
-        value
-    }
-
-    /// Validates and returns a cached value, dropping stale entries.
-    fn lookup(&mut self, key: &Key) -> Option<Value> {
-        let entry = self.cache.get(key)?;
-        let valid = match &entry.stamp {
-            Stamp::Global(g) => *g == self.sys.global_version(),
-            Stamp::Vars(deps) => deps.iter().all(|&(v, stamp)| {
-                v.index() < self.sys.num_vars() && self.sys.var_version(v) == stamp
-            }),
-        };
-        if valid {
-            self.stats.hits += 1;
-            rasc_obs::counter("session.cache.hits", 1);
-            Some(entry.value.clone())
-        } else {
-            self.cache.remove(key);
-            self.stats.invalidations += 1;
-            rasc_obs::counter("session.cache.invalidations", 1);
-            None
-        }
-    }
-
-    fn store(&mut self, key: Key, stamp: Stamp, value: Value) {
-        self.stats.misses += 1;
-        rasc_obs::counter("session.cache.misses", 1);
-        self.cache.insert(key, Entry { stamp, value });
-    }
-
-    /// The dependency set of a term-descent query from `x`: every
-    /// canonical variable reachable through lower-bound arguments, with
-    /// its current stamp. If an increment later adds a lower bound to any
-    /// of these (growing the reachable set), the parent's stamp moves.
-    fn lb_closure_stamps(&self, x: VarId) -> Vec<(VarId, u64)> {
-        let root = self.sys.find_root(x);
-        // Hash-backed visited set (the linear `seen.contains` scan was
-        // quadratic on deep closures); `order` keeps the dependency list
-        // in deterministic discovery order. `lower_bounds` now borrows
-        // the argument slices, so the walk allocates nothing per entry.
-        let mut seen: HashSet<VarId> = HashSet::from([root]);
-        let mut order: Vec<VarId> = vec![root];
-        let mut stack = vec![root];
-        while let Some(v) = stack.pop() {
-            for (_, args, _) in self.sys.lower_bounds(v) {
-                for &a in args {
-                    let a = self.sys.find_root(a);
-                    if seen.insert(a) {
-                        order.push(a);
-                        stack.push(a);
-                    }
-                }
-            }
-        }
-        order
-            .into_iter()
-            .map(|v| (v, self.sys.var_version(v)))
-            .collect()
     }
 }
 
@@ -431,31 +255,10 @@ mod tests {
         let fg = s.system_mut().algebra_mut().word(&[g]);
         s.add_ann(SetExpr::cons(c, []), SetExpr::var(x), fg)
             .unwrap();
-        assert!(s.occurrence_annotations(y, c).is_empty());
+        assert!(s.system_mut().occurrence_annotations(y, c).is_empty());
         s.add(SetExpr::var(x), SetExpr::var(y)).unwrap();
-        assert_eq!(s.occurrence_annotations(y, c), vec![fg]);
-        assert!(s.occurs_accepting(y, c));
-    }
-
-    #[test]
-    fn unrelated_increments_keep_cache_entries_warm() {
-        let (mut s, g, _) = one_bit_session();
-        let c = s.constructor("c", &[]);
-        let (x, y) = (s.var("X"), s.var("Y"));
-        let fg = s.system_mut().algebra_mut().word(&[g]);
-        s.add_ann(SetExpr::cons(c, []), SetExpr::var(x), fg)
-            .unwrap();
-        let first = s.occurrence_annotations(x, c);
-        assert_eq!(s.cache_stats().misses, 1);
-        // An increment in a disconnected component.
-        s.add(SetExpr::cons(c, []), SetExpr::var(y)).unwrap();
-        assert_eq!(s.occurrence_annotations(x, c), first);
-        assert_eq!(s.cache_stats().hits, 1, "per-var stamps survived");
-        // An increment feeding x invalidates.
-        let d = s.constructor("d", &[]);
-        s.add(SetExpr::cons(d, []), SetExpr::var(x)).unwrap();
-        s.occurrence_annotations(x, c);
-        assert_eq!(s.cache_stats().invalidations, 1);
+        assert_eq!(s.system_mut().occurrence_annotations(y, c), vec![fg]);
+        assert!(s.system_mut().occurs_accepting(y, c));
     }
 
     #[test]
@@ -468,36 +271,33 @@ mod tests {
         s.add_ann(SetExpr::cons(c, []), SetExpr::var(x), fg)
             .unwrap();
         s.add(SetExpr::var(x), SetExpr::var(y)).unwrap();
-        let before = s.occurrence_annotations(y, c);
+        let before = s.system_mut().occurrence_annotations(y, c);
         let before_stats = s.stats();
         s.push_epoch();
         let z = s.var("Z");
         s.add_ann(SetExpr::cons(c, []), SetExpr::var(y), fk)
             .unwrap();
         s.add(SetExpr::var(y), SetExpr::var(z)).unwrap();
-        assert_eq!(s.occurrence_annotations(y, c).len(), 2);
+        assert_eq!(s.system_mut().occurrence_annotations(y, c).len(), 2);
         assert!(s.pop_epoch());
-        assert_eq!(s.occurrence_annotations(y, c), before);
+        assert_eq!(s.system_mut().occurrence_annotations(y, c), before);
         assert_eq!(s.stats(), before_stats);
     }
 
     #[test]
-    fn nonempty_and_pn_queries_track_the_global_stamp() {
-        let (mut s, g, _) = one_bit_session();
+    fn nonempty_and_pn_answers_follow_increments() {
+        let (mut s, _, _) = one_bit_session();
         let c = s.constructor("c", &[]);
         let pair = s.constructor("pair", &[Variance::Covariant, Variance::Covariant]);
         let (a, b, x) = (s.var("A"), s.var("B"), s.var("X"));
-        let _ = g;
         s.add(SetExpr::cons(c, []), SetExpr::var(a)).unwrap();
         s.add(SetExpr::cons_vars(pair, [a, b]), SetExpr::var(x))
             .unwrap();
-        assert!(!s.nonempty(x), "B is empty");
-        assert!(!s.nonempty(x), "cached");
-        assert_eq!(s.cache_stats().hits, 1);
+        assert!(!s.system().nonempty(x), "B is empty");
         s.add(SetExpr::cons(c, []), SetExpr::var(b)).unwrap();
-        assert!(s.nonempty(x), "stale global stamp recomputed");
-        let anns = s.pn_occurrence_annotations(x, c);
+        assert!(s.system().nonempty(x), "B now holds c");
+        let anns = s.system_mut().pn_occurrence_annotations(x, c);
         assert!(!anns.is_empty());
-        assert_eq!(s.pn_occurrence_annotations(x, c), anns);
+        assert_eq!(s.system_mut().pn_occurrence_annotations(x, c), anns);
     }
 }

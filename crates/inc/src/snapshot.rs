@@ -4,9 +4,7 @@
 //! checksummed sections) and adds the engine layer:
 //!
 //! * [`Session::snapshot_to`] / [`Session::restore_from`] — persist and
-//!   reload a solved form (algebra + solver state). The query cache is
-//!   deliberately *not* serialized; a restored session starts cold and
-//!   repopulates it on demand.
+//!   reload a solved form (algebra + solver state).
 //! * [`BatchEngine::snapshot_to`] / [`BatchEngine::restore_from`] — the
 //!   same, plus an `ENGN` section carrying the protocol's name tables
 //!   (alphabet symbols, constructor and variable name→id maps) so a
@@ -92,9 +90,8 @@ impl<A: Algebra + SnapshotAlgebra> Session<A> {
         Ok(n)
     }
 
-    /// Rebuilds a session from snapshot bytes. The query cache starts
-    /// cold; everything else (solved form, interned names, statistics)
-    /// matches the snapshotted session exactly.
+    /// Rebuilds a session from snapshot bytes. The solved form, interned
+    /// names and statistics match the snapshotted session exactly.
     pub fn restore_bytes(bytes: &[u8]) -> Result<Session<A>, SnapshotError> {
         let start = Instant::now();
         let result = System::restore_bytes(bytes).map(Session::from_system);
@@ -413,8 +410,7 @@ mod tests {
         let bytes = e.snapshot_bytes().unwrap();
         let mut back = engine();
         back.restore_bytes(&bytes).unwrap();
-        // Solver-state stats match exactly (cache counters are ephemeral
-        // and start cold after a restore, so they are compared separately).
+        // Solver-state stats match exactly.
         let restored_stats = run(&mut back, r#"{"cmd":"stats"}"#);
         let fresh_stats = run(&mut loaded_engine(), r#"{"cmd":"stats"}"#);
         for key in [
@@ -431,7 +427,6 @@ mod tests {
         ] {
             assert_eq!(restored_stats.get(key), fresh_stats.get(key), "{key}");
         }
-        assert_eq!(restored_stats.get("cache_hits").unwrap().as_u64(), Some(0));
         for query in [
             r#"{"cmd":"query","kind":"occurs","var":"Y","cons":"c"}"#,
             r#"{"cmd":"query","kind":"anns","var":"Y","cons":"c"}"#,
@@ -598,8 +593,6 @@ mod tests {
         let back: Session<MonoidAlgebra> = Session::restore_from(&path).unwrap();
         assert!(back.system().lower_bound_annotations(x, c).len() == 1);
         assert_eq!(back.stats().vars, s.stats().vars);
-        // The restored cache is cold.
-        assert_eq!(back.cache_stats().hits, 0);
         let _ = std::fs::remove_dir_all(&dir);
     }
 }

@@ -207,7 +207,8 @@ impl Drop for ChromeTraceSink {
     }
 }
 
-fn escape(s: &str) -> String {
+/// Escapes `s` for use inside a JSON string literal.
+pub(crate) fn escape(s: &str) -> String {
     let mut out = String::with_capacity(s.len());
     for c in s.chars() {
         match c {

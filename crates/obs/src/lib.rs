@@ -1,7 +1,7 @@
 //! Structured tracing and metrics for the `rasc` workspace (`rasc-obs`).
 //!
 //! Every layer of the solver pipeline — the bidirectional worklist, the
-//! automata constructions, the incremental session cache — emits *events*
+//! automata constructions, the incremental session's epochs — emits *events*
 //! through this crate: hierarchical **spans** (begin/end pairs), monotone
 //! **counters**, and **histograms** of sampled values. The crate is
 //! deliberately zero-dependency (std only) and designed so that the
@@ -23,8 +23,6 @@
 //!   gauges, log₂-bucket histograms with p50/p90/p99 estimates) with
 //!   Prometheus-text and JSON exposition, the backing store of the
 //!   `rasc serve --admin-addr` telemetry endpoint;
-//! * [`JsonLinesSink`] — one JSON object per event, streamed to any
-//!   `io::Write`;
 //! * [`ChromeTraceSink`] — Chrome trace-event JSON loadable in Perfetto /
 //!   `about:tracing` (`rasc batch --trace out.json`);
 //! * [`NoopSink`] — discards everything (the bench guard's subject);
@@ -53,14 +51,12 @@
 #![warn(missing_docs)]
 
 mod chrome;
-mod jsonl;
 mod metrics;
 mod recorder;
 mod scope;
 mod sink;
 
 pub use chrome::{ChromeTraceSink, TickClock, TimeSource, WallClock};
-pub use jsonl::JsonLinesSink;
 pub use metrics::{
     bucket_index, bucket_lower_bound, bucket_upper_bound, HistogramSnapshot, MetricsRegistry,
     MetricsSnapshot, HISTOGRAM_BUCKETS,

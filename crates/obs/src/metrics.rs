@@ -1,9 +1,9 @@
 //! The [`MetricsRegistry`] aggregation sink and its exposition encoders.
 //!
-//! Unlike the streaming sinks ([`crate::JsonLinesSink`],
-//! [`crate::ChromeTraceSink`]) which preserve individual events, the
-//! registry *aggregates in place* so a long-running server can answer
-//! "what are the p99 latencies right now" without unbounded memory:
+//! Unlike the [`crate::ChromeTraceSink`], which preserves individual
+//! events, the registry *aggregates in place* so a long-running server
+//! can answer "what are the p99 latencies right now" without unbounded
+//! memory:
 //!
 //! * **counters** — one `AtomicU64` per name, relaxed `fetch_add`;
 //! * **gauges** — one `AtomicU64` per name, relaxed `store`;
@@ -34,6 +34,7 @@ use std::fmt::Write as _;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, RwLock};
 
+use crate::chrome::escape;
 use crate::sink::EventSink;
 
 /// Number of name shards (power of two).
@@ -326,24 +327,6 @@ fn prom_name(name: &str) -> String {
     out
 }
 
-fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            '\r' => out.push_str("\\r"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out
-}
-
 impl MetricsSnapshot {
     /// Renders the snapshot in the Prometheus text exposition format
     /// (version 0.0.4): counters as `<name>_total`, spans as
@@ -402,7 +385,7 @@ impl MetricsSnapshot {
                 if i > 0 {
                     out.push(',');
                 }
-                let _ = write!(out, "\"{}\":{v}", json_escape(name));
+                let _ = write!(out, "\"{}\":{v}", escape(name));
             }
             out.push('}');
         }
@@ -423,7 +406,7 @@ impl MetricsSnapshot {
                 out,
                 "\"{}\":{{\"count\":{count},\"sum\":{},\"min\":{min},\"max\":{},\
                  \"p50\":{},\"p90\":{},\"p99\":{}}}",
-                json_escape(name),
+                escape(name),
                 h.sum,
                 h.max,
                 h.quantile(0.50),

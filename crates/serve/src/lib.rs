@@ -8,7 +8,7 @@
 //!
 //! * **Session pools** — one incremental [`rasc_inc::Session`] per
 //!   connection, served by a bounded [`ThreadPool`] with a graceful
-//!   drain; connections are isolated (names, epochs, caches, budgets).
+//!   drain; connections are isolated (names, epochs, budgets).
 //! * **Admission control** — a hard cap on concurrent connections and a
 //!   bounded worker queue; overload answers
 //!   `{"error":{"code":"overloaded",…}}` in-band and closes, instead of

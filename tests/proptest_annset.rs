@@ -8,9 +8,11 @@
 //! The reference runs the paper's full rules, including Trans-Ub (upper
 //! bounds copied backward along edges), which the real solver leaves out:
 //! the comparison covers every query surface that rule could move —
-//! lower bounds, consistency, acceptance from the class scan, PN
-//! occurrence annotations and constructor annotations — for a solve run
-//! straight through and for one that a budget interrupts every few steps.
+//! lower bounds, consistency, occurrence annotations, acceptance (from the
+//! class scan and from the first-accepting-path search the served `occurs`
+//! query runs), PN occurrence annotations and constructor annotations —
+//! for a solve run straight through and for one that a budget interrupts
+//! every few steps.
 
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -396,9 +398,15 @@ struct Signature {
     /// Per variable: its probe, `o` and `p` lower-bound annotations.
     bounds: Vec<[Vec<String>; 3]>,
     consistent: bool,
+    /// Per variable: the probe's occurrence annotations at any depth (the
+    /// served `anns` answer).
+    occurrences: Vec<Vec<String>>,
     /// Per variable: whether the probe occurs in it at any depth with an
-    /// accepting annotation.
+    /// accepting annotation, by the violation scan's classes.
     accepting: Vec<bool>,
+    /// The same, by the search that stops at the first accepting path
+    /// (the served `occurs` answer).
+    occurs: Vec<bool>,
     /// Per variable: the probe's PN occurrence annotations.
     pn: Vec<Vec<String>>,
     /// Per constructor expression: its constructor annotations.
@@ -414,10 +422,14 @@ fn ref_signature(machine: &Dfa, syms: &[SymbolId], cons: &[RandCon]) -> Signatur
     let bounds = (0..N_VARS)
         .map(|v| [PROBE, O, P].map(|head| r.lower_bound_annotations(v, head)))
         .collect();
-    let accepting = r
-        .occurrences()
+    let occ = r.occurrences();
+    let accepting: Vec<bool> = occ
         .iter()
-        .map(|occ| occ.iter().any(|&a| r.alg.is_accepting(a)))
+        .map(|anns| anns.iter().any(|&a| r.alg.is_accepting(a)))
+        .collect();
+    let occurrences = occ
+        .into_iter()
+        .map(|anns| described(&r.alg, anns))
         .collect();
     let pn = (0..N_VARS)
         .map(|v| {
@@ -433,6 +445,8 @@ fn ref_signature(machine: &Dfa, syms: &[SymbolId], cons: &[RandCon]) -> Signatur
     Signature {
         bounds,
         consistent: !r.clashed,
+        occurrences,
+        occurs: accepting.clone(),
         accepting,
         pn,
         cons_anns,
@@ -510,6 +524,19 @@ impl Model {
                     .map(|head| described(sys.algebra(), sys.lower_bound_annotations(v, head)))
             })
             .collect();
+        let occurrences = self
+            .vars
+            .iter()
+            .map(|&v| {
+                let anns = sys.occurrence_annotations(v, probe);
+                described(sys.algebra(), anns)
+            })
+            .collect();
+        let occurs = self
+            .vars
+            .iter()
+            .map(|&v| sys.occurs_accepting(v, probe))
+            .collect();
         let occ = sys.constant_occurrence_classes(probe);
         let accepting = self
             .vars
@@ -541,7 +568,9 @@ impl Model {
         Signature {
             bounds,
             consistent: sys.is_consistent(),
+            occurrences,
             accepting,
+            occurs,
             pn,
             cons_anns,
         }

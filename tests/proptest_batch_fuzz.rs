@@ -113,18 +113,6 @@ fn check_delta(before: &RequestStats, after: &RequestStats) -> Result<(), String
             after.facts_processed,
             d.facts_processed,
         ),
-        (
-            "cache_hits",
-            before.cache_hits,
-            after.cache_hits,
-            d.cache_hits,
-        ),
-        (
-            "cache_misses",
-            before.cache_misses,
-            after.cache_misses,
-            d.cache_misses,
-        ),
     ] {
         prop_assert!(
             got <= now,

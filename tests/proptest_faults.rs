@@ -158,31 +158,6 @@ fn system_signature(sys: &mut System<MonoidAlgebra>, shape: &Shape) -> Signature
     (per_var, sys.is_consistent())
 }
 
-fn session_signature(s: &mut Session<MonoidAlgebra>, shape: &Shape) -> Signature {
-    let per_var = shape
-        .vars
-        .iter()
-        .map(|&v| {
-            let mut occ: Vec<String> = s
-                .occurrence_annotations(v, shape.probe)
-                .into_iter()
-                .map(|a| s.system().algebra().describe(a))
-                .collect();
-            occ.sort();
-            let nonempty = s.nonempty(v);
-            let o_reaches = s.occurs_accepting(v, shape.o);
-            let mut pn: Vec<String> = s
-                .pn_occurrence_annotations(v, shape.probe)
-                .into_iter()
-                .map(|a| s.system().algebra().describe(a))
-                .collect();
-            pn.sort();
-            (occ, nonempty, o_reaches, pn)
-        })
-        .collect();
-    (per_var, s.is_consistent())
-}
-
 #[test]
 fn resume_equals_uninterrupted() {
     forall(
@@ -259,7 +234,7 @@ fn rollback_after_interrupt_restores_all_observables() {
                 apply(sess.system_mut(), &shape, &syms, c);
                 sess.system_mut().solve();
             }
-            let before = session_signature(&mut sess, &shape);
+            let before = system_signature(sess.system_mut(), &shape);
             // The algebra's hash-cons table is a monotone memo and is
             // deliberately not rolled back.
             let mut before_stats = sess.stats();
@@ -275,7 +250,7 @@ fn rollback_after_interrupt_restores_all_observables() {
             prop_assert!(sess.pop_epoch());
             prop_assert_eq!(sess.system().pending_facts(), 0);
 
-            let after = session_signature(&mut sess, &shape);
+            let after = system_signature(sess.system_mut(), &shape);
             prop_assert_eq!(
                 &after,
                 &before,
@@ -291,7 +266,7 @@ fn rollback_after_interrupt_restores_all_observables() {
                 apply(sess.system_mut(), &shape, &syms, c);
             }
             sess.system_mut().solve();
-            let resumed = session_signature(&mut sess, &shape);
+            let resumed = system_signature(sess.system_mut(), &shape);
 
             let mut batch = System::with_config(MonoidAlgebra::new(&dfa), SolverConfig::default());
             let shape_b = declare(&mut batch);

@@ -144,28 +144,29 @@ fn apply(sys: &mut System<MonoidAlgebra>, shape: &Shape, syms: &[SymbolId], c: &
 type Signature = (Vec<(Vec<String>, bool, bool, Vec<String>)>, bool);
 
 fn session_signature(s: &mut Session<MonoidAlgebra>, shape: &Shape) -> Signature {
+    let sys = s.system_mut();
     let per_var = shape
         .vars
         .iter()
         .map(|&v| {
-            let mut occ: Vec<String> = s
+            let mut occ: Vec<String> = sys
                 .occurrence_annotations(v, shape.probe)
                 .into_iter()
-                .map(|a| s.system().algebra().describe(a))
+                .map(|a| sys.algebra().describe(a))
                 .collect();
             occ.sort();
-            let nonempty = s.nonempty(v);
-            let o_reaches = s.occurs_accepting(v, shape.o);
-            let mut pn: Vec<String> = s
+            let nonempty = sys.nonempty(v);
+            let o_reaches = sys.occurs_accepting(v, shape.o);
+            let mut pn: Vec<String> = sys
                 .pn_occurrence_annotations(v, shape.probe)
                 .into_iter()
-                .map(|a| s.system().algebra().describe(a))
+                .map(|a| sys.algebra().describe(a))
                 .collect();
             pn.sort();
             (occ, nonempty, o_reaches, pn)
         })
         .collect();
-    (per_var, s.is_consistent())
+    (per_var, sys.is_consistent())
 }
 
 /// Builds a solved session from a constraint list.
