@@ -4,7 +4,12 @@
 //! alternative (one pushdown run per descriptor — what a checker without
 //! parametric annotations must do, and how MOPS-style tools scale).
 //!
+//! Both arms must find the same violations: the nodes of the one pass
+//! are the union of the per-descriptor runs' nodes, or the bench fails.
+//!
 //! Usage: `parametric_bench [size]` (default 4000 statements).
+
+use std::collections::BTreeSet;
 
 use rasc_automata::PropertySpec;
 use rasc_bench::workload::generate_parametric;
@@ -23,8 +28,8 @@ fn main() {
 
     println!("§6.4: parametric file-state property, one pass vs per-descriptor runs");
     println!(
-        "{:>12} {:>8} | {:>14} {:>8} | {:>20}",
-        "descriptors", "size", "subst-env (s)", "envs", "instantiated (s)"
+        "{:>12} {:>8} | {:>14} {:>8} | {:>20} | {:>10}",
+        "descriptors", "size", "subst-env (s)", "envs", "instantiated (s)", "violations"
     );
     // The lazily-built product grows with the number of *simultaneously
     // tracked* descriptors (up to 3^K states' worth of environments):
@@ -36,17 +41,18 @@ fn main() {
         let cfg = Cfg::build(&program).expect("valid program");
 
         // One pass with substitution environments.
-        let (envs, t_subst) = timed(|| {
+        let ((one_pass, envs), t_subst) = timed(|| {
             let mut checker =
                 ConstraintChecker::parametric(&cfg, &spec, "main").expect("main exists");
             checker.solve();
-            let _ = checker.violations().len();
-            checker.system().stats().annotations
+            let nodes: BTreeSet<_> = checker.violations().into_iter().collect();
+            (nodes, checker.system().stats().annotations)
         });
 
         // Per-descriptor explicit instantiation (MOPS-style): K runs of
         // the plain checker, each seeing only its descriptor's events.
-        let (_, t_inst) = timed(|| {
+        let (per_descriptor, t_inst) = timed(|| {
+            let mut nodes = BTreeSet::new();
             for d in 0..n_desc {
                 let label = format!("fd{d}");
                 let checker = PdsChecker::with_event_map(&cfg, &dfa, "main", |name, args| {
@@ -55,17 +61,23 @@ fn main() {
                         .flatten()
                 })
                 .expect("main exists");
-                let _ = checker.run().len();
+                nodes.extend(checker.run().into_iter().map(|v| v.node));
             }
+            nodes
         });
+        assert_eq!(
+            one_pass, per_descriptor,
+            "{n_desc} descriptors: the one pass and the per-descriptor runs disagree"
+        );
 
         println!(
-            "{:>12} {:>8} | {:>14} {:>8} | {:>20}",
+            "{:>12} {:>8} | {:>14} {:>8} | {:>20} | {:>10}",
             n_desc,
             program.num_stmts(),
             secs(t_subst),
             envs,
-            secs(t_inst)
+            secs(t_inst),
+            one_pass.len()
         );
     }
 }

@@ -10,7 +10,8 @@
 //! * [`GenKillAlgebra`] — the n-bit gen/kill language (§3.3) with O(1)
 //!   bit-parallel composition;
 //! * [`SubstAlgebra`] — parametric annotations via substitution
-//!   environments (§6.4), supporting multiple parameters.
+//!   environments (§6.4), supporting multiple parameters (its docs state
+//!   where more than one falls short).
 
 mod genkill;
 mod monoid_alg;
@@ -18,7 +19,7 @@ mod subst;
 
 pub use genkill::GenKillAlgebra;
 pub use monoid_alg::MonoidAlgebra;
-pub use subst::{LabelId, ParamId, SubstAlgebra, SubstEnv};
+pub use subst::{LabelId, ParamId, StateEnvId, SubstAlgebra, SubstEnv};
 
 /// An interned annotation value.
 ///

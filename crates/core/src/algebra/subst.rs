@@ -8,12 +8,16 @@
 //! from instantiated parameters to representative functions, plus a
 //! *residual* function recording non-parametric transitions.
 
-use std::collections::HashMap;
-use std::collections::{BTreeMap, BTreeSet};
+use std::borrow::Cow;
+use std::collections::{BTreeMap, HashMap};
 
-use rasc_automata::{Dfa, FnId, Monoid, SymbolId};
+use rasc_automata::{Dfa, FnId, Monoid, StateId, SymbolId};
 
 use super::{Algebra, AnnId};
+
+/// The step-table cell of an (annotation, class) pair not stepped yet. No
+/// class id is this large: `u32::MAX` classes would be interned before it.
+const NOT_STEPPED: u32 = u32::MAX;
 
 /// An interned parameter name (e.g. the `x` in `open(x)`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -32,7 +36,8 @@ pub type EntryKey = BTreeMap<ParamId, LabelId>;
 /// per-instantiation representative functions plus a residual.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct SubstEnv {
-    /// Entries sorted by key for canonical interning.
+    /// Entries sorted by key for canonical interning. No key is empty
+    /// (the residual is the `∅` entry), which `merged_keys` relies on.
     entries: Vec<(EntryKey, FnId)>,
     /// The residual function (non-parametric transitions already folded
     /// into every existing entry).
@@ -57,12 +62,47 @@ impl SubstEnv {
     /// Entry `i` is compatible with entry `j` (`i ≼ j`) when all common
     /// parameters agree and `i` has at least as many instantiations as `j`.
     pub fn lookup(&self, key: &EntryKey) -> FnId {
-        self.entries
-            .iter()
-            .filter(|(k, _)| compatible(key, k))
-            .max_by_key(|(k, _)| (k.len(), std::cmp::Reverse(k.clone())))
-            .map_or(self.residual, |(_, f)| *f)
+        lookup(&self.entries, key, self.residual)
     }
+}
+
+/// A right-congruence class of [`SubstAlgebra`] (§5): an interned state
+/// environment.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
+pub struct StateEnvId(u32);
+
+impl StateEnvId {
+    fn index(self) -> usize {
+        self.0 as usize
+    }
+}
+
+/// A *state environment* `ψ = [k ↦ φ(k)(s₀) | r(s₀)]`: the machine state
+/// each instantiation of an environment `φ` reaches from the start state,
+/// plus the residual's. Acceptance of a path, now and after any
+/// extension, depends only on this, so it is the class the violation scan
+/// carries.
+///
+/// Entries are sorted by key. While the algebra has at most one parameter,
+/// an entry whose state equals the residual's is dropped: every key is then
+/// a single `{x: ℓ}`, whose lookup sees only its own entry or the residual,
+/// so the drop changes no lookup now or after any later step. That makes
+/// the class canonical: `open(fd1); close(fd1)` is the start class again.
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
+struct StateEnv {
+    entries: Vec<(EntryKey, StateId)>,
+    residual: StateId,
+}
+
+/// The value at `key` of an environment with these entries and residual:
+/// that of the largest compatible entry (the longer key first, then the
+/// smaller key), or the residual if no entry is compatible.
+fn lookup<T: Copy>(entries: &[(EntryKey, T)], key: &EntryKey, residual: T) -> T {
+    entries
+        .iter()
+        .filter(|(k, _)| compatible(key, k))
+        .max_by(|(a, _), (b, _)| a.len().cmp(&b.len()).then_with(|| b.cmp(a)))
+        .map_or(residual, |(_, v)| *v)
 }
 
 /// `i ≼ j`: common parameters agree and `|i| ≥ |j|`.
@@ -78,12 +118,32 @@ fn consistent(a: &EntryKey, b: &EntryKey) -> bool {
     a.iter().all(|(p, l)| b.get(p).is_none_or(|l2| l2 == l))
 }
 
-fn merge(a: &EntryKey, b: &EntryKey) -> EntryKey {
-    let mut out = a.clone();
-    for (&p, &l) in b {
-        out.insert(p, l);
+/// The keys of a composition of two environments with entries `a` and
+/// `b`: every consistent, non-empty merge of a key of `a` (or ∅, the
+/// residual's) with a key of `b` (or ∅), sorted and without duplicates.
+/// A merge equal to one of its two keys is that key, borrowed.
+fn merged_keys<'k, T, U>(a: &'k [(EntryKey, T)], b: &'k [(EntryKey, U)]) -> Vec<Cow<'k, EntryKey>> {
+    let mut keys: Vec<Cow<'k, EntryKey>> = a
+        .iter()
+        .map(|(k, _)| k)
+        .chain(b.iter().map(|(k, _)| k))
+        .map(Cow::Borrowed)
+        .collect();
+    for (k1, _) in a {
+        for (k2, _) in b {
+            // Parameters of `k2` that `k1` lacks: with none, the merge is
+            // `k1`; with only those, it is `k2`.
+            let extra = k2.keys().filter(|p| !k1.contains_key(p)).count();
+            if extra > 0 && k1.len() + extra > k2.len() && consistent(k1, k2) {
+                let mut m = k1.clone();
+                m.extend(k2);
+                keys.push(Cow::Owned(m));
+            }
+        }
     }
-    out
+    keys.sort_unstable();
+    keys.dedup();
+    keys
 }
 
 /// The parametric annotation algebra: substitution environments over the
@@ -121,6 +181,30 @@ fn merge(a: &EntryKey, b: &EntryKey) -> EntryKey {
 /// let open_params = alg.accepting_instances(path);
 /// assert_eq!(open_params.len(), 1);
 /// ```
+///
+/// # Classes
+///
+/// A path's class ([`Algebra::Class`]) is its state environment
+/// `[k ↦ φ(k)(s₀) | r(s₀)]`: one machine state per instantiation, not one
+/// function. [`Algebra::apply_class`] builds the keys [`Algebra::compose`]
+/// would, so the class of a composition is the class of its environment,
+/// and memoizes each step in a dense table. With at most one parameter, an
+/// entry in the residual's state is dropped, so a descriptor opened and
+/// closed again leaves no trace in the class. Interning a new parameter
+/// empties the class tables: classes taken before it are not valid after.
+///
+/// # More than one parameter
+///
+/// With two or more parameters, [`Algebra::compose`] is not associative: a
+/// key can look up an entry of another parameter (`{y: m}` is compatible
+/// with `{x: ℓ}`), and which merged keys exist depends on the grouping.
+/// Over `start state S : | pair(x, y) -> T | sole(x) -> T | solo(y) -> S;
+/// accept state T : | drop(x) -> S;`, the path `sole(x: b)`, `drop(x: a)`,
+/// `solo(y: a)` is accepted under one grouping and not under the other.
+/// The class of a composition then need not be the class reached step by
+/// step (the second class law of [`Algebra`]), so the class scan and the
+/// function BFS, which group compositions differently, may disagree on such
+/// a property. The bundled parametric properties have one parameter.
 #[derive(Debug, Clone)]
 pub struct SubstAlgebra {
     monoid: Monoid,
@@ -129,6 +213,14 @@ pub struct SubstAlgebra {
     envs: Vec<SubstEnv>,
     by_env: HashMap<SubstEnv, AnnId>,
     memo: HashMap<(AnnId, AnnId), AnnId>,
+    /// The interned classes; class 0 is the start class `[ | s₀]`.
+    classes: Vec<StateEnv>,
+    by_class: HashMap<StateEnv, StateEnvId>,
+    /// The class step table: `steps[f][c]` is the raw id of
+    /// `apply_class(f, c)`, or [`NOT_STEPPED`]. Each row is sized to the
+    /// interned class count on its first write, and grows if a later write
+    /// needs a larger `c`.
+    steps: Vec<Vec<u32>>,
 }
 
 impl SubstAlgebra {
@@ -146,21 +238,29 @@ impl SubstAlgebra {
             envs: Vec::new(),
             by_env: HashMap::new(),
             memo: HashMap::new(),
+            classes: Vec::new(),
+            by_class: HashMap::new(),
+            steps: Vec::new(),
         };
         let identity = SubstEnv {
             entries: Vec::new(),
             residual: alg.monoid.identity(),
         };
         alg.intern(identity);
+        alg.reset_classes();
         alg
     }
 
     /// Interns a parameter name.
+    ///
+    /// A new parameter empties the class tables, since which entries a
+    /// class drops depends on the parameter count.
     pub fn param(&mut self, name: &str) -> ParamId {
         if let Some(i) = self.params.iter().position(|p| p == name) {
             return ParamId(i as u32);
         }
         self.params.push(name.to_owned());
+        self.reset_classes();
         ParamId((self.params.len() - 1) as u32)
     }
 
@@ -196,8 +296,12 @@ impl SubstAlgebra {
     /// A parametric annotation: the symbol `sym` instantiated at the given
     /// `(parameter, label)` pairs, e.g. `open(x := fd1)`.
     ///
-    /// Produces `[(x: fd1) ↦ f_σ | f_ε]` (Figure 7).
+    /// Produces `[(x: fd1) ↦ f_σ | f_ε]` (Figure 7). Without pairs it is
+    /// [`SubstAlgebra::plain`].
     pub fn instantiate(&mut self, sym: SymbolId, pairs: &[(ParamId, LabelId)]) -> AnnId {
+        if pairs.is_empty() {
+            return self.plain(sym);
+        }
         let f = self.monoid.generator(sym);
         let key: EntryKey = pairs.iter().copied().collect();
         let identity = self.monoid.identity();
@@ -237,12 +341,34 @@ impl SubstAlgebra {
         self.envs.push(env);
         id
     }
+
+    /// Empties the class tables, leaving the start class `[ | s₀]` as
+    /// class 0.
+    fn reset_classes(&mut self) {
+        self.classes.clear();
+        self.by_class.clear();
+        self.steps.clear();
+        let start = StateEnv {
+            entries: Vec::new(),
+            residual: self.monoid.start_state(),
+        };
+        self.intern_class(start);
+    }
+
+    fn intern_class(&mut self, class: StateEnv) -> StateEnvId {
+        if let Some(&id) = self.by_class.get(&class) {
+            return id;
+        }
+        let id = StateEnvId(crate::id_u32(self.classes.len(), "classes"));
+        self.by_class.insert(class.clone(), id);
+        self.classes.push(class);
+        id
+    }
 }
 
 impl Algebra for SubstAlgebra {
-    /// The environment itself, so a class scan composes whole
-    /// environments.
-    type Class = AnnId;
+    /// The state environment `[k ↦ φ(k)(s₀) | r(s₀)]`.
+    type Class = StateEnvId;
 
     fn identity(&self) -> AnnId {
         AnnId(0)
@@ -258,45 +384,16 @@ impl Algebra for SubstAlgebra {
         if let Some(&id) = self.memo.get(&(later, earlier)) {
             return id;
         }
-        let phi1 = self.envs[later.index()].clone();
-        let phi2 = self.envs[earlier.index()].clone();
-
-        // Candidate result keys: all consistent merges of an entry (or the
-        // implicit residual, ∅) from each side.
-        let empty = EntryKey::new();
-        let keys1: Vec<&EntryKey> = phi1
-            .entries
-            .iter()
-            .map(|(k, _)| k)
-            .chain([&empty])
-            .collect();
-        let keys2: Vec<&EntryKey> = phi2
-            .entries
-            .iter()
-            .map(|(k, _)| k)
-            .chain([&empty])
-            .collect();
-        // A `BTreeSet` both dedups the merges and yields them sorted.
-        let mut result_keys: BTreeSet<EntryKey> = BTreeSet::new();
-        for k1 in &keys1 {
-            for k2 in &keys2 {
-                if consistent(k1, k2) {
-                    let m = merge(k1, k2);
-                    if !m.is_empty() {
-                        result_keys.insert(m);
-                    }
-                }
-            }
-        }
-
+        let phi1 = &self.envs[later.index()];
+        let phi2 = &self.envs[earlier.index()];
         // (φ₁ ∘ φ₂)(i) = φ₁(i) ∘ φ₂(i).
-        let mut entries = Vec::with_capacity(result_keys.len());
-        for key in result_keys {
-            let f1 = phi1.lookup(&key);
-            let f2 = phi2.lookup(&key);
-            let f = self.monoid.compose(f1, f2);
-            entries.push((key, f));
-        }
+        let entries = merged_keys(&phi1.entries, &phi2.entries)
+            .into_iter()
+            .map(|key| {
+                let f = self.monoid.compose(phi1.lookup(&key), phi2.lookup(&key));
+                (key.into_owned(), f)
+            })
+            .collect();
         let residual = self.monoid.compose(phi1.residual, phi2.residual);
         let id = self.intern(SubstEnv { entries, residual });
         self.memo.insert((later, earlier), id);
@@ -311,16 +408,51 @@ impl Algebra for SubstAlgebra {
             || self.monoid.is_accepting(env.residual)
     }
 
-    fn start_class(&self) -> AnnId {
-        self.identity()
+    fn start_class(&self) -> StateEnvId {
+        StateEnvId(0)
     }
 
-    fn apply_class(&mut self, f: AnnId, c: AnnId) -> AnnId {
-        self.compose(f, c)
+    fn apply_class(&mut self, f: AnnId, c: StateEnvId) -> StateEnvId {
+        if f == self.identity() {
+            return c;
+        }
+        let known = self.steps.get(f.index()).and_then(|row| row.get(c.index()));
+        if let Some(&id) = known.filter(|&&id| id != NOT_STEPPED) {
+            return StateEnvId(id);
+        }
+        let phi = &self.envs[f.index()];
+        let psi = &self.classes[c.index()];
+        let residual = self.monoid.apply(phi.residual, psi.residual);
+        let drop_residual_states = self.params.len() <= 1;
+        // ψ'(k) = φ(k)(ψ(k)), over the keys of φ ∘ φ_c.
+        let entries = merged_keys(&phi.entries, &psi.entries)
+            .into_iter()
+            .filter_map(|key| {
+                let g = lookup(&phi.entries, &key, phi.residual);
+                let s = self
+                    .monoid
+                    .apply(g, lookup(&psi.entries, &key, psi.residual));
+                (!drop_residual_states || s != residual).then(|| (key.into_owned(), s))
+            })
+            .collect();
+        let id = self.intern_class(StateEnv { entries, residual });
+        if self.steps.len() <= f.index() {
+            self.steps.resize_with(f.index() + 1, Vec::new);
+        }
+        let row = &mut self.steps[f.index()];
+        if row.len() <= c.index() {
+            row.resize(self.classes.len(), NOT_STEPPED);
+        }
+        row[c.index()] = id.0;
+        id
     }
 
-    fn class_accepting(&self, c: AnnId) -> bool {
-        self.is_accepting(c)
+    fn class_accepting(&self, c: StateEnvId) -> bool {
+        let psi = &self.classes[c.index()];
+        psi.entries
+            .iter()
+            .any(|(_, s)| self.monoid.state_accepting(*s))
+            || self.monoid.state_accepting(psi.residual)
     }
 
     fn describe(&self, a: AnnId) -> String {
@@ -457,6 +589,64 @@ mod tests {
             .entries()
             .iter()
             .any(|(key, _)| key.len() == 2 && key.get(&x) == Some(&i) && key.get(&y) == Some(&j)));
+    }
+
+    #[test]
+    fn a_descriptor_opened_and_closed_leaves_the_start_class() {
+        let (mut alg, open, close) = file_state();
+        let x = alg.param("x");
+        let fd1 = alg.label("fd1");
+        let o = alg.instantiate(open, &[(x, fd1)]);
+        let c = alg.instantiate(close, &[(x, fd1)]);
+        let oc = alg.compose(c, o);
+        assert_ne!(oc, alg.identity(), "the environment keeps fd1's entry");
+        assert_eq!(alg.env(oc).entries().len(), 1);
+        let start = alg.start_class();
+        assert_eq!(alg.apply_class(oc, start), start);
+    }
+
+    /// The class of `open(fd1); close(fd1)` from the start class.
+    fn opened_and_closed_class(
+        alg: &mut SubstAlgebra,
+        open: SymbolId,
+        close: SymbolId,
+    ) -> StateEnvId {
+        let x = alg.param("x");
+        let fd1 = alg.label("fd1");
+        let o = alg.instantiate(open, &[(x, fd1)]);
+        let c = alg.instantiate(close, &[(x, fd1)]);
+        let oc = alg.compose(c, o);
+        let start = alg.start_class();
+        alg.apply_class(oc, start)
+    }
+
+    #[test]
+    fn two_parameters_keep_residual_state_entries() {
+        let (mut alg, open, close) = file_state();
+        alg.param("x");
+        alg.param("y");
+        let class = opened_and_closed_class(&mut alg, open, close);
+        assert_ne!(class, alg.start_class());
+        let kept = &alg.classes[class.index()];
+        assert_eq!(kept.entries.len(), 1);
+        assert_eq!(kept.entries[0].1, kept.residual);
+    }
+
+    #[test]
+    fn a_new_parameter_resets_the_class_tables() {
+        let (mut alg, open, close) = file_state();
+        let dropped = opened_and_closed_class(&mut alg, open, close);
+        assert_eq!(dropped, alg.start_class());
+        alg.param("y");
+        let kept = opened_and_closed_class(&mut alg, open, close);
+        assert_ne!(kept, alg.start_class());
+        assert_eq!(alg.classes[kept.index()].entries.len(), 1);
+    }
+
+    #[test]
+    fn instantiating_no_parameters_is_plain() {
+        let (mut alg, open, _) = file_state();
+        assert_eq!(alg.instantiate(open, &[]), alg.plain(open));
     }
 
     #[test]

@@ -99,6 +99,10 @@ impl ConstraintChecker<SubstAlgebra> {
     /// parameter-value labels (`event open(fd1)`), and annotations are
     /// substitution environments.
     ///
+    /// With more than one parameter, composing environments is not
+    /// associative (see [`SubstAlgebra`]), so [`ConstraintChecker::violations`]
+    /// and [`ConstraintChecker::witness`] may disagree on such a property.
+    ///
     /// # Errors
     ///
     /// Returns [`CheckError::Cfg`] if `entry` is missing.

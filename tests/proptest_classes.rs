@@ -126,15 +126,16 @@ fn class_laws_hold_for_random_compositions() {
             gens.push(alg.transfer(0x30, 0x0c));
             check_laws("gen/kill", &mut alg, &gens, words)?;
 
-            // File state: open and close, each at one of three descriptors
-            // or plain (reaching every descriptor).
+            // File state: open and close, each at one of five descriptors
+            // (as in the parametric workload) or plain (reaching every
+            // descriptor).
             let mut alg = SubstAlgebra::new(&file_dfa);
             let x = alg.param("x");
             let mut gens = Vec::new();
             for event in ["open", "close"] {
                 let sym = file_sigma.lookup(event).unwrap();
                 gens.push(alg.plain(sym));
-                for fd in ["fd0", "fd1", "fd2"] {
+                for fd in ["fd0", "fd1", "fd2", "fd3", "fd4"] {
                     let label = alg.label(fd);
                     gens.push(alg.instantiate(sym, &[(x, label)]));
                 }
@@ -177,18 +178,26 @@ fn class_scan_violations_match_the_function_bfs() {
         assert!(found > 0, "{name}: the programs violate the property");
     }
     let spec = file_state();
-    let mut found = 0;
-    for seed in 0..6u64 {
-        let program = generate_parametric(200, 3, seed);
-        let cfg = Cfg::build(&program).unwrap();
-        let mut checker = ConstraintChecker::parametric(&cfg, &spec, "main").unwrap();
-        checker.solve();
-        let by_class = checker.violations();
-        let by_function = violations_by_function_bfs(&mut checker, cfg.num_nodes());
-        assert_eq!(by_class, by_function, "file state, seed {seed}");
-        found += by_class.len();
+    for (stmts, descriptors) in [(200, 3), (400, 5)] {
+        let mut found = 0;
+        for seed in 0..6u64 {
+            let program = generate_parametric(stmts, descriptors, seed);
+            let cfg = Cfg::build(&program).unwrap();
+            let mut checker = ConstraintChecker::parametric(&cfg, &spec, "main").unwrap();
+            checker.solve();
+            let by_class = checker.violations();
+            let by_function = violations_by_function_bfs(&mut checker, cfg.num_nodes());
+            assert_eq!(
+                by_class, by_function,
+                "file state, {descriptors} descriptors, seed {seed}"
+            );
+            found += by_class.len();
+        }
+        assert!(
+            found > 0,
+            "file state, {descriptors} descriptors: the programs leave descriptors open"
+        );
     }
-    assert!(found > 0, "file state: the programs leave descriptors open");
 }
 
 #[test]
