@@ -110,7 +110,7 @@ fn closure_with(m: &Dfa, any_start: bool, any_end: bool) -> Dfa {
             }
         }
     }
-    crate::compile_cache::determinize_minimized(&nfa)
+    nfa.determinize().minimize()
 }
 
 fn reachable_states(m: &Dfa) -> Vec<bool> {

@@ -35,7 +35,6 @@
 
 mod alphabet;
 pub mod closure;
-pub mod compile_cache;
 mod dfa;
 mod error;
 mod monoid;

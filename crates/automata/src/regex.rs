@@ -104,12 +104,8 @@ impl Regex {
     }
 
     /// Compiles this regex to the minimal complete DFA for its language.
-    ///
-    /// Repeated compiles of a structurally identical machine are served
-    /// from the process-wide [`crate::compile_cache::RegexCompiler`]
-    /// instead of re-running subset construction.
     pub fn compile(&self, alphabet: &Alphabet) -> Dfa {
-        crate::compile_cache::determinize_minimized(&self.to_nfa(alphabet))
+        self.to_nfa(alphabet).determinize().minimize()
     }
 }
 

@@ -1,15 +1,15 @@
 //! Copy-on-write fork vs per-connection restore on dense
-//! regular-reachability digraphs: a solved base session is serialized
+//! regular-reachability digraphs: a solved base system is serialized
 //! once, then brought up per "connection" either by deserializing the
-//! whole solved form (`Session::restore_bytes` — what `rasc-serve` did
+//! whole solved form (`System::restore_bytes` — what `rasc-serve` did
 //! for every accepted connection) or by decoding once into a frozen
-//! [`rasc_core::BaseSystem`] and forking copy-on-write
-//! (`Session::fork_from` — what the server does now).
+//! [`rasc_core::BaseSystem`] and forking copy-on-write (`System::fork` —
+//! what the server does now).
 //!
 //! Restore is linear in the solved form; a fork is a handful of `Arc`
 //! bumps plus per-variable bookkeeping, so the gap widens with base
 //! size. Also reports per-connection resident overhead: the RSS delta of
-//! holding [`FLEET`] live sessions built each way (Linux `/proc`, best
+//! holding [`FLEET`] live systems built each way (Linux `/proc`, best
 //! effort — reported, not enforced).
 //!
 //! Emits `BENCH_cow.json` (one row per rung, 2k → 32k constraints) and
@@ -21,28 +21,19 @@
 use std::time::Duration;
 
 use rasc_automata::{adversarial_machine, Dfa};
-use rasc_bench::constraints_workload::{dense, EdgeListWorkload};
+use rasc_bench::constraints_workload::{dense, edge_list_system, EdgeListWorkload};
 use rasc_core::algebra::MonoidAlgebra;
-use rasc_core::{BaseSystem, SetExpr, System, VarId};
+use rasc_core::{BaseSystem, System, VarId};
 use rasc_devtools::bench;
 use rasc_inc::json::{obj, Json};
-use rasc_inc::Session;
 
-/// Concurrent sessions held live for the resident-overhead measurement.
+/// Concurrent systems held live for the resident-overhead measurement.
 const FLEET: usize = 64;
 
-fn build_solved(machine: &Dfa, wl: &EdgeListWorkload) -> Session<MonoidAlgebra> {
-    let mut sys = System::new(MonoidAlgebra::new(machine));
-    let vars: Vec<VarId> = (0..wl.n_vars).map(|i| sys.var(&format!("v{i}"))).collect();
-    let probe = sys.constructor("probe", &[]);
-    sys.add(SetExpr::cons(probe, []), SetExpr::var(vars[wl.source]))
-        .expect("well-formed");
-    for (from, to, word) in &wl.edges {
-        let ann = sys.algebra_mut().word(word);
-        sys.add_ann(SetExpr::var(vars[*from]), SetExpr::var(vars[*to]), ann)
-            .expect("well-formed");
-    }
-    Session::from_system(sys)
+fn build_solved(machine: &Dfa, wl: &EdgeListWorkload) -> System<MonoidAlgebra> {
+    let (mut sys, _, _) = edge_list_system(machine, wl);
+    sys.solve();
+    sys
 }
 
 /// Resident set size in KiB, from `/proc/self/statm` (0 where absent).
@@ -62,10 +53,10 @@ fn resident_kb() -> u64 {
     0
 }
 
-/// RSS growth per session, holding `FLEET` of them live at once.
-fn fleet_overhead_kb(make: impl Fn() -> Session<MonoidAlgebra>) -> u64 {
+/// RSS growth per system, holding `FLEET` of them live at once.
+fn fleet_overhead_kb(make: impl Fn() -> System<MonoidAlgebra>) -> u64 {
     let before = resident_kb();
-    let fleet: Vec<Session<MonoidAlgebra>> = (0..FLEET).map(|_| make()).collect();
+    let fleet: Vec<System<MonoidAlgebra>> = (0..FLEET).map(|_| make()).collect();
     let after = resident_kb();
     drop(fleet);
     after.saturating_sub(before) / FLEET as u64
@@ -98,25 +89,24 @@ fn main() {
         // The durable artifact, serialized once; the frozen base is the
         // decode-once product the server shares across connections.
         let solved = build_solved(&machine, &wl);
-        let bytes = solved.snapshot_bytes().expect("solved session snapshots");
-        let base: BaseSystem<MonoidAlgebra> = solved.into_base().expect("solved session freezes");
+        let bytes = solved.snapshot_bytes().expect("solved system snapshots");
+        let base: BaseSystem<MonoidAlgebra> = solved.into_base().expect("solved system freezes");
 
         // Per-connection restore: deserialize the solved form and answer.
         let restore = bench("restore", 5, Duration::from_millis(400), || {
-            let sess = Session::<MonoidAlgebra>::restore_bytes(&bytes).expect("valid snapshot");
-            sess.system().nonempty(sink)
+            let sys = System::<MonoidAlgebra>::restore_bytes(&bytes).expect("valid snapshot");
+            sys.nonempty(sink)
         });
 
         // Copy-on-write fork: alias the frozen base and answer.
         let fork = bench("fork", 5, Duration::from_millis(400), || {
-            let sess = Session::fork_from(&base);
-            sess.system().nonempty(sink)
+            System::fork(&base).nonempty(sink)
         });
 
         let restore_rss = fleet_overhead_kb(|| {
-            Session::<MonoidAlgebra>::restore_bytes(&bytes).expect("valid snapshot")
+            System::<MonoidAlgebra>::restore_bytes(&bytes).expect("valid snapshot")
         });
-        let fork_rss = fleet_overhead_kb(|| Session::fork_from(&base));
+        let fork_rss = fleet_overhead_kb(|| System::fork(&base));
 
         let speedup = restore.median_ns / fork.median_ns;
         last_speedup = speedup;

@@ -1,8 +1,9 @@
-//! Incremental re-solving (rasc-inc) vs from-scratch solving on the §5
-//! ladder workloads: after a base system is solved, +1% new constraints
-//! arrive and are solved either through a [`Session`] (epoch push, add,
-//! re-drain the existing worklist fixpoint, epoch pop) or by rebuilding
-//! and solving the whole system from nothing.
+//! Incremental re-solving vs from-scratch solving on the §5 ladder
+//! workloads: after a base system is solved, +1% new constraints arrive
+//! and are solved either incrementally on the solved [`System`] (epoch
+//! push, then each add followed by `solve`, which re-drains only the new
+//! facts; epoch pop) or by rebuilding and solving the whole system from
+//! nothing.
 //!
 //! Emits `BENCH_incremental.json` (one row per ladder) and enforces the
 //! acceptance bound: on the largest ladder the incremental path must be at
@@ -13,12 +14,11 @@
 use std::time::Duration;
 
 use rasc_automata::{adversarial_machine, Dfa, SymbolId};
-use rasc_bench::constraints_workload::{ladder, EdgeListWorkload};
+use rasc_bench::constraints_workload::{edge_list_system, ladder, EdgeListWorkload};
 use rasc_core::algebra::MonoidAlgebra;
 use rasc_core::{SetExpr, System, VarId};
 use rasc_devtools::{bench, Rng};
 use rasc_inc::json::{obj, Json};
-use rasc_inc::Session;
 
 /// The +1% delta: fresh random edges over the existing variables.
 fn delta_edges(wl: &EdgeListWorkload, seed: u64) -> Vec<(usize, usize, Vec<SymbolId>)> {
@@ -40,18 +40,10 @@ fn delta_edges(wl: &EdgeListWorkload, seed: u64) -> Vec<(usize, usize, Vec<Symbo
         .collect()
 }
 
-fn build_base(machine: &Dfa, wl: &EdgeListWorkload) -> (Session<MonoidAlgebra>, Vec<VarId>) {
-    let mut sys = System::new(MonoidAlgebra::new(machine));
-    let vars: Vec<VarId> = (0..wl.n_vars).map(|i| sys.var(&format!("v{i}"))).collect();
-    let probe = sys.constructor("probe", &[]);
-    sys.add(SetExpr::cons(probe, []), SetExpr::var(vars[wl.source]))
-        .expect("well-formed");
-    for (from, to, word) in &wl.edges {
-        let ann = sys.algebra_mut().word(word);
-        sys.add_ann(SetExpr::var(vars[*from]), SetExpr::var(vars[*to]), ann)
-            .expect("well-formed");
-    }
-    (Session::from_system(sys), vars)
+fn build_base(machine: &Dfa, wl: &EdgeListWorkload) -> (System<MonoidAlgebra>, Vec<VarId>) {
+    let (mut sys, vars, _) = edge_list_system(machine, wl);
+    sys.solve();
+    (sys, vars)
 }
 
 fn main() {
@@ -77,24 +69,25 @@ fn main() {
         let scratch = bench("scratch", 10, Duration::from_millis(400), || {
             let mut full = wl.clone();
             full.edges.extend(delta.iter().cloned());
-            let (mut sess, vars) = build_base(&machine, &full);
-            sess.system_mut().nonempty(vars[full.sink])
+            let (sys, vars) = build_base(&machine, &full);
+            sys.nonempty(vars[full.sink])
         });
 
-        // Incremental: one pre-solved session; each round opens an epoch,
+        // Incremental: one pre-solved system; each round opens an epoch,
         // feeds the delta through the worklist, queries, and rolls back so
         // the next round starts from the same base fixpoint.
-        let (mut sess, vars) = build_base(&machine, &wl);
+        let (mut sys, vars) = build_base(&machine, &wl);
         let sink = vars[wl.sink];
         let inc = bench("incremental", 10, Duration::from_millis(400), || {
-            sess.push_epoch();
+            sys.push_epoch();
             for (from, to, word) in &delta {
-                let ann = sess.system_mut().algebra_mut().word(word);
-                sess.add_ann(SetExpr::var(vars[*from]), SetExpr::var(vars[*to]), ann)
+                let ann = sys.algebra_mut().word(word);
+                sys.add_ann(SetExpr::var(vars[*from]), SetExpr::var(vars[*to]), ann)
                     .expect("well-formed");
+                sys.solve();
             }
-            let reached = sess.system_mut().nonempty(sink);
-            assert!(sess.pop_epoch());
+            let reached = sys.nonempty(sink);
+            assert!(sys.pop_epoch());
             reached
         });
 

@@ -18,9 +18,7 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use rasc_automata::{adversarial_machine, Dfa};
-use rasc_bench::constraints_workload::{ladder, EdgeListWorkload};
-use rasc_core::algebra::MonoidAlgebra;
-use rasc_core::{SetExpr, System};
+use rasc_bench::constraints_workload::{edge_list_system, ladder, EdgeListWorkload};
 use rasc_devtools::bench;
 use rasc_inc::json::{obj, Json};
 use rasc_obs::{scoped, EventSink, MetricsRegistry, NoopSink, Recorder};
@@ -28,16 +26,7 @@ use rasc_obs::{scoped, EventSink, MetricsRegistry, NoopSink, Recorder};
 /// Builds and fully solves the workload, returning the probe answer so
 /// the optimizer keeps the work.
 fn solve_once(machine: &Dfa, wl: &EdgeListWorkload) -> bool {
-    let mut sys = System::new(MonoidAlgebra::new(machine));
-    let vars: Vec<_> = (0..wl.n_vars).map(|i| sys.var(&format!("v{i}"))).collect();
-    let probe = sys.constructor("probe", &[]);
-    sys.add(SetExpr::cons(probe, []), SetExpr::var(vars[wl.source]))
-        .expect("well-formed");
-    for (from, to, word) in &wl.edges {
-        let ann = sys.algebra_mut().word(word);
-        sys.add_ann(SetExpr::var(vars[*from]), SetExpr::var(vars[*to]), ann)
-            .expect("well-formed");
-    }
+    let (sys, vars, _) = edge_list_system(machine, wl);
     sys.nonempty(vars[wl.sink])
 }
 

@@ -1,7 +1,7 @@
 //! Warm restart (snapshot restore) vs cold replay on dense
-//! regular-reachability digraphs: a solved base session is serialized once
+//! regular-reachability digraphs: a solved base system is serialized once
 //! with the crash-safe snapshot container, then brought back either by
-//! deserializing the solved form (`Session::restore_bytes`) or by
+//! deserializing the solved form (`System::restore_bytes`) or by
 //! rebuilding and re-solving every constraint from nothing.
 //!
 //! The dense shape (out-degree 16 over the adversarial 4-state monoid) is
@@ -21,25 +21,16 @@
 use std::time::Duration;
 
 use rasc_automata::{adversarial_machine, Dfa};
-use rasc_bench::constraints_workload::{dense, EdgeListWorkload};
+use rasc_bench::constraints_workload::{dense, edge_list_system, EdgeListWorkload};
 use rasc_core::algebra::MonoidAlgebra;
-use rasc_core::{SetExpr, System, VarId};
+use rasc_core::{System, VarId};
 use rasc_devtools::bench;
 use rasc_inc::json::{obj, Json};
-use rasc_inc::Session;
 
-fn build_solved(machine: &Dfa, wl: &EdgeListWorkload) -> Session<MonoidAlgebra> {
-    let mut sys = System::new(MonoidAlgebra::new(machine));
-    let vars: Vec<VarId> = (0..wl.n_vars).map(|i| sys.var(&format!("v{i}"))).collect();
-    let probe = sys.constructor("probe", &[]);
-    sys.add(SetExpr::cons(probe, []), SetExpr::var(vars[wl.source]))
-        .expect("well-formed");
-    for (from, to, word) in &wl.edges {
-        let ann = sys.algebra_mut().word(word);
-        sys.add_ann(SetExpr::var(vars[*from]), SetExpr::var(vars[*to]), ann)
-            .expect("well-formed");
-    }
-    Session::from_system(sys)
+fn build_solved(machine: &Dfa, wl: &EdgeListWorkload) -> System<MonoidAlgebra> {
+    let (mut sys, _, _) = edge_list_system(machine, wl);
+    sys.solve();
+    sys
 }
 
 fn main() {
@@ -65,21 +56,20 @@ fn main() {
 
         // The durable artifact: one solved form, serialized once.
         let base = build_solved(&machine, &wl);
-        let bytes = base.snapshot_bytes().expect("solved session snapshots");
+        let bytes = base.snapshot_bytes().expect("solved system snapshots");
         // What one cold replay processes against what it keeps.
         let stats = base.stats();
         let solved_entries = stats.edges + stats.lower_bounds + stats.upper_bounds;
 
         // Cold replay: rebuild the system and re-solve every constraint.
         let replay = bench("replay", 5, Duration::from_millis(400), || {
-            let sess = build_solved(&machine, &wl);
-            sess.system().nonempty(sink)
+            build_solved(&machine, &wl).nonempty(sink)
         });
 
         // Warm restart: deserialize the solved form and answer.
         let restore = bench("restore", 5, Duration::from_millis(400), || {
-            let sess = Session::<MonoidAlgebra>::restore_bytes(&bytes).expect("valid snapshot");
-            sess.system().nonempty(sink)
+            let sys = System::<MonoidAlgebra>::restore_bytes(&bytes).expect("valid snapshot");
+            sys.nonempty(sink)
         });
 
         let speedup = replay.median_ns / restore.median_ns;

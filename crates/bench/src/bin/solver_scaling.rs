@@ -19,24 +19,13 @@
 use std::time::Duration;
 
 use rasc_automata::adversarial_machine;
-use rasc_bench::constraints_workload::{chain, cons_chain, EdgeListWorkload};
-use rasc_core::algebra::MonoidAlgebra;
-use rasc_core::{SetExpr, System};
+use rasc_bench::constraints_workload::{chain, cons_chain, edge_list_system, EdgeListWorkload};
 use rasc_devtools::bench;
 use rasc_inc::json::{obj, Json};
 
 /// Builds and solves one closure-chain rung; returns facts processed.
 fn run_chain(machine: &rasc_automata::Dfa, wl: &EdgeListWorkload) -> usize {
-    let mut sys = System::new(MonoidAlgebra::new(machine));
-    let vars: Vec<_> = (0..wl.n_vars).map(|i| sys.var(&format!("v{i}"))).collect();
-    let probe = sys.constructor("probe", &[]);
-    sys.add(SetExpr::cons(probe, []), SetExpr::var(vars[wl.source]))
-        .expect("well-formed");
-    for (from, to, word) in &wl.edges {
-        let ann = sys.algebra_mut().word(word);
-        sys.add_ann(SetExpr::var(vars[*from]), SetExpr::var(vars[*to]), ann)
-            .expect("well-formed");
-    }
+    let (mut sys, vars, probe) = edge_list_system(machine, wl);
     sys.solve();
     assert!(
         !sys.lower_bound_annotations(vars[wl.sink], probe).is_empty(),

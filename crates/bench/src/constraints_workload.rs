@@ -12,7 +12,7 @@ use rasc_automata::{Alphabet, Dfa, SymbolId};
 use rasc_core::algebra::{Algebra, MonoidAlgebra};
 use rasc_core::backward::BackwardSystem;
 use rasc_core::forward::ForwardSystem;
-use rasc_core::{SetExpr, System};
+use rasc_core::{ConsId, SetExpr, System, VarId};
 use rasc_devtools::Rng;
 
 /// An annotated edge-list workload over some machine's alphabet.
@@ -26,6 +26,27 @@ pub struct EdgeListWorkload {
     pub source: usize,
     /// The variable queried.
     pub sink: usize,
+}
+
+/// Builds (without solving) the bidirectional system for `wl`: variables
+/// `v0…`, the constant `probe` seeded at `wl.source`, and one annotated
+/// edge per workload edge. Returns the system, its variables (indexed as
+/// in `wl`), and the `probe` constructor.
+pub fn edge_list_system(
+    machine: &Dfa,
+    wl: &EdgeListWorkload,
+) -> (System<MonoidAlgebra>, Vec<VarId>, ConsId) {
+    let mut sys = System::new(MonoidAlgebra::new(machine));
+    let vars: Vec<VarId> = (0..wl.n_vars).map(|i| sys.var(&format!("v{i}"))).collect();
+    let probe = sys.constructor("probe", &[]);
+    sys.add(SetExpr::cons(probe, []), SetExpr::var(vars[wl.source]))
+        .expect("well-formed");
+    for (from, to, word) in &wl.edges {
+        let ann = sys.algebra_mut().word(word);
+        sys.add_ann(SetExpr::var(vars[*from]), SetExpr::var(vars[*to]), ann)
+            .expect("well-formed");
+    }
+    (sys, vars, probe)
 }
 
 /// A linear chain of `n` edges with random single-symbol annotations.
@@ -152,16 +173,7 @@ pub struct RunOutcome {
 
 /// Runs the workload on the bidirectional solver.
 pub fn run_bidirectional(machine: &Dfa, wl: &EdgeListWorkload) -> RunOutcome {
-    let mut sys = System::new(MonoidAlgebra::new(machine));
-    let vars: Vec<_> = (0..wl.n_vars).map(|i| sys.var(&format!("v{i}"))).collect();
-    let probe = sys.constructor("probe", &[]);
-    sys.add(SetExpr::cons(probe, []), SetExpr::var(vars[wl.source]))
-        .expect("well-formed");
-    for (from, to, word) in &wl.edges {
-        let ann = sys.algebra_mut().word(word);
-        sys.add_ann(SetExpr::var(vars[*from]), SetExpr::var(vars[*to]), ann)
-            .expect("well-formed");
-    }
+    let (mut sys, vars, probe) = edge_list_system(machine, wl);
     sys.solve();
     let reached = sys
         .lower_bound_annotations(vars[wl.sink], probe)

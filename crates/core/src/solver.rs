@@ -24,6 +24,7 @@
 //! composed constructor annotations on demand (see the query methods).
 
 use std::collections::{HashMap, HashSet, VecDeque};
+use std::io::Write;
 use std::sync::Arc;
 
 use rasc_obs as obs;
@@ -1465,6 +1466,8 @@ impl<A: Algebra> System<A> {
         let Some(mark) = journal.marks.pop() else {
             return false;
         };
+        // Depth *before* the pop: how deep the rollback reached.
+        let depth = journal.marks.len() + 1;
         // Every pending fact was derived after the epoch opened (the
         // boundary is a fixpoint), so pending work is rolled back too.
         self.worklist.clear();
@@ -1476,6 +1479,7 @@ impl<A: Algebra> System<A> {
             p.pending.clear();
         }
         obs::counter("solver.epochs.popped", 1);
+        obs::histogram("solver.rollback.depth", depth as u64);
         obs::histogram("solver.rollback.ops", ops.len() as u64);
         for op in ops.into_iter().rev() {
             match op {
@@ -2234,6 +2238,22 @@ impl<A: Algebra + SnapshotAlgebra> System<A> {
         Ok(snap.finish())
     }
 
+    /// Streams [`System::snapshot_bytes`] to `out` and flushes it; returns
+    /// the byte count. No atomicity: the caller owns durability (files go
+    /// through [`crate::snapshot::write_atomic`]). This is the seam the
+    /// crash-recovery tests drive with short writes and `ENOSPC`.
+    ///
+    /// # Errors
+    ///
+    /// See [`System::snapshot_sections`]; a failed write is
+    /// [`SnapshotError::Io`].
+    pub fn snapshot_to_writer(&self, out: &mut dyn Write) -> SnapResult<u64> {
+        let bytes = self.snapshot_bytes()?;
+        out.write_all(&bytes)?;
+        out.flush()?;
+        Ok(bytes.len() as u64)
+    }
+
     /// Rebuilds a system from a parsed snapshot container, validating
     /// every id against the restored tables — out-of-range variables,
     /// constructors, sources, sinks, or annotations are reported as
@@ -2906,6 +2926,33 @@ mod tests {
     }
 
     #[test]
+    fn system_round_trips_through_writer_and_file() {
+        let dir = std::env::temp_dir().join(format!("rasc-core-snap-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("system.snap");
+        let (mut sys, g, _) = one_bit_system();
+        let c = sys.constructor("c", &[]);
+        let x = sys.var("X");
+        let fg = sys.algebra_mut().word(&[g]);
+        sys.add_ann(SetExpr::cons(c, []), SetExpr::var(x), fg)
+            .unwrap();
+        sys.solve();
+
+        // Writer and file paths produce the same bytes.
+        let mut streamed = Vec::new();
+        let n = sys.snapshot_to_writer(&mut streamed).unwrap();
+        assert_eq!(n as usize, streamed.len());
+        crate::snapshot::write_atomic(&path, &sys.snapshot_bytes().unwrap()).unwrap();
+        assert_eq!(std::fs::read(&path).unwrap(), streamed);
+
+        let bytes = crate::snapshot::read_snapshot_file(&path).unwrap();
+        let back: System<MonoidAlgebra> = System::restore_bytes(&bytes).unwrap();
+        assert_eq!(back.lower_bound_annotations(x, c).len(), 1);
+        assert_eq!(back.stats().vars, sys.stats().vars);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
     fn snapshot_preconditions_are_typed_state_errors() {
         let (mut sys, g, _) = one_bit_system();
         let c = sys.constructor("c", &[]);
@@ -3034,6 +3081,66 @@ mod tests {
         sys.add(SetExpr::var(x), SetExpr::var(y)).unwrap();
         sys.solve();
         assert_eq!(sys.lower_bound_annotations(y, c), vec![fg]);
+    }
+
+    #[test]
+    fn incremental_adds_are_queryable_immediately() {
+        let (mut sys, g, _) = one_bit_system();
+        let c = sys.constructor("c", &[]);
+        let (x, y) = (sys.var("X"), sys.var("Y"));
+        let fg = sys.algebra_mut().word(&[g]);
+        sys.add_ann(SetExpr::cons(c, []), SetExpr::var(x), fg)
+            .unwrap();
+        sys.solve();
+        assert!(sys.occurrence_annotations(y, c).is_empty());
+        sys.add(SetExpr::var(x), SetExpr::var(y)).unwrap();
+        sys.solve();
+        assert_eq!(sys.occurrence_annotations(y, c), vec![fg]);
+        assert!(sys.occurs_accepting(y, c));
+    }
+
+    #[test]
+    fn rollback_restores_query_results() {
+        let (mut sys, g, k) = one_bit_system();
+        let c = sys.constructor("c", &[]);
+        let (x, y) = (sys.var("X"), sys.var("Y"));
+        let fg = sys.algebra_mut().word(&[g]);
+        let fk = sys.algebra_mut().word(&[k]);
+        sys.add_ann(SetExpr::cons(c, []), SetExpr::var(x), fg)
+            .unwrap();
+        sys.add(SetExpr::var(x), SetExpr::var(y)).unwrap();
+        sys.solve();
+        let before = sys.occurrence_annotations(y, c);
+        let before_stats = sys.stats();
+        sys.push_epoch();
+        let z = sys.var("Z");
+        sys.add_ann(SetExpr::cons(c, []), SetExpr::var(y), fk)
+            .unwrap();
+        sys.add(SetExpr::var(y), SetExpr::var(z)).unwrap();
+        sys.solve();
+        assert_eq!(sys.occurrence_annotations(y, c).len(), 2);
+        assert!(sys.pop_epoch());
+        assert_eq!(sys.occurrence_annotations(y, c), before);
+        assert_eq!(sys.stats(), before_stats);
+    }
+
+    #[test]
+    fn nonempty_and_pn_answers_follow_increments() {
+        let (mut sys, _, _) = one_bit_system();
+        let c = sys.constructor("c", &[]);
+        let pair = sys.constructor("pair", &[Variance::Covariant, Variance::Covariant]);
+        let (a, b, x) = (sys.var("A"), sys.var("B"), sys.var("X"));
+        sys.add(SetExpr::cons(c, []), SetExpr::var(a)).unwrap();
+        sys.add(SetExpr::cons_vars(pair, [a, b]), SetExpr::var(x))
+            .unwrap();
+        sys.solve();
+        assert!(!sys.nonempty(x), "B is empty");
+        sys.add(SetExpr::cons(c, []), SetExpr::var(b)).unwrap();
+        sys.solve();
+        assert!(sys.nonempty(x), "B now holds c");
+        let anns = sys.pn_occurrence_annotations(x, c);
+        assert!(!anns.is_empty());
+        assert_eq!(sys.pn_occurrence_annotations(x, c), anns);
     }
 
     #[test]

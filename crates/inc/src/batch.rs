@@ -1,5 +1,5 @@
-//! The batch query front-end: a JSON-lines command protocol over a
-//! [`Session`] — the seed of the serving story.
+//! The batch query front-end: a JSON-lines command protocol over one
+//! incremental [`System`] — the seed of the serving story.
 //!
 //! Each input line is one JSON object; each produces exactly one JSON
 //! response line. Blank lines and `#` comments are skipped. Errors are
@@ -73,12 +73,11 @@ use std::sync::Arc;
 
 use rasc_automata::{Alphabet, Dfa};
 use rasc_core::algebra::{Algebra, MonoidAlgebra};
-use rasc_core::{Budget, Clock, ConsId, Outcome, SetExpr, VarId, Variance};
-
-use rasc_core::{CancelToken, SnapshotError};
+use rasc_core::{
+    Budget, CancelToken, Clock, ConsId, Outcome, SetExpr, SnapshotError, System, VarId, Variance,
+};
 
 use crate::json::{obj, Json};
-use crate::session::Session;
 
 /// A structured in-band protocol error: a stable machine-readable code,
 /// a human-readable message, and optional extra fields.
@@ -120,51 +119,15 @@ fn bad_request(message: impl Into<String>) -> BatchError {
     BatchError::new("bad_request", message)
 }
 
-/// The per-`add` resource limits configured by `{"cmd":"limits"}`.
-#[derive(Debug, Clone, Copy, Default)]
-struct Limits {
-    max_steps: Option<u64>,
-    max_millis: Option<u64>,
-    max_terms: Option<usize>,
-    max_entries: Option<usize>,
-}
-
-impl Limits {
-    fn is_unset(&self) -> bool {
-        self.max_steps.is_none()
-            && self.max_millis.is_none()
-            && self.max_terms.is_none()
-            && self.max_entries.is_none()
-    }
-
-    /// The element-wise tightest combination of two limit sets: each axis
-    /// takes the smaller of the two caps (an unset axis imposes nothing).
-    fn min_with(&self, other: &Limits) -> Limits {
-        fn tighter<T: Ord + Copy>(a: Option<T>, b: Option<T>) -> Option<T> {
-            match (a, b) {
-                (Some(x), Some(y)) => Some(x.min(y)),
-                (x, None) => x,
-                (None, y) => y,
-            }
-        }
-        Limits {
-            max_steps: tighter(self.max_steps, other.max_steps),
-            max_millis: tighter(self.max_millis, other.max_millis),
-            max_terms: tighter(self.max_terms, other.max_terms),
-            max_entries: tighter(self.max_entries, other.max_entries),
-        }
-    }
-}
-
-/// Engine-wide resource caps imposed by the embedder (e.g. the serve
-/// layer's server-wide per-request limits), as opposed to the limits the
-/// client sets with the protocol `limits` command.
+/// Per-`add` resource limits on four axes. The engine holds two sets:
+/// the limits the client sets with the protocol `limits` command, and
+/// the caps the embedder imposes (e.g. the serve layer's server-wide
+/// per-request limits).
 ///
 /// Caps *clamp* rather than replace: the budget applied to each `add` is
 /// the element-wise minimum of the caps and the client's own limits, so a
 /// client can tighten its budget but never escape the embedder's. While
-/// any cap is in force every `add` is transactional, exactly as with the
-/// `limits` command.
+/// any axis of either set is in force every `add` is transactional.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct EngineCaps {
     /// Worklist-step (fuel) cap per `add`.
@@ -190,12 +153,33 @@ impl EngineCaps {
             && self.max_terms.is_none()
             && self.max_entries.is_none()
     }
+
+    /// The element-wise tightest combination of two limit sets: each axis
+    /// takes the smaller of the two caps (an unset axis imposes nothing).
+    fn min_with(&self, other: &EngineCaps) -> EngineCaps {
+        fn tighter<T: Ord + Copy>(a: Option<T>, b: Option<T>) -> Option<T> {
+            match (a, b) {
+                (Some(x), Some(y)) => Some(x.min(y)),
+                (x, None) => x,
+                (None, y) => y,
+            }
+        }
+        EngineCaps {
+            max_steps: tighter(self.max_steps, other.max_steps),
+            max_millis: tighter(self.max_millis, other.max_millis),
+            max_terms: tighter(self.max_terms, other.max_terms),
+            max_entries: tighter(self.max_entries, other.max_entries),
+        }
+    }
 }
 
-/// A stateful batch-protocol interpreter over one [`Session`].
+/// A stateful batch-protocol interpreter over one incremental
+/// [`System`].
 #[derive(Debug)]
 pub struct BatchEngine {
-    pub(crate) session: Session<MonoidAlgebra>,
+    /// The solved form: every `add` re-solves it incrementally, `push` /
+    /// `pop` open and roll back its epochs, and queries read it.
+    pub(crate) sys: System<MonoidAlgebra>,
     pub(crate) sigma: Alphabet,
     /// Constructor name→id map. Behind an `Arc` so forking from a shared
     /// [`crate::EngineBase`] is a pointer bump; the first post-fork
@@ -203,16 +187,10 @@ pub struct BatchEngine {
     pub(crate) cons: Arc<HashMap<String, ConsId>>,
     /// Variable name→id map, `Arc`-shared like `cons`.
     pub(crate) vars: Arc<HashMap<String, VarId>>,
-    limits: Limits,
+    /// The client's limits (the `limits` command).
+    limits: EngineCaps,
     /// Embedder-imposed caps clamping every budget (see [`EngineCaps`]).
-    caps: Limits,
-    /// Cached `limits.min_with(&caps)` clamp, rebuilt only when either
-    /// side changes — never re-derived per `add` line, so hostile per-line
-    /// limit churn cannot make every constraint pay for the clamp.
-    effective: Limits,
-    /// How many times the effective clamp was rebuilt (a plain counter so
-    /// the no-recompute-per-`add` invariant stays pinned by a test).
-    effective_rebuilds: u64,
+    caps: EngineCaps,
     /// Cooperative cancellation observed by every bounded `add` (wired by
     /// the serve layer so disconnects and forced shutdown interrupt
     /// in-flight solves).
@@ -285,20 +263,18 @@ impl BatchEngine {
     /// An engine whose annotations range over `machine`'s transition
     /// monoid, with symbols named by `sigma`.
     pub fn new(sigma: Alphabet, machine: &Dfa) -> BatchEngine {
-        let mut session = Session::new(MonoidAlgebra::new(machine));
-        // Batch sessions always record provenance so `explain` works for
+        let mut sys = System::new(MonoidAlgebra::new(machine));
+        // Batch engines always record provenance so `explain` works for
         // every constraint the stream adds (recording must be on *before*
         // the facts it will be asked about are derived).
-        session.system_mut().enable_provenance();
+        sys.enable_provenance();
         BatchEngine {
-            session,
+            sys,
             sigma,
             cons: Arc::new(HashMap::new()),
             vars: Arc::new(HashMap::new()),
-            limits: Limits::default(),
-            caps: Limits::default(),
-            effective: Limits::default(),
-            effective_rebuilds: 0,
+            limits: EngineCaps::default(),
+            caps: EngineCaps::default(),
             cancel: None,
             clock: None,
             snapshot_path: None,
@@ -318,14 +294,12 @@ impl BatchEngine {
     /// fresh exactly as with [`BatchEngine::new`].
     pub fn fork_from(base: &crate::EngineBase) -> BatchEngine {
         BatchEngine {
-            session: Session::fork_from(&base.base),
+            sys: System::fork(&base.base),
             sigma: base.sigma.clone(),
             cons: Arc::clone(&base.cons),
             vars: Arc::clone(&base.vars),
-            limits: Limits::default(),
-            caps: Limits::default(),
-            effective: Limits::default(),
-            effective_rebuilds: 0,
+            limits: EngineCaps::default(),
+            caps: EngineCaps::default(),
             cancel: None,
             clock: None,
             snapshot_path: None,
@@ -336,9 +310,10 @@ impl BatchEngine {
         }
     }
 
-    /// The underlying session.
-    pub fn session(&self) -> &Session<MonoidAlgebra> {
-        &self.session
+    /// The engine's solved system (read-only): the connection's session
+    /// state, answering the same queries the protocol asks.
+    pub fn session(&self) -> &System<MonoidAlgebra> {
+        &self.sys
     }
 
     /// Injects the time source used for `max_millis` budgets (tests and
@@ -351,27 +326,7 @@ impl BatchEngine {
     /// [`EngineCaps`]): the client's `limits` command can tighten the
     /// budget further but never loosen past these.
     pub fn set_caps(&mut self, caps: EngineCaps) {
-        self.caps = Limits {
-            max_steps: caps.max_steps,
-            max_millis: caps.max_millis,
-            max_terms: caps.max_terms,
-            max_entries: caps.max_entries,
-        };
-        self.rebuild_effective();
-    }
-
-    /// Re-derives the cached effective clamp; called only when `limits`
-    /// or `caps` actually change.
-    fn rebuild_effective(&mut self) {
-        self.effective = self.limits.min_with(&self.caps);
-        self.effective_rebuilds += 1;
-    }
-
-    /// How many times the effective limit clamp has been rebuilt — pinned
-    /// by the regression test for the per-`add` recompute bug.
-    #[doc(hidden)]
-    pub fn effective_rebuilds(&self) -> u64 {
-        self.effective_rebuilds
+        self.caps = caps;
     }
 
     /// Attaches a cancellation token observed by every subsequent `add`:
@@ -418,11 +373,10 @@ impl BatchEngine {
     /// The engine figures a per-request delta is computed from; O(1), so
     /// it is cheap to sample around every request.
     pub fn request_stats(&self) -> RequestStats {
-        let sys = self.session.system();
         RequestStats {
-            fuel_spent: u64::try_from(sys.fuel_spent()).unwrap_or(u64::MAX),
-            facts_processed: u64::try_from(sys.facts_processed()).unwrap_or(u64::MAX),
-            epoch_depth: self.session.epoch_depth(),
+            fuel_spent: u64::try_from(self.sys.fuel_spent()).unwrap_or(u64::MAX),
+            facts_processed: u64::try_from(self.sys.facts_processed()).unwrap_or(u64::MAX),
+            epoch_depth: self.sys.epoch_depth(),
         }
     }
 
@@ -479,20 +433,20 @@ impl BatchEngine {
             "limits" => self.set_limits(cmd),
             "add" => self.add(cmd),
             "push" => {
-                self.session.push_epoch();
+                self.sys.push_epoch();
                 Ok(obj([
                     ("ok", Json::from("push")),
-                    ("depth", Json::from(self.session.epoch_depth())),
+                    ("depth", Json::from(self.sys.epoch_depth())),
                 ]))
             }
             "pop" => {
-                if !self.session.pop_epoch() {
+                if !self.sys.pop_epoch() {
                     return Err(BatchError::new("no_open_epoch", "no open epoch"));
                 }
                 self.prune_names();
                 Ok(obj([
                     ("ok", Json::from("pop")),
-                    ("depth", Json::from(self.session.epoch_depth())),
+                    ("depth", Json::from(self.sys.epoch_depth())),
                 ]))
             }
             "query" => self.query(cmd),
@@ -510,8 +464,8 @@ impl BatchEngine {
     /// Drops name bindings that refer to rolled-away ids (after any
     /// `pop_epoch`).
     fn prune_names(&mut self) {
-        let n_vars = self.session.system().num_vars();
-        let n_cons = self.session.system().num_constructors();
+        let n_vars = self.sys.num_vars();
+        let n_cons = self.sys.num_constructors();
         // Only copy-on-write the shared maps when something actually
         // rolled away (the common pop touches no names).
         if self.vars.values().any(|v| v.index() >= n_vars) {
@@ -552,7 +506,7 @@ impl BatchEngine {
                 })
                 .collect::<Result<_, _>>()?,
         };
-        let id = self.session.constructor(name, &signature);
+        let id = self.sys.constructor(name, &signature);
         Arc::make_mut(&mut self.cons).insert(name.to_owned(), id);
         Ok(obj([
             ("ok", Json::from("declare")),
@@ -574,15 +528,12 @@ impl BatchEngine {
             }
         }
         let to_usize = |n: u64| usize::try_from(n).unwrap_or(usize::MAX);
-        self.limits = Limits {
+        self.limits = EngineCaps {
             max_steps: field(cmd, "max_steps")?,
             max_millis: field(cmd, "max_millis")?,
             max_terms: field(cmd, "max_terms")?.map(to_usize),
             max_entries: field(cmd, "max_entries")?.map(to_usize),
         };
-        // The caps clamp is folded in once here, at command-parse time,
-        // not on every subsequent `add`.
-        self.rebuild_effective();
         let report = |v: Option<u64>| v.map_or(Json::Null, Json::from);
         Ok(obj([
             ("ok", Json::from("limits")),
@@ -601,7 +552,7 @@ impl BatchEngine {
     /// the embedder's caps, plus any cancellation token — or `None` when
     /// nothing bounds the solve.
     fn current_budget(&self) -> Option<Budget> {
-        let effective = self.effective;
+        let effective = self.limits.min_with(&self.caps);
         if effective.is_unset() && self.cancel.is_none() {
             return None;
         }
@@ -639,7 +590,7 @@ impl BatchEngine {
             .ok_or_else(|| bad_request("add: missing `rhs`"))?
             .to_owned();
         let ann = match cmd.get("ann") {
-            None => None,
+            None => self.sys.algebra().identity(),
             Some(word) => {
                 let names = word
                     .as_arr()
@@ -654,50 +605,49 @@ impl BatchEngine {
                     })?;
                     symbols.push(sym);
                 }
-                Some(self.session.system_mut().algebra_mut().word(&symbols))
+                self.sys.algebra_mut().word(&symbols)
             }
         };
         match self.current_budget() {
             None => {
                 let lhs = self.parse_expr(&lhs_text)?;
                 let rhs = self.parse_expr(&rhs_text)?;
-                let result = match ann {
-                    Some(a) => self.session.add_ann(lhs, rhs, a),
-                    None => self.session.add(lhs, rhs),
-                };
-                result.map_err(|e| BatchError::new("constraint_rejected", format!("add: {e}")))?;
+                self.sys
+                    .add_ann(lhs, rhs, ann)
+                    .map_err(|e| BatchError::new("constraint_rejected", format!("add: {e}")))?;
+                self.sys.solve();
             }
             Some(budget) => {
                 // Transactional: the epoch opens before expression parsing
                 // so even variables created on first use roll away, and the
-                // session is byte-for-byte as before on any failure.
-                self.session.push_epoch();
+                // system is byte-for-byte as before on any failure.
+                self.sys.push_epoch();
                 let parsed = self
                     .parse_expr(&lhs_text)
                     .and_then(|lhs| Ok((lhs, self.parse_expr(&rhs_text)?)));
                 let (lhs, rhs) = match parsed {
                     Ok(pair) => pair,
                     Err(err) => {
-                        self.session.pop_epoch();
+                        self.sys.pop_epoch();
                         self.prune_names();
                         return Err(err);
                     }
                 };
-                let outcome = match ann {
-                    Some(a) => self.session.add_ann_bounded(lhs, rhs, a, &budget),
-                    None => self.session.add_bounded(lhs, rhs, &budget),
-                };
+                let outcome = self
+                    .sys
+                    .add_ann(lhs, rhs, ann)
+                    .map(|()| self.sys.solve_bounded(&budget));
                 match outcome {
                     Err(e) => {
-                        self.session.pop_epoch();
+                        self.sys.pop_epoch();
                         self.prune_names();
                         return Err(BatchError::new("constraint_rejected", format!("add: {e}")));
                     }
                     Ok(Outcome::Complete) => {
-                        self.session.commit_epoch();
+                        self.sys.commit_epoch();
                     }
                     Ok(Outcome::Interrupted(reason)) => {
-                        self.session.pop_epoch();
+                        self.sys.pop_epoch();
                         self.prune_names();
                         return Err(BatchError::new(
                             "budget_exhausted",
@@ -711,11 +661,8 @@ impl BatchEngine {
         }
         Ok(obj([
             ("ok", Json::from("add")),
-            (
-                "constraints",
-                Json::from(self.session.system().num_constraints()),
-            ),
-            ("consistent", Json::from(self.session.is_consistent())),
+            ("constraints", Json::from(self.sys.num_constraints())),
+            ("consistent", Json::from(self.sys.is_consistent())),
         ]))
     }
 
@@ -744,7 +691,7 @@ impl BatchEngine {
                 )
             })
         };
-        let sys = self.session.system_mut();
+        let sys = &mut self.sys;
         let result = match kind.as_str() {
             "occurs" => Json::from(sys.occurs_accepting(x, target()?)),
             "nonempty" => Json::from(sys.nonempty(x)),
@@ -769,7 +716,7 @@ impl BatchEngine {
     fn describe_all(&self, anns: &[rasc_core::algebra::AnnId]) -> Json {
         Json::Arr(
             anns.iter()
-                .map(|&a| Json::from(self.session.system().algebra().describe(a).as_str()))
+                .map(|&a| Json::from(self.sys.algebra().describe(a).as_str()))
                 .collect(),
         )
     }
@@ -796,8 +743,7 @@ impl BatchEngine {
             )
         })?;
         let steps: Vec<Json> = self
-            .session
-            .system()
+            .sys
             .explain(x, c)
             .into_iter()
             .map(|step| {
@@ -877,12 +823,9 @@ impl BatchEngine {
         Ok(obj([
             ("ok", Json::from("restore")),
             ("path", Json::from(path.display().to_string().as_str())),
-            (
-                "constraints",
-                Json::from(self.session.system().num_constraints()),
-            ),
-            ("vars", Json::from(self.session.system().num_vars())),
-            ("consistent", Json::from(self.session.is_consistent())),
+            ("constraints", Json::from(self.sys.num_constraints())),
+            ("vars", Json::from(self.sys.num_vars())),
+            ("consistent", Json::from(self.sys.is_consistent())),
         ]))
     }
 
@@ -917,15 +860,12 @@ impl BatchEngine {
     }
 
     fn stats(&self) -> Json {
-        let s = self.session.stats();
+        let s = self.sys.stats();
         obj([
             ("ok", Json::from("stats")),
             ("vars", Json::from(s.vars)),
             ("constructors", Json::from(s.constructors)),
-            (
-                "constraints",
-                Json::from(self.session.system().num_constraints()),
-            ),
+            ("constraints", Json::from(self.sys.num_constraints())),
             ("edges", Json::from(s.edges)),
             ("lower_bounds", Json::from(s.lower_bounds)),
             ("upper_bounds", Json::from(s.upper_bounds)),
@@ -943,9 +883,9 @@ impl BatchEngine {
             ("fuel_spent", Json::from(s.fuel_spent)),
             ("interruptions", Json::from(s.interruptions)),
             ("depth_limit_hits", Json::from(s.depth_limit_hits)),
-            ("clashes", Json::from(self.session.clashes().len())),
-            ("consistent", Json::from(self.session.is_consistent())),
-            ("epoch_depth", Json::from(self.session.epoch_depth())),
+            ("clashes", Json::from(self.sys.clashes().len())),
+            ("consistent", Json::from(self.sys.is_consistent())),
+            ("epoch_depth", Json::from(self.sys.epoch_depth())),
         ])
     }
 
@@ -1010,7 +950,7 @@ impl BatchEngine {
         if let Some(&v) = self.vars.get(name) {
             return v;
         }
-        let v = self.session.var(name);
+        let v = self.sys.var(name);
         Arc::make_mut(&mut self.vars).insert(name.to_owned(), v);
         v
     }
@@ -1150,53 +1090,6 @@ mod tests {
     }
 
     #[test]
-    fn effective_limits_rebuilt_per_limits_change_not_per_add() {
-        let mut e = engine();
-        e.set_caps(EngineCaps {
-            max_steps: Some(1_000_000),
-            ..EngineCaps::default()
-        });
-        let after_caps = e.effective_rebuilds();
-
-        // Hostile churn: a limits command before every single add. The
-        // clamp must be folded once per `limits` line, never per `add` —
-        // `add` only reads the cached `effective`.
-        run(&mut e, r#"{"cmd":"declare","cons":"c"}"#);
-        for i in 0..32 {
-            let r = run(
-                &mut e,
-                &format!(r#"{{"cmd":"limits","max_steps":{}}}"#, 1000 + i),
-            );
-            assert_eq!(r.get("ok").unwrap().as_str(), Some("limits"));
-            let r = run(
-                &mut e,
-                &format!(r#"{{"cmd":"add","lhs":"c","rhs":"V{i}"}}"#),
-            );
-            assert_eq!(r.get("ok").unwrap().as_str(), Some("add"));
-        }
-        assert_eq!(
-            e.effective_rebuilds() - after_caps,
-            32,
-            "effective clamp must be rebuilt exactly once per limits command"
-        );
-
-        // A run of adds with no intervening limits change rebuilds nothing.
-        let before = e.effective_rebuilds();
-        for i in 32..64 {
-            let r = run(
-                &mut e,
-                &format!(r#"{{"cmd":"add","lhs":"c","rhs":"V{i}"}}"#),
-            );
-            assert_eq!(r.get("ok").unwrap().as_str(), Some("add"));
-        }
-        assert_eq!(
-            e.effective_rebuilds(),
-            before,
-            "a bounded add must not re-derive the effective clamp"
-        );
-    }
-
-    #[test]
     fn budget_exhausted_add_rolls_back_and_stream_survives() {
         let mut e = engine();
         run(&mut e, r#"{"cmd":"declare","cons":"c"}"#);
@@ -1235,6 +1128,41 @@ mod tests {
             r#"{"cmd":"query","kind":"occurs","var":"W","cons":"c"}"#,
         );
         assert_eq!(r.get("result").unwrap().as_bool(), Some(true));
+    }
+
+    #[test]
+    fn rollback_depth_samples_each_real_pop_at_its_pre_pop_depth() {
+        let rec = Arc::new(rasc_obs::Recorder::new());
+        rasc_obs::scoped(Arc::clone(&rec) as _, || {
+            let mut e = engine();
+            run(&mut e, r#"{"cmd":"declare","cons":"c"}"#);
+            // Each line, with the depth its rollback must sample (`None`:
+            // the line rolls nothing back).
+            let script: &[(&str, Option<u64>)] = &[
+                (r#"{"cmd":"pop"}"#, None), // no open epoch
+                (r#"{"cmd":"push"}"#, None),
+                (r#"{"cmd":"push"}"#, None),
+                (r#"{"cmd":"add","lhs":"c","rhs":"X"}"#, None),
+                (r#"{"cmd":"pop"}"#, Some(2)),
+                (r#"{"cmd":"pop"}"#, Some(1)),
+                (r#"{"cmd":"pop"}"#, None), // no open epoch
+                (r#"{"cmd":"limits","max_steps":0}"#, None),
+                // Interrupted: the add's own epoch rolls back at depth 1.
+                (r#"{"cmd":"add","lhs":"c","rhs":"Y"}"#, Some(1)),
+            ];
+            let (mut count, mut sum) = (0, 0);
+            for &(line, sample) in script {
+                run(&mut e, line);
+                if let Some(depth) = sample {
+                    count += 1;
+                    sum += depth;
+                }
+                let h = rec.histogram_summary("solver.rollback.depth");
+                assert_eq!(h.map_or(0, |h| h.count), count, "{line}");
+                assert_eq!(h.map_or(0, |h| h.sum), sum, "{line}");
+                assert_eq!(rec.counter_value("solver.epochs.popped"), count, "{line}");
+            }
+        });
     }
 
     #[test]
@@ -1409,10 +1337,10 @@ mod tests {
 
     #[test]
     fn limits_min_with_covers_every_edge() {
-        let unset = Limits::default();
+        let unset = EngineCaps::default();
         // all-None on both sides stays all-None.
         assert!(unset.min_with(&unset).is_unset());
-        let tight = Limits {
+        let tight = EngineCaps {
             max_steps: Some(1),
             max_millis: Some(2),
             max_terms: Some(3),
@@ -1427,7 +1355,7 @@ mod tests {
             assert!(!combined.is_unset());
         }
         // Element-wise minimum on every field, whichever side is tighter.
-        let looser = Limits {
+        let looser = EngineCaps {
             max_steps: Some(100),
             max_millis: Some(1), // tighter than `tight` on this axis only
             max_terms: None,
@@ -1444,9 +1372,9 @@ mod tests {
             "min_with must be symmetric"
         );
         // Zero is a valid (maximally tight) cap, not an unset marker.
-        let zero = Limits {
+        let zero = EngineCaps {
             max_steps: Some(0),
-            ..Limits::default()
+            ..EngineCaps::default()
         };
         assert!(!zero.is_unset());
         assert_eq!(tight.min_with(&zero).max_steps, Some(0));

@@ -1,14 +1,17 @@
-//! Incremental solving sessions (`rasc-inc`).
+//! Incremental solving over the JSON-lines batch protocol (`rasc-inc`).
 //!
-//! The session layer over the bidirectional solver:
+//! The solver itself is incremental: a [`rasc_core::System`] re-drains
+//! only the consequences of a constraint added after `solve` (§5.1's
+//! online analysis) and rolls back epochs with `push_epoch` / `pop_epoch`
+//! (BANSHEE's backtracking, §8). This crate puts a protocol around it:
 //!
-//! * [`Session`] — incremental constraint addition and epoch-based
-//!   rollback over a [`rasc_core::System`], which answers the queries;
 //! * [`BatchEngine`] — the JSON-lines batch protocol (`rasc batch` and
-//!   the `rasc serve` connection layer), with [`EngineCaps`] for
-//!   embedder-imposed resource caps;
+//!   the `rasc serve` connection layer) over one `System`, with
+//!   [`EngineCaps`] for client limits and embedder-imposed resource caps;
 //! * [`BatchEngine::run_stream`] — newline-delimited framing over any
 //!   `BufRead`/`Write` pair, flushing each response;
+//! * [`EngineBase`] — a decoded engine snapshot frozen into a shared
+//!   copy-on-write fork base;
 //! * [`json`] — the minimal JSON reader/writer backing the protocol.
 
 #![forbid(unsafe_code)]
@@ -16,10 +19,8 @@
 
 mod batch;
 pub mod json;
-mod session;
 mod snapshot;
 mod stream;
 
 pub use batch::{BatchEngine, EngineCaps, RequestStats};
-pub use session::Session;
 pub use snapshot::EngineBase;

@@ -1,14 +1,14 @@
-//! Crash-safe persistence for sessions and batch engines.
+//! Crash-safe persistence for batch engines.
 //!
 //! Builds on the `rasc-core` snapshot container (magic + version +
-//! checksummed sections) and adds the engine layer:
-//!
-//! * [`Session::snapshot_to`] / [`Session::restore_from`] — persist and
-//!   reload a solved form (algebra + solver state).
-//! * [`BatchEngine::snapshot_to`] / [`BatchEngine::restore_from`] — the
-//!   same, plus an `ENGN` section carrying the protocol's name tables
-//!   (alphabet symbols, constructor and variable name→id maps) so a
-//!   restored engine answers queries by the same names the client used.
+//! checksummed sections, which `System::snapshot_bytes` /
+//! `System::restore_bytes` fill with a solved form) and adds the engine
+//! layer: [`BatchEngine::snapshot_to`] / [`BatchEngine::restore_from`]
+//! persist and reload the solved form plus an `ENGN` section carrying the
+//! protocol's name tables (alphabet symbols, constructor and variable
+//! name→id maps), so a restored engine answers queries by the same names
+//! the client used; [`EngineBase::decode`] freezes such an image into a
+//! shared fork base.
 //!
 //! Every path-based write goes through `write_atomic` (temp file, fsync,
 //! rename), so a crash mid-checkpoint leaves the previous snapshot
@@ -21,20 +21,18 @@
 //! bumps `snap.corrupt_rejected`.
 
 use std::collections::{HashMap, HashSet};
-use std::io::Write;
 use std::path::Path;
 use std::sync::Arc;
 use std::time::Instant;
 
 use rasc_automata::Alphabet;
-use rasc_core::algebra::{Algebra, MonoidAlgebra};
+use rasc_core::algebra::MonoidAlgebra;
 use rasc_core::snapshot::{
     read_snapshot_file, write_atomic, ByteWriter, SnapshotReader, SnapshotWriter, TAG_ENGINE,
 };
-use rasc_core::{ConsId, SnapshotAlgebra, SnapshotError, System, VarId};
+use rasc_core::{ConsId, SnapshotError, System, VarId};
 
 use crate::batch::BatchEngine;
-use crate::session::Session;
 
 /// Micros elapsed since `start`, saturating into a `u64`.
 fn micros_since(start: Instant) -> u64 {
@@ -57,63 +55,12 @@ fn note_restore<T>(start: Instant, result: &Result<T, SnapshotError>) {
     }
 }
 
-impl<A: Algebra + SnapshotAlgebra> Session<A> {
-    /// Serializes the session's solved form (algebra + solver state) as a
-    /// snapshot container. Fails with [`SnapshotError::State`] while facts
-    /// are pending or an epoch is open.
-    pub fn snapshot_bytes(&self) -> Result<Vec<u8>, SnapshotError> {
-        self.system().snapshot_bytes()
-    }
-
-    /// Atomically writes the session's snapshot to `path` (temp file,
-    /// fsync, rename); returns the snapshot size in bytes.
-    pub fn snapshot_to(&self, path: &Path) -> Result<u64, SnapshotError> {
-        let start = Instant::now();
-        let bytes = self.snapshot_bytes()?;
-        write_atomic(path, &bytes)?;
-        let n = bytes.len() as u64;
-        note_write(start, n);
-        Ok(n)
-    }
-
-    /// Streams the session's snapshot to an arbitrary writer (no
-    /// atomicity — the caller owns durability); returns the byte count.
-    /// This is the surface the fault-injection harness drives with short
-    /// writes and `ENOSPC`.
-    pub fn snapshot_to_writer(&self, out: &mut dyn Write) -> Result<u64, SnapshotError> {
-        let start = Instant::now();
-        let bytes = self.snapshot_bytes()?;
-        out.write_all(&bytes)?;
-        out.flush()?;
-        let n = bytes.len() as u64;
-        note_write(start, n);
-        Ok(n)
-    }
-
-    /// Rebuilds a session from snapshot bytes. The solved form, interned
-    /// names and statistics match the snapshotted session exactly.
-    pub fn restore_bytes(bytes: &[u8]) -> Result<Session<A>, SnapshotError> {
-        let start = Instant::now();
-        let result = System::restore_bytes(bytes).map(Session::from_system);
-        note_restore(start, &result);
-        result
-    }
-
-    /// Rebuilds a session from a snapshot file. Missing or unreadable
-    /// files are [`SnapshotError::Io`]; torn or tampered contents are
-    /// [`SnapshotError::Corrupt`].
-    pub fn restore_from(path: &Path) -> Result<Session<A>, SnapshotError> {
-        let bytes = read_snapshot_file(path)?;
-        Self::restore_bytes(&bytes)
-    }
-}
-
 impl BatchEngine {
-    /// Serializes the engine: the session's solved form plus an `ENGN`
-    /// section with the alphabet and the constructor/variable name maps.
+    /// Serializes the engine: the solved form plus an `ENGN` section with
+    /// the alphabet and the constructor/variable name maps.
     pub fn snapshot_bytes(&self) -> Result<Vec<u8>, SnapshotError> {
         let mut snap = SnapshotWriter::new();
-        self.session.system().snapshot_sections(&mut snap)?;
+        self.sys.snapshot_sections(&mut snap)?;
         let mut w = ByteWriter::new();
         w.seq_len(self.sigma.len());
         for sym in self.sigma.symbols() {
@@ -163,19 +110,7 @@ impl BatchEngine {
         Ok(bytes)
     }
 
-    /// Streams the engine's snapshot to an arbitrary writer (no
-    /// atomicity); returns the byte count.
-    pub fn snapshot_to_writer(&self, out: &mut dyn Write) -> Result<u64, SnapshotError> {
-        let start = Instant::now();
-        let bytes = self.snapshot_bytes()?;
-        out.write_all(&bytes)?;
-        out.flush()?;
-        let n = bytes.len() as u64;
-        note_write(start, n);
-        Ok(n)
-    }
-
-    /// Replaces the engine's session and name maps with the snapshotted
+    /// Replaces the engine's solved form and name maps with the snapshotted
     /// state. Validates *everything* before mutating: on any error the
     /// engine is untouched. The client-set `limits`, embedder caps,
     /// cancellation token, and clock all survive the restore — they are
@@ -198,20 +133,19 @@ impl BatchEngine {
     }
 
     fn restore_validated(&mut self, bytes: &[u8]) -> Result<(), SnapshotError> {
-        if self.session.epoch_depth() != 0 {
+        if self.sys.epoch_depth() != 0 {
             return Err(SnapshotError::state(format!(
                 "cannot restore with {} open epoch(s); pop or commit them first",
-                self.session.epoch_depth()
+                self.sys.epoch_depth()
             )));
         }
-        let (sys, cons, vars) = decode_engine_snapshot(bytes, &self.sigma)?;
+        let (mut sys, cons, vars) = decode_engine_snapshot(bytes, &self.sigma)?;
 
-        // All validation passed — commit the restore.
-        let mut session = Session::from_system(sys);
-        // The batch engine invariant: provenance is recorded for every
-        // constraint added from here on, so `explain` keeps working.
-        session.system_mut().enable_provenance();
-        self.session = session;
+        // All validation passed — commit the restore. The batch engine
+        // invariant: provenance is recorded for every constraint added
+        // from here on, so `explain` keeps working.
+        sys.enable_provenance();
+        self.sys = sys;
         self.cons = Arc::new(cons);
         self.vars = Arc::new(vars);
         Ok(())
@@ -333,13 +267,6 @@ impl EngineBase {
             base: sys.into_base()?,
         })
     }
-
-    /// Solver statistics of the frozen solved form (useful for logging
-    /// what a warm start loaded); O(vars), like
-    /// [`rasc_core::System::stats`].
-    pub fn stats(&self) -> rasc_core::SolverStats {
-        self.base.stats()
-    }
 }
 
 /// Reads a `(name, id)` map section fragment, rejecting duplicate ids.
@@ -366,12 +293,11 @@ fn read_name_map(
 #[cfg(test)]
 mod tests {
     use rasc_automata::{Alphabet, Dfa};
-    use rasc_core::algebra::MonoidAlgebra;
-    use rasc_core::{SetExpr, SnapshotError};
+    use rasc_core::SnapshotError;
 
     use super::{ByteWriter, SnapshotWriter, TAG_ENGINE};
     use crate::json::Json;
-    use crate::{BatchEngine, Session};
+    use crate::BatchEngine;
 
     fn engine() -> BatchEngine {
         let mut sigma = Alphabet::new();
@@ -488,9 +414,9 @@ mod tests {
             "failed restore must not disturb the engine"
         );
 
-        // A session-level snapshot has no ENGN section.
-        let session_only = e.session().snapshot_bytes().unwrap();
-        let err = back.restore_bytes(&session_only).unwrap_err();
+        // A system-level snapshot has no ENGN section.
+        let system_only = e.session().snapshot_bytes().unwrap();
+        let err = back.restore_bytes(&system_only).unwrap_err();
         assert!(err.to_string().contains("ENGN"), "{err}");
 
         // A snapshot from a different alphabet is a state error.
@@ -520,7 +446,7 @@ mod tests {
             // A valid solved form under an `ENGN` section that gives two
             // names the same id in one of its two maps.
             let mut snap = SnapshotWriter::new();
-            e.session().system().snapshot_sections(&mut snap).unwrap();
+            e.session().snapshot_sections(&mut snap).unwrap();
             let mut w = ByteWriter::new();
             w.seq_len(e.sigma.len());
             for sym in e.sigma.symbols() {
@@ -564,35 +490,6 @@ mod tests {
             back.restore_from(&dir.join("absent.snap")),
             Err(SnapshotError::Io(_))
         ));
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn session_round_trips_through_writer_and_file() {
-        let dir = temp_dir("session");
-        let path = dir.join("session.snap");
-        let mut sigma = Alphabet::new();
-        let g = sigma.intern("g");
-        let k = sigma.intern("k");
-        let mut s: Session<MonoidAlgebra> =
-            Session::new(MonoidAlgebra::new(&Dfa::one_bit(&sigma, g, k)));
-        let c = s.constructor("c", &[]);
-        let x = s.var("X");
-        let fg = s.system_mut().algebra_mut().word(&[g]);
-        s.add_ann(SetExpr::cons(c, []), SetExpr::var(x), fg)
-            .unwrap();
-
-        // Writer and file paths produce the same bytes.
-        let mut streamed = Vec::new();
-        let n = s.snapshot_to_writer(&mut streamed).unwrap();
-        assert_eq!(n as usize, streamed.len());
-        let written = s.snapshot_to(&path).unwrap();
-        assert_eq!(written, n);
-        assert_eq!(std::fs::read(&path).unwrap(), streamed);
-
-        let back: Session<MonoidAlgebra> = Session::restore_from(&path).unwrap();
-        assert!(back.system().lower_bound_annotations(x, c).len() == 1);
-        assert_eq!(back.stats().vars, s.stats().vars);
         let _ = std::fs::remove_dir_all(&dir);
     }
 }

@@ -6,9 +6,10 @@
 //! stable service boundary, zero-dependency (std only) like the rest of
 //! the workspace:
 //!
-//! * **Session pools** — one incremental [`rasc_inc::Session`] per
-//!   connection, served by a bounded [`ThreadPool`] with a graceful
-//!   drain; connections are isolated (names, epochs, budgets).
+//! * **Connection isolation** — one [`rasc_inc::BatchEngine`], and with
+//!   it one incremental [`rasc_core::System`], per connection, served by
+//!   a bounded [`ThreadPool`] with a graceful drain; connections are
+//!   isolated (names, epochs, budgets).
 //! * **Admission control** — a hard cap on concurrent connections and a
 //!   bounded worker queue; overload answers
 //!   `{"error":{"code":"overloaded",…}}` in-band and closes, instead of
@@ -24,7 +25,7 @@
 //!   responses flush, then connections close and workers join.
 //! * **Persistence & warm restart** — with [`ServeConfig::snapshot_dir`]
 //!   set, the server loads `<dir>/current.snap` as the base image every
-//!   connection's session restores from, routes in-band
+//!   connection's engine forks from, routes in-band
 //!   `{"cmd":"snapshot"}` commands there (client-chosen paths are
 //!   disabled), and checkpoints the latest base again on graceful
 //!   shutdown. Corrupt snapshots are detected (checksums) and rejected

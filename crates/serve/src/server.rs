@@ -300,7 +300,7 @@ impl ServerHandle {
 }
 
 /// A concurrent JSON-lines constraint-solving server: one
-/// [`rasc_inc::Session`] (inside a [`BatchEngine`]) per connection,
+/// [`BatchEngine`] (over its own incremental `System`) per connection,
 /// served by a bounded [`ThreadPool`].
 #[derive(Debug)]
 pub struct Server {
@@ -315,7 +315,7 @@ pub struct Server {
 impl Server {
     /// Binds `addr` and prepares the worker pool. The server speaks the
     /// batch protocol of [`BatchEngine`]; each connection gets a fresh
-    /// session over `machine`'s annotation monoid.
+    /// engine over `machine`'s annotation monoid.
     pub fn bind(
         addr: impl ToSocketAddrs,
         sigma: Alphabet,

@@ -695,7 +695,7 @@ fn restore_cmd(opts: &Opts) -> Result<(), String> {
         .map_err(|e| e.to_string())?;
     eprintln!(
         "rasc: restored {} constraints from {snap_path}",
-        engine.session().system().num_constraints()
+        engine.session().num_constraints()
     );
 
     let stdout = std::io::stdout();

@@ -11,8 +11,8 @@
 //! * [`ptr`] — field-sensitive points-to analysis with stack-aware alias queries.
 //! * [`dataflow`] — interprocedural bit-vector dataflow via annotations.
 //! * [`flow`] — type-based flow analysis with non-structural subtyping.
-//! * [`inc`] — incremental solving sessions: epoch rollback, stamped
-//!   query caching, and the JSON-lines batch protocol.
+//! * [`inc`] — the JSON-lines batch protocol over the incremental
+//!   solver, with transactional budgeted adds and engine snapshots.
 //! * [`obs`] — structured tracing and metrics: event sinks, scoped
 //!   installation, Chrome-trace export, and solver provenance.
 //! * [`serve`] — the concurrent JSON-lines TCP server: session pools,
@@ -31,5 +31,3 @@ pub use rasc_pdmc as pdmc;
 pub use rasc_ptr as ptr;
 pub use rasc_pushdown as pushdown;
 pub use rasc_serve as serve;
-
-pub use rasc_inc::Session;

@@ -1,7 +1,7 @@
-//! Acceptance bound for the incremental subsystem: on the largest bench
-//! ladder, re-solving after a +1% constraint delta through a `Session`
-//! (epoch push → add → re-drain → pop) must be at least 5× faster than
-//! rebuilding and solving the whole system from scratch.
+//! Acceptance bound for incremental solving: on the largest bench ladder,
+//! re-solving a solved `System` after a +1% constraint delta (epoch push
+//! → add → re-drain → pop) must be at least 5× faster than rebuilding and
+//! solving the whole system from scratch.
 //!
 //! The observed gap is two orders of magnitude (see
 //! `BENCH_incremental.json`), so the 5× floor has a wide noise margin
@@ -12,8 +12,7 @@ use std::time::Instant;
 use rasc::automata::{adversarial_machine, Dfa, SymbolId};
 use rasc::constraints::algebra::MonoidAlgebra;
 use rasc::constraints::{SetExpr, System, VarId};
-use rasc::Session;
-use rasc_bench::constraints_workload::{ladder, EdgeListWorkload};
+use rasc_bench::constraints_workload::{edge_list_system, ladder, EdgeListWorkload};
 use rasc_devtools::Rng;
 
 fn delta_edges(wl: &EdgeListWorkload, seed: u64) -> Vec<(usize, usize, Vec<SymbolId>)> {
@@ -35,18 +34,10 @@ fn delta_edges(wl: &EdgeListWorkload, seed: u64) -> Vec<(usize, usize, Vec<Symbo
         .collect()
 }
 
-fn build_base(machine: &Dfa, wl: &EdgeListWorkload) -> (Session<MonoidAlgebra>, Vec<VarId>) {
-    let mut sys = System::new(MonoidAlgebra::new(machine));
-    let vars: Vec<VarId> = (0..wl.n_vars).map(|i| sys.var(&format!("v{i}"))).collect();
-    let probe = sys.constructor("probe", &[]);
-    sys.add(SetExpr::cons(probe, []), SetExpr::var(vars[wl.source]))
-        .unwrap();
-    for (from, to, word) in &wl.edges {
-        let ann = sys.algebra_mut().word(word);
-        sys.add_ann(SetExpr::var(vars[*from]), SetExpr::var(vars[*to]), ann)
-            .unwrap();
-    }
-    (Session::from_system(sys), vars)
+fn build_base(machine: &Dfa, wl: &EdgeListWorkload) -> (System<MonoidAlgebra>, Vec<VarId>) {
+    let (mut sys, vars, _) = edge_list_system(machine, wl);
+    sys.solve();
+    (sys, vars)
 }
 
 #[test]
@@ -58,26 +49,27 @@ fn incremental_resolve_beats_scratch_by_5x_on_the_largest_ladder() {
     // Best-of-3 for each side, interleaved, to shrug off scheduler noise.
     let mut best_scratch = f64::INFINITY;
     let mut best_inc = f64::INFINITY;
-    let (mut sess, vars) = build_base(&machine, &wl);
+    let (mut sys, vars) = build_base(&machine, &wl);
     let sink = vars[wl.sink];
     // Warm the incremental path once (first epoch interns delta words).
     for _ in 0..4 {
         let t0 = Instant::now();
         let mut full = wl.clone();
         full.edges.extend(delta.iter().cloned());
-        let (mut scratch_sess, scratch_vars) = build_base(&machine, &full);
-        let scratch_reached = scratch_sess.system_mut().nonempty(scratch_vars[full.sink]);
+        let (scratch_sys, scratch_vars) = build_base(&machine, &full);
+        let scratch_reached = scratch_sys.nonempty(scratch_vars[full.sink]);
         best_scratch = best_scratch.min(t0.elapsed().as_secs_f64());
 
         let t1 = Instant::now();
-        sess.push_epoch();
+        sys.push_epoch();
         for (from, to, word) in &delta {
-            let ann = sess.system_mut().algebra_mut().word(word);
-            sess.add_ann(SetExpr::var(vars[*from]), SetExpr::var(vars[*to]), ann)
+            let ann = sys.algebra_mut().word(word);
+            sys.add_ann(SetExpr::var(vars[*from]), SetExpr::var(vars[*to]), ann)
                 .unwrap();
+            sys.solve();
         }
-        let inc_reached = sess.system_mut().nonempty(sink);
-        assert!(sess.pop_epoch());
+        let inc_reached = sys.nonempty(sink);
+        assert!(sys.pop_epoch());
         best_inc = best_inc.min(t1.elapsed().as_secs_f64());
 
         assert_eq!(inc_reached, scratch_reached, "the two paths must agree");

@@ -11,7 +11,7 @@
 //! *backwards* past a request boundary, and the delta must then clamp to
 //! zero rather than underflow. At every boundary the O(1) counters
 //! [`BatchEngine::request_stats`] reads must also equal the full
-//! `Session::stats` walk, on a fresh engine and on a fork of a decoded
+//! `System::stats` walk, on a fresh engine and on a fork of a decoded
 //! base.
 
 use rasc::automata::{Alphabet, Regex};
@@ -141,7 +141,7 @@ fn check_delta(before: &RequestStats, after: &RequestStats) -> Result<(), String
 }
 
 /// The O(1) counters `request_stats` reads must agree with the O(vars)
-/// `Session::stats` walk that the `stats` command reports.
+/// `System::stats` walk that the `stats` command reports.
 fn check_counters(e: &BatchEngine) -> Result<(), String> {
     let fast = e.request_stats();
     let full = e.session().stats();

@@ -7,7 +7,7 @@
 //! * **Rollback restores every observable query** — interrupting the
 //!   solve of an epoch's constraints and popping the epoch must restore
 //!   every observable query result and the solver statistics, and the
-//!   session must remain fully usable afterwards.
+//!   system must remain fully usable afterwards.
 //!
 //! Observables are compared through *semantic* signatures (sorted
 //! annotation renderings, emptiness, acceptance, consistency), never
@@ -17,7 +17,6 @@
 use rasc::automata::{Alphabet, Dfa, SymbolId};
 use rasc::constraints::algebra::{Algebra, MonoidAlgebra};
 use rasc::constraints::{Budget, ConsId, Outcome, SetExpr, SolverConfig, System, VarId, Variance};
-use rasc::Session;
 use rasc_devtools::{forall, prop_assert, prop_assert_eq, Config, FaultPlan, Rng};
 
 const N_VARS: usize = 6;
@@ -228,45 +227,45 @@ fn rollback_after_interrupt_restores_all_observables() {
         |(base, extra, plan)| {
             let (sigma, dfa) = machine();
             let syms: Vec<SymbolId> = sigma.symbols().collect();
-            let mut sess = Session::new(MonoidAlgebra::new(&dfa));
-            let shape = declare(sess.system_mut());
+            let mut sys = System::new(MonoidAlgebra::new(&dfa));
+            let shape = declare(&mut sys);
             for c in base {
-                apply(sess.system_mut(), &shape, &syms, c);
-                sess.system_mut().solve();
+                apply(&mut sys, &shape, &syms, c);
+                sys.solve();
             }
-            let before = system_signature(sess.system_mut(), &shape);
+            let before = system_signature(&mut sys, &shape);
             // The algebra's hash-cons table is a monotone memo and is
             // deliberately not rolled back.
-            let mut before_stats = sess.stats();
+            let mut before_stats = sys.stats();
             before_stats.annotations = 0;
 
-            sess.push_epoch();
+            sys.push_epoch();
             for c in extra {
-                apply(sess.system_mut(), &shape, &syms, c);
+                apply(&mut sys, &shape, &syms, c);
             }
-            let outcome = sess.system_mut().solve_bounded(&plan.budget());
+            let outcome = sys.solve_bounded(&plan.budget());
             // Whether or not the fault tripped, abandoning the epoch must
             // restore the pre-epoch state (pending facts included).
-            prop_assert!(sess.pop_epoch());
-            prop_assert_eq!(sess.system().pending_facts(), 0);
+            prop_assert!(sys.pop_epoch());
+            prop_assert_eq!(sys.pending_facts(), 0);
 
-            let after = system_signature(sess.system_mut(), &shape);
+            let after = system_signature(&mut sys, &shape);
             prop_assert_eq!(
                 &after,
                 &before,
                 "rollback after {outcome:?} changed an observable"
             );
-            let mut after_stats = sess.stats();
+            let mut after_stats = sys.stats();
             after_stats.annotations = 0;
             prop_assert_eq!(&after_stats, &before_stats, "rollback changed stats");
 
-            // The session stays usable: re-adding the epoch's constraints
+            // The system stays usable: re-adding the epoch's constraints
             // now reaches the same fixpoint as a fresh batch solve.
             for c in extra {
-                apply(sess.system_mut(), &shape, &syms, c);
+                apply(&mut sys, &shape, &syms, c);
             }
-            sess.system_mut().solve();
-            let resumed = system_signature(sess.system_mut(), &shape);
+            sys.solve();
+            let resumed = system_signature(&mut sys, &shape);
 
             let mut batch = System::with_config(MonoidAlgebra::new(&dfa), SolverConfig::default());
             let shape_b = declare(&mut batch);

@@ -1,7 +1,7 @@
-//! Property tests for copy-on-write session forks ([`Session::fork_from`]
-//! over a frozen [`rasc::constraints::BaseSystem`]):
+//! Property tests for copy-on-write forks ([`System::fork`] over a frozen
+//! [`rasc::constraints::BaseSystem`]):
 //!
-//! * **Fork equals restore equals replay** — a session forked from a
+//! * **Fork equals restore equals replay** — a system forked from a
 //!   frozen base must answer every observable query (occurrence
 //!   annotations, emptiness, acceptance, partial matches, consistency)
 //!   exactly like the original, and must re-serialize to byte-identical
@@ -25,7 +25,6 @@ use rasc::automata::{Alphabet, Dfa, SymbolId};
 use rasc::constraints::algebra::{Algebra, MonoidAlgebra};
 use rasc::constraints::{BaseSystem, ConsId, SetExpr, System, VarId, Variance};
 use rasc::obs::{scoped, Recorder};
-use rasc::Session;
 use rasc_devtools::{forall, prop_assert, prop_assert_eq, Config, Rng};
 
 const N_VARS: usize = 6;
@@ -151,8 +150,7 @@ fn apply(sys: &mut System<MonoidAlgebra>, shape: &Shape, syms: &[SymbolId], c: &
 /// plus global consistency.
 type Signature = (Vec<(Vec<String>, bool, bool, Vec<String>)>, bool);
 
-fn session_signature(s: &mut Session<MonoidAlgebra>, shape: &Shape) -> Signature {
-    let sys = s.system_mut();
+fn system_signature(sys: &mut System<MonoidAlgebra>, shape: &Shape) -> Signature {
     let per_var = shape
         .vars
         .iter()
@@ -177,20 +175,20 @@ fn session_signature(s: &mut Session<MonoidAlgebra>, shape: &Shape) -> Signature
     (per_var, sys.is_consistent())
 }
 
-/// Builds a solved session (with provenance recording, as the batch
+/// Builds a solved system (with provenance recording, as the batch
 /// engine always has it) from a constraint list.
-fn build(dfa: &Dfa, syms: &[SymbolId], cons: &[RandCon]) -> (Session<MonoidAlgebra>, Shape) {
-    let mut sess = Session::new(MonoidAlgebra::new(dfa));
-    sess.system_mut().enable_provenance();
-    let shape = declare(sess.system_mut());
+fn build(dfa: &Dfa, syms: &[SymbolId], cons: &[RandCon]) -> (System<MonoidAlgebra>, Shape) {
+    let mut sys = System::new(MonoidAlgebra::new(dfa));
+    sys.enable_provenance();
+    let shape = declare(&mut sys);
     for c in cons {
-        apply(sess.system_mut(), &shape, syms, c);
+        apply(&mut sys, &shape, syms, c);
     }
-    sess.system_mut().solve();
-    (sess, shape)
+    sys.solve();
+    (sys, shape)
 }
 
-/// Freezes a built session into a fork base, keeping its snapshot bytes
+/// Freezes a built system into a fork base, keeping its snapshot bytes
 /// and solved-form signature for later comparison.
 fn frozen(
     dfa: &Dfa,
@@ -198,9 +196,9 @@ fn frozen(
     cons: &[RandCon],
 ) -> (BaseSystem<MonoidAlgebra>, Vec<u8>, Signature) {
     let (mut original, shape) = build(dfa, syms, cons);
-    let want = session_signature(&mut original, &shape);
-    let bytes = original.snapshot_bytes().expect("solved session snapshots");
-    let base = original.into_base().expect("solved session freezes");
+    let want = system_signature(&mut original, &shape);
+    let bytes = original.snapshot_bytes().expect("solved system snapshots");
+    let base = original.into_base().expect("solved system freezes");
     (base, bytes, want)
 }
 
@@ -217,8 +215,8 @@ fn fork_equals_restore_and_replay_on_the_full_query_surface() {
             let shape = dense_shape();
 
             // A fork answers the whole query surface like the original…
-            let mut fork = Session::fork_from(&base);
-            let got = session_signature(&mut fork, &shape);
+            let mut fork = System::fork(&base);
+            let got = system_signature(&mut fork, &shape);
             prop_assert_eq!(&got, &want, "fork diverged from the frozen base");
             prop_assert_eq!(
                 fork.stats(),
@@ -226,11 +224,11 @@ fn fork_equals_restore_and_replay_on_the_full_query_surface() {
                 "fork statistics diverged from the base"
             );
 
-            // …and like a session restored from the base's snapshot.
-            let mut restored = Session::<MonoidAlgebra>::restore_bytes(&bytes)
+            // …and like a system restored from the base's snapshot.
+            let mut restored = System::<MonoidAlgebra>::restore_bytes(&bytes)
                 .expect("round trip of a valid snapshot");
             prop_assert_eq!(
-                &session_signature(&mut restored, &shape),
+                &system_signature(&mut restored, &shape),
                 &want,
                 "restore diverged from the frozen base"
             );
@@ -238,30 +236,30 @@ fn fork_equals_restore_and_replay_on_the_full_query_surface() {
             // Re-serializing the fork is byte-identical: the base/overlay
             // split, flatten order, and provenance records are all
             // invisible to the snapshot format.
-            let again = fork.snapshot_bytes().expect("forked session snapshots");
+            let again = fork.snapshot_bytes().expect("forked system snapshots");
             prop_assert_eq!(
                 &again,
                 &bytes,
-                "forked session did not re-snapshot byte-identically"
+                "forked system did not re-snapshot byte-identically"
             );
 
-            // The fork keeps growing like any session, converging to the
+            // The fork keeps growing like any system, converging to the
             // same fixpoint as an uninterrupted replay of everything…
             for c in extra {
-                apply(fork.system_mut(), &shape, &syms, c);
+                apply(&mut fork, &shape, &syms, c);
             }
-            fork.system_mut().solve();
-            let grown = session_signature(&mut fork, &shape);
+            fork.solve();
+            let grown = system_signature(&mut fork, &shape);
             let all: Vec<RandCon> = cons.iter().chain(extra).cloned().collect();
             let (mut replay, shape_p) = build(&dfa, &syms, &all);
-            let want_grown = session_signature(&mut replay, &shape_p);
+            let want_grown = system_signature(&mut replay, &shape_p);
             prop_assert_eq!(&grown, &want_grown, "post-fork growth diverged from replay");
 
             // …while sibling forks of the same base never see that
             // growth: copy-on-write isolation.
-            let mut sibling = Session::fork_from(&base);
+            let mut sibling = System::fork(&base);
             prop_assert_eq!(
-                &session_signature(&mut sibling, &shape),
+                &system_signature(&mut sibling, &shape),
                 &want,
                 "a sibling fork observed another fork's growth"
             );
@@ -289,15 +287,15 @@ fn fork_epoch_rollback_returns_to_the_base_fixpoint() {
             // the shared base owns is ever journaled or removed.
             let rec = Arc::new(Recorder::new());
             scoped(Arc::clone(&rec) as _, || {
-                let mut fork = Session::fork_from(&base);
+                let mut fork = System::fork(&base);
                 fork.push_epoch();
                 for c in extra {
-                    apply(fork.system_mut(), &shape, &syms, c);
+                    apply(&mut fork, &shape, &syms, c);
                 }
-                fork.system_mut().solve();
+                fork.solve();
                 prop_assert!(fork.pop_epoch(), "the pushed epoch must pop");
 
-                let got = session_signature(&mut fork, &shape);
+                let got = system_signature(&mut fork, &shape);
                 prop_assert_eq!(
                     &got,
                     &want,

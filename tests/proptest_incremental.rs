@@ -1,9 +1,9 @@
-//! Property tests for the incremental session layer (`rasc-inc`):
+//! Property tests for incremental solving on [`System`]:
 //!
-//! * **Equivalence** — adding random constraints one at a time through a
-//!   [`Session`] (re-draining the worklist after each) must yield exactly
-//!   the observable results of a fresh batch solve of the same system,
-//!   under every §8 optimization configuration.
+//! * **Equivalence** — adding random constraints one at a time to a
+//!   [`System`] (re-draining the worklist with `solve` after each) must
+//!   yield exactly the observable results of a fresh batch solve of the
+//!   same system, under every §8 optimization configuration.
 //! * **Rollback** — `push_epoch` / add random constraints / `pop_epoch`
 //!   must restore every observable query result and the solver statistics
 //!   bit-for-bit.
@@ -11,7 +11,6 @@
 use rasc::automata::{Alphabet, Dfa, SymbolId};
 use rasc::constraints::algebra::{Algebra, MonoidAlgebra};
 use rasc::constraints::{ConsId, SetExpr, SolverConfig, System, VarId, Variance};
-use rasc::Session;
 use rasc_devtools::{forall, prop_assert, prop_assert_eq, Config, Rng};
 
 const N_VARS: usize = 6;
@@ -172,20 +171,19 @@ fn incremental_session_matches_fresh_batch_solve() {
                 batch.solve();
                 let want = system_signature(&mut batch, &shape);
 
-                // Incremental: one constraint per `Session::add`, each
+                // Incremental: one constraint per add, each `solve`
                 // re-draining the worklist before the next.
-                let mut sess =
-                    Session::from_system(System::with_config(MonoidAlgebra::new(&dfa), config));
-                let shape_s = declare(sess.system_mut());
+                let mut sys = System::with_config(MonoidAlgebra::new(&dfa), config);
+                let shape_s = declare(&mut sys);
                 for c in cons {
-                    apply(sess.system_mut(), &shape_s, &syms, c);
-                    sess.system_mut().solve();
+                    apply(&mut sys, &shape_s, &syms, c);
+                    sys.solve();
                 }
-                let got = system_signature(sess.system_mut(), &shape_s);
+                let got = system_signature(&mut sys, &shape_s);
                 prop_assert_eq!(&got, &want, "config {config:?} diverged incrementally");
 
                 // Asking again answers identically.
-                let again = system_signature(sess.system_mut(), &shape_s);
+                let again = system_signature(&mut sys, &shape_s);
                 prop_assert_eq!(&again, &want, "repeated answers diverged");
             }
             Ok(())
@@ -202,35 +200,35 @@ fn pop_epoch_restores_all_observables() {
         |(base, extra)| {
             let (sigma, dfa) = machine();
             let syms: Vec<SymbolId> = sigma.symbols().collect();
-            let mut sess = Session::new(MonoidAlgebra::new(&dfa));
-            let shape = declare(sess.system_mut());
+            let mut sys = System::new(MonoidAlgebra::new(&dfa));
+            let shape = declare(&mut sys);
             for c in base {
-                apply(sess.system_mut(), &shape, &syms, c);
-                sess.system_mut().solve();
+                apply(&mut sys, &shape, &syms, c);
+                sys.solve();
             }
-            let before = system_signature(sess.system_mut(), &shape);
+            let before = system_signature(&mut sys, &shape);
             // The algebra's hash-cons table is a monotone memo and is
             // deliberately not rolled back (ids are canonical by content),
             // so its size is not part of the restored-state contract.
-            let mut before_stats = sess.stats();
+            let mut before_stats = sys.stats();
             before_stats.annotations = 0;
 
-            sess.push_epoch();
+            sys.push_epoch();
             for c in extra {
-                apply(sess.system_mut(), &shape, &syms, c);
-                sess.system_mut().solve();
+                apply(&mut sys, &shape, &syms, c);
+                sys.solve();
             }
             // Mid-epoch queries must leave nothing behind after rollback.
-            let _ = system_signature(sess.system_mut(), &shape);
-            prop_assert_eq!(sess.epoch_depth(), 1);
-            prop_assert!(sess.pop_epoch());
+            let _ = system_signature(&mut sys, &shape);
+            prop_assert_eq!(sys.epoch_depth(), 1);
+            prop_assert!(sys.pop_epoch());
 
-            let after = system_signature(sess.system_mut(), &shape);
+            let after = system_signature(&mut sys, &shape);
             prop_assert_eq!(&after, &before, "rollback changed an observable");
-            let mut after_stats = sess.stats();
+            let mut after_stats = sys.stats();
             after_stats.annotations = 0;
             prop_assert_eq!(after_stats, before_stats, "rollback changed stats");
-            prop_assert_eq!(sess.epoch_depth(), 0);
+            prop_assert_eq!(sys.epoch_depth(), 0);
             Ok(())
         },
     );
@@ -251,36 +249,36 @@ fn nested_epochs_unwind_in_order() {
         |(base, mid, top)| {
             let (sigma, dfa) = machine();
             let syms: Vec<SymbolId> = sigma.symbols().collect();
-            let mut sess = Session::new(MonoidAlgebra::new(&dfa));
-            let shape = declare(sess.system_mut());
+            let mut sys = System::new(MonoidAlgebra::new(&dfa));
+            let shape = declare(&mut sys);
             for c in base {
-                apply(sess.system_mut(), &shape, &syms, c);
-                sess.system_mut().solve();
+                apply(&mut sys, &shape, &syms, c);
+                sys.solve();
             }
-            let sig_base = system_signature(sess.system_mut(), &shape);
+            let sig_base = system_signature(&mut sys, &shape);
 
-            sess.push_epoch();
+            sys.push_epoch();
             for c in mid {
-                apply(sess.system_mut(), &shape, &syms, c);
-                sess.system_mut().solve();
+                apply(&mut sys, &shape, &syms, c);
+                sys.solve();
             }
-            let sig_mid = system_signature(sess.system_mut(), &shape);
+            let sig_mid = system_signature(&mut sys, &shape);
 
-            sess.push_epoch();
+            sys.push_epoch();
             for c in top {
-                apply(sess.system_mut(), &shape, &syms, c);
-                sess.system_mut().solve();
+                apply(&mut sys, &shape, &syms, c);
+                sys.solve();
             }
-            prop_assert_eq!(sess.epoch_depth(), 2);
+            prop_assert_eq!(sys.epoch_depth(), 2);
 
-            prop_assert!(sess.pop_epoch());
-            let back_mid = system_signature(sess.system_mut(), &shape);
+            prop_assert!(sys.pop_epoch());
+            let back_mid = system_signature(&mut sys, &shape);
             prop_assert_eq!(&back_mid, &sig_mid, "inner rollback");
 
-            prop_assert!(sess.pop_epoch());
-            let back_base = system_signature(sess.system_mut(), &shape);
+            prop_assert!(sys.pop_epoch());
+            let back_base = system_signature(&mut sys, &shape);
             prop_assert_eq!(&back_base, &sig_base, "outer rollback");
-            prop_assert!(!sess.pop_epoch(), "no epoch left");
+            prop_assert!(!sys.pop_epoch(), "no epoch left");
             Ok(())
         },
     );

@@ -1,10 +1,10 @@
 //! Fault-injection property tests for the snapshot subsystem:
 //!
-//! * **Restore equals replay** — serializing a solved session and
+//! * **Restore equals replay** — serializing a solved system and
 //!   restoring it must reproduce every observable query (occurrence
 //!   annotations, emptiness, acceptance, partial matches, consistency),
-//!   and the restored session must stay usable: adding more constraints
-//!   converges to the same fixpoint as an uninterrupted session.
+//!   and the restored system must stay usable: adding more constraints
+//!   converges to the same fixpoint as an uninterrupted solve.
 //! * **Crash recovery is last-durable-or-typed-error** — for every IO
 //!   fault the atomic write protocol can suffer (short write, ENOSPC,
 //!   crash before/after rename, torn file, bit rot), recovery either
@@ -25,7 +25,6 @@ use rasc::automata::{Alphabet, Dfa, SymbolId};
 use rasc::constraints::algebra::{Algebra, MonoidAlgebra};
 use rasc::constraints::snapshot::{read_snapshot_file, write_atomic, TAG_ALGEBRA, TAG_SOLVED};
 use rasc::constraints::{Budget, ConsId, SetExpr, SnapshotError, System, VarId, Variance};
-use rasc::Session;
 use rasc_devtools::{
     forall, prop_assert, prop_assert_eq, Config, FaultyWriter, IoFaultKind, IoFaultPlan, Rng,
 };
@@ -143,8 +142,7 @@ fn apply(sys: &mut System<MonoidAlgebra>, shape: &Shape, syms: &[SymbolId], c: &
 /// plus global consistency.
 type Signature = (Vec<(Vec<String>, bool, bool, Vec<String>)>, bool);
 
-fn session_signature(s: &mut Session<MonoidAlgebra>, shape: &Shape) -> Signature {
-    let sys = s.system_mut();
+fn system_signature(sys: &mut System<MonoidAlgebra>, shape: &Shape) -> Signature {
     let per_var = shape
         .vars
         .iter()
@@ -169,19 +167,19 @@ fn session_signature(s: &mut Session<MonoidAlgebra>, shape: &Shape) -> Signature
     (per_var, sys.is_consistent())
 }
 
-/// Builds a solved session from a constraint list.
-fn build(dfa: &Dfa, syms: &[SymbolId], cons: &[RandCon]) -> (Session<MonoidAlgebra>, Shape) {
-    let mut sess = Session::new(MonoidAlgebra::new(dfa));
-    let shape = declare(sess.system_mut());
+/// Builds a solved system from a constraint list.
+fn build(dfa: &Dfa, syms: &[SymbolId], cons: &[RandCon]) -> (System<MonoidAlgebra>, Shape) {
+    let mut sys = System::new(MonoidAlgebra::new(dfa));
+    let shape = declare(&mut sys);
     for c in cons {
-        apply(sess.system_mut(), &shape, syms, c);
+        apply(&mut sys, &shape, syms, c);
     }
-    sess.system_mut().solve();
-    (sess, shape)
+    sys.solve();
+    (sys, shape)
 }
 
 /// Names are diagnostics only at the `System` layer, so a restored
-/// session is queried through the same dense ids `declare` handed out
+/// system is queried through the same dense ids `declare` handed out
 /// (vars `0..N_VARS`, then `probe`, then `o`) rather than re-declared.
 fn restored_shape() -> Shape {
     Shape {
@@ -192,9 +190,9 @@ fn restored_shape() -> Shape {
 }
 
 fn restored_signature(bytes: &[u8]) -> Result<Signature, SnapshotError> {
-    let mut sess = Session::<MonoidAlgebra>::restore_bytes(bytes)?;
+    let mut sys = System::<MonoidAlgebra>::restore_bytes(bytes)?;
     let shape = restored_shape();
-    Ok(session_signature(&mut sess, &shape))
+    Ok(system_signature(&mut sys, &shape))
 }
 
 fn temp_dir(tag: &str) -> std::path::PathBuf {
@@ -218,39 +216,39 @@ fn restore_equals_replay_on_the_full_query_surface() {
             let syms: Vec<SymbolId> = sigma.symbols().collect();
 
             let (mut original, shape) = build(&dfa, &syms, cons);
-            let want = session_signature(&mut original, &shape);
-            let bytes = original.snapshot_bytes().expect("solved session snapshots");
+            let want = system_signature(&mut original, &shape);
+            let bytes = original.snapshot_bytes().expect("solved system snapshots");
 
             // Restore reproduces every observable...
-            let mut restored = Session::<MonoidAlgebra>::restore_bytes(&bytes)
+            let mut restored = System::<MonoidAlgebra>::restore_bytes(&bytes)
                 .expect("round trip of a valid snapshot");
             let shape_r = restored_shape();
             prop_assert_eq!(
-                restored.system().num_vars(),
-                original.system().num_vars(),
+                restored.num_vars(),
+                original.num_vars(),
                 "restored variable table diverged"
             );
-            let got = session_signature(&mut restored, &shape_r);
-            prop_assert_eq!(&got, &want, "restore diverged from the snapshotted session");
+            let got = system_signature(&mut restored, &shape_r);
+            prop_assert_eq!(&got, &want, "restore diverged from the snapshotted system");
 
-            // ...and serialization is deterministic: the restored session
+            // ...and serialization is deterministic: the restored system
             // re-snapshots to byte-identical output.
             let again = restored
                 .snapshot_bytes()
-                .expect("restored session snapshots");
+                .expect("restored system snapshots");
             prop_assert_eq!(&again, &bytes, "snapshot bytes are not deterministic");
 
-            // The restored session stays usable: growing it converges to
+            // The restored system stays usable: growing it converges to
             // the same fixpoint as replaying everything from scratch.
             for c in extra {
-                apply(restored.system_mut(), &shape_r, &syms, c);
+                apply(&mut restored, &shape_r, &syms, c);
             }
-            restored.system_mut().solve();
-            let grown = session_signature(&mut restored, &shape_r);
+            restored.solve();
+            let grown = system_signature(&mut restored, &shape_r);
 
             let all: Vec<RandCon> = cons.iter().chain(extra).cloned().collect();
             let (mut replay, shape_p) = build(&dfa, &syms, &all);
-            let want_grown = session_signature(&mut replay, &shape_p);
+            let want_grown = system_signature(&mut replay, &shape_p);
             prop_assert_eq!(
                 &grown,
                 &want_grown,
@@ -277,7 +275,7 @@ fn corrupted_snapshots_are_rejected_never_misrestored() {
             let (sigma, dfa) = machine();
             let syms: Vec<SymbolId> = sigma.symbols().collect();
             let (original, _) = build(&dfa, &syms, cons);
-            let bytes = original.snapshot_bytes().expect("solved session snapshots");
+            let bytes = original.snapshot_bytes().expect("solved system snapshots");
             let want = restored_signature(&bytes).expect("pristine bytes restore");
 
             for plan in plans {
@@ -332,14 +330,14 @@ fn crash_recovery_yields_last_durable_snapshot_or_typed_error() {
 
             // The last durable snapshot: `base` constraints, written
             // atomically and fully fsynced.
-            let (old_sess, _) = build(&dfa, &syms, base);
-            let old_bytes = old_sess.snapshot_bytes().expect("solved session snapshots");
+            let (old_sys, _) = build(&dfa, &syms, base);
+            let old_bytes = old_sys.snapshot_bytes().expect("solved system snapshots");
             let want_old = restored_signature(&old_bytes).expect("durable bytes restore");
 
             // The snapshot being written when the fault strikes.
             let all: Vec<RandCon> = base.iter().chain(extra).cloned().collect();
-            let (new_sess, _) = build(&dfa, &syms, &all);
-            let new_bytes = new_sess.snapshot_bytes().expect("solved session snapshots");
+            let (new_sys, _) = build(&dfa, &syms, &all);
+            let new_bytes = new_sys.snapshot_bytes().expect("solved system snapshots");
             let want_new = restored_signature(&new_bytes).expect("new bytes restore");
 
             let target = dir.join(format!("case-{:x}.snap", plan.at_byte));
@@ -351,7 +349,7 @@ fn crash_recovery_yields_last_durable_snapshot_or_typed_error() {
                 // be untouched. (A fault offset past the snapshot's end
                 // never fires — the write then simply completes.)
                 let mut sink = FaultyWriter::new(Vec::new(), *plan);
-                match new_sess.snapshot_to_writer(&mut sink) {
+                match new_sys.snapshot_to_writer(&mut sink) {
                     Err(SnapshotError::Io(_)) => {
                         prop_assert!(sink.tripped(), "Io error without the fault firing");
                     }
@@ -509,7 +507,7 @@ fn resealed_hostile_images_are_corrupt_or_usable() {
             let (sigma, dfa) = machine();
             let syms: Vec<SymbolId> = sigma.symbols().collect();
             let (original, _) = build(&dfa, &syms, cons);
-            let bytes = original.snapshot_bytes().expect("solved session snapshots");
+            let bytes = original.snapshot_bytes().expect("solved system snapshots");
             for edit in edits {
                 match System::<MonoidAlgebra>::restore_bytes(&reseal(&bytes, edit)) {
                     Ok(mut sys) => exercise(&mut sys),

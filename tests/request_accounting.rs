@@ -72,7 +72,7 @@ fn request_accounting_cost_does_not_grow_with_the_engine() {
     let base = chain(LARGE_VARS).snapshot_bytes().expect("snapshot");
     let base = EngineBase::decode(&base, &sigma()).expect("base decodes");
     let mut large = BatchEngine::fork_from(&base);
-    assert!(large.session().system().num_vars() >= LARGE_VARS);
+    assert!(large.session().num_vars() >= LARGE_VARS);
     for e in [&mut small, &mut large] {
         e.set_cancel(CancelToken::new());
     }
