@@ -43,32 +43,17 @@ fn main() {
             event_names.push(format!("def_x{i}"));
             event_names.push(format!("kill_x{i}"));
         }
-        // The bidirectional cost grows with the class count (§4): cap *its*
-        // program size so the sweep stays minutes, not hours. The forward
-        // solver (§5) runs at every size — that it keeps going is the
-        // point.
-        let bidi_cap = match n_facts {
-            2 => max_size,
-            4 => max_size / 2,
-            _ => max_size / 8,
-        };
         let mut size = 500;
         while size <= max_size {
             let wl = WorkloadConfig::sized(size, event_names.clone(), rng.next_u64());
             let program = generate(&wl);
             let cfg = Cfg::build(&program).expect("valid program");
 
-            let run_bidi = size <= bidi_cap;
-            let (cdf, t_constraint) = if run_bidi {
-                let (df, t) = timed(|| {
-                    let mut df = ConstraintDataflow::new(&cfg, &spec, "main").expect("main");
-                    df.solve();
-                    df
-                });
-                (Some(df), t)
-            } else {
-                (None, std::time::Duration::ZERO)
-            };
+            let (cdf, t_constraint) = timed(|| {
+                let mut df = ConstraintDataflow::new(&cfg, &spec, "main").expect("main");
+                df.solve();
+                df
+            });
             let (fdf, t_forward) = timed(|| {
                 let mut df = ForwardDataflow::new(&cfg, &spec, "main").expect("main");
                 df.solve();
@@ -80,9 +65,9 @@ fn main() {
                 df
             });
 
-            // Soundness: the context-sensitive result must be a subset of the
-            // context-insensitive one at every node; count strict wins. The
-            // forward engine is the reference (it always ran).
+            // Both constraint engines must agree exactly, and their
+            // context-sensitive result must be a subset of the
+            // context-insensitive one at every node; count strict wins.
             let mut sound = true;
             let mut wins = 0usize;
             for node in 0..cfg.num_nodes() {
@@ -95,22 +80,16 @@ fn main() {
                 if cs != ci {
                     wins += 1;
                 }
-                if let Some(cdf) = &cdf {
-                    assert_eq!(cdf.facts_at(n), cs, "forward and bidirectional must agree");
-                }
+                assert_eq!(cdf.facts_at(n), cs, "forward and bidirectional must agree");
             }
             println!(
                 "{:>6} {:>8} {:>12} {:>12} {:>12} {:>10} {:>14} {:>16}",
                 n_facts,
                 program.num_stmts(),
-                if run_bidi {
-                    secs(t_constraint)
-                } else {
-                    "-".to_owned()
-                },
+                secs(t_constraint),
                 secs(t_forward),
                 secs(t_iter),
-                cdf.as_ref().map_or(0, |c| c.system().stats().annotations),
+                cdf.system().stats().annotations,
                 if sound { "yes" } else { "NO (bug)" },
                 wins
             );

@@ -13,10 +13,8 @@
 
 use rasc_bench::workload::{generate, WorkloadConfig};
 use rasc_bench::{secs, timed};
-use rasc_cfgir::{Cfg, EdgeLabel};
-use rasc_core::forward::ForwardSystem;
-use rasc_core::Variance;
-use rasc_pdmc::{properties, ConstraintChecker};
+use rasc_cfgir::Cfg;
+use rasc_pdmc::{forward_violations, properties, ConstraintChecker};
 use rasc_pushdown::PdsChecker;
 
 fn main() {
@@ -68,7 +66,11 @@ fn main() {
             bidi_total += t;
 
             // Engine 2: forward annotated constraints (§5).
-            let (fwd_violations, t) = timed(|| forward_check(&cfg, &sigma, &property));
+            let (fwd_violations, t) = timed(|| {
+                forward_violations(&cfg, &sigma, &property, "main")
+                    .expect("main exists")
+                    .len()
+            });
             fwd_total += t;
 
             // Engine 3: direct pushdown saturation (MOPS stand-in).
@@ -101,54 +103,4 @@ fn main() {
     }
     println!();
     println!("paper (2.0 GHz Core Duo): VixieCron .52/.57, At .52/.62, Sendmail 2.3/5.1, Apache .6/.7 (BANSHEE/MOPS seconds)");
-}
-
-/// The §6.1 encoding on the forward solver.
-fn forward_check(
-    cfg: &Cfg,
-    sigma: &rasc_automata::Alphabet,
-    property: &rasc_automata::Dfa,
-) -> usize {
-    let mut sys = ForwardSystem::new(property);
-    let vars: Vec<_> = (0..cfg.num_nodes())
-        .map(|i| sys.var(&format!("S{i}")))
-        .collect();
-    let pc = sys.constant("pc");
-    let entry = cfg.entry("main").expect("main exists").entry;
-    sys.add_constant(pc, vars[entry.index()]);
-    for (from, to, label) in cfg.edges() {
-        let ann = match label {
-            EdgeLabel::Plain => sys.identity(),
-            EdgeLabel::Event { name, .. } => match sigma.lookup(name) {
-                Some(s) => sys.word(&[s]),
-                None => sys.identity(),
-            },
-        };
-        sys.add_edge(vars[from.index()], vars[to.index()], ann);
-    }
-    let eps = sys.identity();
-    for site in cfg.call_sites() {
-        let callee = &cfg.functions()[site.callee.index()];
-        let o_i = sys.declare(&format!("o{}", site.id.index()), &[Variance::Covariant]);
-        sys.add_source(
-            o_i,
-            &[vars[site.call_node.index()]],
-            vars[callee.entry.index()],
-            eps,
-        )
-        .expect("well-formed");
-        sys.add_projection(
-            o_i,
-            0,
-            vars[callee.exit.index()],
-            vars[site.return_node.index()],
-            eps,
-        )
-        .expect("well-formed");
-    }
-    sys.solve();
-    let occ = sys.constant_occurrence_states(pc);
-    vars.iter()
-        .filter(|v| occ[v.index()].iter().any(|&s| sys.state_accepting(s)))
-        .count()
 }

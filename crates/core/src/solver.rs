@@ -629,8 +629,9 @@ pub struct System<A: Algebra> {
 /// [`System::solve_bounded`] and [`System::pop_epoch`]). Each field maps
 /// to one monotone `obs` counter; `added`/`removed` (and `…`/
 /// `….rolled_back`) pairs mirror every mutation of the corresponding
-/// solver statistic, so a [`rasc_obs::Recorder`] installed for a system's
-/// whole lifetime reconciles exactly with its final [`SolverStats`].
+/// solver statistic, so a [`rasc_obs::MetricsRegistry`] installed for a
+/// system's whole lifetime reconciles exactly with its final
+/// [`SolverStats`].
 #[derive(Debug, Default)]
 struct PendingCounts {
     edges_added: u64,

@@ -1132,8 +1132,8 @@ mod tests {
 
     #[test]
     fn rollback_depth_samples_each_real_pop_at_its_pre_pop_depth() {
-        let rec = Arc::new(rasc_obs::Recorder::new());
-        rasc_obs::scoped(Arc::clone(&rec) as _, || {
+        let reg = Arc::new(rasc_obs::MetricsRegistry::new());
+        rasc_obs::scoped(Arc::clone(&reg) as _, || {
             let mut e = engine();
             run(&mut e, r#"{"cmd":"declare","cons":"c"}"#);
             // Each line, with the depth its rollback must sample (`None`:
@@ -1157,10 +1157,12 @@ mod tests {
                     count += 1;
                     sum += depth;
                 }
-                let h = rec.histogram_summary("solver.rollback.depth");
-                assert_eq!(h.map_or(0, |h| h.count), count, "{line}");
+                let snap = reg.snapshot();
+                let h = snap.histograms.get("solver.rollback.depth");
+                assert_eq!(h.map_or(0, |h| h.count()), count, "{line}");
                 assert_eq!(h.map_or(0, |h| h.sum), sum, "{line}");
-                assert_eq!(rec.counter_value("solver.epochs.popped"), count, "{line}");
+                let popped = snap.counters.get("solver.epochs.popped");
+                assert_eq!(popped.copied().unwrap_or(0), count, "{line}");
             }
         });
     }

@@ -17,12 +17,13 @@
 //!
 //! Concrete sinks:
 //!
-//! * [`Recorder`] — in-memory counters/histograms/span tallies, queryable
-//!   afterwards (used by the stats-reconciliation property tests);
 //! * [`MetricsRegistry`] — lock-free aggregation (atomic counters,
-//!   gauges, log₂-bucket histograms with p50/p90/p99 estimates) with
-//!   Prometheus-text and JSON exposition, the backing store of the
-//!   `rasc serve --admin-addr` telemetry endpoint;
+//!   gauges, log₂-bucket histograms with exact count/min/max/sum and
+//!   p50/p90/p99 estimates, completed-span tallies) with Prometheus-text,
+//!   JSON and plain-text ([`MetricsSnapshot::report`]) exposition: the
+//!   backing store of the `rasc serve --admin-addr` telemetry endpoint,
+//!   the `--profile` summary, and the sink the stats-reconciliation
+//!   property tests read;
 //! * [`ChromeTraceSink`] — Chrome trace-event JSON loadable in Perfetto /
 //!   `about:tracing` (`rasc batch --trace out.json`);
 //! * [`NoopSink`] — discards everything (the bench guard's subject);
@@ -32,19 +33,20 @@
 //!
 //! ```
 //! use std::sync::Arc;
-//! use rasc_obs::{self as obs, Recorder};
+//! use rasc_obs::{self as obs, MetricsRegistry};
 //!
-//! let rec = Arc::new(Recorder::new());
-//! obs::scoped(rec.clone(), || {
+//! let reg = Arc::new(MetricsRegistry::new());
+//! obs::scoped(reg.clone(), || {
 //!     let _span = obs::span("work");
 //!     obs::counter("items", 3);
 //!     obs::histogram("size", 17);
 //! });
-//! assert_eq!(rec.counter_value("items"), 3);
-//! assert_eq!(rec.span_count("work"), 1);
 //! // Outside the scope, emissions are dropped.
 //! obs::counter("items", 100);
-//! assert_eq!(rec.counter_value("items"), 3);
+//! let snap = reg.snapshot();
+//! assert_eq!(snap.counters["items"], 3);
+//! assert_eq!(snap.spans["work"], 1);
+//! assert_eq!(snap.histograms["size"].count(), 1);
 //! ```
 
 #![forbid(unsafe_code)]
@@ -52,7 +54,6 @@
 
 mod chrome;
 mod metrics;
-mod recorder;
 mod scope;
 mod sink;
 
@@ -61,6 +62,5 @@ pub use metrics::{
     bucket_index, bucket_lower_bound, bucket_upper_bound, HistogramSnapshot, MetricsRegistry,
     MetricsSnapshot, HISTOGRAM_BUCKETS,
 };
-pub use recorder::{HistogramSummary, Recorder};
 pub use scope::{counter, gauge, histogram, is_active, scoped, span, ScopedSink, Span};
 pub use sink::{EventSink, Fanout, NoopSink};

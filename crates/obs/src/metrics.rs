@@ -375,6 +375,38 @@ impl MetricsSnapshot {
         out
     }
 
+    /// A human-readable report of the counters, the completed-span
+    /// tallies and each histogram's count, min, max and sum, one line per
+    /// name (what `rasc batch --profile` prints).
+    pub fn report(&self) -> String {
+        let mut out = String::new();
+        for (title, map) in [
+            ("counters", &self.counters),
+            ("spans (completed)", &self.spans),
+        ] {
+            if !map.is_empty() {
+                let _ = writeln!(out, "{title}:");
+                for (name, v) in map {
+                    let _ = writeln!(out, "  {name:<40} {v}");
+                }
+            }
+        }
+        if !self.histograms.is_empty() {
+            let _ = writeln!(out, "histograms:");
+            for (name, h) in &self.histograms {
+                let _ = writeln!(
+                    out,
+                    "  {name:<40} n={} min={} max={} sum={}",
+                    h.count(),
+                    h.min,
+                    h.max,
+                    h.sum
+                );
+            }
+        }
+        out
+    }
+
     /// Renders the snapshot as a JSON object with `counters`, `gauges`,
     /// `spans`, and `histograms` members; each histogram reports count,
     /// sum, min, max, and the p50/p90/p99 estimates.
@@ -533,6 +565,25 @@ mod tests {
         assert!(json.contains("\"count\":1"), "{json}");
         assert!(json.contains("\"p50\":"), "{json}");
         assert!(json.contains("\"p99\":"), "{json}");
+    }
+
+    #[test]
+    fn report_lists_counters_spans_and_histograms_in_name_order() {
+        let reg = MetricsRegistry::new();
+        reg.counter("b", 2);
+        reg.counter("a", 3);
+        reg.gauge("g", 7);
+        reg.span_begin("s");
+        reg.span_end("s");
+        reg.histogram("h", 10);
+        reg.histogram("h", 4);
+        let want = format!(
+            "counters:\n  {:<40} 3\n  {:<40} 2\nspans (completed):\n  {:<40} 1\n\
+             histograms:\n  {:<40} n=2 min=4 max=10 sum=14\n",
+            "a", "b", "s", "h"
+        );
+        assert_eq!(reg.snapshot().report(), want);
+        assert_eq!(MetricsRegistry::new().snapshot().report(), "");
     }
 
     #[test]

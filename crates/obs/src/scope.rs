@@ -157,7 +157,7 @@ impl Drop for Span {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::recorder::Recorder;
+    use crate::metrics::MetricsRegistry;
 
     #[test]
     fn events_outside_a_scope_are_dropped() {
@@ -165,47 +165,51 @@ mod tests {
         histogram("dropped", 1);
         let s = span("dropped");
         drop(s);
-        // Nothing to assert beyond "did not panic"; the recorder test
-        // below shows scoped delivery works.
+        // Nothing to assert beyond "did not panic"; the registry tests
+        // below show scoped delivery works.
     }
 
     #[test]
     fn innermost_sink_wins_and_uninstall_restores() {
-        let outer = Arc::new(Recorder::new());
-        let inner = Arc::new(Recorder::new());
+        let outer = Arc::new(MetricsRegistry::new());
+        let inner = Arc::new(MetricsRegistry::new());
         scoped(outer.clone(), || {
             counter("c", 1);
             scoped(inner.clone(), || counter("c", 10));
             counter("c", 2);
         });
-        assert_eq!(outer.counter_value("c"), 3);
-        assert_eq!(inner.counter_value("c"), 10);
+        assert_eq!(outer.snapshot().counters["c"], 3);
+        assert_eq!(inner.snapshot().counters["c"], 10);
     }
 
     #[test]
     fn guard_form_uninstalls_on_drop() {
-        let rec = Arc::new(Recorder::new());
+        let reg = Arc::new(MetricsRegistry::new());
         {
-            let _g = ScopedSink::install(rec.clone());
+            let _g = ScopedSink::install(reg.clone());
             assert!(is_active());
             counter("g", 5);
         }
         counter("g", 7);
-        assert_eq!(rec.counter_value("g"), 5);
+        assert_eq!(reg.snapshot().counters["g"], 5);
     }
 
     #[test]
     fn spans_balance_even_across_panics() {
-        let rec = Arc::new(Recorder::new());
+        let reg = Arc::new(MetricsRegistry::new());
         let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            scoped(rec.clone(), || {
+            scoped(reg.clone(), || {
                 let _s = span("outer");
                 panic!("boom");
             })
         }));
         assert!(result.is_err());
-        assert_eq!(rec.span_count("outer"), 1);
-        assert_eq!(rec.open_span_depth(), 0, "end emitted during unwind");
+        // The registry tallies a span when it ends.
+        assert_eq!(
+            reg.snapshot().spans["outer"],
+            1,
+            "end emitted during unwind"
+        );
         assert!(!is_active(), "sink uninstalled during unwind");
     }
 }

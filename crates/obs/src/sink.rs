@@ -44,8 +44,9 @@ impl EventSink for NoopSink {
     fn histogram(&self, _name: &'static str, _value: u64) {}
 }
 
-/// Broadcasts every event to several sinks (e.g. a [`crate::Recorder`]
-/// for `--profile` plus a [`crate::ChromeTraceSink`] for `--trace`).
+/// Broadcasts every event to several sinks (e.g. a
+/// [`crate::MetricsRegistry`] for `--profile` plus a
+/// [`crate::ChromeTraceSink`] for `--trace`).
 #[derive(Debug, Default)]
 pub struct Fanout {
     sinks: Vec<Arc<dyn EventSink>>,

@@ -5,6 +5,7 @@ use std::fmt;
 use rasc_automata::{Alphabet, Dfa, PropertySpec};
 use rasc_cfgir::{Cfg, CfgError, EdgeLabel, NodeId};
 use rasc_core::algebra::{Algebra, AnnId, MonoidAlgebra, SubstAlgebra};
+use rasc_core::forward::ForwardSystem;
 use rasc_core::{ConsId, OccurrenceWitness, SetExpr, SolverConfig, System, VarId, Variance};
 
 /// Errors from building a constraint checker.
@@ -217,6 +218,64 @@ fn build_with_config<A: Algebra>(
         pc,
         site_names,
     })
+}
+
+/// The §6.1 encoding of a non-parametric property on the forward solver
+/// of §5 ([`ForwardSystem`]): the constraints [`ConstraintChecker::new`]
+/// builds, solved forward. Returns the nodes at which the program counter
+/// occurs in an accepting state — the nodes
+/// [`ConstraintChecker::violations`] reports — in node order.
+///
+/// # Errors
+///
+/// Returns [`CheckError::Cfg`] if `entry` is missing.
+pub fn forward_violations(
+    cfg: &Cfg,
+    sigma: &Alphabet,
+    property: &Dfa,
+    entry: &str,
+) -> Result<Vec<NodeId>, CheckError> {
+    let entry_node = cfg.entry(entry)?.entry;
+    let mut sys = ForwardSystem::new(property);
+    let vars: Vec<VarId> = (0..cfg.num_nodes())
+        .map(|i| sys.var(&format!("S{i}")))
+        .collect();
+    let pc = sys.constant("pc");
+    sys.add_constant(pc, vars[entry_node.index()]);
+    for (from, to, label) in cfg.edges() {
+        let ann = match label {
+            EdgeLabel::Plain => sys.identity(),
+            EdgeLabel::Event { name, .. } => match sigma.lookup(name) {
+                Some(s) => sys.word(&[s]),
+                None => sys.identity(),
+            },
+        };
+        sys.add_edge(vars[from.index()], vars[to.index()], ann);
+    }
+    let eps = sys.identity();
+    for site in cfg.call_sites() {
+        let callee = &cfg.functions()[site.callee.index()];
+        let o_i = sys.declare(&format!("o{}", site.id.index()), &[Variance::Covariant]);
+        sys.add_source(
+            o_i,
+            &[vars[site.call_node.index()]],
+            vars[callee.entry.index()],
+            eps,
+        )?;
+        sys.add_projection(
+            o_i,
+            0,
+            vars[callee.exit.index()],
+            vars[site.return_node.index()],
+            eps,
+        )?;
+    }
+    sys.solve();
+    let occ = sys.constant_occurrence_states(pc);
+    Ok((0..cfg.num_nodes())
+        .filter(|&n| occ[vars[n].index()].iter().any(|&s| sys.state_accepting(s)))
+        .map(NodeId::from_index)
+        .collect())
 }
 
 impl<A: Algebra> ConstraintChecker<A> {

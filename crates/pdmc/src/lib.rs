@@ -46,5 +46,7 @@ mod encode;
 pub mod properties;
 pub mod trace;
 
-pub use encode::{CheckError, ConstraintChecker, ParametricChecker, PlainChecker};
+pub use encode::{
+    forward_violations, CheckError, ConstraintChecker, ParametricChecker, PlainChecker,
+};
 pub use trace::{render_trace, witness_trace, TraceStep};

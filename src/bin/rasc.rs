@@ -391,12 +391,11 @@ fn points_to(opts: &Opts) -> Result<(), String> {
 }
 
 /// The `--trace`/`--profile` observability sinks shared by `batch` and
-/// `serve`: a Chrome trace-event collector, an in-memory recorder, and
-/// the single (possibly fanned-out) sink combining whichever were
-/// requested.
+/// `serve`: a Chrome trace-event collector, a metrics registry, and the
+/// single (possibly fanned-out) sink combining whichever were requested.
 struct ObsSetup {
     chrome: Option<std::sync::Arc<rasc::obs::ChromeTraceSink>>,
-    recorder: Option<std::sync::Arc<rasc::obs::Recorder>>,
+    profile: Option<std::sync::Arc<rasc::obs::MetricsRegistry>>,
     sink: Option<std::sync::Arc<dyn rasc::obs::EventSink>>,
 }
 
@@ -415,12 +414,14 @@ impl ObsSetup {
             sink.save_on_drop(std::path::PathBuf::from(path));
             sink
         });
-        let recorder = opts.flag("profile").then(|| Arc::new(obs::Recorder::new()));
+        let profile = opts
+            .flag("profile")
+            .then(|| Arc::new(obs::MetricsRegistry::new()));
         let mut sinks: Vec<Arc<dyn obs::EventSink>> = Vec::new();
         if let Some(c) = &chrome {
             sinks.push(Arc::clone(c) as Arc<dyn obs::EventSink>);
         }
-        if let Some(r) = &recorder {
+        if let Some(r) = &profile {
             sinks.push(Arc::clone(r) as Arc<dyn obs::EventSink>);
         }
         let sink = match sinks.len() {
@@ -430,21 +431,21 @@ impl ObsSetup {
         };
         ObsSetup {
             chrome,
-            recorder,
+            profile,
             sink,
         }
     }
 
-    /// Saves the Chrome trace (if requested) and prints the recorder
-    /// summary (if requested) once the workload is done.
+    /// Saves the Chrome trace (if requested) and prints the registry's
+    /// report (if requested) once the workload is done.
     fn finish(&self, opts: &Opts) -> Result<(), String> {
         if let (Some(sink), Some(path)) = (&self.chrome, opts.value("trace")) {
             sink.save(std::path::Path::new(path))
                 .map_err(|e| format!("cannot write trace `{path}`: {e}"))?;
             eprintln!("rasc: wrote {} trace events to {path}", sink.len());
         }
-        if let Some(r) = &self.recorder {
-            eprint!("{}", r.report());
+        if let Some(r) = &self.profile {
+            eprint!("{}", r.snapshot().report());
         }
         Ok(())
     }

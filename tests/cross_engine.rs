@@ -4,11 +4,9 @@
 //! whether — and where — the privilege property is violated.
 
 use rasc::automata::{Alphabet, Dfa, PropertySpec};
-use rasc::cfgir::{Cfg, EdgeLabel, NodeId, Program};
+use rasc::cfgir::{Cfg, NodeId, Program};
 use rasc::constraints::algebra::Algebra;
-use rasc::constraints::forward::ForwardSystem;
-use rasc::constraints::Variance;
-use rasc::pdmc::{properties, ConstraintChecker};
+use rasc::pdmc::{forward_violations, properties, ConstraintChecker};
 use rasc::pushdown::PdsChecker;
 use rasc_bench::workload::{generate, WorkloadConfig};
 
@@ -19,48 +17,7 @@ fn violating_nodes_constraints(cfg: &Cfg, sigma: &Alphabet, dfa: &Dfa) -> Vec<No
 }
 
 fn violating_nodes_forward(cfg: &Cfg, sigma: &Alphabet, dfa: &Dfa) -> Vec<NodeId> {
-    let mut sys = ForwardSystem::new(dfa);
-    let vars: Vec<_> = (0..cfg.num_nodes())
-        .map(|i| sys.var(&format!("S{i}")))
-        .collect();
-    let pc = sys.constant("pc");
-    sys.add_constant(pc, vars[cfg.entry("main").unwrap().entry.index()]);
-    for (from, to, label) in cfg.edges() {
-        let ann = match label {
-            EdgeLabel::Plain => sys.identity(),
-            EdgeLabel::Event { name, .. } => match sigma.lookup(name) {
-                Some(s) => sys.word(&[s]),
-                None => sys.identity(),
-            },
-        };
-        sys.add_edge(vars[from.index()], vars[to.index()], ann);
-    }
-    let eps = sys.identity();
-    for site in cfg.call_sites() {
-        let callee = &cfg.functions()[site.callee.index()];
-        let o_i = sys.declare(&format!("o{}", site.id.index()), &[Variance::Covariant]);
-        sys.add_source(
-            o_i,
-            &[vars[site.call_node.index()]],
-            vars[callee.entry.index()],
-            eps,
-        )
-        .unwrap();
-        sys.add_projection(
-            o_i,
-            0,
-            vars[callee.exit.index()],
-            vars[site.return_node.index()],
-            eps,
-        )
-        .unwrap();
-    }
-    sys.solve();
-    let occ = sys.constant_occurrence_states(pc);
-    (0..cfg.num_nodes())
-        .filter(|&n| occ[vars[n].index()].iter().any(|&s| sys.state_accepting(s)))
-        .map(NodeId::from_index)
-        .collect()
+    forward_violations(cfg, sigma, dfa, "main").unwrap()
 }
 
 fn violating_nodes_pds(cfg: &Cfg, sigma: &Alphabet, dfa: &Dfa) -> Vec<NodeId> {

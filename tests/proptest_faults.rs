@@ -9,153 +9,16 @@
 //!   every observable query result and the solver statistics, and the
 //!   system must remain fully usable afterwards.
 //!
-//! Observables are compared through *semantic* signatures (sorted
+//! Observables are compared through the model's signatures (sorted
 //! annotation renderings, emptiness, acceptance, consistency), never
-//! through hash-map iteration order, so two independently built systems
-//! can be compared.
+//! through hash-map iteration order, and every fixpoint is also checked
+//! against the model's naive reference.
 
-use rasc::automata::{Alphabet, Dfa, SymbolId};
-use rasc::constraints::algebra::{Algebra, MonoidAlgebra};
-use rasc::constraints::{Budget, ConsId, Outcome, SetExpr, SolverConfig, System, VarId, Variance};
-use rasc_devtools::{forall, prop_assert, prop_assert_eq, Config, FaultPlan, Rng};
+mod model;
 
-const N_VARS: usize = 6;
-
-#[derive(Debug, Clone)]
-enum RandCon {
-    Edge(usize, usize, Option<u8>),
-    Const(usize, Option<u8>),
-    Wrap(usize, usize), // o(v1) ⊆ v2
-    Proj(usize, usize), // o⁻¹(v1) ⊆ v2
-    Sink(usize, usize), // v1 ⊆ o(v2)
-}
-
-fn arb_sym(rng: &mut Rng) -> Option<u8> {
-    if rng.gen_bool(0.5) {
-        Some(rng.gen_range(0..2) as u8)
-    } else {
-        None
-    }
-}
-
-fn arb_con(rng: &mut Rng) -> RandCon {
-    let v = |rng: &mut Rng| rng.gen_range(0..N_VARS);
-    match rng.gen_range(0..12) {
-        0..=4 => {
-            let (a, b) = (v(rng), v(rng));
-            let s = arb_sym(rng);
-            RandCon::Edge(a, b, s)
-        }
-        5 | 6 => {
-            let a = v(rng);
-            let s = arb_sym(rng);
-            RandCon::Const(a, s)
-        }
-        7 | 8 => RandCon::Wrap(v(rng), v(rng)),
-        9 | 10 => RandCon::Proj(v(rng), v(rng)),
-        _ => RandCon::Sink(v(rng), v(rng)),
-    }
-}
-
-fn arb_cons(rng: &mut Rng, lo: usize, hi: usize) -> Vec<RandCon> {
-    (0..rng.gen_range(lo..hi)).map(|_| arb_con(rng)).collect()
-}
-
-fn machine() -> (Alphabet, Dfa) {
-    // Odd number of `a`, ending in `b` — 4-state minimal machine.
-    let sigma = Alphabet::from_names(["a", "b"]);
-    let re = rasc::automata::Regex::parse("b* a (b | a b* a)* b+", &sigma).unwrap();
-    let dfa = re.compile(&sigma);
-    (sigma, dfa)
-}
-
-struct Shape {
-    vars: Vec<VarId>,
-    probe: ConsId,
-    o: ConsId,
-}
-
-fn declare(sys: &mut System<MonoidAlgebra>) -> Shape {
-    let vars = (0..N_VARS).map(|i| sys.var(&format!("v{i}"))).collect();
-    let probe = sys.constructor("probe", &[]);
-    let o = sys.constructor("o", &[Variance::Covariant]);
-    Shape { vars, probe, o }
-}
-
-/// Adds one random constraint directly to a system (no solve).
-fn apply(sys: &mut System<MonoidAlgebra>, shape: &Shape, syms: &[SymbolId], c: &RandCon) {
-    let ann = |sys: &mut System<MonoidAlgebra>, s: &Option<u8>| match s {
-        Some(i) => sys.algebra_mut().word(&[syms[*i as usize]]),
-        None => sys.algebra().identity(),
-    };
-    match *c {
-        RandCon::Edge(a, b, ref s) => {
-            let w = ann(sys, s);
-            sys.add_ann(SetExpr::var(shape.vars[a]), SetExpr::var(shape.vars[b]), w)
-                .unwrap();
-        }
-        RandCon::Const(v, ref s) => {
-            let w = ann(sys, s);
-            sys.add_ann(
-                SetExpr::cons(shape.probe, []),
-                SetExpr::var(shape.vars[v]),
-                w,
-            )
-            .unwrap();
-        }
-        RandCon::Wrap(a, b) => {
-            sys.add(
-                SetExpr::cons_vars(shape.o, [shape.vars[a]]),
-                SetExpr::var(shape.vars[b]),
-            )
-            .unwrap();
-        }
-        RandCon::Proj(a, b) => {
-            sys.add(
-                SetExpr::proj(shape.o, 0, shape.vars[a]),
-                SetExpr::var(shape.vars[b]),
-            )
-            .unwrap();
-        }
-        RandCon::Sink(a, b) => {
-            sys.add(
-                SetExpr::var(shape.vars[a]),
-                SetExpr::cons_vars(shape.o, [shape.vars[b]]),
-            )
-            .unwrap();
-        }
-    }
-}
-
-/// Per-variable semantic observation: sorted probe occurrence annotations
-/// (rendered), emptiness, `o`-acceptance, partially matched occurrences —
-/// plus global consistency.
-type Signature = (Vec<(Vec<String>, bool, bool, Vec<String>)>, bool);
-
-fn system_signature(sys: &mut System<MonoidAlgebra>, shape: &Shape) -> Signature {
-    let per_var = shape
-        .vars
-        .iter()
-        .map(|&v| {
-            let mut occ: Vec<String> = sys
-                .occurrence_annotations(v, shape.probe)
-                .into_iter()
-                .map(|a| sys.algebra().describe(a))
-                .collect();
-            occ.sort();
-            let nonempty = sys.nonempty(v);
-            let o_reaches = sys.occurs_accepting(v, shape.o);
-            let mut pn: Vec<String> = sys
-                .pn_occurrence_annotations(v, shape.probe)
-                .into_iter()
-                .map(|a| sys.algebra().describe(a))
-                .collect();
-            pn.sort();
-            (occ, nonempty, o_reaches, pn)
-        })
-        .collect();
-    (per_var, sys.is_consistent())
-}
+use model::{arb_cons, signature, Machine, RandCon};
+use rasc::constraints::{Budget, Outcome, SolverConfig};
+use rasc_devtools::{forall, prop_assert, prop_assert_eq, Config, FaultPlan};
 
 #[test]
 fn resume_equals_uninterrupted() {
@@ -170,25 +33,18 @@ fn resume_equals_uninterrupted() {
             (cons, plans)
         },
         |(cons, plans)| {
-            let (sigma, dfa) = machine();
-            let syms: Vec<SymbolId> = sigma.symbols().collect();
+            let m = Machine::odd_a_then_b();
+            let want = m.reference(cons);
 
-            // Uninterrupted reference fixpoint.
-            let mut reference =
-                System::with_config(MonoidAlgebra::new(&dfa), SolverConfig::default());
-            let shape_r = declare(&mut reference);
-            for c in cons {
-                apply(&mut reference, &shape_r, &syms, c);
-            }
-            reference.solve();
-            let want = system_signature(&mut reference, &shape_r);
+            // Uninterrupted fixpoint.
+            let mut uninterrupted = m.build(SolverConfig::default(), cons);
+            prop_assert_eq!(&signature(&mut uninterrupted), &want, "uninterrupted");
 
             // Same constraints, but every solve attempt is sabotaged by a
             // fault plan before an unlimited resume finishes the job.
-            let mut sys = System::with_config(MonoidAlgebra::new(&dfa), SolverConfig::default());
-            let shape = declare(&mut sys);
+            let mut sys = m.system(SolverConfig::default());
             for c in cons {
-                apply(&mut sys, &shape, &syms, c);
+                m.apply(&mut sys, c);
             }
             for plan in plans {
                 match sys.solve_bounded(&plan.budget()) {
@@ -204,9 +60,11 @@ fn resume_equals_uninterrupted() {
             }
             prop_assert!(sys.solve_bounded(&Budget::unlimited()).is_complete());
             prop_assert_eq!(sys.pending_facts(), 0);
-
-            let got = system_signature(&mut sys, &shape);
-            prop_assert_eq!(&got, &want, "resumed fixpoint diverged from uninterrupted");
+            prop_assert_eq!(
+                &signature(&mut sys),
+                &want,
+                "resumed fixpoint diverged from uninterrupted"
+            );
             Ok(())
         },
     );
@@ -225,15 +83,14 @@ fn rollback_after_interrupt_restores_all_observables() {
             )
         },
         |(base, extra, plan)| {
-            let (sigma, dfa) = machine();
-            let syms: Vec<SymbolId> = sigma.symbols().collect();
-            let mut sys = System::new(MonoidAlgebra::new(&dfa));
-            let shape = declare(&mut sys);
+            let m = Machine::odd_a_then_b();
+            let mut sys = m.system(SolverConfig::default());
             for c in base {
-                apply(&mut sys, &shape, &syms, c);
+                m.apply(&mut sys, c);
                 sys.solve();
             }
-            let before = system_signature(&mut sys, &shape);
+            let before = m.reference(base);
+            prop_assert_eq!(&signature(&mut sys), &before, "base");
             // The algebra's hash-cons table is a monotone memo and is
             // deliberately not rolled back.
             let mut before_stats = sys.stats();
@@ -241,7 +98,7 @@ fn rollback_after_interrupt_restores_all_observables() {
 
             sys.push_epoch();
             for c in extra {
-                apply(&mut sys, &shape, &syms, c);
+                m.apply(&mut sys, c);
             }
             let outcome = sys.solve_bounded(&plan.budget());
             // Whether or not the fault tripped, abandoning the epoch must
@@ -249,9 +106,8 @@ fn rollback_after_interrupt_restores_all_observables() {
             prop_assert!(sys.pop_epoch());
             prop_assert_eq!(sys.pending_facts(), 0);
 
-            let after = system_signature(&mut sys, &shape);
             prop_assert_eq!(
-                &after,
+                &signature(&mut sys),
                 &before,
                 "rollback after {outcome:?} changed an observable"
             );
@@ -262,19 +118,18 @@ fn rollback_after_interrupt_restores_all_observables() {
             // The system stays usable: re-adding the epoch's constraints
             // now reaches the same fixpoint as a fresh batch solve.
             for c in extra {
-                apply(&mut sys, &shape, &syms, c);
+                m.apply(&mut sys, c);
             }
             sys.solve();
-            let resumed = system_signature(&mut sys, &shape);
-
-            let mut batch = System::with_config(MonoidAlgebra::new(&dfa), SolverConfig::default());
-            let shape_b = declare(&mut batch);
-            for c in base.iter().chain(extra) {
-                apply(&mut batch, &shape_b, &syms, c);
-            }
-            batch.solve();
-            let want = system_signature(&mut batch, &shape_b);
-            prop_assert_eq!(&resumed, &want, "post-rollback session diverged");
+            let all: Vec<RandCon> = base.iter().chain(extra).cloned().collect();
+            let want = m.reference(&all);
+            prop_assert_eq!(
+                &signature(&mut sys),
+                &want,
+                "post-rollback session diverged"
+            );
+            let mut batch = m.build(SolverConfig::default(), &all);
+            prop_assert_eq!(&signature(&mut batch), &want, "batch");
             Ok(())
         },
     );

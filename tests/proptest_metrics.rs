@@ -1,28 +1,15 @@
-//! Property tests for the metrics aggregation plane
-//! ([`rasc::obs::MetricsRegistry`]).
+//! Property test for the metrics aggregation plane
+//! ([`rasc::obs::MetricsRegistry`]): quantile accuracy.
 //!
-//! 1. **Quantile accuracy.** The registry stores latencies in fixed
-//!    log₂ buckets, so `quantile(q)` is an estimate: the inclusive
-//!    upper bound of the bucket holding the rank-⌈q·n⌉ sample, clamped
-//!    to the observed maximum. That estimate must never undershoot the
-//!    exact order statistic and must land in the *same* log₂ bucket —
-//!    i.e. p50/p90/p99 are within one bucket (a factor of two) of the
-//!    exact quantiles, on any workload.
-//!
-//! 2. **Rollback reconciliation.** Installed as the scoped sink over a
-//!    solver's whole lifetime, the registry's *net* counters must
-//!    equal the solver's own [`SolverStats`] at every flush boundary —
-//!    including after `push_epoch`/`pop_epoch` rollback, where the
-//!    `…rolled_back`/`…removed` counters grow while the stats shrink.
-//!    This is the recorder reconcile suite's invariant, re-proved for
-//!    the aggregating sink the serve layer keeps permanently installed.
+//! The registry stores latencies in fixed log₂ buckets, so `quantile(q)`
+//! is an estimate: the inclusive upper bound of the bucket holding the
+//! rank-⌈q·n⌉ sample, clamped to the observed maximum. That estimate must
+//! never undershoot the exact order statistic and must land in the *same*
+//! log₂ bucket — i.e. p50/p90/p99 are within one bucket (a factor of two)
+//! of the exact quantiles, on any workload. (That the registry's counters
+//! reconcile with the solver's statistics is `proptest_obs_reconcile`.)
 
-use std::sync::Arc;
-
-use rasc::automata::{Alphabet, Dfa, SymbolId};
-use rasc::constraints::algebra::MonoidAlgebra;
-use rasc::constraints::{Budget, SetExpr, SolverStats, System, Variance};
-use rasc::obs::{bucket_index, scoped, EventSink, MetricsRegistry, MetricsSnapshot};
+use rasc::obs::{bucket_index, EventSink, MetricsRegistry};
 use rasc_devtools::{forall, prop_assert, prop_assert_eq, Config, Rng};
 
 /// Draws a value whose magnitude spans the full bucket range: mostly
@@ -95,144 +82,6 @@ fn histogram_quantiles_are_within_one_bucket_of_exact() {
                 );
             }
             Ok(())
-        },
-    );
-}
-
-/// A random surface constraint over a small fixed shape.
-#[derive(Debug, Clone)]
-enum RandCon {
-    Edge(usize, usize, Option<u8>),
-    Const(usize, Option<u8>),
-    Wrap(usize, usize),
-}
-
-const N_VARS: usize = 5;
-
-fn arb_con(rng: &mut Rng) -> RandCon {
-    let v = |rng: &mut Rng| rng.gen_range(0..N_VARS);
-    match rng.gen_range(0..8) {
-        0..=4 => {
-            let (a, b) = (v(rng), v(rng));
-            let s = rng.gen_bool(0.5).then(|| rng.gen_range(0..2) as u8);
-            RandCon::Edge(a, b, s)
-        }
-        5 | 6 => {
-            let a = v(rng);
-            let s = rng.gen_bool(0.5).then(|| rng.gen_range(0..2) as u8);
-            RandCon::Const(a, s)
-        }
-        _ => RandCon::Wrap(v(rng), v(rng)),
-    }
-}
-
-fn machine() -> (Alphabet, Dfa) {
-    let sigma = Alphabet::from_names(["a", "b"]);
-    let re = rasc::automata::Regex::parse("b* a (b | a b* a)* b+", &sigma).unwrap();
-    let dfa = re.compile(&sigma);
-    (sigma, dfa)
-}
-
-/// Net registry counters must equal the solver statistics. Valid only at
-/// flush boundaries (after an unbounded solve or a finished pop).
-fn reconcile(snap: &MetricsSnapshot, stats: &SolverStats) -> Result<(), String> {
-    let counter = |name: &str| -> i128 { snap.counters.get(name).copied().unwrap_or(0).into() };
-    let checks: [(&str, &str, usize); 5] = [
-        ("solver.edges.added", "solver.edges.removed", stats.edges),
-        ("solver.lbs.added", "solver.lbs.removed", stats.lower_bounds),
-        ("solver.ubs.added", "solver.ubs.removed", stats.upper_bounds),
-        (
-            "solver.facts",
-            "solver.facts.rolled_back",
-            stats.facts_processed,
-        ),
-        ("solver.fuel", "solver.fuel.rolled_back", stats.fuel_spent),
-    ];
-    for (added, removed, want) in checks {
-        prop_assert_eq!(
-            counter(added) - counter(removed),
-            want as i128,
-            "`{added}` − `{removed}` must equal the solver statistic"
-        );
-    }
-    Ok(())
-}
-
-#[test]
-fn registry_counters_reconcile_with_solver_stats_across_rollback() {
-    let (sigma, dfa) = machine();
-    let syms: Vec<SymbolId> = sigma.symbols().collect();
-    forall(
-        "registry_counters_reconcile_with_solver_stats_across_rollback",
-        Config::cases(48),
-        |rng| (0..rng.gen_range(1..16)).map(|_| arb_con(rng)).collect(),
-        |cons: &Vec<RandCon>| {
-            let reg = Arc::new(MetricsRegistry::new());
-            scoped(Arc::clone(&reg) as _, || {
-                let mut sys = System::new(MonoidAlgebra::new(&dfa));
-                let vars: Vec<_> = (0..N_VARS).map(|i| sys.var(&format!("v{i}"))).collect();
-                let probe = sys.constructor("probe", &[]);
-                let o = sys.constructor("o", &[Variance::Covariant]);
-                let apply = |sys: &mut System<MonoidAlgebra>, c: &RandCon| {
-                    let ann = |sys: &mut System<MonoidAlgebra>, s: &Option<u8>| match s {
-                        Some(i) => {
-                            let sym = syms[*i as usize];
-                            sys.algebra_mut().word(&[sym])
-                        }
-                        None => {
-                            use rasc::constraints::algebra::Algebra;
-                            sys.algebra().identity()
-                        }
-                    };
-                    match *c {
-                        RandCon::Edge(a, b, ref s) => {
-                            let w = ann(sys, s);
-                            sys.add_ann(SetExpr::var(vars[a]), SetExpr::var(vars[b]), w)
-                                .unwrap();
-                        }
-                        RandCon::Const(v, ref s) => {
-                            let w = ann(sys, s);
-                            sys.add_ann(SetExpr::cons(probe, []), SetExpr::var(vars[v]), w)
-                                .unwrap();
-                        }
-                        RandCon::Wrap(a, b) => {
-                            sys.add(SetExpr::cons_vars(o, [vars[a]]), SetExpr::var(vars[b]))
-                                .unwrap();
-                        }
-                    }
-                };
-
-                let (first, second) = cons.split_at(cons.len() / 2);
-                for c in first {
-                    apply(&mut sys, c);
-                }
-                sys.solve();
-                reconcile(&reg.snapshot(), &sys.stats())?;
-
-                // Speculative epoch: more constraints, a starved bounded
-                // solve (spends fuel, usually interrupts), a finishing
-                // solve — then roll everything back. The registry's net
-                // counters must track the stats through every phase.
-                sys.push_epoch();
-                for c in second {
-                    apply(&mut sys, c);
-                }
-                let _ = sys.solve_bounded(&Budget::unlimited().with_steps(2));
-                sys.solve();
-                reconcile(&reg.snapshot(), &sys.stats())?;
-
-                prop_assert!(sys.pop_epoch(), "epoch must pop");
-                let snap = reg.snapshot();
-                reconcile(&snap, &sys.stats())?;
-
-                // The registry also tallies solve spans; at least the two
-                // unbounded solves above must have completed.
-                prop_assert!(
-                    snap.spans.get("solver.solve").copied().unwrap_or(0) >= 2,
-                    "solver.solve spans must be tallied"
-                );
-                Ok(())
-            })
         },
     );
 }

@@ -1,144 +1,37 @@
 //! Property test for the observability subsystem (`rasc-obs`): the
-//! counters a [`Recorder`] collects must reconcile *exactly* with the
-//! solver's own [`SolverStats`] — on random systems, at every solve
-//! boundary, and across `push_epoch`/`pop_epoch` rollback.
+//! counters a [`MetricsRegistry`] aggregates must reconcile *exactly* with
+//! the solver's own [`SolverStats`] — on the model's random systems, under
+//! both cycle-elimination settings, at every solve boundary, and across
+//! `push_epoch`/`pop_epoch` rollback.
 //!
 //! The solver batches hot-path counter deltas and flushes them when a
 //! bounded solve returns and when an epoch pop finishes, as matched
-//! added/removed (or …/rolled_back) pairs. So for a subscriber installed
+//! added/removed (or …/rolled_back) pairs. So for a registry installed
 //! for the system's whole lifetime, each *net* count must equal the
 //! corresponding statistic: e.g. `solver.edges.added −
 //! solver.edges.removed == stats().edges`, and `solver.facts −
 //! solver.facts.rolled_back == stats().facts_processed`. Epoch events
 //! must balance too: every push is eventually popped, committed, or
-//! still open.
+//! still open. And the registry tallies every completed solve span.
+
+mod model;
 
 use std::sync::Arc;
 
-use rasc::automata::{Alphabet, Dfa, SymbolId};
-use rasc::constraints::algebra::MonoidAlgebra;
-use rasc::constraints::{
-    Budget, ConsId, SetExpr, SolverConfig, SolverStats, System, VarId, Variance,
-};
-use rasc::obs::{scoped, Recorder};
-use rasc_devtools::{forall, prop_assert, prop_assert_eq, Config, Rng};
+use model::{arb_cons, Machine};
+use rasc::constraints::{Budget, SolverConfig, SolverStats};
+use rasc::obs::{scoped, MetricsRegistry, MetricsSnapshot};
+use rasc_devtools::{forall, prop_assert, prop_assert_eq, Config};
 
-const N_VARS: usize = 6;
-
-/// Random surface constraints over a small fixed shape (mirrors the
-/// incremental-equivalence suite's generator).
-#[derive(Debug, Clone)]
-enum RandCon {
-    Edge(usize, usize, Option<u8>),
-    Const(usize, Option<u8>),
-    Wrap(usize, usize), // o(v1) ⊆ v2
-    Proj(usize, usize), // o⁻¹(v1) ⊆ v2
-    Sink(usize, usize), // v1 ⊆ o(v2)
+/// Counter `name`'s value (0 when never emitted).
+fn counter(snap: &MetricsSnapshot, name: &str) -> u64 {
+    snap.counters.get(name).copied().unwrap_or(0)
 }
 
-fn arb_sym(rng: &mut Rng) -> Option<u8> {
-    if rng.gen_bool(0.5) {
-        Some(rng.gen_range(0..2) as u8)
-    } else {
-        None
-    }
-}
-
-fn arb_con(rng: &mut Rng) -> RandCon {
-    let v = |rng: &mut Rng| rng.gen_range(0..N_VARS);
-    match rng.gen_range(0..12) {
-        0..=4 => {
-            let (a, b) = (v(rng), v(rng));
-            let s = arb_sym(rng);
-            RandCon::Edge(a, b, s)
-        }
-        5 | 6 => {
-            let a = v(rng);
-            let s = arb_sym(rng);
-            RandCon::Const(a, s)
-        }
-        7 | 8 => RandCon::Wrap(v(rng), v(rng)),
-        9 | 10 => RandCon::Proj(v(rng), v(rng)),
-        _ => RandCon::Sink(v(rng), v(rng)),
-    }
-}
-
-fn machine() -> (Alphabet, Dfa) {
-    let sigma = Alphabet::from_names(["a", "b"]);
-    let re = rasc::automata::Regex::parse("b* a (b | a b* a)* b+", &sigma).unwrap();
-    let dfa = re.compile(&sigma);
-    (sigma, dfa)
-}
-
-struct Shape {
-    vars: Vec<VarId>,
-    probe: ConsId,
-    o: ConsId,
-}
-
-fn declare(sys: &mut System<MonoidAlgebra>) -> Shape {
-    let vars = (0..N_VARS).map(|i| sys.var(&format!("v{i}"))).collect();
-    let probe = sys.constructor("probe", &[]);
-    let o = sys.constructor("o", &[Variance::Covariant]);
-    Shape { vars, probe, o }
-}
-
-fn apply(sys: &mut System<MonoidAlgebra>, shape: &Shape, syms: &[SymbolId], c: &RandCon) {
-    let ann = |sys: &mut System<MonoidAlgebra>, s: &Option<u8>| match s {
-        Some(i) => {
-            let sym = syms[*i as usize];
-            sys.algebra_mut().word(&[sym])
-        }
-        None => {
-            use rasc::constraints::algebra::Algebra;
-            sys.algebra().identity()
-        }
-    };
-    match *c {
-        RandCon::Edge(a, b, ref s) => {
-            let w = ann(sys, s);
-            sys.add_ann(SetExpr::var(shape.vars[a]), SetExpr::var(shape.vars[b]), w)
-                .unwrap();
-        }
-        RandCon::Const(v, ref s) => {
-            let w = ann(sys, s);
-            sys.add_ann(
-                SetExpr::cons(shape.probe, []),
-                SetExpr::var(shape.vars[v]),
-                w,
-            )
-            .unwrap();
-        }
-        RandCon::Wrap(a, b) => {
-            sys.add(
-                SetExpr::cons_vars(shape.o, [shape.vars[a]]),
-                SetExpr::var(shape.vars[b]),
-            )
-            .unwrap();
-        }
-        RandCon::Proj(a, b) => {
-            sys.add(
-                SetExpr::proj(shape.o, 0, shape.vars[a]),
-                SetExpr::var(shape.vars[b]),
-            )
-            .unwrap();
-        }
-        RandCon::Sink(a, b) => {
-            sys.add(
-                SetExpr::var(shape.vars[a]),
-                SetExpr::cons_vars(shape.o, [shape.vars[b]]),
-            )
-            .unwrap();
-        }
-    }
-}
-
-/// Every net recorder count must equal its solver statistic. Called only
+/// Every net registry count must equal its solver statistic. Called only
 /// at flush boundaries (after an unbounded solve or a finished pop).
-fn reconcile(rec: &Recorder, stats: &SolverStats, n_clashes: usize) -> Result<(), String> {
-    let net = |added: &str, removed: &str| -> i128 {
-        i128::from(rec.counter_value(added)) - i128::from(rec.counter_value(removed))
-    };
+fn reconcile(reg: &MetricsRegistry, stats: &SolverStats, n_clashes: usize) -> Result<(), String> {
+    let snap = reg.snapshot();
     let checks: [(&str, &str, usize); 9] = [
         ("solver.edges.added", "solver.edges.removed", stats.edges),
         ("solver.lbs.added", "solver.lbs.removed", stats.lower_bounds),
@@ -168,7 +61,7 @@ fn reconcile(rec: &Recorder, stats: &SolverStats, n_clashes: usize) -> Result<()
     ];
     for (added, removed, want) in checks {
         prop_assert_eq!(
-            net(added, removed),
+            i128::from(counter(&snap, added)) - i128::from(counter(&snap, removed)),
             want as i128,
             "`{added}` − `{removed}` must equal the solver statistic"
         );
@@ -177,34 +70,26 @@ fn reconcile(rec: &Recorder, stats: &SolverStats, n_clashes: usize) -> Result<()
 }
 
 #[test]
-fn recorder_counters_reconcile_with_solver_stats() {
-    let (sigma, dfa) = machine();
-    let syms: Vec<SymbolId> = sigma.symbols().collect();
+fn registry_counters_reconcile_with_solver_stats() {
+    let m = Machine::odd_a_then_b();
     forall(
-        "recorder_counters_reconcile_with_solver_stats",
+        "registry_counters_reconcile_with_solver_stats",
         Config::cases(64),
-        |rng| (0..rng.gen_range(1..20)).map(|_| arb_con(rng)).collect(),
-        |cons: &Vec<RandCon>| {
-            let configs = [
-                SolverConfig::default(),
-                SolverConfig {
-                    cycle_elimination: false,
-                },
-            ];
-            for config in configs {
-                // The recorder is installed before the system exists, so
+        |rng| arb_cons(rng, 1, 20),
+        |cons| {
+            for cycle_elimination in [true, false] {
+                // The registry is installed before the system exists, so
                 // it observes every mutation of the system's lifetime.
-                let rec = Arc::new(Recorder::new());
-                scoped(Arc::clone(&rec) as _, || {
-                    let mut sys = System::with_config(MonoidAlgebra::new(&dfa), config);
-                    let shape = declare(&mut sys);
+                let reg = Arc::new(MetricsRegistry::new());
+                scoped(Arc::clone(&reg) as _, || {
+                    let mut sys = m.system(SolverConfig { cycle_elimination });
                     let (first, second) = cons.split_at(cons.len() / 2);
 
                     for c in first {
-                        apply(&mut sys, &shape, &syms, c);
+                        m.apply(&mut sys, c);
                     }
                     sys.solve();
-                    reconcile(&rec, &sys.stats(), sys.clashes().len())?;
+                    reconcile(&reg, &sys.stats(), sys.clashes().len())?;
 
                     // Speculative epoch: more constraints, a deliberately
                     // starved bounded solve (spends fuel, usually
@@ -212,23 +97,29 @@ fn recorder_counters_reconcile_with_solver_stats() {
                     // back. The net counts must track every phase.
                     sys.push_epoch();
                     for c in second {
-                        apply(&mut sys, &shape, &syms, c);
+                        m.apply(&mut sys, c);
                     }
                     let _ = sys.solve_bounded(&Budget::unlimited().with_steps(2));
                     sys.solve();
-                    reconcile(&rec, &sys.stats(), sys.clashes().len())?;
+                    reconcile(&reg, &sys.stats(), sys.clashes().len())?;
 
                     prop_assert!(sys.pop_epoch(), "epoch must pop");
-                    reconcile(&rec, &sys.stats(), sys.clashes().len())?;
+                    reconcile(&reg, &sys.stats(), sys.clashes().len())?;
 
                     // Epoch events balance: every push was popped,
                     // committed, or is still open (none here).
+                    let snap = reg.snapshot();
                     prop_assert_eq!(
-                        rec.counter_value("solver.epochs.pushed"),
-                        rec.counter_value("solver.epochs.popped")
-                            + rec.counter_value("solver.epochs.committed")
+                        counter(&snap, "solver.epochs.pushed"),
+                        counter(&snap, "solver.epochs.popped")
+                            + counter(&snap, "solver.epochs.committed")
                             + sys.epoch_depth() as u64,
                         "epoch push/pop/commit events must balance"
+                    );
+                    // At least the two unbounded solves above completed.
+                    prop_assert!(
+                        snap.spans.get("solver.solve").copied().unwrap_or(0) >= 2,
+                        "solver.solve spans must be tallied"
                     );
                     Ok(())
                 })?;

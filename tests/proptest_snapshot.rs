@@ -16,183 +16,27 @@
 //!   checksums recomputed either fails to restore as corrupt, or restores
 //!   to a system that survives solving, queries and rollback.
 //!
-//! Observables are compared through the same semantic signatures the
-//! governor fault suite uses (sorted renderings, never hash order), and
-//! IO faults come from the deterministic [`IoFaultPlan`] machinery in
-//! `rasc_devtools`, so every failure replays bit-for-bit from a seed.
+//! Observables are compared through the model's signatures (sorted
+//! renderings, never hash order), and every fixpoint a test compares is
+//! also checked against the model's naive reference. IO faults come from
+//! the deterministic [`IoFaultPlan`] machinery in `rasc_devtools`, so
+//! every failure replays bit-for-bit from a seed.
 
-use rasc::automata::{Alphabet, Dfa, SymbolId};
-use rasc::constraints::algebra::{Algebra, MonoidAlgebra};
+mod model;
+
+use model::{arb_cons, signature, Machine, RandCon, Signature};
+use rasc::constraints::algebra::MonoidAlgebra;
 use rasc::constraints::snapshot::{read_snapshot_file, write_atomic, TAG_ALGEBRA, TAG_SOLVED};
-use rasc::constraints::{Budget, ConsId, SetExpr, SnapshotError, System, VarId, Variance};
+use rasc::constraints::{Budget, SetExpr, SnapshotError, SolverConfig, System, VarId};
 use rasc_devtools::{
     forall, prop_assert, prop_assert_eq, Config, FaultyWriter, IoFaultKind, IoFaultPlan, Rng,
 };
 
-const N_VARS: usize = 6;
-
-#[derive(Debug, Clone)]
-enum RandCon {
-    Edge(usize, usize, Option<u8>),
-    Const(usize, Option<u8>),
-    Wrap(usize, usize), // o(v1) ⊆ v2
-    Proj(usize, usize), // o⁻¹(v1) ⊆ v2
-    Sink(usize, usize), // v1 ⊆ o(v2)
-}
-
-fn arb_sym(rng: &mut Rng) -> Option<u8> {
-    if rng.gen_bool(0.5) {
-        Some(rng.gen_range(0..2) as u8)
-    } else {
-        None
-    }
-}
-
-fn arb_con(rng: &mut Rng) -> RandCon {
-    let v = |rng: &mut Rng| rng.gen_range(0..N_VARS);
-    match rng.gen_range(0..12) {
-        0..=4 => {
-            let (a, b) = (v(rng), v(rng));
-            let s = arb_sym(rng);
-            RandCon::Edge(a, b, s)
-        }
-        5 | 6 => {
-            let a = v(rng);
-            let s = arb_sym(rng);
-            RandCon::Const(a, s)
-        }
-        7 | 8 => RandCon::Wrap(v(rng), v(rng)),
-        9 | 10 => RandCon::Proj(v(rng), v(rng)),
-        _ => RandCon::Sink(v(rng), v(rng)),
-    }
-}
-
-fn arb_cons(rng: &mut Rng, lo: usize, hi: usize) -> Vec<RandCon> {
-    (0..rng.gen_range(lo..hi)).map(|_| arb_con(rng)).collect()
-}
-
-fn machine() -> (Alphabet, Dfa) {
-    // Odd number of `a`, ending in `b` — 4-state minimal machine.
-    let sigma = Alphabet::from_names(["a", "b"]);
-    let re = rasc::automata::Regex::parse("b* a (b | a b* a)* b+", &sigma).unwrap();
-    let dfa = re.compile(&sigma);
-    (sigma, dfa)
-}
-
-struct Shape {
-    vars: Vec<VarId>,
-    probe: ConsId,
-    o: ConsId,
-}
-
-fn declare(sys: &mut System<MonoidAlgebra>) -> Shape {
-    let vars = (0..N_VARS).map(|i| sys.var(&format!("v{i}"))).collect();
-    let probe = sys.constructor("probe", &[]);
-    let o = sys.constructor("o", &[Variance::Covariant]);
-    Shape { vars, probe, o }
-}
-
-/// Adds one random constraint directly to a system (no solve).
-fn apply(sys: &mut System<MonoidAlgebra>, shape: &Shape, syms: &[SymbolId], c: &RandCon) {
-    let ann = |sys: &mut System<MonoidAlgebra>, s: &Option<u8>| match s {
-        Some(i) => sys.algebra_mut().word(&[syms[*i as usize]]),
-        None => sys.algebra().identity(),
-    };
-    match *c {
-        RandCon::Edge(a, b, ref s) => {
-            let w = ann(sys, s);
-            sys.add_ann(SetExpr::var(shape.vars[a]), SetExpr::var(shape.vars[b]), w)
-                .unwrap();
-        }
-        RandCon::Const(v, ref s) => {
-            let w = ann(sys, s);
-            sys.add_ann(
-                SetExpr::cons(shape.probe, []),
-                SetExpr::var(shape.vars[v]),
-                w,
-            )
-            .unwrap();
-        }
-        RandCon::Wrap(a, b) => {
-            sys.add(
-                SetExpr::cons_vars(shape.o, [shape.vars[a]]),
-                SetExpr::var(shape.vars[b]),
-            )
-            .unwrap();
-        }
-        RandCon::Proj(a, b) => {
-            sys.add(
-                SetExpr::proj(shape.o, 0, shape.vars[a]),
-                SetExpr::var(shape.vars[b]),
-            )
-            .unwrap();
-        }
-        RandCon::Sink(a, b) => {
-            sys.add(
-                SetExpr::var(shape.vars[a]),
-                SetExpr::cons_vars(shape.o, [shape.vars[b]]),
-            )
-            .unwrap();
-        }
-    }
-}
-
-/// Per-variable semantic observation: sorted probe occurrence annotations
-/// (rendered), emptiness, `o`-acceptance, partially matched occurrences —
-/// plus global consistency.
-type Signature = (Vec<(Vec<String>, bool, bool, Vec<String>)>, bool);
-
-fn system_signature(sys: &mut System<MonoidAlgebra>, shape: &Shape) -> Signature {
-    let per_var = shape
-        .vars
-        .iter()
-        .map(|&v| {
-            let mut occ: Vec<String> = sys
-                .occurrence_annotations(v, shape.probe)
-                .into_iter()
-                .map(|a| sys.algebra().describe(a))
-                .collect();
-            occ.sort();
-            let nonempty = sys.nonempty(v);
-            let o_reaches = sys.occurs_accepting(v, shape.o);
-            let mut pn: Vec<String> = sys
-                .pn_occurrence_annotations(v, shape.probe)
-                .into_iter()
-                .map(|a| sys.algebra().describe(a))
-                .collect();
-            pn.sort();
-            (occ, nonempty, o_reaches, pn)
-        })
-        .collect();
-    (per_var, sys.is_consistent())
-}
-
-/// Builds a solved system from a constraint list.
-fn build(dfa: &Dfa, syms: &[SymbolId], cons: &[RandCon]) -> (System<MonoidAlgebra>, Shape) {
-    let mut sys = System::new(MonoidAlgebra::new(dfa));
-    let shape = declare(&mut sys);
-    for c in cons {
-        apply(&mut sys, &shape, syms, c);
-    }
-    sys.solve();
-    (sys, shape)
-}
-
-/// Names are diagnostics only at the `System` layer, so a restored
-/// system is queried through the same dense ids `declare` handed out
-/// (vars `0..N_VARS`, then `probe`, then `o`) rather than re-declared.
-fn restored_shape() -> Shape {
-    Shape {
-        vars: (0..N_VARS).map(VarId::from_index).collect(),
-        probe: ConsId::from_index(0),
-        o: ConsId::from_index(1),
-    }
-}
-
+/// A restored system keeps the model's dense ids, through which its
+/// signature is read.
 fn restored_signature(bytes: &[u8]) -> Result<Signature, SnapshotError> {
     let mut sys = System::<MonoidAlgebra>::restore_bytes(bytes)?;
-    let shape = restored_shape();
-    Ok(system_signature(&mut sys, &shape))
+    Ok(signature(&mut sys))
 }
 
 fn temp_dir(tag: &str) -> std::path::PathBuf {
@@ -212,24 +56,25 @@ fn restore_equals_replay_on_the_full_query_surface() {
         Config::cases(64),
         |rng| (arb_cons(rng, 1, 24), arb_cons(rng, 0, 8)),
         |(cons, extra)| {
-            let (sigma, dfa) = machine();
-            let syms: Vec<SymbolId> = sigma.symbols().collect();
-
-            let (mut original, shape) = build(&dfa, &syms, cons);
-            let want = system_signature(&mut original, &shape);
+            let m = Machine::odd_a_then_b();
+            let want = m.reference(cons);
+            let mut original = m.build(SolverConfig::default(), cons);
+            prop_assert_eq!(&signature(&mut original), &want, "the snapshotted system");
             let bytes = original.snapshot_bytes().expect("solved system snapshots");
 
             // Restore reproduces every observable...
             let mut restored = System::<MonoidAlgebra>::restore_bytes(&bytes)
                 .expect("round trip of a valid snapshot");
-            let shape_r = restored_shape();
             prop_assert_eq!(
                 restored.num_vars(),
                 original.num_vars(),
                 "restored variable table diverged"
             );
-            let got = system_signature(&mut restored, &shape_r);
-            prop_assert_eq!(&got, &want, "restore diverged from the snapshotted system");
+            prop_assert_eq!(
+                &signature(&mut restored),
+                &want,
+                "restore diverged from the snapshotted system"
+            );
 
             // ...and serialization is deterministic: the restored system
             // re-snapshots to byte-identical output.
@@ -241,19 +86,18 @@ fn restore_equals_replay_on_the_full_query_surface() {
             // The restored system stays usable: growing it converges to
             // the same fixpoint as replaying everything from scratch.
             for c in extra {
-                apply(&mut restored, &shape_r, &syms, c);
+                m.apply(&mut restored, c);
             }
             restored.solve();
-            let grown = system_signature(&mut restored, &shape_r);
-
             let all: Vec<RandCon> = cons.iter().chain(extra).cloned().collect();
-            let (mut replay, shape_p) = build(&dfa, &syms, &all);
-            let want_grown = system_signature(&mut replay, &shape_p);
+            let want_grown = m.reference(&all);
             prop_assert_eq!(
-                &grown,
+                &signature(&mut restored),
                 &want_grown,
-                "post-restore growth diverged from replay"
+                "post-restore growth diverged from the reference"
             );
+            let mut replay = m.build(SolverConfig::default(), &all);
+            prop_assert_eq!(&signature(&mut replay), &want_grown, "replay");
             Ok(())
         },
     );
@@ -272,11 +116,15 @@ fn corrupted_snapshots_are_rejected_never_misrestored() {
             (cons, plans)
         },
         |(cons, plans)| {
-            let (sigma, dfa) = machine();
-            let syms: Vec<SymbolId> = sigma.symbols().collect();
-            let (original, _) = build(&dfa, &syms, cons);
+            let m = Machine::odd_a_then_b();
+            let original = m.build(SolverConfig::default(), cons);
             let bytes = original.snapshot_bytes().expect("solved system snapshots");
-            let want = restored_signature(&bytes).expect("pristine bytes restore");
+            let want = m.reference(cons);
+            prop_assert_eq!(
+                &restored_signature(&bytes).expect("pristine bytes restore"),
+                &want,
+                "pristine restore"
+            );
 
             for plan in plans {
                 let Some(mangled) = plan.corrupt(&bytes) else {
@@ -325,20 +173,29 @@ fn crash_recovery_yields_last_durable_snapshot_or_typed_error() {
             )
         },
         |(base, extra, plan)| {
-            let (sigma, dfa) = machine();
-            let syms: Vec<SymbolId> = sigma.symbols().collect();
+            let m = Machine::odd_a_then_b();
 
             // The last durable snapshot: `base` constraints, written
             // atomically and fully fsynced.
-            let (old_sys, _) = build(&dfa, &syms, base);
+            let old_sys = m.build(SolverConfig::default(), base);
             let old_bytes = old_sys.snapshot_bytes().expect("solved system snapshots");
-            let want_old = restored_signature(&old_bytes).expect("durable bytes restore");
+            let want_old = m.reference(base);
+            prop_assert_eq!(
+                &restored_signature(&old_bytes).expect("durable bytes restore"),
+                &want_old,
+                "durable restore"
+            );
 
             // The snapshot being written when the fault strikes.
             let all: Vec<RandCon> = base.iter().chain(extra).cloned().collect();
-            let (new_sys, _) = build(&dfa, &syms, &all);
+            let new_sys = m.build(SolverConfig::default(), &all);
             let new_bytes = new_sys.snapshot_bytes().expect("solved system snapshots");
-            let want_new = restored_signature(&new_bytes).expect("new bytes restore");
+            let want_new = m.reference(&all);
+            prop_assert_eq!(
+                &restored_signature(&new_bytes).expect("new bytes restore"),
+                &want_new,
+                "new restore"
+            );
 
             let target = dir.join(format!("case-{:x}.snap", plan.at_byte));
             write_atomic(&target, &old_bytes).expect("seeding the durable snapshot");
@@ -504,9 +361,7 @@ fn resealed_hostile_images_are_corrupt_or_usable() {
             (cons, edits)
         },
         |(cons, edits)| {
-            let (sigma, dfa) = machine();
-            let syms: Vec<SymbolId> = sigma.symbols().collect();
-            let (original, _) = build(&dfa, &syms, cons);
+            let original = Machine::odd_a_then_b().build(SolverConfig::default(), cons);
             let bytes = original.snapshot_bytes().expect("solved system snapshots");
             for edit in edits {
                 match System::<MonoidAlgebra>::restore_bytes(&reseal(&bytes, edit)) {
