@@ -83,7 +83,7 @@ fn closure_with(m: &Dfa, any_start: bool, any_end: bool) -> Dfa {
     let fresh_start = nfa.add_state();
     nfa.set_start(fresh_start);
 
-    let reach = reachable_states(&complete);
+    let reach = complete.reachable();
     let useful = |s: StateId| reach[s.index()] && co[s.index()];
 
     for s in complete.states() {
@@ -111,26 +111,6 @@ fn closure_with(m: &Dfa, any_start: bool, any_end: bool) -> Dfa {
         }
     }
     nfa.determinize().minimize()
-}
-
-fn reachable_states(m: &Dfa) -> Vec<bool> {
-    let mut seen = vec![false; m.len()];
-    let mut stack = Vec::new();
-    if let Some(s) = m.start() {
-        seen[s.index()] = true;
-        stack.push(s);
-    }
-    while let Some(s) = stack.pop() {
-        for sym_idx in 0..m.alphabet_len() {
-            if let Some(t) = m.delta(s, crate::alphabet::SymbolId(sym_idx as u32)) {
-                if !seen[t.index()] {
-                    seen[t.index()] = true;
-                    stack.push(t);
-                }
-            }
-        }
-    }
-    seen
 }
 
 #[cfg(test)]

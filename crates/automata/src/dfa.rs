@@ -191,8 +191,8 @@ impl Dfa {
         dfa
     }
 
-    /// States reachable from the start state.
-    fn reachable(&self) -> Vec<bool> {
+    /// States reachable from the start state, indexed by state.
+    pub(crate) fn reachable(&self) -> Vec<bool> {
         let mut seen = vec![false; self.len()];
         let mut queue = VecDeque::new();
         if let Some(s) = self.start {
@@ -212,8 +212,8 @@ impl Dfa {
         seen
     }
 
-    /// States from which an accepting state is reachable.
-    pub(crate) fn coreachable(&self) -> Vec<bool> {
+    /// States from which an accepting state is reachable, indexed by state.
+    pub fn coreachable(&self) -> Vec<bool> {
         // Build reverse adjacency.
         let mut rev: Vec<Vec<StateId>> = vec![Vec::new(); self.len()];
         for s in self.states() {
@@ -240,9 +240,15 @@ impl Dfa {
         seen
     }
 
-    /// The canonical minimal complete DFA for this DFA's language
-    /// (Hopcroft's partition-refinement algorithm on the completed,
-    /// reachable part).
+    /// The canonical minimal complete DFA for this DFA's language: Moore's
+    /// partition refinement on the completed, reachable part.
+    ///
+    /// Refinement starts from the accepting/rejecting split. Each round
+    /// gives every state a signature, its own block followed by the blocks
+    /// of its successors, and renumbers the blocks by sorting the
+    /// signatures; it stops when a round splits no block. States of the
+    /// result are numbered in the order of their first reachable member, so
+    /// the result depends only on the language and the input's numbering.
     ///
     /// The paper requires the input machine to be *minimized* — both
     /// Theorem 2.1's proof and the "no `match` operation needed" argument in
@@ -272,126 +278,81 @@ impl Dfa {
             return dfa;
         }
 
-        // Hopcroft: partition into accepting / non-accepting blocks.
-        // block[i] = block id of dense state i.
-        let mut block: Vec<usize> = (0..n)
-            .map(|i| usize::from(complete.is_accepting(StateId(dense[i] as u32))))
+        // Dense successor table: succ[i * k + sym] is the dense index of
+        // δ(dense[i], sym). Successors of reachable states are reachable.
+        let k = self.alphabet_len;
+        let mut succ: Vec<usize> = Vec::with_capacity(n * k);
+        for &orig in &dense {
+            for &t in &complete.trans[orig * k..(orig + 1) * k] {
+                succ.push(crate::invariant(
+                    dense_of[t as usize],
+                    "successors of reachable states are reachable",
+                ));
+            }
+        }
+
+        // block[i] = block id of dense state i, starting from the
+        // accepting / rejecting split.
+        let mut block: Vec<u32> = dense
+            .iter()
+            .map(|&orig| u32::from(complete.accepting[orig]))
             .collect();
-        let accepting_count = block.iter().filter(|&&b| b == 1).count();
-        let mut nblocks = if accepting_count > 0 && accepting_count < n {
-            2
-        } else {
-            1
-        };
-        if nblocks == 1 {
-            // All states in one class; normalize block ids to 0.
-            block.fill(0);
-        }
-
-        // Precompute reverse edges on dense states: rev[sym][t] = sources.
-        let mut rev: Vec<Vec<Vec<usize>>> = vec![vec![Vec::new(); n]; self.alphabet_len.max(1)];
-        #[allow(clippy::needless_range_loop)] // sym_idx is a symbol id
-        for (i, &orig) in dense.iter().enumerate() {
-            for sym_idx in 0..self.alphabet_len {
-                let t = crate::invariant(
-                    complete.delta(StateId(orig as u32), SymbolId(sym_idx as u32)),
-                    "complete DFA defines every transition",
-                );
-                if let Some(td) = dense_of[t.index()] {
-                    rev[sym_idx][td].push(i);
+        let accepting = block.iter().filter(|&&b| b == 1).count();
+        let mut nblocks = if 0 < accepting && accepting < n { 2 } else { 1 };
+        let width = k + 1;
+        let mut signature: Vec<u32> = vec![0; n * width];
+        let mut order: Vec<usize> = (0..n).collect();
+        loop {
+            for i in 0..n {
+                let row = &mut signature[i * width..(i + 1) * width];
+                row[0] = block[i];
+                for (slot, &t) in row[1..].iter_mut().zip(&succ[i * k..(i + 1) * k]) {
+                    *slot = block[t];
                 }
             }
-        }
-
-        // Worklist of (block, symbol) splitters.
-        let mut worklist: VecDeque<(usize, usize)> = VecDeque::new();
-        for sym_idx in 0..self.alphabet_len {
-            for b in 0..nblocks {
-                worklist.push_back((b, sym_idx));
-            }
-        }
-
-        while let Some((splitter, sym_idx)) = worklist.pop_front() {
-            // X = states with a `sym` transition into block `splitter`.
-            let mut x: Vec<usize> = Vec::new();
-            for t in 0..n {
-                if block[t] == splitter {
-                    x.extend_from_slice(&rev[sym_idx][t]);
+            let row = |i: usize| &signature[i * width..(i + 1) * width];
+            order.sort_unstable_by(|&a, &b| row(a).cmp(row(b)));
+            let mut last = 0;
+            for (pos, &i) in order.iter().enumerate() {
+                if pos > 0 && row(order[pos - 1]) != row(i) {
+                    last += 1;
                 }
+                block[i] = last;
             }
-            if x.is_empty() {
-                continue;
+            // Signatures start with the state's own block, so each round
+            // refines the last; an equal count means an equal partition.
+            let refined = last as usize + 1;
+            if refined == nblocks {
+                break;
             }
-            let mut in_x = vec![false; n];
-            for &s in &x {
-                in_x[s] = true;
-            }
-            // For each block intersecting X but not contained in X, split.
-            let mut members: HashMap<usize, (Vec<usize>, Vec<usize>)> = HashMap::new();
-            for s in 0..n {
-                let entry = members.entry(block[s]).or_default();
-                if in_x[s] {
-                    entry.0.push(s);
-                } else {
-                    entry.1.push(s);
-                }
-            }
-            for (b, (inside, outside)) in members {
-                if inside.is_empty() || outside.is_empty() {
-                    continue;
-                }
-                // Move the smaller half into a fresh block.
-                let new_block = nblocks;
-                nblocks += 1;
-                let moved = if inside.len() <= outside.len() {
-                    &inside
-                } else {
-                    &outside
-                };
-                for &s in moved {
-                    block[s] = new_block;
-                }
-                for sym2 in 0..self.alphabet_len {
-                    worklist.push_back((new_block, sym2));
-                }
-                // Keep the old block in the worklist too (refine soundly).
-                for sym2 in 0..self.alphabet_len {
-                    worklist.push_back((b, sym2));
-                }
-            }
+            nblocks = refined;
         }
 
         // Build the quotient machine.
         let mut dfa = Dfa::new(self.alphabet_len);
         let mut block_state: Vec<Option<StateId>> = vec![None; nblocks];
         for i in 0..n {
-            let b = block[i];
+            let b = block[i] as usize;
             if block_state[b].is_none() {
-                block_state[b] =
-                    Some(dfa.add_state(complete.is_accepting(StateId(dense[i] as u32))));
+                block_state[b] = Some(dfa.add_state(complete.accepting[dense[i]]));
             }
         }
+        let state_of = |i: usize| {
+            crate::invariant(
+                block_state[block[i] as usize],
+                "every block got a state above",
+            )
+        };
         for i in 0..n {
-            let from = crate::invariant(block_state[block[i]], "every block got a state above");
-            for sym_idx in 0..self.alphabet_len {
-                let t = crate::invariant(
-                    complete.delta(StateId(dense[i] as u32), SymbolId(sym_idx as u32)),
-                    "complete DFA defines every transition",
-                );
-                if let Some(td) = dense_of[t.index()] {
-                    let to =
-                        crate::invariant(block_state[block[td]], "every block got a state above");
-                    dfa.set_transition(from, SymbolId(sym_idx as u32), to);
-                }
+            let from = state_of(i);
+            for (sym_idx, &t) in succ[i * k..(i + 1) * k].iter().enumerate() {
+                dfa.set_transition(from, SymbolId(sym_idx as u32), state_of(t));
             }
         }
         let start_orig = crate::invariant(complete.start, "nonempty reachable set implies a start");
         let start_dense =
             crate::invariant(dense_of[start_orig.index()], "the start state is reachable");
-        dfa.set_start(crate::invariant(
-            block_state[block[start_dense]],
-            "every block got a state above",
-        ));
+        dfa.set_start(state_of(start_dense));
         rasc_obs::counter("automata.minimize.runs", 1);
         rasc_obs::histogram("automata.minimize.states", dfa.len() as u64);
         dfa

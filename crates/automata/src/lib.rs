@@ -6,7 +6,7 @@
 //! * an interned, named [`Alphabet`] (annotation symbols are *names* such as
 //!   `seteuid_zero`, not characters);
 //! * [`Regex`] parsing and Thompson construction into an [`Nfa`];
-//! * [`Dfa`] subset construction, completion, Hopcroft minimization,
+//! * [`Dfa`] subset construction, completion, Moore minimization,
 //!   product, reversal and language-level closures (prefix, suffix,
 //!   substring) in [`closure`];
 //! * the *transition monoid* of a DFA — the set `F_M^≡` of representative

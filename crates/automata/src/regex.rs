@@ -192,7 +192,8 @@ fn tokenize(input: &str) -> Result<Vec<(Token, usize)>> {
     while i < bytes.len() {
         let c = bytes[i] as char;
         match c {
-            c if c.is_whitespace() => i += 1,
+            // Whitespace and identifiers are ASCII.
+            c if c.is_ascii() && c.is_whitespace() => i += 1,
             '(' => {
                 tokens.push((Token::LParen, i));
                 i += 1;
@@ -221,23 +222,21 @@ fn tokenize(input: &str) -> Result<Vec<(Token, usize)>> {
                 tokens.push((Token::Dot, i));
                 i += 1;
             }
-            c if c.is_alphanumeric() || c == '_' => {
+            c if c.is_ascii_alphanumeric() || c == '_' => {
                 let start = i;
-                while i < bytes.len() {
-                    let c = bytes[i] as char;
-                    if c.is_alphanumeric() || c == '_' {
-                        i += 1;
-                    } else {
-                        break;
-                    }
+                while i < bytes.len() && (bytes[i].is_ascii_alphanumeric() || bytes[i] == b'_') {
+                    i += 1;
                 }
                 tokens.push((Token::Ident(input[start..i].to_owned()), start));
             }
-            other => {
+            _ => {
+                // Every byte consumed so far is ASCII, so `i` is a char
+                // boundary.
+                let other = input[i..].chars().next().unwrap_or_default();
                 return Err(AutomataError::ParseRegex {
                     message: format!("unexpected character {other:?}"),
                     offset: i,
-                })
+                });
             }
         }
     }
@@ -446,6 +445,13 @@ mod tests {
         assert!(Regex::parse("a )", &alpha).is_err());
         assert!(Regex::parse("*", &alpha).is_err());
         assert!(Regex::parse("a %", &alpha).is_err());
+        assert_eq!(
+            Regex::parse("a é", &alpha),
+            Err(AutomataError::ParseRegex {
+                message: "unexpected character 'é'".to_owned(),
+                offset: 2,
+            })
+        );
     }
 
     #[test]

@@ -88,7 +88,7 @@ impl PropertySpec {
     /// state, and [`AutomataError::NondeterministicSpec`] if a state has
     /// two arms on the same symbol with different targets.
     pub fn parse(input: &str) -> Result<PropertySpec> {
-        Parser::new(input).parse()
+        Parser::new(input)?.parse()
     }
 
     /// All state names, in declaration order.
@@ -248,11 +248,11 @@ struct Parser {
 }
 
 impl Parser {
-    fn new(input: &str) -> Parser {
-        Parser {
-            tokens: lex(input),
+    fn new(input: &str) -> Result<Parser> {
+        Ok(Parser {
+            tokens: lex(input)?,
             pos: 0,
-        }
+        })
     }
 
     fn line(&self) -> usize {
@@ -422,7 +422,7 @@ impl Parser {
     }
 }
 
-fn lex(input: &str) -> Vec<(Tok, usize)> {
+fn lex(input: &str) -> Result<Vec<(Tok, usize)>> {
     let mut tokens = Vec::new();
     let bytes = input.as_bytes();
     let mut i = 0;
@@ -434,7 +434,8 @@ fn lex(input: &str) -> Vec<(Tok, usize)> {
                 line += 1;
                 i += 1;
             }
-            c if c.is_whitespace() => i += 1,
+            // Whitespace and identifiers are ASCII.
+            c if c.is_ascii() && c.is_whitespace() => i += 1,
             '#' => {
                 // Comment to end of line.
                 while i < bytes.len() && bytes[i] != b'\n' {
@@ -469,26 +470,25 @@ fn lex(input: &str) -> Vec<(Tok, usize)> {
                 tokens.push((Tok::Arrow, line));
                 i += 2;
             }
-            c if c.is_alphanumeric() || c == '_' => {
+            c if c.is_ascii_alphanumeric() || c == '_' => {
                 let start = i;
-                while i < bytes.len() {
-                    let c = bytes[i] as char;
-                    if c.is_alphanumeric() || c == '_' {
-                        i += 1;
-                    } else {
-                        break;
-                    }
+                while i < bytes.len() && (bytes[i].is_ascii_alphanumeric() || bytes[i] == b'_') {
+                    i += 1;
                 }
                 tokens.push((Tok::Ident(input[start..i].to_owned()), line));
             }
             _ => {
-                // Emit an ident the parser will reject with position info.
-                tokens.push((Tok::Ident(format!("<invalid {c:?}>")), line));
-                i += 1;
+                // Every byte consumed so far is ASCII, so `i` is a char
+                // boundary.
+                let other = input[i..].chars().next().unwrap_or_default();
+                return Err(AutomataError::ParseSpec {
+                    message: format!("unexpected character {other:?}"),
+                    line,
+                });
             }
         }
     }
-    tokens
+    Ok(tokens)
 }
 
 #[cfg(test)]
@@ -591,5 +591,22 @@ accept state Error;";
         assert!(spec.is_accepting("A"));
         let err = PropertySpec::parse("start state A; state A;").unwrap_err();
         assert!(matches!(err, AutomataError::ParseSpec { .. }));
+        // A character outside the ASCII token set is an error, whole.
+        for (text, message, line) in [
+            ("start accept state $;", "unexpected character '$'", 1),
+            (
+                "# é\nstart state A : | ö -> A;",
+                "unexpected character 'ö'",
+                2,
+            ),
+        ] {
+            assert_eq!(
+                PropertySpec::parse(text),
+                Err(AutomataError::ParseSpec {
+                    message: message.to_owned(),
+                    line,
+                })
+            );
+        }
     }
 }

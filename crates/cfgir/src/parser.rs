@@ -35,13 +35,15 @@ pub(crate) fn parse(src: &str) -> Result<Program> {
     Ok(program)
 }
 
-struct Parser {
-    tokens: Vec<(Tok, usize)>,
+/// Parser state over the token stream. Identifiers stay borrowed from the
+/// source until the AST keeps one.
+struct Parser<'a> {
+    tokens: Vec<(Tok<'a>, usize)>,
     pos: usize,
     depth: usize,
 }
 
-impl Parser {
+impl<'a> Parser<'a> {
     fn line(&self) -> usize {
         self.tokens
             .get(self.pos)
@@ -56,23 +58,23 @@ impl Parser {
         }
     }
 
-    fn peek(&self) -> Option<&Tok> {
-        self.tokens.get(self.pos).map(|(t, _)| t)
+    fn peek(&self) -> Option<Tok<'a>> {
+        self.tokens.get(self.pos).map(|&(t, _)| t)
     }
 
-    fn peek2(&self) -> Option<&Tok> {
-        self.tokens.get(self.pos + 1).map(|(t, _)| t)
+    fn peek2(&self) -> Option<Tok<'a>> {
+        self.tokens.get(self.pos + 1).map(|&(t, _)| t)
     }
 
-    fn bump(&mut self) -> Option<Tok> {
-        let t = self.tokens.get(self.pos).map(|(t, _)| t.clone());
+    fn bump(&mut self) -> Option<Tok<'a>> {
+        let t = self.peek();
         if t.is_some() {
             self.pos += 1;
         }
         t
     }
 
-    fn expect(&mut self, tok: &Tok, what: &str) -> Result<()> {
+    fn expect(&mut self, tok: Tok<'_>, what: &str) -> Result<()> {
         if self.peek() == Some(tok) {
             self.pos += 1;
             Ok(())
@@ -81,7 +83,7 @@ impl Parser {
         }
     }
 
-    fn ident(&mut self, what: &str) -> Result<String> {
+    fn ident(&mut self, what: &str) -> Result<&'a str> {
         match self.bump() {
             Some(Tok::Ident(s)) => Ok(s),
             other => Err(self.err(format!("expected {what}, found {other:?}"))),
@@ -89,31 +91,30 @@ impl Parser {
     }
 
     fn keyword(&mut self, kw: &str) -> Result<()> {
-        let got = self.ident(&format!("`{kw}`"))?;
-        if got == kw {
-            Ok(())
-        } else {
-            Err(self.err(format!("expected `{kw}`, found `{got}`")))
+        match self.bump() {
+            Some(Tok::Ident(got)) if got == kw => Ok(()),
+            Some(Tok::Ident(got)) => Err(self.err(format!("expected `{kw}`, found `{got}`"))),
+            other => Err(self.err(format!("expected `{kw}`, found {other:?}"))),
         }
     }
 
     fn fundef(&mut self) -> Result<FunDef> {
         self.keyword("fn")?;
-        let name = self.ident("function name")?;
-        self.expect(&Tok::LParen, "`(`")?;
-        self.expect(&Tok::RParen, "`)`")?;
+        let name = self.ident("function name")?.to_owned();
+        self.expect(Tok::LParen, "`(`")?;
+        self.expect(Tok::RParen, "`)`")?;
         let body = self.block()?;
         Ok(FunDef { name, body })
     }
 
     fn block(&mut self) -> Result<Block> {
-        self.expect(&Tok::LBrace, "`{`")?;
+        self.expect(Tok::LBrace, "`{`")?;
         if self.depth >= MAX_DEPTH {
             return Err(CfgError::DepthExceeded { limit: MAX_DEPTH });
         }
         self.depth += 1;
         let mut block = Block::new();
-        while self.peek() != Some(&Tok::RBrace) {
+        while self.peek() != Some(Tok::RBrace) {
             if self.peek().is_none() {
                 return Err(self.err("unexpected end of input in block"));
             }
@@ -126,8 +127,8 @@ impl Parser {
 
     fn labeled(&mut self) -> Result<Labeled> {
         let label =
-            if matches!(self.peek(), Some(Tok::Ident(_))) && self.peek2() == Some(&Tok::Colon) {
-                let l = self.ident("label")?;
+            if matches!(self.peek(), Some(Tok::Ident(_))) && self.peek2() == Some(Tok::Colon) {
+                let l = self.ident("label")?.to_owned();
                 self.pos += 1; // consume `:`
                 Some(l)
             } else {
@@ -138,26 +139,26 @@ impl Parser {
     }
 
     fn stmt(&mut self) -> Result<Stmt> {
-        match self.peek().cloned() {
-            Some(Tok::Ident(kw)) => match kw.as_str() {
+        match self.peek() {
+            Some(Tok::Ident(kw)) => match kw {
                 "skip" => {
                     self.pos += 1;
-                    self.expect(&Tok::Semi, "`;`")?;
+                    self.expect(Tok::Semi, "`;`")?;
                     Ok(Stmt::Skip)
                 }
                 "return" => {
                     self.pos += 1;
-                    self.expect(&Tok::Semi, "`;`")?;
+                    self.expect(Tok::Semi, "`;`")?;
                     Ok(Stmt::Return)
                 }
                 "event" => {
                     self.pos += 1;
-                    let name = self.ident("event name")?;
+                    let name = self.ident("event name")?.to_owned();
                     let mut args = Vec::new();
-                    if self.peek() == Some(&Tok::LParen) {
+                    if self.peek() == Some(Tok::LParen) {
                         self.pos += 1;
                         loop {
-                            args.push(self.ident("event argument")?);
+                            args.push(self.ident("event argument")?.to_owned());
                             match self.bump() {
                                 Some(Tok::Comma) => continue,
                                 Some(Tok::RParen) => break,
@@ -169,16 +170,16 @@ impl Parser {
                             }
                         }
                     }
-                    self.expect(&Tok::Semi, "`;`")?;
+                    self.expect(Tok::Semi, "`;`")?;
                     Ok(Stmt::Event { name, args })
                 }
                 "if" => {
                     self.pos += 1;
-                    self.expect(&Tok::LParen, "`(`")?;
-                    self.expect(&Tok::Star, "`*`")?;
-                    self.expect(&Tok::RParen, "`)`")?;
+                    self.expect(Tok::LParen, "`(`")?;
+                    self.expect(Tok::Star, "`*`")?;
+                    self.expect(Tok::RParen, "`)`")?;
                     let then_block = self.block()?;
-                    let else_block = if matches!(self.peek(), Some(Tok::Ident(k)) if k == "else") {
+                    let else_block = if self.peek() == Some(Tok::Ident("else")) {
                         self.pos += 1;
                         self.block()?
                     } else {
@@ -188,19 +189,19 @@ impl Parser {
                 }
                 "while" => {
                     self.pos += 1;
-                    self.expect(&Tok::LParen, "`(`")?;
-                    self.expect(&Tok::Star, "`*`")?;
-                    self.expect(&Tok::RParen, "`)`")?;
+                    self.expect(Tok::LParen, "`(`")?;
+                    self.expect(Tok::Star, "`*`")?;
+                    self.expect(Tok::RParen, "`)`")?;
                     let body = self.block()?;
                     Ok(Stmt::While(body))
                 }
                 _ => {
                     // Function call: IDENT '(' ')' ';'
                     self.pos += 1;
-                    self.expect(&Tok::LParen, "`(`")?;
-                    self.expect(&Tok::RParen, "`)`")?;
-                    self.expect(&Tok::Semi, "`;`")?;
-                    Ok(Stmt::Call(kw))
+                    self.expect(Tok::LParen, "`(`")?;
+                    self.expect(Tok::RParen, "`)`")?;
+                    self.expect(Tok::Semi, "`;`")?;
+                    Ok(Stmt::Call(kw.to_owned()))
                 }
             },
             other => Err(self.err(format!("expected statement, found {other:?}"))),

@@ -1,7 +1,7 @@
 //! Property test: pretty-printing a MiniImp AST and re-parsing it yields
 //! the same AST, for arbitrary generated programs.
 
-use rasc_cfgir::{Block, Cfg, Program, Stmt};
+use rasc_cfgir::{Block, Cfg, CfgError, Program, Stmt};
 use rasc_devtools::{forall, prop_assert, prop_assert_eq, Config, Rng, Unshrunk};
 
 /// A random identifier matching `[a-z][a-z0-9_]{0,6}`, never a keyword.
@@ -105,6 +105,55 @@ fn generated_programs_build_cfgs() {
             }
             for site in cfg.call_sites() {
                 prop_assert!(site.callee.index() < cfg.functions().len());
+            }
+            Ok(())
+        },
+    );
+}
+
+/// Strings spliced into printed programs: non-ASCII letters, symbols and
+/// spaces of two to four bytes, and ASCII that lexes as tokens.
+const SPLICES: &[&str] = &[
+    "é", "ß", "€", "𝄞", "ä", "\u{a0}", "\u{85}", "ê", " ", "x", "{", "}", ";", "\n",
+];
+
+#[test]
+fn non_ascii_input_is_a_typed_error() {
+    forall(
+        "non_ascii_input_is_a_typed_error",
+        Config::cases(256),
+        |rng| {
+            let printed = arb_program(rng).to_string();
+            // Printed programs are ASCII, so every byte offset is a char
+            // boundary; splice from the back so earlier offsets stay valid.
+            let mut at: Vec<usize> = (0..rng.gen_range(1..4))
+                .map(|_| rng.gen_range(0..printed.len() + 1))
+                .collect();
+            at.sort_unstable_by(|a, b| b.cmp(a));
+            let mut src = printed;
+            for i in at {
+                let splice = rng.choose(SPLICES);
+                src.insert_str(i, splice);
+            }
+            Unshrunk(src)
+        },
+        |Unshrunk(src)| {
+            let parsed = Program::parse(src);
+            // The lexer runs first and the pool has no comment opener, so
+            // the first non-ASCII character is the error.
+            match src.char_indices().find(|(_, c)| !c.is_ascii()) {
+                Some((at, c)) => prop_assert_eq!(
+                    parsed,
+                    Err(CfgError::Parse {
+                        message: format!("unexpected character {c:?}"),
+                        line: 1 + src[..at].matches('\n').count(),
+                    }),
+                    "source:\n{src}"
+                ),
+                None => prop_assert!(
+                    matches!(parsed, Ok(_) | Err(CfgError::Parse { .. })),
+                    "source:\n{src}"
+                ),
             }
             Ok(())
         },

@@ -47,38 +47,11 @@ impl MonoidAlgebra {
     /// are not preserved.
     pub fn new(machine: &Dfa) -> MonoidAlgebra {
         let minimal = machine.minimize();
-        let monoid = Monoid::lazy_of_dfa(&minimal);
-        let n = minimal.len();
-        // The minimized machine contains only reachable states.
-        let reachable = vec![true; n];
-        let mut coreachable = vec![false; n];
-        // BFS backwards from accepting states.
-        let mut rev: Vec<Vec<usize>> = vec![Vec::new(); n];
-        for s in minimal.states() {
-            for sym_idx in 0..minimal.alphabet_len() {
-                if let Some(t) = minimal.delta(s, SymbolId::from_index(sym_idx)) {
-                    rev[t.index()].push(s.index());
-                }
-            }
-        }
-        let mut queue: Vec<usize> = (0..n)
-            .filter(|&i| minimal.is_accepting(StateId::from_index(i)))
-            .collect();
-        for &i in &queue {
-            coreachable[i] = true;
-        }
-        while let Some(i) = queue.pop() {
-            for &p in &rev[i] {
-                if !coreachable[p] {
-                    coreachable[p] = true;
-                    queue.push(p);
-                }
-            }
-        }
         MonoidAlgebra {
-            monoid,
-            reachable,
-            coreachable,
+            monoid: Monoid::lazy_of_dfa(&minimal),
+            // The minimized machine contains only reachable states.
+            reachable: vec![true; minimal.len()],
+            coreachable: minimal.coreachable(),
         }
     }
 

@@ -452,7 +452,8 @@ fn lex(src: &str) -> Result<Vec<(Tok, usize)>> {
                 line += 1;
                 i += 1;
             }
-            c if c.is_whitespace() => i += 1,
+            // Whitespace and identifiers are ASCII.
+            c if c.is_ascii() && c.is_whitespace() => i += 1,
             '/' if bytes.get(i + 1) == Some(&b'/') => {
                 while i < bytes.len() && bytes[i] != b'\n' {
                     i += 1;
@@ -521,23 +522,21 @@ fn lex(src: &str) -> Result<Vec<(Tok, usize)>> {
                 })?;
                 tokens.push((Tok::Int(value), line));
             }
-            c if c.is_alphanumeric() || c == '_' => {
+            c if c.is_ascii_alphanumeric() || c == '_' => {
                 let start = i;
-                while i < bytes.len() {
-                    let c = bytes[i] as char;
-                    if c.is_alphanumeric() || c == '_' {
-                        i += 1;
-                    } else {
-                        break;
-                    }
+                while i < bytes.len() && (bytes[i].is_ascii_alphanumeric() || bytes[i] == b'_') {
+                    i += 1;
                 }
                 tokens.push((Tok::Ident(src[start..i].to_owned()), line));
             }
-            other => {
+            _ => {
+                // Every byte consumed so far is ASCII, so `i` is a char
+                // boundary.
+                let other = src[i..].chars().next().unwrap_or_default();
                 return Err(FlowError::Parse {
                     message: format!("unexpected character {other:?}"),
                     line,
-                })
+                });
             }
         }
     }
@@ -596,6 +595,14 @@ mod tests {
     fn parse_errors_have_lines() {
         let err = Program::parse("fn main() -> int {\n  (1,\n}").unwrap_err();
         assert!(matches!(err, FlowError::Parse { line: 3, .. }));
+        let err = Program::parse("fn main() -> int {\n  1@Ä }").unwrap_err();
+        assert_eq!(
+            err,
+            FlowError::Parse {
+                message: "unexpected character 'Ä'".to_owned(),
+                line: 2
+            }
+        );
     }
 
     #[test]

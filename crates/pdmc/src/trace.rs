@@ -12,7 +12,7 @@
 
 use std::collections::{HashMap, VecDeque};
 
-use rasc_automata::{Alphabet, Dfa, StateId};
+use rasc_automata::{Alphabet, Dfa, StateId, SymbolId};
 use rasc_cfgir::{Cfg, EdgeLabel, NodeId};
 
 /// One step of a witness trace.
@@ -57,7 +57,7 @@ pub fn witness_trace(
     #[derive(Clone)]
     enum Via {
         Plain,
-        Event(String),
+        Event(String, SymbolId),
         Call(String),
         Return(String),
     }
@@ -65,13 +65,10 @@ pub fn witness_trace(
     for (from, to, label) in cfg.edges() {
         let via = match label {
             EdgeLabel::Plain => Via::Plain,
-            EdgeLabel::Event { name, .. } => {
-                if sigma.lookup(name).is_some() {
-                    Via::Event(name.clone())
-                } else {
-                    Via::Plain
-                }
-            }
+            EdgeLabel::Event { name, .. } => match sigma.lookup(name) {
+                Some(sym) => Via::Event(name.clone(), sym),
+                None => Via::Plain,
+            },
         };
         adj.entry(*from).or_default().push((*to, via));
     }
@@ -108,9 +105,12 @@ pub fn witness_trace(
         for (next_node, via) in adj.get(&node).cloned().unwrap_or_default() {
             let (next_state, step) = match &via {
                 Via::Plain => (state, None),
-                Via::Event(name) => {
-                    let sym = sigma.lookup(name).expect("checked above");
-                    let s2 = machine.delta(state, sym).expect("complete machine");
+                Via::Event(name, sym) => {
+                    // An undefined transition would end the run; the
+                    // completed machine has none.
+                    let Some(s2) = machine.delta(state, *sym) else {
+                        continue;
+                    };
                     (
                         s2,
                         Some(TraceStep::Event {

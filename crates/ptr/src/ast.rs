@@ -189,7 +189,8 @@ fn lex(src: &str) -> Result<Vec<(Tok, usize)>> {
                 line += 1;
                 i += 1;
             }
-            c if c.is_whitespace() => i += 1,
+            // Whitespace and identifiers are ASCII.
+            c if c.is_ascii() && c.is_whitespace() => i += 1,
             '/' if bytes.get(i + 1) == Some(&b'/') => {
                 while i < bytes.len() && bytes[i] != b'\n' {
                     i += 1;
@@ -235,23 +236,21 @@ fn lex(src: &str) -> Result<Vec<(Tok, usize)>> {
                 tokens.push((Tok::RBrace, line));
                 i += 1;
             }
-            c if c.is_alphanumeric() || c == '_' => {
+            c if c.is_ascii_alphanumeric() || c == '_' => {
                 let start = i;
-                while i < bytes.len() {
-                    let c = bytes[i] as char;
-                    if c.is_alphanumeric() || c == '_' {
-                        i += 1;
-                    } else {
-                        break;
-                    }
+                while i < bytes.len() && (bytes[i].is_ascii_alphanumeric() || bytes[i] == b'_') {
+                    i += 1;
                 }
                 tokens.push((Tok::Ident(src[start..i].to_owned()), line));
             }
-            other => {
+            _ => {
+                // Every byte consumed so far is ASCII, so `i` is a char
+                // boundary.
+                let other = src[i..].chars().next().unwrap_or_default();
                 return Err(PtrError::Parse {
                     message: format!("unexpected character {other:?}"),
                     line,
-                })
+                });
             }
         }
     }
@@ -495,6 +494,14 @@ mod tests {
         assert!(
             matches!(err, PtrError::Parse { line: 2..=3, .. }),
             "{err:?}"
+        );
+        let err = Program::parse("fn main() {\n  x€ = null;\n}").unwrap_err();
+        assert_eq!(
+            err,
+            PtrError::Parse {
+                message: "unexpected character '€'".to_owned(),
+                line: 2
+            }
         );
     }
 

@@ -97,7 +97,13 @@ impl PdsChecker {
         entry: &str,
         event_map: impl Fn(&str, &[String]) -> Option<SymbolId>,
     ) -> Result<PdsChecker, CfgError> {
-        let machine = property.complete();
+        let mut machine = property.complete();
+        // Without a start state the language is empty: start in a fresh
+        // rejecting state that no event leaves.
+        let start = match machine.start() {
+            Some(start) => start,
+            None => machine.add_state(false),
+        };
         let n_controls = machine.len();
         let n_stack = cfg.num_nodes();
         let mut pds = Pds::new(n_controls, n_stack);
@@ -109,10 +115,13 @@ impl PdsChecker {
             };
             for q in 0..n_controls as u32 {
                 let q2 = match sym {
-                    Some(s) => machine
-                        .delta(StateId::from_index(q as usize), s)
-                        .expect("complete machine")
-                        .index() as u32,
+                    Some(s) => {
+                        // An undefined transition ends the run: no rule.
+                        let Some(t) = machine.delta(StateId::from_index(q as usize), s) else {
+                            continue;
+                        };
+                        t.index() as u32
+                    }
                     None => q,
                 };
                 pds.swap_rule(q, from.index() as u32, q2, to.index() as u32);
@@ -140,15 +149,11 @@ impl PdsChecker {
         let accepting = (0..n_controls)
             .map(|i| machine.is_accepting(StateId::from_index(i)))
             .collect();
-        let start_control = machine
-            .start()
-            .expect("complete machine has a start")
-            .index() as u32;
         Ok(PdsChecker {
             pds,
             accepting,
             entry_node,
-            start_control,
+            start_control: start.index() as u32,
         })
     }
 
@@ -277,6 +282,19 @@ accept state Error;";
             }",
         );
         assert!(!violations.is_empty(), "privileged exec on the else path");
+    }
+
+    #[test]
+    fn a_property_without_a_start_state_is_never_violated() {
+        let cfg = Cfg::build(&Program::parse("fn main() { event execl; }").unwrap()).unwrap();
+        let (sigma, dfa) = PropertySpec::parse(PRIVILEGE).unwrap().compile();
+        let mut startless = Dfa::new(sigma.len());
+        for s in dfa.states() {
+            startless.add_state(dfa.is_accepting(s));
+        }
+        let checker = PdsChecker::new(&cfg, &sigma, &startless, "main").unwrap();
+        assert!(checker.run().is_empty());
+        assert!(!checker.violated_backward());
     }
 
     #[test]

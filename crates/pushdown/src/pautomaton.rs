@@ -39,7 +39,9 @@ impl ConfigAutomaton {
 
     /// Adds a fresh non-control state.
     pub fn add_state(&mut self) -> u32 {
-        let id = u32::try_from(self.n_states).expect("too many states");
+        let Ok(id) = u32::try_from(self.n_states) else {
+            panic!("capacity overflow: too many automaton states (limit 2^32)");
+        };
         self.n_states += 1;
         id
     }

@@ -1,19 +1,23 @@
-//! Pins the solver's allocation budget with exact counts.
+//! Pins allocation budgets with exact counts.
 //!
 //! A counting global allocator tallies, per thread, the blocks it hands
 //! out (`alloc`, `alloc_zeroed`) and the blocks it frees (`dealloc`); a
 //! `realloc` resizes a block and counts as neither. Solving one fixed generated program and
 //! dropping the solved system must stay under a budget per solved entry.
-//! The counts depend only on the program and the code, not on hash seeds
+//! Building a property's algebra and parsing a program, the set-up every
+//! small check pays, must each stay under a fixed budget.
+//! The counts depend only on the inputs and the code, not on hash seeds
 //! or timing, so they repeat exactly from run to run.
 //!
-//! This file holds a single test: the allocator is process-wide, and
-//! counting per thread keeps the harness's own threads out of the tally.
+//! The allocator is process-wide; counting per thread keeps the harness's
+//! own threads, and the other test in this file, out of each tally.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
-use rasc::cfgir::Cfg;
+use rasc::automata::PropertySpec;
+use rasc::cfgir::{Cfg, Program};
+use rasc::constraints::algebra::MonoidAlgebra;
 use rasc::pdmc::{properties, ConstraintChecker};
 use rasc_bench::workload::{generate, WorkloadConfig};
 
@@ -99,5 +103,61 @@ fn solve_and_drop_stay_within_the_allocation_budget() {
         per_entry <= BUDGET_PER_ENTRY,
         "{per_entry:.2} allocations plus frees per solved entry (budget {BUDGET_PER_ENTRY}): \
          {solve_allocs} solve allocations + {drop_frees} drop frees for {entries} entries"
+    );
+}
+
+/// Allocations of `MonoidAlgebra::new` on the combined property of the
+/// units workload (27 product states, 9 after minimization). Measured:
+/// 1,247 when `Dfa::minimize` refined by splitters, building a `HashMap`
+/// of member vectors for each one, and 54 with Moore rounds over flat
+/// arrays. The bound sits between the two.
+const ALGEBRA_BUDGET: u64 = 200;
+
+/// Allocations of `Program::parse` on a printed 1,000-statement generated
+/// program. Measured: 2,862 when every identifier token owned a `String`
+/// that the parser cloned again, and 588 with tokens borrowed from the
+/// source. The bound sits between the two.
+const PARSE_BUDGET: u64 = 1_200;
+
+#[test]
+fn property_algebra_and_parse_stay_within_their_allocation_budgets() {
+    let specs: Vec<PropertySpec> = [
+        properties::SIMPLE_PRIVILEGE,
+        properties::CHROOT_JAIL,
+        properties::TEMP_FILE_RACE,
+    ]
+    .iter()
+    .map(|text| PropertySpec::parse(text).unwrap())
+    .collect();
+    let refs: Vec<&PropertySpec> = specs.iter().collect();
+    let (sigma, dfa) = properties::combine_specs(&refs);
+    let before = counts().0;
+    let algebra = MonoidAlgebra::new(&dfa);
+    let algebra_allocs = counts().0 - before;
+    drop(algebra);
+
+    let names: Vec<String> = sigma.symbols().map(|s| sigma.name(s).to_owned()).collect();
+    let src = generate(&WorkloadConfig::sized(1000, names, 3)).to_string();
+    let before = counts().0;
+    let program = Program::parse(&src).unwrap();
+    let parse_allocs = counts().0 - before;
+
+    println!(
+        "MonoidAlgebra::new: {algebra_allocs} allocations ({} states); \
+         Program::parse: {parse_allocs} allocations ({} bytes)",
+        dfa.len(),
+        src.len()
+    );
+    assert!(
+        program.funs.len() > 1,
+        "the program is large enough to measure"
+    );
+    assert!(
+        algebra_allocs <= ALGEBRA_BUDGET,
+        "MonoidAlgebra::new made {algebra_allocs} allocations (budget {ALGEBRA_BUDGET})"
+    );
+    assert!(
+        parse_allocs <= PARSE_BUDGET,
+        "Program::parse made {parse_allocs} allocations (budget {PARSE_BUDGET})"
     );
 }

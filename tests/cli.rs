@@ -78,6 +78,26 @@ fn check_passes_the_safe_program() {
 }
 
 #[test]
+fn check_reports_a_non_ascii_identifier_as_a_parse_error() {
+    let path = std::env::temp_dir().join("rasc_cli_non_ascii.mimp");
+    std::fs::write(&path, "fn mäin() {\n  event execl;\n}\n").unwrap();
+    let out = Command::new(env!("CARGO_BIN_EXE_rasc"))
+        .args([
+            "check",
+            "--spec",
+            "assets/specs/privilege.spec",
+            "--program",
+        ])
+        .arg(&path)
+        .current_dir(env!("CARGO_MANIFEST_DIR"))
+        .output()
+        .expect("binary runs");
+    let (_, text) = report(&out);
+    assert_eq!(out.status.code(), Some(1), "{text}");
+    assert!(text.contains("unexpected character 'ä'"), "{text}");
+}
+
+#[test]
 fn check_engines_agree() {
     for engine in ["constraints", "pushdown"] {
         let (ok, _) = rasc(&[

@@ -2,7 +2,7 @@
 //! minimization, closures, transition monoids, and the gen/kill algebra.
 
 use rasc::automata::closure::{prefix_closure, substring_closure, suffix_closure};
-use rasc::automata::{Alphabet, Dfa, Monoid, Regex, SymbolId};
+use rasc::automata::{Alphabet, Dfa, Monoid, Regex, StateId, SymbolId};
 use rasc::constraints::algebra::{Algebra, GenKillAlgebra};
 use rasc_devtools::{forall, prop_assert, prop_assert_eq, Config, Rng, Unshrunk};
 
@@ -78,6 +78,131 @@ fn minimization_is_idempotent_and_canonical() {
                 "minimize is idempotent on minimal machines"
             );
             prop_assert!(m1.equivalent(&m2));
+            Ok(())
+        },
+    );
+}
+
+/// A random partial DFA: 1–40 states, 1–4 symbols, some transitions
+/// undefined, targets drawn from a prefix of the states (so some states
+/// are unreachable and some are equivalent), and sometimes no start.
+fn arb_partial_dfa(rng: &mut Rng) -> Dfa {
+    let n = rng.gen_range(1..41);
+    let k = rng.gen_range(1..5);
+    let accept_p = rng.gen_f64();
+    let defined_p = 0.4 + 0.6 * rng.gen_f64();
+    let targets = rng.gen_range(1..n + 1);
+    let mut dfa = Dfa::new(k);
+    for _ in 0..n {
+        dfa.add_state(rng.gen_bool(accept_p));
+    }
+    for s in 0..n {
+        for sym in 0..k {
+            if rng.gen_bool(defined_p) {
+                let t = StateId::from_index(rng.gen_range(0..targets));
+                dfa.set_transition(StateId::from_index(s), SymbolId::from_index(sym), t);
+            }
+        }
+    }
+    if rng.gen_bool(0.9) {
+        dfa.set_start(StateId::from_index(rng.gen_range(0..n)));
+    }
+    dfa
+}
+
+/// The minimal DFA by pairwise table filling (Myhill–Nerode) on the
+/// completed, reachable part, with states numbered by their first
+/// reachable member: an independent reference for `Dfa::minimize`.
+fn table_filling_minimum(dfa: &Dfa) -> Dfa {
+    let k = dfa.alphabet_len();
+    let m = dfa.complete();
+    let delta = |s: usize, sym: usize| {
+        m.delta(StateId::from_index(s), SymbolId::from_index(sym))
+            .expect("complete")
+            .index()
+    };
+    let accepting = |s: usize| m.is_accepting(StateId::from_index(s));
+    let mut reachable = vec![false; m.len()];
+    let mut stack: Vec<usize> = m.start().map(StateId::index).into_iter().collect();
+    for &s in &stack {
+        reachable[s] = true;
+    }
+    while let Some(s) = stack.pop() {
+        for sym in 0..k {
+            let t = delta(s, sym);
+            if !reachable[t] {
+                reachable[t] = true;
+                stack.push(t);
+            }
+        }
+    }
+    let states: Vec<usize> = (0..m.len()).filter(|&s| reachable[s]).collect();
+    let mut out = Dfa::new(k);
+    let Some(start) = m.start() else {
+        let dead = out.add_state(false);
+        out.set_start(dead);
+        for sym in 0..k {
+            out.set_transition(dead, SymbolId::from_index(sym), dead);
+        }
+        return out;
+    };
+    // distinct[p][q]: some word tells p and q apart.
+    let mut distinct = vec![vec![false; m.len()]; m.len()];
+    for &p in &states {
+        for &q in &states {
+            distinct[p][q] = accepting(p) != accepting(q);
+        }
+    }
+    let mut changed = true;
+    while changed {
+        changed = false;
+        for &p in &states {
+            for &q in &states {
+                if !distinct[p][q] && (0..k).any(|sym| distinct[delta(p, sym)][delta(q, sym)]) {
+                    distinct[p][q] = true;
+                    changed = true;
+                }
+            }
+        }
+    }
+    let mut class = vec![usize::MAX; m.len()];
+    // The first reachable member of each class, in class order.
+    let mut members: Vec<usize> = Vec::new();
+    for &p in &states {
+        class[p] = match members.iter().find(|&&q| !distinct[p][q]) {
+            Some(&q) => class[q],
+            None => {
+                members.push(p);
+                out.add_state(accepting(p)).index()
+            }
+        };
+    }
+    for &p in &members {
+        for sym in 0..k {
+            out.set_transition(
+                StateId::from_index(class[p]),
+                SymbolId::from_index(sym),
+                StateId::from_index(class[delta(p, sym)]),
+            );
+        }
+    }
+    out.set_start(StateId::from_index(class[start.index()]));
+    out
+}
+
+#[test]
+fn minimize_matches_table_filling_on_random_partial_dfas() {
+    forall(
+        "minimize_matches_table_filling_on_random_partial_dfas",
+        Config::cases(512),
+        |rng| Unshrunk(arb_partial_dfa(rng)),
+        |Unshrunk(dfa)| {
+            let min = dfa.minimize();
+            // Whole-machine equality pins the state numbering too, which
+            // snapshot images and `describe` output depend on.
+            prop_assert_eq!(&min, &table_filling_minimum(dfa));
+            prop_assert_eq!(&min.minimize(), &min, "minimize is idempotent");
+            prop_assert!(min.equivalent(dfa));
             Ok(())
         },
     );
