@@ -1,5 +1,6 @@
-//! Solver scaling guard: the indexed `AnnSet` storage must keep the cost
-//! *per derived fact* flat as systems grow.
+//! Solver scaling guard: the solved-form storage (entry logs, with a
+//! membership set past the log-only tier) must keep the cost *per derived
+//! fact* flat as systems grow.
 //!
 //! Two workload families, each at three growing rungs:
 //!
@@ -8,7 +9,8 @@
 //!   regime where the old `flatten(...)`-clone propagation went
 //!   quadratic;
 //! * **constructor chains** — alternating wrap/project stages, the meet/
-//!   decompose machinery the per-constructor lower-bound buckets index.
+//!   decompose machinery, with the probe's lower bounds read back by head
+//!   from the lower-bound log.
 //!
 //! Emits `BENCH_solver.json` (one row per rung) and enforces near-linear
 //! scaling: within each family, ns per processed fact at the largest rung

@@ -65,7 +65,6 @@
 #![warn(missing_docs)]
 
 pub mod algebra;
-mod annset;
 pub mod backward;
 mod budget;
 mod constraint;
@@ -76,6 +75,7 @@ mod provenance;
 mod query;
 pub mod snapshot;
 mod solver;
+mod store;
 mod term;
 
 pub use budget::{Budget, CancelToken, Clock, InterruptReason, MonotonicClock, Outcome};

@@ -40,14 +40,16 @@ pub const SNAPSHOT_MAGIC: [u8; 8] = *b"RASCSNAP";
 
 /// The container format version this build writes and accepts.
 ///
-/// Version 4 images hold one solver setting, the cycle-elimination
-/// switch, and no per-variable mutation stamps. Version 3 images also held
-/// those stamps and a global mutation counter, for a retired query cache.
-/// Version 2 images also held the retired projection-merging switch and
-/// memo and the cycle-search depth. Version 1 images also held upper
-/// bounds copied backward along edges, and their provenance could cite
-/// the retired reason tag 2. All three are rejected.
-pub const SNAPSHOT_VERSION: u32 = 4;
+/// Version 5 images hold three entry logs per variable: its edges, lower
+/// bounds and upper bounds. Version 4 images also held a fourth, the
+/// retired mirror of every edge at its target. Version 3 images also held
+/// per-variable mutation stamps and a global mutation counter, for a
+/// retired query cache. Version 2 images also held the retired
+/// projection-merging switch and memo and the cycle-search depth.
+/// Version 1 images also held upper bounds copied backward along edges,
+/// and their provenance could cite the retired reason tag 2. All four are
+/// rejected.
+pub const SNAPSHOT_VERSION: u32 = 5;
 
 /// Section tag: the annotation algebra's interned state (monoid table,
 /// reachability vectors).
@@ -558,11 +560,12 @@ mod tests {
         bytes[8] = 99;
         let err = SnapshotReader::parse(&bytes).unwrap_err();
         assert!(err.to_string().contains("version"), "{err}");
-        // Earlier formats are a typed corruption, not a restore: version 3
-        // images also held mutation stamps, version 2 images the
-        // projection-merging memo and the cycle-search depth, version 1
-        // images upper bounds copied backward along edges.
-        for old in [1u32, 2, 3] {
+        // Earlier formats are a typed corruption, not a restore: version 4
+        // images also held each edge's mirror at its target, version 3
+        // images mutation stamps, version 2 images the projection-merging
+        // memo and the cycle-search depth, version 1 images upper bounds
+        // copied backward along edges.
+        for old in [1u32, 2, 3, 4] {
             let mut bytes = one_section();
             bytes[8..12].copy_from_slice(&old.to_le_bytes());
             let err = SnapshotReader::parse(&bytes).unwrap_err();

@@ -30,7 +30,6 @@ use std::sync::Arc;
 use rasc_obs as obs;
 
 use crate::algebra::{Algebra, AnnId};
-use crate::annset::{AnnMap, ANNMAP_INDEX_LEN};
 use crate::budget::{Budget, Outcome};
 use crate::constraint::{Constraint, SetExpr};
 use crate::error::{CoreError, Result};
@@ -40,6 +39,7 @@ use crate::snapshot::{
     ByteReader, ByteWriter, SnapshotAlgebra, SnapshotError, SnapshotReader, SnapshotWriter,
     TAG_ALGEBRA, TAG_SOLVED,
 };
+use crate::store::{AnnMap, CowVec, InternTable};
 use crate::term::{ConsId, Constructor, Variance};
 
 /// Local result alias for the snapshot paths (`Result` in this module is
@@ -136,8 +136,6 @@ enum Fact {
 enum UndoOp {
     /// Remove annotation `a` from `vars[x].succs[y]`.
     Succ(VarId, VarId, AnnId),
-    /// Remove annotation `a` from `vars[y].preds[x]`.
-    Pred(VarId, VarId, AnnId),
     /// Remove annotation `a` from `vars[x].lbs[src]`.
     Lb(VarId, SrcId, AnnId),
     /// Remove annotation `a` from `vars[x].ubs[snk]`.
@@ -182,343 +180,12 @@ struct VarData {
     /// Interned diagnostic name (`Arc` so a copy-on-write fork shares
     /// every name instead of re-allocating thousands of strings).
     name: Arc<str>,
-    /// `X ⊆^f Y` edges (indexed by endpoint, cursor log for propagation).
+    /// `X ⊆^f Y` edges, each keyed by `Y`'s class root when it was
+    /// inserted; readers map the key through `find`, since a later cycle
+    /// collapse can merge that root away.
     succs: AnnMap<VarId>,
-    preds: AnnMap<VarId>,
     lbs: AnnMap<SrcId>,
     ubs: AnnMap<SnkId>,
-    /// Constructor-indexed lower-bound buckets: the live `lbs` keys whose
-    /// source has head `c`, so `lower_bound_annotations`/pattern queries
-    /// never rescan unrelated lower bounds (Heintze–McAllester-style
-    /// constructor bucketing).
-    lbs_by_cons: ConsIndex,
-}
-
-/// The per-constructor lower-bound buckets, copy-on-write layered like
-/// [`AnnMap`]: an immutable `Arc`-shared base plus an overlay grown since
-/// the fork. Reads chain both layers; writes (and epoch rollback, which
-/// only ever removes post-fork entries) touch the overlay alone.
-#[derive(Debug, Default, Clone)]
-struct ConsIndex {
-    base: Option<Arc<ConsIndexCore>>,
-    over: ConsIndexCore,
-}
-
-/// One layer of a [`ConsIndex`], tiered like an [`AnnMap`] layer: a flat
-/// `(head, source)` list that a bucket read scans, plus per-head buckets
-/// once the list outgrows [`ANNMAP_INDEX_LEN`].
-#[derive(Debug, Default, Clone)]
-struct ConsIndexCore {
-    /// `(head, source)` per live key, in key-creation order.
-    keys: Vec<(ConsId, SrcId)>,
-    /// Per-head buckets, present iff `keys` is longer than
-    /// [`ANNMAP_INDEX_LEN`].
-    by_head: Option<HashMap<ConsId, Vec<SrcId>>>,
-}
-
-impl ConsIndexCore {
-    fn push(&mut self, head: ConsId, src: SrcId) {
-        self.keys.push((head, src));
-        match &mut self.by_head {
-            Some(by_head) => by_head.entry(head).or_default().push(src),
-            None if self.keys.len() > ANNMAP_INDEX_LEN => {
-                let mut by_head: HashMap<ConsId, Vec<SrcId>> = HashMap::new();
-                for &(h, s) in &self.keys {
-                    by_head.entry(h).or_default().push(s);
-                }
-                self.by_head = Some(by_head);
-            }
-            None => {}
-        }
-    }
-
-    /// Removes the most recent entry for `src` (rollback path:
-    /// reverse-order undo puts it at the back).
-    fn remove_last(&mut self, head: ConsId, src: SrcId) {
-        let Some(pos) = self.keys.iter().rposition(|&k| k == (head, src)) else {
-            return;
-        };
-        self.keys.remove(pos);
-        if self.keys.len() <= ANNMAP_INDEX_LEN {
-            self.by_head = None;
-        }
-        if let Some(by_head) = &mut self.by_head {
-            if let Some(bucket) = by_head.get_mut(&head) {
-                if let Some(pos) = bucket.iter().rposition(|&s| s == src) {
-                    bucket.remove(pos);
-                }
-                if bucket.is_empty() {
-                    by_head.remove(&head);
-                }
-            }
-        }
-    }
-
-    /// The sources with head `c`, in key-creation order.
-    fn bucket(&self, c: ConsId) -> impl Iterator<Item = SrcId> + '_ {
-        let (bucket, keys): (&[SrcId], &[(ConsId, SrcId)]) = match &self.by_head {
-            Some(by_head) => (by_head.get(&c).map_or(&[], Vec::as_slice), &[]),
-            None => (&[], &self.keys),
-        };
-        bucket.iter().copied().chain(
-            keys.iter()
-                .filter(move |&&(head, _)| head == c)
-                .map(|&(_, src)| src),
-        )
-    }
-}
-
-impl ConsIndex {
-    fn push(&mut self, head: ConsId, src: SrcId) {
-        self.over.push(head, src);
-    }
-
-    fn remove_last(&mut self, head: ConsId, src: SrcId) {
-        self.over.remove_last(head, src);
-    }
-
-    /// The sources with head `c`, base layer first.
-    fn bucket(&self, c: ConsId) -> impl Iterator<Item = SrcId> + '_ {
-        self.base
-            .as_deref()
-            .into_iter()
-            .flat_map(move |b| b.bucket(c))
-            .chain(self.over.bucket(c))
-    }
-
-    /// Flattens the overlay onto the base (see [`AnnMap::freeze`]).
-    fn freeze(&mut self) {
-        if self.over.keys.is_empty() {
-            return;
-        }
-        let over = std::mem::take(&mut self.over);
-        let core = match self.base.take() {
-            None => over,
-            Some(b) => {
-                let mut core = Arc::try_unwrap(b).unwrap_or_else(|arc| (*arc).clone());
-                for (head, src) in over.keys {
-                    core.push(head, src);
-                }
-                core
-            }
-        };
-        self.base = Some(Arc::new(core));
-    }
-}
-
-/// An append-only vector with a copy-on-write base: the frozen prefix is
-/// `Arc`-shared between forks, the tail holds everything pushed since.
-/// Epoch truncation watermarks are always at or past the base length
-/// (epochs only open after a fork), so `truncate` never has to cut into
-/// the shared prefix.
-#[derive(Debug, Clone)]
-struct CowVec<T> {
-    base: Option<Arc<Vec<T>>>,
-    tail: Vec<T>,
-}
-
-impl<T> Default for CowVec<T> {
-    fn default() -> Self {
-        CowVec {
-            base: None,
-            tail: Vec::new(),
-        }
-    }
-}
-
-impl<T: Clone> CowVec<T> {
-    fn from_vec(v: Vec<T>) -> CowVec<T> {
-        CowVec {
-            base: None,
-            tail: v,
-        }
-    }
-
-    fn base_len(&self) -> usize {
-        self.base.as_ref().map_or(0, |b| b.len())
-    }
-
-    fn len(&self) -> usize {
-        self.base_len() + self.tail.len()
-    }
-
-    fn get(&self, i: usize) -> Option<&T> {
-        let nb = self.base_len();
-        if i < nb {
-            self.base.as_deref().map(|b| &b[i])
-        } else {
-            self.tail.get(i - nb)
-        }
-    }
-
-    /// Panicking index (mirrors `Vec` indexing; ids are validated on
-    /// construction).
-    fn index(&self, i: usize) -> &T {
-        match self.get(i) {
-            Some(v) => v,
-            None => panic!("CowVec index out of bounds: ids are validated on construction"),
-        }
-    }
-
-    fn push(&mut self, value: T) {
-        self.tail.push(value);
-    }
-
-    /// Truncates to `n` total entries; `n` must not cut into the frozen
-    /// base (guaranteed by the epoch-after-fork discipline).
-    fn truncate(&mut self, n: usize) {
-        let nb = self.base_len();
-        debug_assert!(n >= nb || self.len() <= n);
-        self.tail.truncate(n.saturating_sub(nb));
-    }
-
-    fn iter(&self) -> impl Iterator<Item = &T> {
-        self.base
-            .as_deref()
-            .map(|b| b.iter())
-            .into_iter()
-            .flatten()
-            .chain(self.tail.iter())
-    }
-
-    /// Moves the tail into the shared base (reusing the `Arc` when the
-    /// tail is empty).
-    fn freeze(&mut self) {
-        if self.tail.is_empty() {
-            return;
-        }
-        let mut core = match self.base.take() {
-            Some(b) => Arc::try_unwrap(b).unwrap_or_else(|arc| (*arc).clone()),
-            None => Vec::new(),
-        };
-        core.append(&mut self.tail);
-        self.base = Some(Arc::new(core));
-    }
-}
-
-/// An interning table (id ↔ value both ways) with a copy-on-write base,
-/// used for the solver's source and sink tables. The frozen prefix of the
-/// id space and its reverse map are `Arc`-shared; values interned since
-/// the fork live in the overlay. Truncation (epoch rollback) only ever
-/// drops overlay entries.
-#[derive(Debug, Clone)]
-struct InternTable<T> {
-    base: Option<Arc<InternCore<T>>>,
-    list: Vec<T>,
-    ids: HashMap<T, u32>,
-}
-
-impl<T> Default for InternTable<T> {
-    fn default() -> Self {
-        InternTable {
-            base: None,
-            list: Vec::new(),
-            ids: HashMap::new(),
-        }
-    }
-}
-
-#[derive(Debug, Clone)]
-struct InternCore<T> {
-    list: Vec<T>,
-    ids: HashMap<T, u32>,
-}
-
-impl<T> Default for InternCore<T> {
-    fn default() -> Self {
-        InternCore {
-            list: Vec::new(),
-            ids: HashMap::new(),
-        }
-    }
-}
-
-impl<T: Clone + Eq + std::hash::Hash> InternTable<T> {
-    fn from_parts(list: Vec<T>, ids: HashMap<T, u32>) -> InternTable<T> {
-        InternTable {
-            base: None,
-            list,
-            ids,
-        }
-    }
-
-    fn base_len(&self) -> usize {
-        self.base.as_ref().map_or(0, |b| b.list.len())
-    }
-
-    fn len(&self) -> usize {
-        self.base_len() + self.list.len()
-    }
-
-    fn get(&self, i: usize) -> Option<&T> {
-        let nb = self.base_len();
-        if i < nb {
-            self.base.as_deref().map(|b| &b.list[i])
-        } else {
-            self.list.get(i - nb)
-        }
-    }
-
-    /// Panicking index (ids handed out by `intern` are always in range).
-    fn index(&self, i: usize) -> &T {
-        match self.get(i) {
-            Some(v) => v,
-            None => panic!("InternTable index out of bounds: `intern` hands out in-range ids"),
-        }
-    }
-
-    fn lookup(&self, value: &T) -> Option<u32> {
-        self.ids
-            .get(value)
-            .or_else(|| self.base.as_deref().and_then(|b| b.ids.get(value)))
-            .copied()
-    }
-
-    /// Interns `value`, returning its stable id (existing id when already
-    /// present in either layer).
-    fn intern(&mut self, value: T, what: &'static str) -> u32 {
-        if let Some(id) = self.lookup(&value) {
-            return id;
-        }
-        let id = id_u32(self.len(), what);
-        self.ids.insert(value.clone(), id);
-        self.list.push(value);
-        id
-    }
-
-    /// Truncates to `n` total entries, dropping overlay reverse-map
-    /// entries alongside; `n` never cuts into the frozen base.
-    fn truncate(&mut self, n: usize) {
-        let nb = self.base_len();
-        debug_assert!(n >= nb || self.len() <= n);
-        for value in self.list.drain(n.saturating_sub(nb)..) {
-            self.ids.remove(&value);
-        }
-    }
-
-    fn iter(&self) -> impl Iterator<Item = &T> {
-        self.base
-            .as_deref()
-            .map(|b| b.list.iter())
-            .into_iter()
-            .flatten()
-            .chain(self.list.iter())
-    }
-
-    /// Moves the overlay into the shared base (reusing the `Arc` when the
-    /// overlay is empty).
-    fn freeze(&mut self) {
-        if self.list.is_empty() {
-            return;
-        }
-        let mut core = match self.base.take() {
-            Some(b) => Arc::try_unwrap(b).unwrap_or_else(|arc| (*arc).clone()),
-            None => InternCore::default(),
-        };
-        core.list.append(&mut self.list);
-        core.ids.extend(std::mem::take(&mut self.ids));
-        self.base = Some(Arc::new(core));
-    }
 }
 
 /// Aggregate counters describing a solved system, for benchmarks and
@@ -835,9 +502,12 @@ impl<A: Algebra> System<A> {
         root
     }
 
-    /// Collapses `loser` into `winner` (both roots): moves all solved-form
-    /// data across and re-enqueues it so propagation continues from the
-    /// merged variable.
+    /// Collapses `loser` into `winner` (both roots): moves the loser's
+    /// edges and bounds across by re-enqueueing them at the winner, so
+    /// propagation continues from the merged variable. Edges *into* the
+    /// loser stay where they are, keyed by the loser: propagation, cycle
+    /// search and [`System::edges_from`] map every edge target through
+    /// `find`, so those edges already reach the winner.
     fn union_into(&mut self, winner: VarId, loser: VarId) {
         debug_assert_ne!(winner, loser);
         if let Some(j) = self.journal.as_mut() {
@@ -860,9 +530,6 @@ impl<A: Algebra> System<A> {
         let why = Reason::Collapsed { from: loser };
         for (y, ann) in data.succs.iter_entries() {
             self.push_fact(Fact::Edge(winner, y, ann), why);
-        }
-        for (x, ann) in data.preds.iter_entries() {
-            self.push_fact(Fact::Edge(x, winner, ann), why);
         }
         for (src, ann) in data.lbs.iter_entries() {
             self.push_fact(Fact::Lb(winner, src, ann), why);
@@ -1313,10 +980,8 @@ impl<A: Algebra> System<A> {
                 self.live_entries += 1;
                 self.pending_counts.edges_added += 1;
                 self.record_prov(ProvKey::Edge(x, y, f), why);
-                self.vars[y.index()].preds.insert(x, f);
                 if let Some(j) = self.journal.as_mut() {
                     j.ops.push(UndoOp::Succ(x, y, f));
-                    j.ops.push(UndoOp::Pred(x, y, f));
                 }
                 if self.config.cycle_elimination
                     && f == self.algebra.identity()
@@ -1346,12 +1011,7 @@ impl<A: Algebra> System<A> {
                 if !self.algebra.is_useful(g) {
                     return;
                 }
-                let head = self.source(src).cons;
-                let data = &mut self.vars[x.index()];
-                let lbs_by_cons = &mut data.lbs_by_cons;
-                if !data.lbs.insert_with(src, g, || {
-                    lbs_by_cons.push(head, src);
-                }) {
+                if !self.vars[x.index()].lbs.insert(src, g) {
                     return;
                 }
                 self.live_entries += 1;
@@ -1490,20 +1150,8 @@ impl<A: Algebra> System<A> {
                         self.pending_counts.edges_removed += 1;
                     }
                 }
-                UndoOp::Pred(x, y, a) => {
-                    self.vars[y.index()].preds.remove(x, a);
-                }
                 UndoOp::Lb(x, src, a) => {
-                    let head = self.sources.index(src.0 as usize).cons;
-                    let data = &mut self.vars[x.index()];
-                    let lbs_by_cons = &mut data.lbs_by_cons;
-                    // Reverse-order undo empties keys in reverse of their
-                    // creation, so the bucket entry to drop sits at the
-                    // back — `rposition` finds it in O(1) on this path.
-                    let removed = data.lbs.remove_with(src, a, || {
-                        lbs_by_cons.remove_last(head, src);
-                    });
-                    if removed {
+                    if self.vars[x.index()].lbs.remove(src, a) {
                         self.live_entries -= 1;
                         self.pending_counts.lbs_removed += 1;
                     }
@@ -1637,13 +1285,10 @@ impl<A: Algebra> System<A> {
     /// expression head) `c` is a direct lower bound of `x` in the solved
     /// form — i.e. all `f` with `c(…) ⊆^f X`.
     pub fn lower_bound_annotations(&self, x: VarId, c: ConsId) -> Vec<AnnId> {
-        let x = self.find(x);
-        let data = &self.vars[x.index()];
-        // Constructor-indexed: only `c`-headed sources are visited.
-        let mut anns: Vec<AnnId> = data
-            .lbs_by_cons
-            .bucket(c)
-            .flat_map(|src| data.lbs.anns(src))
+        let mut anns: Vec<AnnId> = self
+            .lbs_of(x)
+            .filter(|&(src, _)| self.source(src).cons == c)
+            .map(|(_, a)| a)
             .collect();
         anns.sort_unstable();
         anns.dedup();
@@ -1723,26 +1368,16 @@ impl<A: Algebra> System<A> {
             return Vec::new();
         };
         let root = self.find(v);
-        let data = &self.vars[root.index()];
-        let mut candidates: Vec<(u32, AnnId)> = Vec::new();
-        for src in data.lbs_by_cons.bucket(c) {
-            for a in data.lbs.anns(src) {
-                candidates.push((src.0, a));
-            }
-        }
-        candidates.sort();
-        let Some(&(src_raw, ann)) = candidates.first() else {
+        let Some((src, ann)) = self
+            .lbs_of(root)
+            .filter(|&(src, _)| self.source(src).cons == c)
+            .min()
+        else {
             return Vec::new();
         };
         let mut out = Vec::new();
         let mut seen = HashSet::new();
-        self.explain_key(
-            prov,
-            ProvKey::Lb(root, SrcId(src_raw), ann),
-            &mut out,
-            &mut seen,
-            0,
-        );
+        self.explain_key(prov, ProvKey::Lb(root, src, ann), &mut out, &mut seen, 0);
         out
     }
 
@@ -2170,9 +1805,6 @@ impl<A: Algebra + SnapshotAlgebra> System<A> {
             write_log(&mut w, v.succs.len(), v.succs.iter_entries(), |k: VarId| {
                 k.0
             });
-            write_log(&mut w, v.preds.len(), v.preds.iter_entries(), |k: VarId| {
-                k.0
-            });
             write_log(&mut w, v.lbs.len(), v.lbs.iter_entries(), |k: SrcId| k.0);
             write_log(&mut w, v.ubs.len(), v.ubs.iter_entries(), |k: SnkId| k.0);
         }
@@ -2409,41 +2041,22 @@ impl<A: Algebra + SnapshotAlgebra> System<A> {
             }
         };
 
-        // A variable's record takes at least 40 bytes (a name length and
-        // four log lengths), so reserve no more than the payload can hold.
-        let mut vars: Vec<VarData> = Vec::with_capacity(n_vars.min(r.remaining() / 40));
+        // A variable's record takes at least 32 bytes (a name length and
+        // three log lengths), so reserve no more than the payload can hold.
+        let mut vars: Vec<VarData> = Vec::with_capacity(n_vars.min(r.remaining() / 32));
         let mut live_entries = 0usize;
         for vi in 0..n_vars {
             let mut data = VarData {
                 name: r.str()?.into(),
                 ..VarData::default()
             };
-            if !data
-                .succs
-                .load_log(read_typed_log(&mut r, var_id, ann_id)?, |_| {})
-            {
+            if !data.succs.load_log(read_typed_log(&mut r, var_id, ann_id)?) {
                 return Err(dup_entry("succ", vi));
             }
-            if !data
-                .preds
-                .load_log(read_typed_log(&mut r, var_id, ann_id)?, |_| {})
-            {
-                return Err(dup_entry("pred", vi));
-            }
-            let lbs_by_cons = &mut data.lbs_by_cons;
-            if !data
-                .lbs
-                .load_log(read_typed_log(&mut r, src_id, ann_id)?, |src| {
-                    let head = sources[src.0 as usize].cons;
-                    lbs_by_cons.push(head, src);
-                })
-            {
+            if !data.lbs.load_log(read_typed_log(&mut r, src_id, ann_id)?) {
                 return Err(dup_entry("lower-bound", vi));
             }
-            if !data
-                .ubs
-                .load_log(read_typed_log(&mut r, snk_id, ann_id)?, |_| {})
-            {
+            if !data.ubs.load_log(read_typed_log(&mut r, snk_id, ann_id)?) {
                 return Err(dup_entry("upper-bound", vi));
             }
             live_entries += entry_count(&data);
@@ -2562,8 +2175,8 @@ impl<A: Algebra + SnapshotAlgebra> System<A> {
 /// copy-on-write session forks ([`System::fork`]).
 ///
 /// Produced by [`System::into_base`], which freezes every layered store
-/// (entry logs, constructor buckets, intern tables, constraints,
-/// provenance) into `Arc`-shared cores. Forks bump those `Arc`s instead of
+/// (entry logs, intern tables, constraints, provenance) into
+/// `Arc`-shared cores. Forks bump those `Arc`s instead of
 /// re-deserializing or re-solving: a fork costs O(vars) `Arc` bumps (no
 /// solved-form entry is copied), and each fork's private memory is
 /// proportional to its own deltas.
@@ -2575,12 +2188,6 @@ impl<A: Algebra> BaseSystem<A> {
     /// the base is never mutated).
     pub fn system(&self) -> &System<A> {
         &self.0
-    }
-
-    /// Aggregate statistics of the frozen solved form; O(vars), like
-    /// [`System::stats`].
-    pub fn stats(&self) -> SolverStats {
-        self.0.stats()
     }
 }
 
@@ -2610,10 +2217,8 @@ impl<A: Algebra> System<A> {
         self.pending_counts.flush();
         for v in &mut self.vars {
             v.succs.freeze();
-            v.preds.freeze();
             v.lbs.freeze();
             v.ubs.freeze();
-            v.lbs_by_cons.freeze();
         }
         self.constructors.freeze();
         self.constraints.freeze();
@@ -2848,8 +2453,7 @@ fn read_reason(
 }
 
 /// Counts a variable's solved-form entries the same way [`SolverStats`]
-/// does (succs + lbs + ubs; preds mirror succs and are not counted).
-/// O(1) per category thanks to the entry logs.
+/// does (succs + lbs + ubs). O(1) per category thanks to the entry logs.
 fn entry_count(data: &VarData) -> usize {
     data.succs.len() + data.lbs.len() + data.ubs.len()
 }
@@ -3564,52 +3168,5 @@ mod tests {
         let keys = sys.constructor_expr_keys();
         let heads: Vec<ConsId> = keys.iter().map(|(cons, _)| *cons).collect();
         assert_eq!(heads, vec![c, o, d], "first-occurrence order, deduped");
-    }
-
-    /// `ConsIndex` across its flat/bucketed threshold, with no base, a
-    /// flat base and a bucketed one: every bucket read matches a naive
-    /// `(head, source)` list while keys are added past the threshold and
-    /// then removed in reverse.
-    #[test]
-    fn cons_index_buckets_match_naive_model_across_the_threshold() {
-        const HEADS: u32 = 3;
-        fn check(index: &ConsIndex, model: &[(ConsId, SrcId)]) {
-            for c in (0..HEADS).map(ConsId) {
-                let want: Vec<SrcId> = model
-                    .iter()
-                    .filter(|&&(h, _)| h == c)
-                    .map(|&(_, s)| s)
-                    .collect();
-                assert!(index.bucket(c).eq(want), "bucket {c:?}");
-            }
-            for core in index.base.as_deref().into_iter().chain([&index.over]) {
-                assert_eq!(core.by_head.is_some(), core.keys.len() > ANNMAP_INDEX_LEN);
-            }
-        }
-        let key = |layer: u32, i: u32| (ConsId(i % HEADS), SrcId(layer * 100 + i));
-        for base_len in [0u32, 5, ANNMAP_INDEX_LEN as u32 + 3] {
-            let mut index = ConsIndex::default();
-            let mut model = Vec::new();
-            for i in 0..base_len {
-                let (h, s) = key(0, i);
-                index.push(h, s);
-                model.push((h, s));
-            }
-            index.freeze();
-            check(&index, &model);
-            let over_len = ANNMAP_INDEX_LEN as u32 + 4;
-            for i in 0..over_len {
-                let (h, s) = key(1, i);
-                index.push(h, s);
-                model.push((h, s));
-                check(&index, &model);
-            }
-            for i in (0..over_len).rev() {
-                let (h, s) = key(1, i);
-                index.remove_last(h, s);
-                model.pop();
-                check(&index, &model);
-            }
-        }
     }
 }

@@ -2,7 +2,7 @@
 //! cross-validation oracle for the backward-congruence engine
 //! ([`crate::Liveness`]).
 
-use std::collections::VecDeque;
+use std::collections::{HashSet, VecDeque};
 
 use rasc_cfgir::{Cfg, EdgeLabel, NodeId};
 
@@ -28,14 +28,16 @@ impl IterativeLiveness {
         for entry in facts {
             // Edges: (from, to, effect) where effect: 0 = none, 1 = use,
             // 2 = def (use wins when both, matching the engine).
+            let uses: HashSet<&str> = entry.uses.iter().map(String::as_str).collect();
+            let defs: HashSet<&str> = entry.defs.iter().map(String::as_str).collect();
             let mut edges: Vec<(usize, usize, u8)> = Vec::new();
             for (from, to, label) in cfg.edges() {
                 let effect = match label {
                     EdgeLabel::Plain => 0,
                     EdgeLabel::Event { name, .. } => {
-                        if entry.uses.contains(name) {
+                        if uses.contains(name.as_str()) {
                             1
-                        } else if entry.defs.contains(name) {
+                        } else if defs.contains(name.as_str()) {
                             2
                         } else {
                             0

@@ -5,6 +5,7 @@ use rasc_core::algebra::{AnnId, GenKillAlgebra};
 use rasc_core::{ConsId, SetExpr, System, VarId, Variance};
 
 use crate::spec::GenKillSpec;
+use crate::well_formed;
 
 /// A context-sensitive forward may-analysis: which facts *may* hold at
 /// each program point, for executions from the entry with no initial
@@ -36,11 +37,10 @@ impl ConstraintDataflow {
             .map(|i| sys.var(&format!("S{i}")))
             .collect();
         let pc = sys.constructor("pc", &[]);
-        sys.add(
+        well_formed(sys.add(
             SetExpr::cons(pc, []),
             SetExpr::var(node_vars[entry_node.index()]),
-        )
-        .expect("well-formed");
+        ));
 
         for (from, to, label) in cfg.edges() {
             let ann = match label {
@@ -51,24 +51,22 @@ impl ConstraintDataflow {
             };
             let lhs = SetExpr::var(node_vars[from.index()]);
             let rhs = SetExpr::var(node_vars[to.index()]);
-            match ann {
-                Some(a) => sys.add_ann(lhs, rhs, a).expect("well-formed"),
-                None => sys.add(lhs, rhs).expect("well-formed"),
-            }
+            well_formed(match ann {
+                Some(a) => sys.add_ann(lhs, rhs, a),
+                None => sys.add(lhs, rhs),
+            });
         }
         for site in cfg.call_sites() {
             let callee = &cfg.functions()[site.callee.index()];
             let o_i = sys.constructor(&format!("o{}", site.id.index()), &[Variance::Covariant]);
-            sys.add(
+            well_formed(sys.add(
                 SetExpr::cons_vars(o_i, [node_vars[site.call_node.index()]]),
                 SetExpr::var(node_vars[callee.entry.index()]),
-            )
-            .expect("well-formed");
-            sys.add(
+            ));
+            well_formed(sys.add(
                 SetExpr::proj(o_i, 0, node_vars[callee.exit.index()]),
                 SetExpr::var(node_vars[site.return_node.index()]),
-            )
-            .expect("well-formed");
+            ));
         }
 
         Ok(ConstraintDataflow {

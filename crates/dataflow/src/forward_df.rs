@@ -15,6 +15,7 @@ use rasc_core::forward::ForwardSystem;
 use rasc_core::{ConsId, VarId, Variance};
 
 use crate::spec::GenKillSpec;
+use crate::well_formed;
 
 /// A context-sensitive forward may-analysis on the forward solver, one
 /// run per fact.
@@ -70,21 +71,19 @@ impl ForwardDataflow {
             for site in cfg.call_sites() {
                 let callee = &cfg.functions()[site.callee.index()];
                 let o_i = sys.declare(&format!("o{}", site.id.index()), &[Variance::Covariant]);
-                sys.add_source(
+                well_formed(sys.add_source(
                     o_i,
                     &[vars[site.call_node.index()]],
                     vars[callee.entry.index()],
                     eps,
-                )
-                .expect("well-formed");
-                sys.add_projection(
+                ));
+                well_formed(sys.add_projection(
                     o_i,
                     0,
                     vars[callee.exit.index()],
                     vars[site.return_node.index()],
                     eps,
-                )
-                .expect("well-formed");
+                ));
             }
             systems.push((sys, vars, pc));
         }

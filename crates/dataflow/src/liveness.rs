@@ -1,6 +1,6 @@
 //! Backward liveness analysis on the CFG via the backward solver (§5).
 
-use rasc_automata::{Alphabet, Dfa};
+use rasc_automata::{Alphabet, Dfa, SymbolId};
 use rasc_cfgir::{Cfg, CfgError, EdgeLabel, NodeId};
 use rasc_core::backward::{BackwardSystem, ProbeId};
 use rasc_core::VarId;
@@ -45,23 +45,17 @@ impl Liveness {
             // Build the per-fact 3-state machine over the alphabet of this
             // fact's relevant events.
             let mut sigma = Alphabet::new();
-            for u in &entry.uses {
-                sigma.intern(u);
-            }
-            for d in &entry.defs {
-                sigma.intern(d);
-            }
+            let uses: Vec<SymbolId> = entry.uses.iter().map(|u| sigma.intern(u)).collect();
+            let defs: Vec<SymbolId> = entry.defs.iter().map(|d| sigma.intern(d)).collect();
             let mut dfa = Dfa::new(sigma.len());
             let start = dfa.add_state(false);
             let live = dfa.add_state(true);
             let dead = dfa.add_state(false);
             dfa.set_start(start);
-            for u in &entry.uses {
-                let s = sigma.lookup(u).expect("interned");
+            for &s in &uses {
                 dfa.set_transition(start, s, live);
             }
-            for d in &entry.defs {
-                let s = sigma.lookup(d).expect("interned");
+            for &s in &defs {
                 // A use that is also a def (e.g. `x = x + 1`) counts as a
                 // use first on the backward path; keep the use transition.
                 if dfa.delta(start, s).is_none() {

@@ -77,8 +77,12 @@ fn counts() -> (u64, u64) {
 /// asserted, it reads 2.69 (12,350 + 16,755 for 10,816 entries): the
 /// counts fell by 18%, but the entries they are divided by fell by 41%.
 /// Without projection merging's auxiliary variables and ε edges it reads
-/// 2.64 (11,576 + 15,678 for 10,322 entries).
-const BUDGET_PER_ENTRY: f64 = 3.0;
+/// 2.64 (11,576 + 15,677 for 10,322 entries). With one membership set of
+/// `(key, annotation)` pairs per large category, instead of one sorted
+/// set per key, no per-constructor lower-bound buckets and no mirror of
+/// each edge at its target, it reads 1.33 (4,421 + 9,208 for 10,260
+/// entries). The bound sits between the last two.
+const BUDGET_PER_ENTRY: f64 = 2.0;
 
 #[test]
 fn solve_and_drop_stay_within_the_allocation_budget() {

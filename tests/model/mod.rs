@@ -281,8 +281,8 @@ enum RSnk {
     Proj(usize, usize, usize),
 }
 
-/// The naive solver: flat fact sets, no per-endpoint indexes, no
-/// constructor buckets, no union-find — just the §3.1 resolution rules
+/// The naive solver: flat fact sets, no entry logs or membership sets, no
+/// union-find — just the §3.1 resolution rules
 /// run by chaotic iteration until nothing new appears. Deliberately dumb:
 /// any representation trick in the real solver that changes semantics
 /// shows up as a divergence from this.

@@ -1,5 +1,6 @@
-//! Property test: the indexed `AnnSet`/entry-log storage inside the
-//! solver is pure representation — solved forms must be *identical* to
+//! Property test: the entry-log storage inside the solver (each category's
+//! log, with a membership set past the log-only tier) and its cycle
+//! collapsing are pure representation — solved forms must be *identical* to
 //! those of the model's naive reference solver (chaotic iteration over
 //! flat `BTreeSet`s of facts, no indexes, no cycle elimination), on random
 //! constraint systems, under both property machines, and must stay

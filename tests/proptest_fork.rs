@@ -68,7 +68,7 @@ fn fork_equals_restore_and_replay_on_the_full_query_surface() {
             );
             prop_assert_eq!(
                 fork.stats(),
-                base.stats(),
+                base.system().stats(),
                 "fork statistics diverged from the base"
             );
 
@@ -129,7 +129,7 @@ fn fork_epoch_rollback_returns_to_the_base_fixpoint() {
         |(cons, extra)| {
             let m = Machine::odd_a_then_b();
             let (base, _bytes, want) = frozen(&m, cons)?;
-            let base_stats = base.stats();
+            let base_stats = base.system().stats();
             let all: Vec<RandCon> = cons.iter().chain(extra).cloned().collect();
 
             // A registry installed for the fork's whole lifetime sees

@@ -454,10 +454,11 @@ fn corrupt_base_image_degrades_to_a_cold_start() {
 
 #[test]
 fn previous_format_base_image_is_rejected_and_counted() {
-    // Version 3 images also held per-variable mutation stamps; version 2
-    // images the projection-merging memo and the cycle-search depth;
-    // version 1 images upper bounds copied backward along edges.
-    for old in [1u32, 2, 3] {
+    // Version 4 images also held each edge's mirror at its target;
+    // version 3 images per-variable mutation stamps; version 2 images the
+    // projection-merging memo and the cycle-search depth; version 1 images
+    // upper bounds copied backward along edges.
+    for old in [1u32, 2, 3, 4] {
         let dir = snapshot_temp_dir(&format!("v{old}"));
 
         // Generation 1 writes a real image.

@@ -31,11 +31,14 @@ fn solver_work_on_the_fixed_program_is_pinned() {
     // With projection merging, each of the program's 330 projections
     // (every key distinct) added an auxiliary variable and an ε edge:
     // 3,401 vars, 3,290 edges, 7,196 lower bounds and 12,891 facts, with
-    // the same upper bounds and violations as now.
+    // the same upper bounds and violations as now. When each cycle
+    // collapse also re-enqueued every edge into the collapsed variable
+    // under the winner's id (from a mirror of the edges at their targets),
+    // it took 12,436 facts and kept 2,963 edges; the rest was as now.
     assert_eq!(stats.vars, 3_071, "variables");
-    assert_eq!(stats.facts_processed, 12_436, "facts processed");
+    assert_eq!(stats.facts_processed, 11_721, "facts processed");
     assert_eq!(stats.upper_bounds, 330, "upper bounds");
-    assert_eq!(stats.edges, 2_963, "edges");
+    assert_eq!(stats.edges, 2_901, "edges");
     assert_eq!(stats.lower_bounds, 7_029, "lower bounds");
     assert_eq!(violations, 819, "violations");
 }
