@@ -3,7 +3,6 @@
 use rasc_automata::{Dfa, FnId, Monoid, StateId, SymbolId};
 
 use super::{Algebra, AnnId};
-use crate::snapshot::{ByteReader, ByteWriter, SnapshotAlgebra, SnapshotError};
 
 /// Annotations drawn from the transition monoid `F_M^≡` of a regular
 /// language `L(M)` — the paper's standard construction (§2.4).
@@ -33,11 +32,13 @@ use crate::snapshot::{ByteReader, ByteWriter, SnapshotAlgebra, SnapshotError};
 /// ```
 #[derive(Debug, Clone)]
 pub struct MonoidAlgebra {
-    monoid: Monoid,
+    /// The interned transition monoid (the snapshot codec in
+    /// [`crate::snapshot`] writes and rebuilds all three fields).
+    pub(crate) monoid: Monoid,
     /// Machine states reachable from the start state.
-    reachable: Vec<bool>,
+    pub(crate) reachable: Vec<bool>,
     /// Machine states from which an accepting state is reachable.
-    coreachable: Vec<bool>,
+    pub(crate) coreachable: Vec<bool>,
 }
 
 impl MonoidAlgebra {
@@ -158,60 +159,6 @@ impl Algebra for MonoidAlgebra {
     }
 }
 
-impl SnapshotAlgebra for MonoidAlgebra {
-    fn snapshot_write(&self, w: &mut ByteWriter) {
-        let m = &self.monoid;
-        w.u32(m.n_states() as u32);
-        w.u32(m.start_state().index() as u32);
-        let accepting: Vec<bool> = (0..m.n_states())
-            .map(|i| m.state_accepting(StateId::from_index(i)))
-            .collect();
-        w.bool_seq(&accepting);
-        w.bool_seq(&self.reachable);
-        w.bool_seq(&self.coreachable);
-        w.u32(m.identity().index() as u32);
-        let gens: Vec<u32> = m.generators().iter().map(|g| g.index() as u32).collect();
-        w.u32_seq(&gens);
-        w.seq_len(m.len());
-        for f in m.fn_ids() {
-            let images: Vec<u32> = m.repr_fn(f).images().map(|s| s.index() as u32).collect();
-            w.u32_seq(&images);
-        }
-    }
-
-    fn snapshot_read(r: &mut ByteReader<'_>) -> Result<MonoidAlgebra, SnapshotError> {
-        let n_states = r.u32()? as usize;
-        let start = r.u32()? as usize;
-        let accepting = r.bool_seq()?;
-        let reachable = r.bool_seq()?;
-        let coreachable = r.bool_seq()?;
-        let identity = r.u32()? as usize;
-        let generators = r.u32_seq()?;
-        let n_fns = r.seq_len()?;
-        let mut fn_images = Vec::with_capacity(n_fns);
-        for _ in 0..n_fns {
-            fn_images.push(r.u32_seq()?);
-        }
-        if reachable.len() != n_states || coreachable.len() != n_states {
-            return Err(SnapshotError::corrupt(format!(
-                "reachability vectors sized {}/{} for {n_states} states",
-                reachable.len(),
-                coreachable.len()
-            )));
-        }
-        let monoid =
-            Monoid::from_parts(n_states, start, accepting, fn_images, identity, &generators)
-                .map_err(|detail| {
-                    SnapshotError::corrupt(format!("monoid table rejected: {detail}"))
-                })?;
-        Ok(MonoidAlgebra {
-            monoid,
-            reachable,
-            coreachable,
-        })
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -244,38 +191,6 @@ mod tests {
         assert!(alg.is_accepting(fa));
         assert!(alg.is_useful(fa));
         assert!(!alg.is_useful(faa), "aa is a substring of no word in L");
-    }
-
-    #[test]
-    fn snapshot_round_trips_the_algebra() {
-        let sigma = Alphabet::from_names(["a", "b"]);
-        let a = sigma.lookup("a").unwrap();
-        let b = sigma.lookup("b").unwrap();
-        let m = Regex::parse("a b* a", &sigma).unwrap().compile(&sigma);
-        let mut alg = MonoidAlgebra::new(&m);
-        let fa = alg.word(&[a]);
-        let _ = alg.word(&[a, b]);
-        let _ = alg.word(&[a, b, a]);
-        let mut w = ByteWriter::new();
-        alg.snapshot_write(&mut w);
-        let bytes = w.into_bytes();
-        let mut r = ByteReader::new(&bytes);
-        let mut back = MonoidAlgebra::snapshot_read(&mut r).unwrap();
-        r.finish().unwrap();
-        assert_eq!(back.len(), alg.len());
-        for i in 0..alg.len() {
-            let id = AnnId(i as u32);
-            assert_eq!(alg.describe(id), back.describe(id), "fn {i}");
-            assert_eq!(alg.is_accepting(id), back.is_accepting(id), "fn {i}");
-            assert_eq!(alg.is_useful(id), back.is_useful(id), "fn {i}");
-        }
-        assert_eq!(back.compose(fa, back.identity()), fa);
-        // A corrupted byte inside the table is a typed error, not a panic.
-        let mut broken = bytes.clone();
-        let last = broken.len() - 1;
-        broken[last] ^= 0x40;
-        let mut r = ByteReader::new(&broken);
-        assert!(MonoidAlgebra::snapshot_read(&mut r).is_err());
     }
 
     #[test]

@@ -70,6 +70,7 @@ mod budget;
 mod constraint;
 mod error;
 pub mod forward;
+mod notation;
 mod pattern;
 mod provenance;
 mod query;
@@ -84,7 +85,7 @@ pub use error::{CoreError, Result};
 pub use pattern::{AnnPred, TermPattern};
 pub use provenance::ExplainStep;
 pub use query::OccurrenceWitness;
-pub use snapshot::{SnapshotAlgebra, SnapshotError};
+pub use snapshot::SnapshotError;
 pub use solver::{BaseSystem, Clash, SolverConfig, SolverStats, System, VarId};
 pub use term::{ConsId, Constructor, GroundTerm, Variance};
 

@@ -1,11 +1,13 @@
-//! Crash-safe snapshot container: a versioned, section-checksummed binary
-//! format for persisting solved forms.
+//! Crash-safe snapshots of a solved system: a versioned,
+//! section-checksummed binary container, and the codecs of the two
+//! sections a [`System`] writes into it. A format change edits this
+//! module alone.
 //!
 //! The container layout is deliberately self-describing and boring:
 //!
 //! ```text
 //! magic "RASCSNAP" (8 bytes)
-//! version        u32 (little-endian, currently 4)
+//! version        u32 (little-endian, currently 5)
 //! section count  u32
 //! per section:
 //!   tag          4 bytes (ASCII, e.g. "ALGB", "SOLV", "ENGN")
@@ -23,17 +25,34 @@
 //! equally defensive: out-of-range lengths, non-UTF-8 strings, non-boolean
 //! booleans, and trailing bytes are all corruption errors.
 //!
+//! [`System::snapshot_sections`] writes the [`TAG_ALGEBRA`] section (the
+//! transition monoid) and the [`TAG_SOLVED`] section (the solved form; see
+//! [`SNAPSHOT_VERSION`]), and [`System::restore_sections`] reads them
+//! back, checking every decoded id against the table it indexes.
+//! `rasc-inc` adds the [`TAG_ENGINE`] section.
+//!
 //! Durability is provided by [`write_atomic`]: the bytes are written to a
 //! temporary file in the destination directory, fsynced, renamed over the
 //! destination, and the directory is fsynced — a crash at any point leaves
 //! either the old snapshot or the new one, never a torn mix.
 
+use std::collections::HashMap;
 use std::fmt;
 use std::fs::{self, File};
+use std::hash::Hash;
 use std::io::{self, Write};
 use std::path::Path;
 
-use crate::algebra::Algebra;
+use rasc_automata::{Monoid, StateId};
+
+use crate::algebra::{Algebra, AnnId, MonoidAlgebra};
+use crate::constraint::{Constraint, SetExpr};
+use crate::provenance::{ProvKey, Provenance, Reason};
+use crate::solver::{
+    entry_count, Clash, Sink, SnkId, SolverConfig, Source, SrcId, System, VarData, VarId,
+};
+use crate::store::{AnnMap, CowVec, InternTable};
+use crate::term::{ConsId, Constructor, Variance};
 
 /// The 8-byte container magic.
 pub const SNAPSHOT_MAGIC: [u8; 8] = *b"RASCSNAP";
@@ -435,16 +454,6 @@ fn tag_name(tag: [u8; 4]) -> String {
     String::from_utf8_lossy(&tag).into_owned()
 }
 
-/// An algebra that can serialize itself into a snapshot section and be
-/// rebuilt from one. Restore validates structure (state counts, id ranges)
-/// and reports problems as [`SnapshotError::Corrupt`].
-pub trait SnapshotAlgebra: Algebra + Sized {
-    /// Serializes the algebra's full interned state.
-    fn snapshot_write(&self, w: &mut ByteWriter);
-    /// Rebuilds the algebra from serialized state, validating as it goes.
-    fn snapshot_read(r: &mut ByteReader<'_>) -> Result<Self, SnapshotError>;
-}
-
 /// Atomically replaces `path` with `bytes`: write to a temporary file in
 /// the same directory, fsync it, rename over `path`, fsync the directory.
 /// A crash at any point leaves either the previous file or the complete
@@ -489,9 +498,631 @@ pub fn read_snapshot_file(path: &Path) -> Result<Vec<u8>, SnapshotError> {
     fs::read(path).map_err(SnapshotError::Io)
 }
 
+impl System<MonoidAlgebra> {
+    /// Serializes the algebra and the full solved form into `snap` as the
+    /// [`TAG_ALGEBRA`] and [`TAG_SOLVED`] sections. The encoding is
+    /// deterministic: entry logs are written in insertion order and every
+    /// hash-keyed table is sorted before writing, so identical systems
+    /// produce identical bytes.
+    ///
+    /// # Errors
+    ///
+    /// [`SnapshotError::State`] unless the system is at a fixpoint
+    /// (empty worklist — call [`System::solve`] first) with no open epoch.
+    pub fn snapshot_sections(&self, snap: &mut SnapshotWriter) -> Result<(), SnapshotError> {
+        if self.pending_facts() != 0 {
+            return Err(SnapshotError::state(format!(
+                "cannot snapshot with {} pending worklist facts (solve to a fixpoint first)",
+                self.pending_facts()
+            )));
+        }
+        if self.epoch_depth() != 0 {
+            return Err(SnapshotError::state(format!(
+                "cannot snapshot with {} open epochs (commit or pop them first)",
+                self.epoch_depth()
+            )));
+        }
+        snap.section(TAG_ALGEBRA, write_algebra(&self.algebra));
+
+        let mut w = ByteWriter::new();
+        w.bool(self.config.cycle_elimination);
+        w.seq_len(self.constructors.len());
+        for c in self.constructors.iter() {
+            w.str(&c.name);
+            w.seq_len(c.signature.len());
+            for v in &c.signature {
+                w.u8(match v {
+                    Variance::Covariant => 0,
+                    Variance::Contravariant => 1,
+                });
+            }
+        }
+        w.seq_len(self.vars.len());
+        w.seq_len(self.sources.len());
+        for s in self.sources.iter() {
+            write_applied(&mut w, s.cons, &s.args);
+        }
+        w.seq_len(self.sinks.len());
+        for s in self.sinks.iter() {
+            match s {
+                Sink::Cons { cons, args } => {
+                    w.u8(0);
+                    write_applied(&mut w, *cons, args);
+                }
+                Sink::Proj {
+                    cons,
+                    index,
+                    target,
+                } => {
+                    w.u8(1);
+                    w.u32(cons.0);
+                    w.u64(*index as u64);
+                    w.u32(target.0);
+                }
+            }
+        }
+        for v in &self.vars {
+            w.str(&v.name);
+            write_log(&mut w, &v.succs, |k: VarId| k.0);
+            write_log(&mut w, &v.lbs, |k: SrcId| k.0);
+            write_log(&mut w, &v.ubs, |k: SnkId| k.0);
+        }
+        w.u32_seq(&self.parent);
+        w.seq_len(self.constraints.len());
+        for con in self.constraints.iter() {
+            write_expr(&mut w, &con.lhs);
+            write_expr(&mut w, &con.rhs);
+            w.u32(con.ann.0);
+        }
+        w.seq_len(self.clashes.len());
+        for cl in &self.clashes {
+            match cl {
+                Clash::ConstructorMismatch { lhs, rhs, ann } => {
+                    w.u8(0);
+                    w.u32(lhs.0);
+                    w.u32(rhs.0);
+                    w.u32(ann.0);
+                }
+                Clash::ContravariantAnnotated {
+                    cons,
+                    position,
+                    ann,
+                } => {
+                    w.u8(1);
+                    w.u32(cons.0);
+                    w.u64(*position as u64);
+                    w.u32(ann.0);
+                }
+            }
+        }
+        for n in [
+            self.facts_processed,
+            self.cycles_collapsed,
+            self.fuel_spent,
+            self.interruptions,
+            self.depth_limit_hits,
+        ] {
+            w.u64(n as u64);
+        }
+        match self.prov.as_deref() {
+            None => w.bool(false),
+            Some(p) => {
+                w.bool(true);
+                let mut entries: Vec<(ProvKey, Reason)> = p.iter().map(|(&k, &r)| (k, r)).collect();
+                entries.sort_unstable_by_key(|&(k, _)| prov_sort_key(k));
+                w.seq_len(entries.len());
+                for (k, reason) in entries {
+                    write_prov_key(&mut w, k);
+                    write_reason(&mut w, reason);
+                }
+            }
+        }
+        snap.section(TAG_SOLVED, w);
+        Ok(())
+    }
+
+    /// Serializes into a standalone snapshot container holding just the
+    /// [`TAG_ALGEBRA`] and [`TAG_SOLVED`] sections (higher layers append
+    /// their own sections via [`System::snapshot_sections`]).
+    ///
+    /// # Errors
+    ///
+    /// See [`System::snapshot_sections`].
+    pub fn snapshot_bytes(&self) -> Result<Vec<u8>, SnapshotError> {
+        let mut snap = SnapshotWriter::new();
+        self.snapshot_sections(&mut snap)?;
+        Ok(snap.finish())
+    }
+
+    /// Streams [`System::snapshot_bytes`] to `out` and flushes it; returns
+    /// the byte count. No atomicity: the caller owns durability (files go
+    /// through [`write_atomic`]). This is the seam the crash-recovery tests
+    /// drive with short writes and `ENOSPC`.
+    ///
+    /// # Errors
+    ///
+    /// See [`System::snapshot_sections`]; a failed write is
+    /// [`SnapshotError::Io`].
+    pub fn snapshot_to_writer(&self, out: &mut dyn Write) -> Result<u64, SnapshotError> {
+        let bytes = self.snapshot_bytes()?;
+        out.write_all(&bytes)?;
+        out.flush()?;
+        Ok(bytes.len() as u64)
+    }
+
+    /// Rebuilds a system from a parsed snapshot container, validating
+    /// every id against the restored tables — out-of-range variables,
+    /// constructors, sources, sinks, or annotations are reported as
+    /// [`SnapshotError::Corrupt`], never silently mis-restored.
+    ///
+    /// The restored system is at a fixpoint with an empty worklist, no
+    /// open epochs, and exactly the stats/clashes/provenance of the
+    /// snapshotted one.
+    ///
+    /// # Errors
+    ///
+    /// [`SnapshotError::Corrupt`] on any structural or range violation.
+    pub fn restore_sections(
+        reader: &SnapshotReader<'_>,
+    ) -> Result<System<MonoidAlgebra>, SnapshotError> {
+        let mut ar = reader.section(TAG_ALGEBRA)?;
+        let algebra = read_algebra(&mut ar)?;
+        ar.finish()?;
+        let mut d = SolvReader {
+            r: reader.section(TAG_SOLVED)?,
+            constructors: Vec::new(),
+            annotations: algebra.len(),
+            vars: 0,
+            sources: 0,
+            sinks: 0,
+        };
+        let config = SolverConfig {
+            cycle_elimination: d.r.bool()?,
+        };
+        let mut sys = System::with_config(algebra, config);
+        for _ in 0..d.r.seq_len()? {
+            let name = d.r.str()?;
+            let n_sig = d.r.seq_len()?;
+            let signature = (0..n_sig)
+                .map(|_| match d.r.u8()? {
+                    0 => Ok(Variance::Covariant),
+                    1 => Ok(Variance::Contravariant),
+                    other => Err(SnapshotError::corrupt(format!(
+                        "invalid variance byte {other}"
+                    ))),
+                })
+                .collect::<Result<_, _>>()?;
+            d.constructors.push(Constructor { name, signature });
+        }
+        d.vars = d.r.seq_len()?;
+
+        d.sources = d.r.seq_len()?;
+        let sources = (0..d.sources)
+            .map(|i| {
+                let (cons, args) = d.applied("source", i)?;
+                Ok(Source { cons, args })
+            })
+            .collect::<Result<_, SnapshotError>>()?;
+        sys.sources = InternTable::from_list(sources)
+            .map_err(|i| SnapshotError::corrupt(format!("duplicate source {i}")))?;
+        d.sinks = d.r.seq_len()?;
+        let sinks = (0..d.sinks).map(|i| d.sink(i)).collect::<Result<_, _>>()?;
+        sys.sinks = InternTable::from_list(sinks)
+            .map_err(|i| SnapshotError::corrupt(format!("duplicate sink {i}")))?;
+
+        // A variable's record takes at least 32 bytes (a name length and
+        // three log lengths), so reserve no more than the payload can hold.
+        sys.vars = Vec::with_capacity(d.vars.min(d.r.remaining() / 32));
+        for vi in 0..d.vars {
+            let dup = |what: &str| {
+                SnapshotError::corrupt(format!("duplicate {what} entry on variable {vi}"))
+            };
+            let mut data = VarData {
+                name: d.r.str()?.into(),
+                ..VarData::default()
+            };
+            if !data.succs.load_log(d.log(SolvReader::var)?) {
+                return Err(dup("succ"));
+            }
+            if !data.lbs.load_log(d.log(SolvReader::src)?) {
+                return Err(dup("lower-bound"));
+            }
+            if !data.ubs.load_log(d.log(SolvReader::snk)?) {
+                return Err(dup("upper-bound"));
+            }
+            sys.live_entries += entry_count(&data);
+            sys.vars.push(data);
+        }
+        let n_parents = d.r.seq_len()?;
+        if n_parents != d.vars {
+            return Err(SnapshotError::corrupt(format!(
+                "union-find has {n_parents} parents for {} variables",
+                d.vars
+            )));
+        }
+        sys.parent = (0..n_parents)
+            .map(|_| d.var().map(|v| v.0))
+            .collect::<Result<_, _>>()?;
+        let n_constraints = d.r.seq_len()?;
+        let constraints = (0..n_constraints)
+            .map(|i| {
+                Ok(Constraint {
+                    lhs: d.expr(i)?,
+                    rhs: d.expr(i)?,
+                    ann: d.ann()?,
+                })
+            })
+            .collect::<Result<_, SnapshotError>>()?;
+        sys.constraints = CowVec::from_vec(constraints);
+        for _ in 0..d.r.seq_len()? {
+            let clash = match d.r.u8()? {
+                0 => Clash::ConstructorMismatch {
+                    lhs: d.cons()?,
+                    rhs: d.cons()?,
+                    ann: d.ann()?,
+                },
+                1 => Clash::ContravariantAnnotated {
+                    cons: d.cons()?,
+                    position: d.usize()?,
+                    ann: d.ann()?,
+                },
+                other => return Err(SnapshotError::corrupt(format!("invalid clash tag {other}"))),
+            };
+            if !sys.clash_set.insert(clash.clone()) {
+                return Err(SnapshotError::corrupt("duplicate clash entry"));
+            }
+            sys.clashes.push(clash);
+        }
+        sys.facts_processed = d.usize()?;
+        sys.cycles_collapsed = d.usize()?;
+        sys.fuel_spent = d.usize()?;
+        sys.interruptions = d.usize()?;
+        sys.depth_limit_hits = d.usize()?;
+        if d.r.bool()? {
+            let n_prov = d.r.seq_len()?;
+            let mut map = HashMap::with_capacity(n_prov);
+            for _ in 0..n_prov {
+                let key = d.prov_key()?;
+                let reason = d.reason()?;
+                if let Reason::Constraint(i) = reason {
+                    if i >= n_constraints {
+                        return Err(SnapshotError::corrupt(format!(
+                            "provenance cites constraint {i} of {n_constraints}"
+                        )));
+                    }
+                }
+                if map.insert(key, reason).is_some() {
+                    return Err(SnapshotError::corrupt("duplicate provenance key"));
+                }
+            }
+            sys.prov = Some(Box::new(Provenance {
+                map,
+                ..Provenance::default()
+            }));
+        }
+        d.r.finish()?;
+        sys.constructors = CowVec::from_vec(d.constructors);
+        Ok(sys)
+    }
+
+    /// Rebuilds a system from standalone snapshot bytes (the counterpart
+    /// of [`System::snapshot_bytes`]).
+    ///
+    /// # Errors
+    ///
+    /// See [`System::restore_sections`].
+    pub fn restore_bytes(bytes: &[u8]) -> Result<System<MonoidAlgebra>, SnapshotError> {
+        let reader = SnapshotReader::parse(bytes)?;
+        Self::restore_sections(&reader)
+    }
+}
+
+/// Writes the ALGB section: the minimized machine's states, its
+/// reachability vectors, and every interned monoid function.
+fn write_algebra(alg: &MonoidAlgebra) -> ByteWriter {
+    let mut w = ByteWriter::new();
+    let m = &alg.monoid;
+    w.u32(m.n_states() as u32);
+    w.u32(m.start_state().index() as u32);
+    let accepting: Vec<bool> = (0..m.n_states())
+        .map(|i| m.state_accepting(StateId::from_index(i)))
+        .collect();
+    w.bool_seq(&accepting);
+    w.bool_seq(&alg.reachable);
+    w.bool_seq(&alg.coreachable);
+    w.u32(m.identity().index() as u32);
+    let gens: Vec<u32> = m.generators().iter().map(|g| g.index() as u32).collect();
+    w.u32_seq(&gens);
+    w.seq_len(m.len());
+    for f in m.fn_ids() {
+        let images: Vec<u32> = m.repr_fn(f).images().map(|s| s.index() as u32).collect();
+        w.u32_seq(&images);
+    }
+    w
+}
+
+/// Reads the ALGB section; [`Monoid::from_parts`] validates the table.
+fn read_algebra(r: &mut ByteReader<'_>) -> Result<MonoidAlgebra, SnapshotError> {
+    let n_states = r.u32()? as usize;
+    let start = r.u32()? as usize;
+    let accepting = r.bool_seq()?;
+    let reachable = r.bool_seq()?;
+    let coreachable = r.bool_seq()?;
+    let identity = r.u32()? as usize;
+    let generators = r.u32_seq()?;
+    let n_fns = r.seq_len()?;
+    let mut fn_images = Vec::with_capacity(n_fns);
+    for _ in 0..n_fns {
+        fn_images.push(r.u32_seq()?);
+    }
+    if reachable.len() != n_states || coreachable.len() != n_states {
+        return Err(SnapshotError::corrupt(format!(
+            "reachability vectors sized {}/{} for {n_states} states",
+            reachable.len(),
+            coreachable.len()
+        )));
+    }
+    let monoid =
+        Monoid::from_parts(n_states, start, accepting, fn_images, identity, &generators)
+            .map_err(|detail| SnapshotError::corrupt(format!("monoid table rejected: {detail}")))?;
+    Ok(MonoidAlgebra {
+        monoid,
+        reachable,
+        coreachable,
+    })
+}
+
+/// Writes a constructor application `head(args)`: the head's id, then
+/// the argument variables as a sequence.
+fn write_applied(w: &mut ByteWriter, cons: ConsId, args: &[VarId]) {
+    w.u32(cons.0);
+    w.seq_len(args.len());
+    for v in args {
+        w.u32(v.0);
+    }
+}
+
+/// Writes an entry log: its length, then each `(key, annotation)` pair.
+fn write_log<K: Copy + Eq + Hash>(w: &mut ByteWriter, log: &AnnMap<K>, key: impl Fn(K) -> u32) {
+    w.seq_len(log.len());
+    for (k, a) in log.iter_entries() {
+        w.u32(key(k));
+        w.u32(a.0);
+    }
+}
+
+fn write_expr(w: &mut ByteWriter, e: &SetExpr) {
+    match e {
+        SetExpr::Var(v) => {
+            w.u8(0);
+            w.u32(v.0);
+        }
+        SetExpr::Cons(c, args) => {
+            w.u8(1);
+            write_applied(w, *c, args);
+        }
+        SetExpr::Proj(c, i, v) => {
+            w.u8(2);
+            w.u32(c.0);
+            w.u64(*i as u64);
+            w.u32(v.0);
+        }
+    }
+}
+
+fn prov_sort_key(k: ProvKey) -> (u8, u32, u32, u32) {
+    match k {
+        ProvKey::Edge(x, y, a) => (0, x.0, y.0, a.0),
+        ProvKey::Lb(x, s, a) => (1, x.0, s.0, a.0),
+        ProvKey::Ub(x, s, a) => (2, x.0, s.0, a.0),
+    }
+}
+
+fn write_prov_key(w: &mut ByteWriter, k: ProvKey) {
+    let (tag, a, b, ann) = prov_sort_key(k);
+    w.u8(tag);
+    w.u32(a);
+    w.u32(b);
+    w.u32(ann);
+}
+
+fn write_reason(w: &mut ByteWriter, reason: Reason) {
+    match reason {
+        Reason::Constraint(i) => {
+            w.u8(0);
+            w.u64(i as u64);
+        }
+        Reason::TransLb { edge, lb } => {
+            w.u8(1);
+            w.u32(edge.0 .0);
+            w.u32(edge.1 .0);
+            w.u32(edge.2 .0);
+            w.u32(lb.0 .0);
+            w.u32(lb.1 .0);
+            w.u32(lb.2 .0);
+        }
+        Reason::Meet {
+            var,
+            src,
+            src_ann,
+            snk,
+            snk_ann,
+        } => {
+            w.u8(3);
+            w.u32(var.0);
+            w.u32(src.0);
+            w.u32(src_ann.0);
+            w.u32(snk.0);
+            w.u32(snk_ann.0);
+        }
+        Reason::Collapsed { from } => {
+            w.u8(4);
+            w.u32(from.0);
+        }
+    }
+}
+
+/// The SOLV payload decoder. Every id it reads is checked against the
+/// size of the table the id indexes, known once that table is read (an
+/// id read earlier is out of range), so a restored system never holds a
+/// dangling id.
+struct SolvReader<'a> {
+    r: ByteReader<'a>,
+    /// The constructors decoded so far (their arities check applications).
+    constructors: Vec<Constructor>,
+    annotations: usize,
+    vars: usize,
+    sources: usize,
+    sinks: usize,
+}
+
+impl SolvReader<'_> {
+    /// Reads an id and checks it against `len`, the number of `what`s.
+    fn id(&mut self, len: usize, what: &str) -> Result<u32, SnapshotError> {
+        let raw = self.r.u32()?;
+        if (raw as usize) < len {
+            Ok(raw)
+        } else {
+            Err(SnapshotError::corrupt(format!(
+                "{what} id {raw} out of range ({len} {what}s)"
+            )))
+        }
+    }
+
+    fn var(&mut self) -> Result<VarId, SnapshotError> {
+        self.id(self.vars, "variable").map(VarId)
+    }
+
+    fn cons(&mut self) -> Result<ConsId, SnapshotError> {
+        self.id(self.constructors.len(), "constructor").map(ConsId)
+    }
+
+    fn ann(&mut self) -> Result<AnnId, SnapshotError> {
+        self.id(self.annotations, "annotation").map(AnnId)
+    }
+
+    fn src(&mut self) -> Result<SrcId, SnapshotError> {
+        self.id(self.sources, "source").map(SrcId)
+    }
+
+    fn snk(&mut self) -> Result<SnkId, SnapshotError> {
+        self.id(self.sinks, "sink").map(SnkId)
+    }
+
+    /// Reads a count or position written as a `u64`.
+    fn usize(&mut self) -> Result<usize, SnapshotError> {
+        let v = self.r.u64()?;
+        usize::try_from(v).map_err(|_| SnapshotError::corrupt(format!("value {v} overflows usize")))
+    }
+
+    /// Reads an application written by [`write_applied`], checking the
+    /// head's arity; the error names the entry as `{what} {i}`.
+    fn applied(&mut self, what: &str, i: usize) -> Result<(ConsId, Vec<VarId>), SnapshotError> {
+        let cons = self.cons()?;
+        let n = self.r.seq_len()?;
+        let args = (0..n).map(|_| self.var()).collect::<Result<Vec<_>, _>>()?;
+        let decl = &self.constructors[cons.index()];
+        if args.len() != decl.arity() {
+            return Err(SnapshotError::corrupt(format!(
+                "{what} {i} applies constructor {} to {} args",
+                decl.name,
+                args.len()
+            )));
+        }
+        Ok((cons, args))
+    }
+
+    /// Reads interned sink `i`.
+    fn sink(&mut self, i: usize) -> Result<Sink, SnapshotError> {
+        match self.r.u8()? {
+            0 => {
+                let (cons, args) = self.applied("sink", i)?;
+                Ok(Sink::Cons { cons, args })
+            }
+            1 => {
+                let (cons, index, target) = (self.cons()?, self.usize()?, self.var()?);
+                let arity = self.constructors[cons.index()].arity();
+                if index >= arity {
+                    return Err(SnapshotError::corrupt(format!(
+                        "sink {i} projects position {index} of {arity}-ary constructor"
+                    )));
+                }
+                Ok(Sink::Proj {
+                    cons,
+                    index,
+                    target,
+                })
+            }
+            other => Err(SnapshotError::corrupt(format!("invalid sink tag {other}"))),
+        }
+    }
+
+    /// Reads an entry log written by [`write_log`].
+    fn log<K>(
+        &mut self,
+        key: impl Fn(&mut Self) -> Result<K, SnapshotError>,
+    ) -> Result<Vec<(K, AnnId)>, SnapshotError> {
+        let n = self.r.seq_len()?;
+        let mut out = Vec::with_capacity(n.min(self.r.remaining() / 8 + 1));
+        for _ in 0..n {
+            out.push((key(self)?, self.ann()?));
+        }
+        Ok(out)
+    }
+
+    /// Reads one side of surface constraint `i`.
+    fn expr(&mut self, i: usize) -> Result<SetExpr, SnapshotError> {
+        match self.r.u8()? {
+            0 => Ok(SetExpr::Var(self.var()?)),
+            1 => {
+                let (c, args) = self.applied("constraint", i)?;
+                Ok(SetExpr::Cons(c, args))
+            }
+            2 => Ok(SetExpr::Proj(self.cons()?, self.usize()?, self.var()?)),
+            other => Err(SnapshotError::corrupt(format!(
+                "invalid set-expression tag {other}"
+            ))),
+        }
+    }
+
+    fn prov_key(&mut self) -> Result<ProvKey, SnapshotError> {
+        match self.r.u8()? {
+            0 => Ok(ProvKey::Edge(self.var()?, self.var()?, self.ann()?)),
+            1 => Ok(ProvKey::Lb(self.var()?, self.src()?, self.ann()?)),
+            2 => Ok(ProvKey::Ub(self.var()?, self.snk()?, self.ann()?)),
+            other => Err(SnapshotError::corrupt(format!(
+                "invalid provenance key tag {other}"
+            ))),
+        }
+    }
+
+    fn reason(&mut self) -> Result<Reason, SnapshotError> {
+        match self.r.u8()? {
+            0 => Ok(Reason::Constraint(self.usize()?)),
+            1 => Ok(Reason::TransLb {
+                edge: (self.var()?, self.var()?, self.ann()?),
+                lb: (self.var()?, self.src()?, self.ann()?),
+            }),
+            3 => Ok(Reason::Meet {
+                var: self.var()?,
+                src: self.src()?,
+                src_ann: self.ann()?,
+                snk: self.snk()?,
+                snk_ann: self.ann()?,
+            }),
+            4 => Ok(Reason::Collapsed { from: self.var()? }),
+            other => Err(SnapshotError::corrupt(format!(
+                "invalid provenance reason tag {other}"
+            ))),
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::solver::tests::one_bit_system;
+    use rasc_automata::{Alphabet, Regex};
 
     fn one_section() -> Vec<u8> {
         let mut w = ByteWriter::new();
@@ -610,5 +1241,174 @@ mod tests {
             Err(SnapshotError::Io(_))
         ));
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn snapshot_round_trips_the_algebra() {
+        let sigma = Alphabet::from_names(["a", "b"]);
+        let a = sigma.lookup("a").unwrap();
+        let b = sigma.lookup("b").unwrap();
+        let m = Regex::parse("a b* a", &sigma).unwrap().compile(&sigma);
+        let mut alg = MonoidAlgebra::new(&m);
+        let fa = alg.word(&[a]);
+        let _ = alg.word(&[a, b]);
+        let _ = alg.word(&[a, b, a]);
+        let bytes = write_algebra(&alg).into_bytes();
+        let mut r = ByteReader::new(&bytes);
+        let mut back = read_algebra(&mut r).unwrap();
+        r.finish().unwrap();
+        assert_eq!(back.len(), alg.len());
+        for i in 0..alg.len() {
+            let id = AnnId(i as u32);
+            assert_eq!(alg.describe(id), back.describe(id), "fn {i}");
+            assert_eq!(alg.is_accepting(id), back.is_accepting(id), "fn {i}");
+            assert_eq!(alg.is_useful(id), back.is_useful(id), "fn {i}");
+        }
+        assert_eq!(back.compose(fa, back.identity()), fa);
+        // A corrupted byte inside the table is a typed error, not a panic.
+        let mut broken = bytes.clone();
+        let last = broken.len() - 1;
+        broken[last] ^= 0x40;
+        let mut r = ByteReader::new(&broken);
+        assert!(read_algebra(&mut r).is_err());
+    }
+
+    #[test]
+    fn snapshot_round_trips_the_solved_form() {
+        let (mut sys, g, k) = one_bit_system();
+        sys.enable_provenance();
+        let c = sys.constructor("c", &[]);
+        let d = sys.constructor("d", &[]);
+        let pair = sys.constructor("pair", &[Variance::Covariant, Variance::Covariant]);
+        let (x, y, z, a, b) = (
+            sys.var("X"),
+            sys.var("Y"),
+            sys.var("Z"),
+            sys.var("A"),
+            sys.var("B"),
+        );
+        let fg = sys.algebra_mut().word(&[g]);
+        let fk = sys.algebra_mut().word(&[k]);
+        sys.add_ann(SetExpr::cons(c, []), SetExpr::var(x), fg)
+            .unwrap();
+        sys.add_ann(SetExpr::var(x), SetExpr::var(y), fk).unwrap();
+        sys.add_ann(SetExpr::var(y), SetExpr::var(z), fg).unwrap();
+        // A cycle so union-find state is nontrivial.
+        sys.add(SetExpr::var(a), SetExpr::var(b)).unwrap();
+        sys.add(SetExpr::var(b), SetExpr::var(a)).unwrap();
+        // A clash and a projection.
+        sys.add(SetExpr::var(x), SetExpr::cons(d, [])).unwrap();
+        sys.add(SetExpr::cons_vars(pair, [x, y]), SetExpr::var(a))
+            .unwrap();
+        sys.add(SetExpr::proj(pair, 0, a), SetExpr::var(b)).unwrap();
+        sys.solve();
+
+        let bytes = sys.snapshot_bytes().unwrap();
+        let back: System<MonoidAlgebra> = System::restore_bytes(&bytes).unwrap();
+        assert_eq!(back.stats(), sys.stats());
+        assert_eq!(back.clashes(), sys.clashes());
+        assert_eq!(back.num_constraints(), sys.num_constraints());
+        assert_eq!(back.render_solved_form(), sys.render_solved_form());
+        assert_eq!(
+            back.lower_bound_annotations(z, c),
+            sys.lower_bound_annotations(z, c)
+        );
+        assert_eq!(back.explain(b, c).len(), sys.explain(b, c).len());
+        assert_eq!(back.find(b), sys.find(b), "union-find survives");
+        // Deterministic serialization: snapshotting the restored system
+        // reproduces the bytes exactly.
+        assert_eq!(back.snapshot_bytes().unwrap(), bytes);
+        // The restored system keeps solving correctly.
+        let mut back = back;
+        let e = sys.algebra().identity();
+        let w2 = back.var("W2");
+        back.add_ann(SetExpr::var(z), SetExpr::var(w2), e).unwrap();
+        back.solve();
+        assert_eq!(back.lower_bound_annotations(w2, c), vec![fg]);
+    }
+
+    #[test]
+    fn system_round_trips_through_writer_and_file() {
+        let dir = std::env::temp_dir().join(format!("rasc-core-snap-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("system.snap");
+        let (mut sys, g, _) = one_bit_system();
+        let c = sys.constructor("c", &[]);
+        let x = sys.var("X");
+        let fg = sys.algebra_mut().word(&[g]);
+        sys.add_ann(SetExpr::cons(c, []), SetExpr::var(x), fg)
+            .unwrap();
+        sys.solve();
+
+        // Writer and file paths produce the same bytes.
+        let mut streamed = Vec::new();
+        let n = sys.snapshot_to_writer(&mut streamed).unwrap();
+        assert_eq!(n as usize, streamed.len());
+        crate::snapshot::write_atomic(&path, &sys.snapshot_bytes().unwrap()).unwrap();
+        assert_eq!(std::fs::read(&path).unwrap(), streamed);
+
+        let bytes = crate::snapshot::read_snapshot_file(&path).unwrap();
+        let back: System<MonoidAlgebra> = System::restore_bytes(&bytes).unwrap();
+        assert_eq!(back.lower_bound_annotations(x, c).len(), 1);
+        assert_eq!(back.stats().vars, sys.stats().vars);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn snapshot_preconditions_are_typed_state_errors() {
+        let (mut sys, g, _) = one_bit_system();
+        let c = sys.constructor("c", &[]);
+        let x = sys.var("X");
+        let fg = sys.algebra_mut().word(&[g]);
+        sys.add_ann(SetExpr::cons(c, []), SetExpr::var(x), fg)
+            .unwrap();
+        // Pending worklist → State error.
+        assert!(matches!(
+            sys.snapshot_bytes(),
+            Err(SnapshotError::State { .. })
+        ));
+        sys.solve();
+        sys.push_epoch();
+        assert!(matches!(
+            sys.snapshot_bytes(),
+            Err(SnapshotError::State { .. })
+        ));
+        sys.commit_epoch();
+        assert!(sys.snapshot_bytes().is_ok());
+    }
+
+    /// A checksum-valid image whose variable count asks for 2^44
+    /// variables is corrupt: the count is checked against the payload
+    /// left before anything is allocated for it. (FNV-1a catches torn
+    /// writes, but anyone who can write the file can recompute it.)
+    #[test]
+    fn resealed_hostile_variable_count_is_corrupt() {
+        let (mut sys, _, _) = one_bit_system();
+        let vars: Vec<VarId> = (0..7).map(|i| sys.var(&format!("v{i}"))).collect();
+        sys.add(SetExpr::var(vars[0]), SetExpr::var(vars[1]))
+            .unwrap();
+        sys.solve();
+        let mut bytes = sys.snapshot_bytes().unwrap();
+        // Header (16 bytes), then ALGB's 20-byte frame and payload, then
+        // SOLV's frame: tag, payload length, checksum.
+        let le_u64 = |b: &[u8]| u64::from_le_bytes(b.try_into().unwrap());
+        let solv = 36 + le_u64(&bytes[20..28]) as usize;
+        assert_eq!(bytes[solv..solv + 4], TAG_SOLVED);
+        let payload = solv + 20..solv + 20 + le_u64(&bytes[solv + 4..solv + 12]) as usize;
+        // With no constructors, the first 7 in the payload is the
+        // variable count.
+        let count = payload.start
+            + bytes[payload.clone()]
+                .windows(8)
+                .position(|w| w == 7u64.to_le_bytes())
+                .unwrap();
+        bytes[count..count + 8].copy_from_slice(&(1u64 << 44).to_le_bytes());
+        let checksum = crate::snapshot::fnv1a64(&bytes[payload]);
+        bytes[solv + 12..solv + 20].copy_from_slice(&checksum.to_le_bytes());
+        let err = System::<MonoidAlgebra>::restore_bytes(&bytes).unwrap_err();
+        assert!(
+            matches!(&err, SnapshotError::Corrupt { detail } if detail.contains("17592186044416")),
+            "{err}"
+        );
     }
 }

@@ -22,9 +22,13 @@
 //! Following the §8 optimization, constructor-annotation variables (`α`,
 //! `β`, …) are never materialized during solving; queries reconstruct the
 //! composed constructor annotations on demand (see the query methods).
+//!
+//! This module keeps the worklist, the resolution rules, cycle
+//! elimination, epochs and the copy-on-write fork. The snapshot codec
+//! lives in [`crate::snapshot`], and the paper's notation (`explain`,
+//! `render_solved_form`) in `notation.rs`.
 
 use std::collections::{HashMap, HashSet, VecDeque};
-use std::io::Write;
 use std::sync::Arc;
 
 use rasc_obs as obs;
@@ -34,17 +38,10 @@ use crate::budget::{Budget, Outcome};
 use crate::constraint::{Constraint, SetExpr};
 use crate::error::{CoreError, Result};
 use crate::id_u32;
-use crate::provenance::{ExplainStep, ProvKey, Provenance, Reason};
-use crate::snapshot::{
-    ByteReader, ByteWriter, SnapshotAlgebra, SnapshotError, SnapshotReader, SnapshotWriter,
-    TAG_ALGEBRA, TAG_SOLVED,
-};
+use crate::provenance::{ProvKey, Provenance, Reason};
+use crate::snapshot::SnapshotError;
 use crate::store::{AnnMap, CowVec, InternTable};
 use crate::term::{ConsId, Constructor, Variance};
-
-/// Local result alias for the snapshot paths (`Result` in this module is
-/// the solver's [`CoreError`] alias).
-type SnapResult<T> = std::result::Result<T, SnapshotError>;
 
 /// An interned set variable.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -65,11 +62,11 @@ impl VarId {
 
 /// An interned source (constructor expression used as a lower bound).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
-pub(crate) struct SrcId(u32);
+pub(crate) struct SrcId(pub(crate) u32);
 
 /// An interned sink (upper-bound pattern).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
-pub(crate) struct SnkId(u32);
+pub(crate) struct SnkId(pub(crate) u32);
 
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub(crate) struct Source {
@@ -175,17 +172,19 @@ struct Journal {
     marks: Vec<EpochMark>,
 }
 
+/// One variable's solved form. The snapshot codec reads and writes these
+/// fields directly, so they are crate-visible.
 #[derive(Debug, Default, Clone)]
-struct VarData {
+pub(crate) struct VarData {
     /// Interned diagnostic name (`Arc` so a copy-on-write fork shares
     /// every name instead of re-allocating thousands of strings).
-    name: Arc<str>,
+    pub(crate) name: Arc<str>,
     /// `X ⊆^f Y` edges, each keyed by `Y`'s class root when it was
     /// inserted; readers map the key through `find`, since a later cycle
     /// collapse can merge that root away.
-    succs: AnnMap<VarId>,
-    lbs: AnnMap<SrcId>,
-    ubs: AnnMap<SnkId>,
+    pub(crate) succs: AnnMap<VarId>,
+    pub(crate) lbs: AnnMap<SrcId>,
+    pub(crate) ubs: AnnMap<SnkId>,
 }
 
 /// Aggregate counters describing a solved system, for benchmarks and
@@ -254,36 +253,40 @@ const CYCLE_SEARCH_DEPTH: usize = 32;
 /// online analysis capability of §5.1).
 ///
 /// See the crate-level documentation for a complete example.
+///
+/// The solved-form fields are crate-visible for the snapshot codec
+/// ([`crate::snapshot`]) and the paper-notation renderer; the worklist,
+/// the journal and the scratch buffers are the solver's own.
 #[derive(Debug)]
 pub struct System<A: Algebra> {
-    algebra: A,
-    constructors: CowVec<Constructor>,
-    vars: Vec<VarData>,
-    sources: InternTable<Source>,
-    sinks: InternTable<Sink>,
+    pub(crate) algebra: A,
+    pub(crate) constructors: CowVec<Constructor>,
+    pub(crate) vars: Vec<VarData>,
+    pub(crate) sources: InternTable<Source>,
+    pub(crate) sinks: InternTable<Sink>,
     worklist: VecDeque<Fact>,
-    constraints: CowVec<Constraint>,
-    clashes: Vec<Clash>,
-    clash_set: HashSet<Clash>,
-    facts_processed: usize,
-    config: SolverConfig,
+    pub(crate) constraints: CowVec<Constraint>,
+    pub(crate) clashes: Vec<Clash>,
+    pub(crate) clash_set: HashSet<Clash>,
+    pub(crate) facts_processed: usize,
+    pub(crate) config: SolverConfig,
     /// Union-find parents for cycle elimination (self-parent = root).
-    parent: Vec<u32>,
+    pub(crate) parent: Vec<u32>,
     /// Variables collapsed by cycle elimination.
-    cycles_collapsed: usize,
+    pub(crate) cycles_collapsed: usize,
     /// Live solved-form entry count (annotated edges + lower bounds +
     /// upper bounds), maintained incrementally so budget checks are O(1).
-    live_entries: usize,
+    pub(crate) live_entries: usize,
     /// Present while at least one epoch is open.
     journal: Option<Journal>,
     /// Worklist steps charged against limited budgets.
-    fuel_spent: usize,
+    pub(crate) fuel_spent: usize,
     /// Bounded solves interrupted by their budget.
-    interruptions: usize,
+    pub(crate) interruptions: usize,
     /// Failed cycle searches that the depth bound cut short.
-    depth_limit_hits: usize,
+    pub(crate) depth_limit_hits: usize,
     /// Present once provenance recording is enabled.
-    prov: Option<Box<Provenance>>,
+    pub(crate) prov: Option<Box<Provenance>>,
     /// Observability counter deltas not yet emitted. Updating a plain
     /// field keeps the hot path free of dispatch; deltas are flushed as
     /// [`obs`] counter events at solve boundaries and after rollbacks.
@@ -1355,310 +1358,6 @@ impl<A: Algebra> System<A> {
         }
     }
 
-    /// Explains why constructor `c` appears in `v`'s solution: the chain
-    /// of surface constraints and derivation steps that produced the
-    /// (lexicographically first) solved-form lower bound `c(…) ⊆^g v`.
-    ///
-    /// Returns an empty chain when provenance recording is not enabled
-    /// (see [`System::enable_provenance`]), or when no such lower bound
-    /// exists. Steps are pre-order: each derived entry is followed by the
-    /// explanations of its premises.
-    pub fn explain(&self, v: VarId, c: ConsId) -> Vec<ExplainStep> {
-        let Some(prov) = self.prov.as_deref() else {
-            return Vec::new();
-        };
-        let root = self.find(v);
-        let Some((src, ann)) = self
-            .lbs_of(root)
-            .filter(|&(src, _)| self.source(src).cons == c)
-            .min()
-        else {
-            return Vec::new();
-        };
-        let mut out = Vec::new();
-        let mut seen = HashSet::new();
-        self.explain_key(prov, ProvKey::Lb(root, src, ann), &mut out, &mut seen, 0);
-        out
-    }
-
-    /// Recursive provenance walk: emits the step for `key`, then the
-    /// steps of its premises (bounded by a visited set and a depth cap).
-    fn explain_key(
-        &self,
-        prov: &Provenance,
-        key: ProvKey,
-        out: &mut Vec<ExplainStep>,
-        seen: &mut HashSet<ProvKey>,
-        depth: usize,
-    ) {
-        if depth > 64 || !seen.insert(key) {
-            return;
-        }
-        let reason = prov
-            .reason(&key)
-            .or_else(|| prov.reason(&self.canonical_key(key)));
-        let Some(reason) = reason else {
-            out.push(ExplainStep {
-                constraint: None,
-                rule: "axiom",
-                description: format!(
-                    "{} (solved before provenance recording was enabled)",
-                    self.describe_key(key)
-                ),
-            });
-            return;
-        };
-        match *reason {
-            Reason::Constraint(i) => {
-                out.push(ExplainStep {
-                    constraint: Some(i),
-                    rule: "constraint",
-                    description: format!(
-                        "{} — from constraint #{i}: {}",
-                        self.describe_key(key),
-                        self.describe_constraint(i)
-                    ),
-                });
-            }
-            Reason::TransLb { edge, lb } => {
-                out.push(ExplainStep {
-                    constraint: None,
-                    rule: "trans-lb",
-                    description: format!(
-                        "{} — lower bound pushed across edge {}",
-                        self.describe_key(key),
-                        self.describe_key(ProvKey::Edge(edge.0, edge.1, edge.2))
-                    ),
-                });
-                self.explain_key(
-                    prov,
-                    ProvKey::Edge(edge.0, edge.1, edge.2),
-                    out,
-                    seen,
-                    depth + 1,
-                );
-                self.explain_key(prov, ProvKey::Lb(lb.0, lb.1, lb.2), out, seen, depth + 1);
-            }
-            Reason::Meet {
-                var,
-                src,
-                src_ann,
-                snk,
-                snk_ann,
-            } => {
-                out.push(ExplainStep {
-                    constraint: None,
-                    rule: "resolve",
-                    description: format!(
-                        "{} — §3.1 resolution at {}",
-                        self.describe_key(key),
-                        self.var_name_safe(var)
-                    ),
-                });
-                self.explain_key(prov, ProvKey::Lb(var, src, src_ann), out, seen, depth + 1);
-                self.explain_key(prov, ProvKey::Ub(var, snk, snk_ann), out, seen, depth + 1);
-            }
-            Reason::Collapsed { from } => {
-                out.push(ExplainStep {
-                    constraint: None,
-                    rule: "collapse",
-                    description: format!(
-                        "{} — re-derived when {} was collapsed into its ε-cycle class",
-                        self.describe_key(key),
-                        self.var_name_safe(from)
-                    ),
-                });
-            }
-        }
-    }
-
-    /// Maps every variable component of `key` to its current canonical
-    /// representative (keys are recorded pre-collapse).
-    fn canonical_key(&self, key: ProvKey) -> ProvKey {
-        match key {
-            ProvKey::Edge(x, y, a) => ProvKey::Edge(self.find(x), self.find(y), a),
-            ProvKey::Lb(x, s, a) => ProvKey::Lb(self.find(x), s, a),
-            ProvKey::Ub(x, s, a) => ProvKey::Ub(self.find(x), s, a),
-        }
-    }
-
-    /// A variable name that tolerates ids dropped by rollback.
-    fn var_name_safe(&self, v: VarId) -> &str {
-        self.vars
-            .get(self.find(v).index())
-            .map_or("<dropped>", |d| &*d.name)
-    }
-
-    /// Renders a provenance key in the paper's notation.
-    fn describe_key(&self, key: ProvKey) -> String {
-        let ann = |a: AnnId| {
-            if a == self.algebra.identity() {
-                String::new()
-            } else {
-                format!("^{}", self.algebra.describe(a))
-            }
-        };
-        match key {
-            ProvKey::Edge(x, y, a) => format!(
-                "{} ⊆{} {}",
-                self.var_name_safe(x),
-                ann(a),
-                self.var_name_safe(y)
-            ),
-            ProvKey::Lb(x, src, a) => {
-                let applied = self
-                    .sources
-                    .get(src.0 as usize)
-                    .map_or_else(|| "<dropped>".to_owned(), |s| self.render_source(s));
-                format!("{applied} ⊆{} {}", ann(a), self.var_name_safe(x))
-            }
-            ProvKey::Ub(x, snk, a) => {
-                let applied = self
-                    .sinks
-                    .get(snk.0 as usize)
-                    .map_or_else(|| "<dropped>".to_owned(), |s| self.render_sink(s));
-                format!("{} ⊆{} {applied}", self.var_name_safe(x), ann(a))
-            }
-        }
-    }
-
-    fn render_source(&self, s: &Source) -> String {
-        let head = self.constructors.index(s.cons.index()).name();
-        if s.args.is_empty() {
-            head.to_owned()
-        } else {
-            let args: Vec<&str> = s.args.iter().map(|&a| self.var_name_safe(a)).collect();
-            format!("{head}({})", args.join(", "))
-        }
-    }
-
-    fn render_sink(&self, s: &Sink) -> String {
-        match s {
-            Sink::Cons { cons, args } => {
-                let head = self.constructors.index(cons.index()).name();
-                if args.is_empty() {
-                    head.to_owned()
-                } else {
-                    let args: Vec<&str> = args.iter().map(|&a| self.var_name_safe(a)).collect();
-                    format!("{head}({})", args.join(", "))
-                }
-            }
-            Sink::Proj {
-                cons,
-                index,
-                target,
-            } => {
-                format!(
-                    "{}⁻{}(·) ⊆ {}",
-                    self.constructors.index(cons.index()).name(),
-                    index + 1,
-                    self.var_name_safe(*target)
-                )
-            }
-        }
-    }
-
-    /// Renders surface constraint `i` (tolerating rolled-back indices).
-    fn describe_constraint(&self, i: usize) -> String {
-        let Some(con) = self.constraints.get(i) else {
-            return "<rolled back>".to_owned();
-        };
-        let render = |e: &SetExpr| match e {
-            SetExpr::Var(v) => self.var_name_safe(*v).to_owned(),
-            SetExpr::Cons(c, args) => {
-                let head = self.constructors.index(c.index()).name();
-                if args.is_empty() {
-                    head.to_owned()
-                } else {
-                    let args: Vec<&str> = args.iter().map(|&a| self.var_name_safe(a)).collect();
-                    format!("{head}({})", args.join(", "))
-                }
-            }
-            SetExpr::Proj(c, idx, v) => format!(
-                "{}⁻{}({})",
-                self.constructors.index(c.index()).name(),
-                idx + 1,
-                self.var_name_safe(*v)
-            ),
-        };
-        let ann = if con.ann == self.algebra.identity() {
-            String::new()
-        } else {
-            format!("^{}", self.algebra.describe(con.ann))
-        };
-        format!("{} ⊆{ann} {}", render(&con.lhs), render(&con.rhs))
-    }
-
-    /// Renders the solved form in the paper's notation (for diagnostics
-    /// and teaching): transitive variable constraints, lower bounds, and
-    /// upper bounds, with annotations shown via the algebra's
-    /// [`Algebra::describe`].
-    pub fn render_solved_form(&self) -> String {
-        use std::fmt::Write as _;
-        let mut out = String::new();
-        let ann_str = |a: AnnId| {
-            if a == self.algebra.identity() {
-                String::new()
-            } else {
-                format!("^{}", self.algebra.describe(a))
-            }
-        };
-        for (i, v) in self.vars.iter().enumerate() {
-            let name = &v.name;
-            if self.find(VarId(i as u32)).index() != i {
-                continue; // collapsed into its cycle representative
-            }
-            // Entry logs render in insertion order — deterministic across
-            // runs, and restored byte-identically by epoch rollback.
-            for (src, a) in v.lbs.iter_entries() {
-                let s = self.source(src);
-                let rendered_args: Vec<&str> = s
-                    .args
-                    .iter()
-                    .map(|a| &*self.vars[self.find(*a).index()].name)
-                    .collect();
-                let head = self.constructors.index(s.cons.index()).name();
-                let applied = if rendered_args.is_empty() {
-                    head.to_owned()
-                } else {
-                    format!("{head}({})", rendered_args.join(", "))
-                };
-                let _ = writeln!(out, "{applied} ⊆{} {name}", ann_str(a));
-            }
-            for (y, a) in v.succs.iter_entries() {
-                let target = &self.vars[self.find(y).index()].name;
-                let _ = writeln!(out, "{name} ⊆{} {target}", ann_str(a));
-            }
-            for (snk, a) in v.ubs.iter_entries() {
-                match self.sink(snk) {
-                    Sink::Cons { cons, args } => {
-                        let rendered_args: Vec<&str> = args
-                            .iter()
-                            .map(|a| &*self.vars[self.find(*a).index()].name)
-                            .collect();
-                        let head = self.constructors.index(cons.index()).name();
-                        let applied = if rendered_args.is_empty() {
-                            head.to_owned()
-                        } else {
-                            format!("{head}({})", rendered_args.join(", "))
-                        };
-                        let _ = writeln!(out, "{name} ⊆{} {applied}", ann_str(a));
-                    }
-                    Sink::Proj {
-                        cons,
-                        index,
-                        target,
-                    } => {
-                        let head = self.constructors.index(cons.index()).name();
-                        let t = &self.vars[self.find(*target).index()].name;
-                        let _ = writeln!(out, "{head}⁻{}({name}) ⊆{} {t}", index + 1, ann_str(a));
-                    }
-                }
-            }
-        }
-        out
-    }
-
     /// The projection sinks attached to `x` in the solved form, as
     /// `(projection target, composed annotation)` pairs — the
     /// "close-paren" edges used by PN queries.
@@ -1731,446 +1430,6 @@ impl<A: Algebra> System<A> {
     }
 }
 
-impl<A: Algebra + SnapshotAlgebra> System<A> {
-    /// Serializes the algebra and the full solved form into `snap` as the
-    /// [`TAG_ALGEBRA`] and [`TAG_SOLVED`] sections. The encoding is
-    /// deterministic: entry logs are written in insertion order and every
-    /// hash-keyed table is sorted before writing, so identical systems
-    /// produce identical bytes.
-    ///
-    /// # Errors
-    ///
-    /// [`SnapshotError::State`] unless the system is at a fixpoint
-    /// (empty worklist — call [`System::solve`] first) with no open epoch.
-    pub fn snapshot_sections(&self, snap: &mut SnapshotWriter) -> SnapResult<()> {
-        if self.pending_facts() != 0 {
-            return Err(SnapshotError::state(format!(
-                "cannot snapshot with {} pending worklist facts (solve to a fixpoint first)",
-                self.pending_facts()
-            )));
-        }
-        if self.epoch_depth() != 0 {
-            return Err(SnapshotError::state(format!(
-                "cannot snapshot with {} open epochs (commit or pop them first)",
-                self.epoch_depth()
-            )));
-        }
-        let mut alg = ByteWriter::new();
-        self.algebra.snapshot_write(&mut alg);
-        snap.section(TAG_ALGEBRA, alg);
-
-        let mut w = ByteWriter::new();
-        w.bool(self.config.cycle_elimination);
-        w.seq_len(self.constructors.len());
-        for c in self.constructors.iter() {
-            w.str(&c.name);
-            w.seq_len(c.signature.len());
-            for v in &c.signature {
-                w.u8(match v {
-                    Variance::Covariant => 0,
-                    Variance::Contravariant => 1,
-                });
-            }
-        }
-        w.seq_len(self.vars.len());
-        w.seq_len(self.sources.len());
-        for s in self.sources.iter() {
-            w.u32(s.cons.0);
-            let args: Vec<u32> = s.args.iter().map(|v| v.0).collect();
-            w.u32_seq(&args);
-        }
-        w.seq_len(self.sinks.len());
-        for s in self.sinks.iter() {
-            match s {
-                Sink::Cons { cons, args } => {
-                    w.u8(0);
-                    w.u32(cons.0);
-                    let args: Vec<u32> = args.iter().map(|v| v.0).collect();
-                    w.u32_seq(&args);
-                }
-                Sink::Proj {
-                    cons,
-                    index,
-                    target,
-                } => {
-                    w.u8(1);
-                    w.u32(cons.0);
-                    w.u64(*index as u64);
-                    w.u32(target.0);
-                }
-            }
-        }
-        for v in &self.vars {
-            w.str(&v.name);
-            write_log(&mut w, v.succs.len(), v.succs.iter_entries(), |k: VarId| {
-                k.0
-            });
-            write_log(&mut w, v.lbs.len(), v.lbs.iter_entries(), |k: SrcId| k.0);
-            write_log(&mut w, v.ubs.len(), v.ubs.iter_entries(), |k: SnkId| k.0);
-        }
-        w.u32_seq(&self.parent);
-        w.seq_len(self.constraints.len());
-        for con in self.constraints.iter() {
-            write_expr(&mut w, &con.lhs);
-            write_expr(&mut w, &con.rhs);
-            w.u32(con.ann.0);
-        }
-        w.seq_len(self.clashes.len());
-        for cl in &self.clashes {
-            match cl {
-                Clash::ConstructorMismatch { lhs, rhs, ann } => {
-                    w.u8(0);
-                    w.u32(lhs.0);
-                    w.u32(rhs.0);
-                    w.u32(ann.0);
-                }
-                Clash::ContravariantAnnotated {
-                    cons,
-                    position,
-                    ann,
-                } => {
-                    w.u8(1);
-                    w.u32(cons.0);
-                    w.u64(*position as u64);
-                    w.u32(ann.0);
-                }
-            }
-        }
-        w.u64(self.facts_processed as u64);
-        w.u64(self.cycles_collapsed as u64);
-        w.u64(self.fuel_spent as u64);
-        w.u64(self.interruptions as u64);
-        w.u64(self.depth_limit_hits as u64);
-        match self.prov.as_deref() {
-            None => w.bool(false),
-            Some(p) => {
-                w.bool(true);
-                let mut entries: Vec<(ProvKey, Reason)> = p.iter().map(|(&k, &r)| (k, r)).collect();
-                entries.sort_unstable_by_key(|&(k, _)| prov_sort_key(k));
-                w.seq_len(entries.len());
-                for (k, reason) in entries {
-                    write_prov_key(&mut w, k);
-                    write_reason(&mut w, reason);
-                }
-            }
-        }
-        snap.section(TAG_SOLVED, w);
-        Ok(())
-    }
-
-    /// Serializes into a standalone snapshot container holding just the
-    /// [`TAG_ALGEBRA`] and [`TAG_SOLVED`] sections (higher layers append
-    /// their own sections via [`System::snapshot_sections`]).
-    ///
-    /// # Errors
-    ///
-    /// See [`System::snapshot_sections`].
-    pub fn snapshot_bytes(&self) -> SnapResult<Vec<u8>> {
-        let mut snap = SnapshotWriter::new();
-        self.snapshot_sections(&mut snap)?;
-        Ok(snap.finish())
-    }
-
-    /// Streams [`System::snapshot_bytes`] to `out` and flushes it; returns
-    /// the byte count. No atomicity: the caller owns durability (files go
-    /// through [`crate::snapshot::write_atomic`]). This is the seam the
-    /// crash-recovery tests drive with short writes and `ENOSPC`.
-    ///
-    /// # Errors
-    ///
-    /// See [`System::snapshot_sections`]; a failed write is
-    /// [`SnapshotError::Io`].
-    pub fn snapshot_to_writer(&self, out: &mut dyn Write) -> SnapResult<u64> {
-        let bytes = self.snapshot_bytes()?;
-        out.write_all(&bytes)?;
-        out.flush()?;
-        Ok(bytes.len() as u64)
-    }
-
-    /// Rebuilds a system from a parsed snapshot container, validating
-    /// every id against the restored tables — out-of-range variables,
-    /// constructors, sources, sinks, or annotations are reported as
-    /// [`SnapshotError::Corrupt`], never silently mis-restored.
-    ///
-    /// The restored system is at a fixpoint with an empty worklist, no
-    /// open epochs, and exactly the stats/clashes/provenance of the
-    /// snapshotted one.
-    ///
-    /// # Errors
-    ///
-    /// [`SnapshotError::Corrupt`] on any structural or range violation.
-    pub fn restore_sections(reader: &SnapshotReader<'_>) -> SnapResult<System<A>> {
-        let mut ar = reader.section(TAG_ALGEBRA)?;
-        let algebra = A::snapshot_read(&mut ar)?;
-        ar.finish()?;
-        let n_anns = algebra.len();
-
-        let mut r = reader.section(TAG_SOLVED)?;
-        let config = SolverConfig {
-            cycle_elimination: r.bool()?,
-        };
-        let n_cons = r.seq_len()?;
-        let mut constructors = Vec::with_capacity(n_cons);
-        for _ in 0..n_cons {
-            let name = r.str()?;
-            let n_sig = r.seq_len()?;
-            let mut signature = Vec::with_capacity(n_sig);
-            for _ in 0..n_sig {
-                signature.push(match r.u8()? {
-                    0 => Variance::Covariant,
-                    1 => Variance::Contravariant,
-                    other => {
-                        return Err(SnapshotError::corrupt(format!(
-                            "invalid variance byte {other}"
-                        )))
-                    }
-                });
-            }
-            constructors.push(Constructor { name, signature });
-        }
-        let n_vars = r.seq_len()?;
-        let var_id = |v: u32| -> SnapResult<VarId> {
-            if (v as usize) < n_vars {
-                Ok(VarId(v))
-            } else {
-                Err(SnapshotError::corrupt(format!(
-                    "variable id {v} out of range ({n_vars} variables)"
-                )))
-            }
-        };
-        let cons_id = |c: u32| -> SnapResult<ConsId> {
-            if (c as usize) < n_cons {
-                Ok(ConsId(c))
-            } else {
-                Err(SnapshotError::corrupt(format!(
-                    "constructor id {c} out of range ({n_cons} constructors)"
-                )))
-            }
-        };
-        let ann_id = |a: u32| -> SnapResult<AnnId> {
-            if (a as usize) < n_anns {
-                Ok(AnnId(a))
-            } else {
-                Err(SnapshotError::corrupt(format!(
-                    "annotation id {a} out of range ({n_anns} annotations)"
-                )))
-            }
-        };
-
-        let n_sources = r.seq_len()?;
-        let mut sources = Vec::with_capacity(n_sources);
-        let mut source_ids = HashMap::with_capacity(n_sources);
-        for i in 0..n_sources {
-            let cons = cons_id(r.u32()?)?;
-            let mut args = Vec::new();
-            for raw in r.u32_seq()? {
-                args.push(var_id(raw)?);
-            }
-            if args.len() != constructors[cons.index()].arity() {
-                return Err(SnapshotError::corrupt(format!(
-                    "source {i} applies constructor {} to {} args",
-                    constructors[cons.index()].name,
-                    args.len()
-                )));
-            }
-            let s = Source { cons, args };
-            if source_ids.insert(s.clone(), i as u32).is_some() {
-                return Err(SnapshotError::corrupt(format!("duplicate source {i}")));
-            }
-            sources.push(s);
-        }
-        let n_sinks = r.seq_len()?;
-        let mut sinks = Vec::with_capacity(n_sinks);
-        let mut sink_ids = HashMap::with_capacity(n_sinks);
-        for i in 0..n_sinks {
-            let sink = match r.u8()? {
-                0 => {
-                    let cons = cons_id(r.u32()?)?;
-                    let mut args = Vec::new();
-                    for raw in r.u32_seq()? {
-                        args.push(var_id(raw)?);
-                    }
-                    if args.len() != constructors[cons.index()].arity() {
-                        return Err(SnapshotError::corrupt(format!(
-                            "sink {i} applies constructor {} to {} args",
-                            constructors[cons.index()].name,
-                            args.len()
-                        )));
-                    }
-                    Sink::Cons { cons, args }
-                }
-                1 => {
-                    let cons = cons_id(r.u32()?)?;
-                    let index = r_usize(r.u64()?)?;
-                    let target = var_id(r.u32()?)?;
-                    if index >= constructors[cons.index()].arity() {
-                        return Err(SnapshotError::corrupt(format!(
-                            "sink {i} projects position {index} of {}-ary constructor",
-                            constructors[cons.index()].arity()
-                        )));
-                    }
-                    Sink::Proj {
-                        cons,
-                        index,
-                        target,
-                    }
-                }
-                other => return Err(SnapshotError::corrupt(format!("invalid sink tag {other}"))),
-            };
-            if sink_ids.insert(sink.clone(), i as u32).is_some() {
-                return Err(SnapshotError::corrupt(format!("duplicate sink {i}")));
-            }
-            sinks.push(sink);
-        }
-        let src_id = |s: u32| -> SnapResult<SrcId> {
-            if (s as usize) < n_sources {
-                Ok(SrcId(s))
-            } else {
-                Err(SnapshotError::corrupt(format!(
-                    "source id {s} out of range ({n_sources} sources)"
-                )))
-            }
-        };
-        let snk_id = |s: u32| -> SnapResult<SnkId> {
-            if (s as usize) < n_sinks {
-                Ok(SnkId(s))
-            } else {
-                Err(SnapshotError::corrupt(format!(
-                    "sink id {s} out of range ({n_sinks} sinks)"
-                )))
-            }
-        };
-
-        // A variable's record takes at least 32 bytes (a name length and
-        // three log lengths), so reserve no more than the payload can hold.
-        let mut vars: Vec<VarData> = Vec::with_capacity(n_vars.min(r.remaining() / 32));
-        let mut live_entries = 0usize;
-        for vi in 0..n_vars {
-            let mut data = VarData {
-                name: r.str()?.into(),
-                ..VarData::default()
-            };
-            if !data.succs.load_log(read_typed_log(&mut r, var_id, ann_id)?) {
-                return Err(dup_entry("succ", vi));
-            }
-            if !data.lbs.load_log(read_typed_log(&mut r, src_id, ann_id)?) {
-                return Err(dup_entry("lower-bound", vi));
-            }
-            if !data.ubs.load_log(read_typed_log(&mut r, snk_id, ann_id)?) {
-                return Err(dup_entry("upper-bound", vi));
-            }
-            live_entries += entry_count(&data);
-            vars.push(data);
-        }
-        let parent = r.u32_seq()?;
-        if parent.len() != n_vars {
-            return Err(SnapshotError::corrupt(format!(
-                "union-find has {} parents for {n_vars} variables",
-                parent.len()
-            )));
-        }
-        for &p in &parent {
-            var_id(p)?;
-        }
-        let n_constraints = r.seq_len()?;
-        let mut constraints = Vec::with_capacity(n_constraints);
-        for _ in 0..n_constraints {
-            let lhs = read_expr(&mut r, &var_id, &cons_id)?;
-            let rhs = read_expr(&mut r, &var_id, &cons_id)?;
-            let ann = ann_id(r.u32()?)?;
-            constraints.push(Constraint { lhs, rhs, ann });
-        }
-        let n_clashes = r.seq_len()?;
-        let mut clashes = Vec::with_capacity(n_clashes);
-        let mut clash_set = HashSet::with_capacity(n_clashes);
-        for _ in 0..n_clashes {
-            let clash = match r.u8()? {
-                0 => Clash::ConstructorMismatch {
-                    lhs: cons_id(r.u32()?)?,
-                    rhs: cons_id(r.u32()?)?,
-                    ann: ann_id(r.u32()?)?,
-                },
-                1 => Clash::ContravariantAnnotated {
-                    cons: cons_id(r.u32()?)?,
-                    position: r_usize(r.u64()?)?,
-                    ann: ann_id(r.u32()?)?,
-                },
-                other => return Err(SnapshotError::corrupt(format!("invalid clash tag {other}"))),
-            };
-            if !clash_set.insert(clash.clone()) {
-                return Err(SnapshotError::corrupt("duplicate clash entry"));
-            }
-            clashes.push(clash);
-        }
-        let facts_processed = r_usize(r.u64()?)?;
-        let cycles_collapsed = r_usize(r.u64()?)?;
-        let fuel_spent = r_usize(r.u64()?)?;
-        let interruptions = r_usize(r.u64()?)?;
-        let depth_limit_hits = r_usize(r.u64()?)?;
-        let prov = if r.bool()? {
-            let n_prov = r.seq_len()?;
-            let mut map = HashMap::with_capacity(n_prov);
-            for _ in 0..n_prov {
-                let key = read_prov_key(&mut r, &var_id, &src_id, &snk_id, &ann_id)?;
-                let reason = read_reason(&mut r, &var_id, &src_id, &snk_id, &ann_id)?;
-                if let Reason::Constraint(i) = reason {
-                    if i >= n_constraints {
-                        return Err(SnapshotError::corrupt(format!(
-                            "provenance cites constraint {i} of {n_constraints}"
-                        )));
-                    }
-                }
-                if map.insert(key, reason).is_some() {
-                    return Err(SnapshotError::corrupt("duplicate provenance key"));
-                }
-            }
-            Some(Box::new(Provenance {
-                base: None,
-                map,
-                pending: VecDeque::new(),
-            }))
-        } else {
-            None
-        };
-        r.finish()?;
-
-        Ok(System {
-            algebra,
-            constructors: CowVec::from_vec(constructors),
-            vars,
-            sources: InternTable::from_parts(sources, source_ids),
-            sinks: InternTable::from_parts(sinks, sink_ids),
-            worklist: VecDeque::new(),
-            constraints: CowVec::from_vec(constraints),
-            clashes,
-            clash_set,
-            facts_processed,
-            config,
-            parent,
-            cycles_collapsed,
-            live_entries,
-            journal: None,
-            fuel_spent,
-            interruptions,
-            depth_limit_hits,
-            prov,
-            pending_counts: PendingCounts::default(),
-            scratch: SolverScratch::default(),
-        })
-    }
-
-    /// Rebuilds a system from standalone snapshot bytes (the counterpart
-    /// of [`System::snapshot_bytes`]).
-    ///
-    /// # Errors
-    ///
-    /// See [`System::restore_sections`].
-    pub fn restore_bytes(bytes: &[u8]) -> SnapResult<System<A>> {
-        let reader = SnapshotReader::parse(bytes)?;
-        Self::restore_sections(&reader)
-    }
-}
-
 /// An immutable, solved, shareable base system: the read-only layer under
 /// copy-on-write session forks ([`System::fork`]).
 ///
@@ -2201,7 +1460,7 @@ impl<A: Algebra> System<A> {
     /// worklist) with no open epochs — the same precondition as
     /// snapshotting, and what guarantees that epochs opened *after* a fork
     /// only ever journal overlay entries.
-    pub fn into_base(mut self) -> SnapResult<BaseSystem<A>> {
+    pub fn into_base(mut self) -> std::result::Result<BaseSystem<A>, SnapshotError> {
         if self.pending_facts() != 0 {
             return Err(SnapshotError::state(format!(
                 "cannot freeze a base with {} pending worklist facts (solve first)",
@@ -2266,205 +1525,21 @@ impl<A: Algebra> System<A> {
     }
 }
 
-fn r_usize(v: u64) -> SnapResult<usize> {
-    usize::try_from(v).map_err(|_| SnapshotError::corrupt(format!("value {v} overflows usize")))
-}
-
-fn dup_entry(what: &str, var: usize) -> SnapshotError {
-    SnapshotError::corrupt(format!("duplicate {what} entry on variable {var}"))
-}
-
-fn write_log<K: Copy>(
-    w: &mut ByteWriter,
-    len: usize,
-    entries: impl Iterator<Item = (K, AnnId)>,
-    key: impl Fn(K) -> u32,
-) {
-    w.seq_len(len);
-    for (k, a) in entries {
-        w.u32(key(k));
-        w.u32(a.0);
-    }
-}
-
-fn read_typed_log<K>(
-    r: &mut ByteReader<'_>,
-    key: impl Fn(u32) -> SnapResult<K>,
-    ann: impl Fn(u32) -> SnapResult<AnnId>,
-) -> SnapResult<Vec<(K, AnnId)>> {
-    let n = r.seq_len()?;
-    let mut out = Vec::with_capacity(n.min(r.remaining() / 8 + 1));
-    for _ in 0..n {
-        let k = key(r.u32()?)?;
-        let a = ann(r.u32()?)?;
-        out.push((k, a));
-    }
-    Ok(out)
-}
-
-fn write_expr(w: &mut ByteWriter, e: &SetExpr) {
-    match e {
-        SetExpr::Var(v) => {
-            w.u8(0);
-            w.u32(v.0);
-        }
-        SetExpr::Cons(c, args) => {
-            w.u8(1);
-            w.u32(c.0);
-            let args: Vec<u32> = args.iter().map(|v| v.0).collect();
-            w.u32_seq(&args);
-        }
-        SetExpr::Proj(c, i, v) => {
-            w.u8(2);
-            w.u32(c.0);
-            w.u64(*i as u64);
-            w.u32(v.0);
-        }
-    }
-}
-
-fn read_expr(
-    r: &mut ByteReader<'_>,
-    var_id: &impl Fn(u32) -> SnapResult<VarId>,
-    cons_id: &impl Fn(u32) -> SnapResult<ConsId>,
-) -> SnapResult<SetExpr> {
-    match r.u8()? {
-        0 => Ok(SetExpr::Var(var_id(r.u32()?)?)),
-        1 => {
-            let c = cons_id(r.u32()?)?;
-            let mut args = Vec::new();
-            for raw in r.u32_seq()? {
-                args.push(var_id(raw)?);
-            }
-            Ok(SetExpr::Cons(c, args))
-        }
-        2 => {
-            let c = cons_id(r.u32()?)?;
-            let i = r_usize(r.u64()?)?;
-            let v = var_id(r.u32()?)?;
-            Ok(SetExpr::Proj(c, i, v))
-        }
-        other => Err(SnapshotError::corrupt(format!(
-            "invalid set-expression tag {other}"
-        ))),
-    }
-}
-
-fn prov_sort_key(k: ProvKey) -> (u8, u32, u32, u32) {
-    match k {
-        ProvKey::Edge(x, y, a) => (0, x.0, y.0, a.0),
-        ProvKey::Lb(x, s, a) => (1, x.0, s.0, a.0),
-        ProvKey::Ub(x, s, a) => (2, x.0, s.0, a.0),
-    }
-}
-
-fn write_prov_key(w: &mut ByteWriter, k: ProvKey) {
-    let (tag, a, b, ann) = prov_sort_key(k);
-    w.u8(tag);
-    w.u32(a);
-    w.u32(b);
-    w.u32(ann);
-}
-
-fn read_prov_key(
-    r: &mut ByteReader<'_>,
-    var_id: &impl Fn(u32) -> SnapResult<VarId>,
-    src_id: &impl Fn(u32) -> SnapResult<SrcId>,
-    snk_id: &impl Fn(u32) -> SnapResult<SnkId>,
-    ann_id: &impl Fn(u32) -> SnapResult<AnnId>,
-) -> SnapResult<ProvKey> {
-    let tag = r.u8()?;
-    let a = r.u32()?;
-    let b = r.u32()?;
-    let ann = ann_id(r.u32()?)?;
-    match tag {
-        0 => Ok(ProvKey::Edge(var_id(a)?, var_id(b)?, ann)),
-        1 => Ok(ProvKey::Lb(var_id(a)?, src_id(b)?, ann)),
-        2 => Ok(ProvKey::Ub(var_id(a)?, snk_id(b)?, ann)),
-        other => Err(SnapshotError::corrupt(format!(
-            "invalid provenance key tag {other}"
-        ))),
-    }
-}
-
-fn write_reason(w: &mut ByteWriter, reason: Reason) {
-    match reason {
-        Reason::Constraint(i) => {
-            w.u8(0);
-            w.u64(i as u64);
-        }
-        Reason::TransLb { edge, lb } => {
-            w.u8(1);
-            w.u32(edge.0 .0);
-            w.u32(edge.1 .0);
-            w.u32(edge.2 .0);
-            w.u32(lb.0 .0);
-            w.u32(lb.1 .0);
-            w.u32(lb.2 .0);
-        }
-        Reason::Meet {
-            var,
-            src,
-            src_ann,
-            snk,
-            snk_ann,
-        } => {
-            w.u8(3);
-            w.u32(var.0);
-            w.u32(src.0);
-            w.u32(src_ann.0);
-            w.u32(snk.0);
-            w.u32(snk_ann.0);
-        }
-        Reason::Collapsed { from } => {
-            w.u8(4);
-            w.u32(from.0);
-        }
-    }
-}
-
-fn read_reason(
-    r: &mut ByteReader<'_>,
-    var_id: &impl Fn(u32) -> SnapResult<VarId>,
-    src_id: &impl Fn(u32) -> SnapResult<SrcId>,
-    snk_id: &impl Fn(u32) -> SnapResult<SnkId>,
-    ann_id: &impl Fn(u32) -> SnapResult<AnnId>,
-) -> SnapResult<Reason> {
-    match r.u8()? {
-        0 => Ok(Reason::Constraint(r_usize(r.u64()?)?)),
-        1 => Ok(Reason::TransLb {
-            edge: (var_id(r.u32()?)?, var_id(r.u32()?)?, ann_id(r.u32()?)?),
-            lb: (var_id(r.u32()?)?, src_id(r.u32()?)?, ann_id(r.u32()?)?),
-        }),
-        3 => Ok(Reason::Meet {
-            var: var_id(r.u32()?)?,
-            src: src_id(r.u32()?)?,
-            src_ann: ann_id(r.u32()?)?,
-            snk: snk_id(r.u32()?)?,
-            snk_ann: ann_id(r.u32()?)?,
-        }),
-        4 => Ok(Reason::Collapsed {
-            from: var_id(r.u32()?)?,
-        }),
-        other => Err(SnapshotError::corrupt(format!(
-            "invalid provenance reason tag {other}"
-        ))),
-    }
-}
-
 /// Counts a variable's solved-form entries the same way [`SolverStats`]
 /// does (succs + lbs + ubs). O(1) per category thanks to the entry logs.
-fn entry_count(data: &VarData) -> usize {
+pub(crate) fn entry_count(data: &VarData) -> usize {
     data.succs.len() + data.lbs.len() + data.ubs.len()
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::algebra::MonoidAlgebra;
     use rasc_automata::{Alphabet, Dfa};
 
-    fn one_bit_system() -> (
+    /// An empty system over `M_1bit` (alphabet `g`, `k`), with its two
+    /// symbols; shared by the snapshot and notation unit tests.
+    pub(crate) fn one_bit_system() -> (
         System<MonoidAlgebra>,
         rasc_automata::SymbolId,
         rasc_automata::SymbolId,
@@ -2474,110 +1549,6 @@ mod tests {
         let k = sigma.intern("k");
         let m = Dfa::one_bit(&sigma, g, k);
         (System::new(MonoidAlgebra::new(&m)), g, k)
-    }
-
-    #[test]
-    fn snapshot_round_trips_the_solved_form() {
-        let (mut sys, g, k) = one_bit_system();
-        sys.enable_provenance();
-        let c = sys.constructor("c", &[]);
-        let d = sys.constructor("d", &[]);
-        let pair = sys.constructor("pair", &[Variance::Covariant, Variance::Covariant]);
-        let (x, y, z, a, b) = (
-            sys.var("X"),
-            sys.var("Y"),
-            sys.var("Z"),
-            sys.var("A"),
-            sys.var("B"),
-        );
-        let fg = sys.algebra_mut().word(&[g]);
-        let fk = sys.algebra_mut().word(&[k]);
-        sys.add_ann(SetExpr::cons(c, []), SetExpr::var(x), fg)
-            .unwrap();
-        sys.add_ann(SetExpr::var(x), SetExpr::var(y), fk).unwrap();
-        sys.add_ann(SetExpr::var(y), SetExpr::var(z), fg).unwrap();
-        // A cycle so union-find state is nontrivial.
-        sys.add(SetExpr::var(a), SetExpr::var(b)).unwrap();
-        sys.add(SetExpr::var(b), SetExpr::var(a)).unwrap();
-        // A clash and a projection.
-        sys.add(SetExpr::var(x), SetExpr::cons(d, [])).unwrap();
-        sys.add(SetExpr::cons_vars(pair, [x, y]), SetExpr::var(a))
-            .unwrap();
-        sys.add(SetExpr::proj(pair, 0, a), SetExpr::var(b)).unwrap();
-        sys.solve();
-
-        let bytes = sys.snapshot_bytes().unwrap();
-        let back: System<MonoidAlgebra> = System::restore_bytes(&bytes).unwrap();
-        assert_eq!(back.stats(), sys.stats());
-        assert_eq!(back.clashes(), sys.clashes());
-        assert_eq!(back.num_constraints(), sys.num_constraints());
-        assert_eq!(back.render_solved_form(), sys.render_solved_form());
-        assert_eq!(
-            back.lower_bound_annotations(z, c),
-            sys.lower_bound_annotations(z, c)
-        );
-        assert_eq!(back.explain(b, c).len(), sys.explain(b, c).len());
-        assert_eq!(back.find(b), sys.find(b), "union-find survives");
-        // Deterministic serialization: snapshotting the restored system
-        // reproduces the bytes exactly.
-        assert_eq!(back.snapshot_bytes().unwrap(), bytes);
-        // The restored system keeps solving correctly.
-        let mut back = back;
-        let e = sys.algebra().identity();
-        let w2 = back.var("W2");
-        back.add_ann(SetExpr::var(z), SetExpr::var(w2), e).unwrap();
-        back.solve();
-        assert_eq!(back.lower_bound_annotations(w2, c), vec![fg]);
-    }
-
-    #[test]
-    fn system_round_trips_through_writer_and_file() {
-        let dir = std::env::temp_dir().join(format!("rasc-core-snap-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("system.snap");
-        let (mut sys, g, _) = one_bit_system();
-        let c = sys.constructor("c", &[]);
-        let x = sys.var("X");
-        let fg = sys.algebra_mut().word(&[g]);
-        sys.add_ann(SetExpr::cons(c, []), SetExpr::var(x), fg)
-            .unwrap();
-        sys.solve();
-
-        // Writer and file paths produce the same bytes.
-        let mut streamed = Vec::new();
-        let n = sys.snapshot_to_writer(&mut streamed).unwrap();
-        assert_eq!(n as usize, streamed.len());
-        crate::snapshot::write_atomic(&path, &sys.snapshot_bytes().unwrap()).unwrap();
-        assert_eq!(std::fs::read(&path).unwrap(), streamed);
-
-        let bytes = crate::snapshot::read_snapshot_file(&path).unwrap();
-        let back: System<MonoidAlgebra> = System::restore_bytes(&bytes).unwrap();
-        assert_eq!(back.lower_bound_annotations(x, c).len(), 1);
-        assert_eq!(back.stats().vars, sys.stats().vars);
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn snapshot_preconditions_are_typed_state_errors() {
-        let (mut sys, g, _) = one_bit_system();
-        let c = sys.constructor("c", &[]);
-        let x = sys.var("X");
-        let fg = sys.algebra_mut().word(&[g]);
-        sys.add_ann(SetExpr::cons(c, []), SetExpr::var(x), fg)
-            .unwrap();
-        // Pending worklist → State error.
-        assert!(matches!(
-            sys.snapshot_bytes(),
-            Err(SnapshotError::State { .. })
-        ));
-        sys.solve();
-        sys.push_epoch();
-        assert!(matches!(
-            sys.snapshot_bytes(),
-            Err(SnapshotError::State { .. })
-        ));
-        sys.commit_epoch();
-        assert!(sys.snapshot_bytes().is_ok());
     }
 
     #[test]
@@ -2834,28 +1805,6 @@ mod tests {
     }
 
     #[test]
-    fn solved_form_renders_the_papers_notation() {
-        let (mut sys, g, _) = one_bit_system();
-        let c = sys.constructor("c", &[]);
-        let o = sys.constructor("o", &[Variance::Covariant]);
-        let (w, x, y) = (sys.var("W"), sys.var("X"), sys.var("Y"));
-        let fg = sys.algebra_mut().word(&[g]);
-        sys.add_ann(SetExpr::cons(c, []), SetExpr::var(w), fg)
-            .unwrap();
-        sys.add(SetExpr::cons_vars(o, [w]), SetExpr::var(x))
-            .unwrap();
-        sys.add(SetExpr::proj(o, 0, x), SetExpr::var(y)).unwrap();
-        sys.solve();
-        let rendered = sys.render_solved_form();
-        assert!(rendered.contains("c ⊆^"), "{rendered}");
-        assert!(rendered.contains("o(W) ⊆ X"), "{rendered}");
-        assert!(
-            rendered.contains("W ⊆"),
-            "derived edge from projection: {rendered}"
-        );
-    }
-
-    #[test]
     fn pop_epoch_restores_solved_form_and_stats() {
         let (mut sys, g, k) = one_bit_system();
         let c = sys.constructor("c", &[]);
@@ -2966,58 +1915,6 @@ mod tests {
     }
 
     #[test]
-    fn explain_traces_derivation_to_surface_constraints() {
-        // The §2.4 running example: c ⊆^g W, o(W) ⊆^g X, X ⊆ o(Y),
-        // o(Y) ⊆ Z — solving derives c ⊆^{f_g} Y via resolution and
-        // transitive closure.
-        let (mut sys, g, _k) = one_bit_system();
-        sys.enable_provenance();
-        assert!(sys.provenance_enabled());
-        let (w, x, y, z) = (sys.var("W"), sys.var("X"), sys.var("Y"), sys.var("Z"));
-        let c = sys.constructor("c", &[]);
-        let o = sys.constructor("o", &[Variance::Covariant]);
-        let fg = sys.algebra_mut().word(&[g]);
-        let eps = sys.algebra().identity();
-        sys.add_ann(SetExpr::cons(c, []), SetExpr::var(w), fg)
-            .unwrap();
-        sys.add_ann(SetExpr::cons_vars(o, [w]), SetExpr::var(x), fg)
-            .unwrap();
-        sys.add_ann(SetExpr::var(x), SetExpr::cons_vars(o, [y]), eps)
-            .unwrap();
-        sys.add_ann(SetExpr::cons_vars(o, [y]), SetExpr::var(z), eps)
-            .unwrap();
-        sys.solve();
-
-        let steps = sys.explain(y, c);
-        assert!(!steps.is_empty(), "derivation chain must be non-empty");
-        // The chain bottoms out in the surface constraints that caused
-        // the flow: c ⊆^g W (index 0) and the resolution participants.
-        assert!(
-            steps.iter().any(|s| s.constraint == Some(0)),
-            "chain cites constraint #0: {steps:#?}"
-        );
-        assert!(
-            steps.iter().any(|s| s.rule == "resolve"),
-            "W flows to Y only through §3.1 resolution: {steps:#?}"
-        );
-        // A variable with no such lower bound has nothing to explain.
-        assert!(sys.explain(x, c).is_empty());
-    }
-
-    #[test]
-    fn explain_is_empty_without_provenance() {
-        let (mut sys, g, _k) = one_bit_system();
-        let w = sys.var("W");
-        let c = sys.constructor("c", &[]);
-        let fg = sys.algebra_mut().word(&[g]);
-        sys.add_ann(SetExpr::cons(c, []), SetExpr::var(w), fg)
-            .unwrap();
-        sys.solve();
-        assert_eq!(sys.lower_bound_annotations(w, c).len(), 1);
-        assert!(sys.explain(w, c).is_empty(), "recording never enabled");
-    }
-
-    #[test]
     fn provenance_rolls_back_with_its_epoch() {
         let (mut sys, g, _k) = one_bit_system();
         sys.enable_provenance();
@@ -3108,41 +2005,6 @@ mod tests {
         let root = small.find(vars[0]);
         assert!(vars.iter().all(|&v| small.find(v) == root));
         assert_eq!(small.lower_bound_annotations(vars[15], c).len(), 1);
-    }
-
-    /// A checksum-valid image whose variable count asks for 2^44
-    /// variables is corrupt: the count is checked against the payload
-    /// left before anything is allocated for it. (FNV-1a catches torn
-    /// writes, but anyone who can write the file can recompute it.)
-    #[test]
-    fn resealed_hostile_variable_count_is_corrupt() {
-        let (mut sys, _, _) = one_bit_system();
-        let vars: Vec<VarId> = (0..7).map(|i| sys.var(&format!("v{i}"))).collect();
-        sys.add(SetExpr::var(vars[0]), SetExpr::var(vars[1]))
-            .unwrap();
-        sys.solve();
-        let mut bytes = sys.snapshot_bytes().unwrap();
-        // Header (16 bytes), then ALGB's 20-byte frame and payload, then
-        // SOLV's frame: tag, payload length, checksum.
-        let le_u64 = |b: &[u8]| u64::from_le_bytes(b.try_into().unwrap());
-        let solv = 36 + le_u64(&bytes[20..28]) as usize;
-        assert_eq!(bytes[solv..solv + 4], TAG_SOLVED);
-        let payload = solv + 20..solv + 20 + le_u64(&bytes[solv + 4..solv + 12]) as usize;
-        // With no constructors, the first 7 in the payload is the
-        // variable count.
-        let count = payload.start
-            + bytes[payload.clone()]
-                .windows(8)
-                .position(|w| w == 7u64.to_le_bytes())
-                .unwrap();
-        bytes[count..count + 8].copy_from_slice(&(1u64 << 44).to_le_bytes());
-        let checksum = crate::snapshot::fnv1a64(&bytes[payload]);
-        bytes[solv + 12..solv + 20].copy_from_slice(&checksum.to_le_bytes());
-        let err = System::<MonoidAlgebra>::restore_bytes(&bytes).unwrap_err();
-        assert!(
-            matches!(&err, SnapshotError::Corrupt { detail } if detail.contains("17592186044416")),
-            "{err}"
-        );
     }
 
     /// The hash-backed dedup in `constructor_expr_keys` must keep the old

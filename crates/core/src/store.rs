@@ -395,12 +395,20 @@ impl<T> Default for InternCore<T> {
 }
 
 impl<T: Clone + Eq + std::hash::Hash> InternTable<T> {
-    pub(crate) fn from_parts(list: Vec<T>, ids: HashMap<T, u32>) -> InternTable<T> {
-        InternTable {
+    /// A table of `list` in order (the snapshot restore path), or the
+    /// index of the first value that repeats an earlier one.
+    pub(crate) fn from_list(list: Vec<T>) -> Result<InternTable<T>, usize> {
+        let mut ids = HashMap::with_capacity(list.len());
+        for (i, value) in list.iter().enumerate() {
+            if ids.insert(value.clone(), i as u32).is_some() {
+                return Err(i);
+            }
+        }
+        Ok(InternTable {
             base: None,
             list,
             ids,
-        }
+        })
     }
 
     fn base_len(&self) -> usize {

@@ -27,10 +27,12 @@
 //! * `limits` — set the per-`add` resource budget: `max_steps` (worklist
 //!   fuel), `max_millis` (wall-clock deadline), `max_terms`, and
 //!   `max_entries` (solved-form memory caps). Omitted fields are
-//!   unlimited; `{"cmd":"limits"}` clears every limit. While any limit is
-//!   set, each `add` is **transactional**: it either fully solves, or the
-//!   session is rolled back to exactly its prior state and the response
-//!   is `{"error":{"code":"budget_exhausted","reason":…,
+//!   unlimited; `{"cmd":"limits"}` clears every limit. The answer reports
+//!   the budget in force: the client's limits clamped by the embedder's
+//!   caps (see [`EngineCaps`]). While that budget bounds any axis, each
+//!   `add` is **transactional**: it either fully solves, or the session
+//!   is rolled back to exactly its prior state and the response is
+//!   `{"error":{"code":"budget_exhausted","reason":…,
 //!   "rolled_back":true,…}}`.
 //! * `add` — add `lhs ⊆ rhs` and re-solve incrementally. Expressions are
 //!   `X`, `c(X,Y)`, or `c^-1(X)` (1-based projection); variables are
@@ -73,9 +75,7 @@ use std::sync::Arc;
 
 use rasc_automata::{Alphabet, Dfa};
 use rasc_core::algebra::{Algebra, MonoidAlgebra};
-use rasc_core::{
-    Budget, CancelToken, Clock, ConsId, Outcome, SetExpr, SnapshotError, System, VarId, Variance,
-};
+use rasc_core::{Budget, Clock, ConsId, Outcome, SetExpr, SnapshotError, System, VarId, Variance};
 
 use crate::json::{obj, Json};
 
@@ -191,10 +191,6 @@ pub struct BatchEngine {
     limits: EngineCaps,
     /// Embedder-imposed caps clamping every budget (see [`EngineCaps`]).
     caps: EngineCaps,
-    /// Cooperative cancellation observed by every bounded `add` (wired by
-    /// the serve layer so disconnects and forced shutdown interrupt
-    /// in-flight solves).
-    cancel: Option<CancelToken>,
     /// Deadline time source for budgets (injectable for deterministic
     /// tests; `None` = the real monotonic clock).
     clock: Option<Arc<dyn Clock>>,
@@ -275,7 +271,6 @@ impl BatchEngine {
             vars: Arc::new(HashMap::new()),
             limits: EngineCaps::default(),
             caps: EngineCaps::default(),
-            cancel: None,
             clock: None,
             snapshot_path: None,
             client_snapshot_paths: true,
@@ -290,8 +285,8 @@ impl BatchEngine {
     /// The solved form, provenance records, and name maps are aliased
     /// copy-on-write: no solved-form entry is copied, but the
     /// per-variable bookkeeping makes a fork O(vars) `Arc` bumps.
-    /// Connection state — limits, caps, cancellation, hooks — starts
-    /// fresh exactly as with [`BatchEngine::new`].
+    /// Connection state — limits, caps, hooks — starts fresh exactly as
+    /// with [`BatchEngine::new`].
     pub fn fork_from(base: &crate::EngineBase) -> BatchEngine {
         BatchEngine {
             sys: System::fork(&base.base),
@@ -300,7 +295,6 @@ impl BatchEngine {
             vars: Arc::clone(&base.vars),
             limits: EngineCaps::default(),
             caps: EngineCaps::default(),
-            cancel: None,
             clock: None,
             snapshot_path: None,
             client_snapshot_paths: true,
@@ -327,13 +321,6 @@ impl BatchEngine {
     /// budget further but never loosen past these.
     pub fn set_caps(&mut self, caps: EngineCaps) {
         self.caps = caps;
-    }
-
-    /// Attaches a cancellation token observed by every subsequent `add`:
-    /// once cancelled, in-flight solves roll back transactionally and
-    /// report `{"error":{"code":"budget_exhausted","reason":"cancelled"}}`.
-    pub fn set_cancel(&mut self, cancel: CancelToken) {
-        self.cancel = Some(cancel);
     }
 
     /// Sets the default file the `snapshot`/`restore` commands use when
@@ -534,26 +521,28 @@ impl BatchEngine {
             max_terms: field(cmd, "max_terms")?.map(to_usize),
             max_entries: field(cmd, "max_entries")?.map(to_usize),
         };
+        // The answer is the budget each `add` now gets: the client's
+        // limits clamped by the embedder's caps.
+        let effective = self.limits.min_with(&self.caps);
         let report = |v: Option<u64>| v.map_or(Json::Null, Json::from);
         Ok(obj([
             ("ok", Json::from("limits")),
-            ("max_steps", report(self.limits.max_steps)),
-            ("max_millis", report(self.limits.max_millis)),
-            ("max_terms", report(self.limits.max_terms.map(|n| n as u64))),
+            ("max_steps", report(effective.max_steps)),
+            ("max_millis", report(effective.max_millis)),
+            ("max_terms", report(effective.max_terms.map(|n| n as u64))),
             (
                 "max_entries",
-                report(self.limits.max_entries.map(|n| n as u64)),
+                report(effective.max_entries.map(|n| n as u64)),
             ),
-            ("transactional", Json::from(!self.limits.is_unset())),
+            ("transactional", Json::from(!effective.is_unset())),
         ]))
     }
 
     /// The budget for the next `add` — the client's `limits` clamped by
-    /// the embedder's caps, plus any cancellation token — or `None` when
-    /// nothing bounds the solve.
+    /// the embedder's caps — or `None` when nothing bounds the solve.
     fn current_budget(&self) -> Option<Budget> {
         let effective = self.limits.min_with(&self.caps);
-        if effective.is_unset() && self.cancel.is_none() {
+        if effective.is_unset() {
             return None;
         }
         let mut b = Budget::unlimited();
@@ -571,9 +560,6 @@ impl BatchEngine {
         }
         if let Some(clock) = &self.clock {
             b = b.with_clock(Arc::clone(clock));
-        }
-        if let Some(cancel) = &self.cancel {
-            b = b.with_cancel(cancel.clone());
         }
         Some(b)
     }
@@ -1090,6 +1076,26 @@ mod tests {
     }
 
     #[test]
+    fn limits_report_the_budget_clamped_by_the_caps() {
+        let mut e = engine();
+        e.set_caps(EngineCaps {
+            max_steps: Some(10),
+            ..EngineCaps::unlimited()
+        });
+        // A bare `limits` leaves the cap in force: adds stay transactional.
+        let r = run(&mut e, r#"{"cmd":"limits"}"#);
+        assert_eq!(r.get("max_steps").unwrap().as_u64(), Some(10));
+        assert_eq!(r.get("transactional").unwrap().as_bool(), Some(true));
+        let r = run(
+            &mut e,
+            r#"{"cmd":"limits","max_steps":1000,"max_millis":50}"#,
+        );
+        assert_eq!(r.get("max_steps").unwrap().as_u64(), Some(10), "{r:?}");
+        assert_eq!(r.get("max_millis").unwrap().as_u64(), Some(50), "{r:?}");
+        assert_eq!(r.get("max_terms"), Some(&Json::Null));
+    }
+
+    #[test]
     fn budget_exhausted_add_rolls_back_and_stream_survives() {
         let mut e = engine();
         run(&mut e, r#"{"cmd":"declare","cons":"c"}"#);
@@ -1196,29 +1202,6 @@ mod tests {
         assert!(EngineCaps::unlimited().is_unset());
         let r = run(&mut e, r#"{"cmd":"add","lhs":"V8","rhs":"W"}"#);
         assert_eq!(r.get("ok").unwrap().as_str(), Some("add"));
-    }
-
-    #[test]
-    fn cancel_token_interrupts_and_rolls_back() {
-        let mut e = engine();
-        run(&mut e, r#"{"cmd":"declare","cons":"c"}"#);
-        let token = CancelToken::new();
-        e.set_cancel(token.clone());
-        // An uncancelled token leaves adds working (transactionally).
-        let r = run(&mut e, r#"{"cmd":"add","lhs":"c","rhs":"X","ann":["g"]}"#);
-        assert_eq!(r.get("ok").unwrap().as_str(), Some("add"));
-        let before = run(&mut e, r#"{"cmd":"stats"}"#);
-        assert_eq!(before.get("epoch_depth").unwrap().as_u64(), Some(0));
-        // Once cancelled, the next add is interrupted and rolled back.
-        token.cancel();
-        let r = run(&mut e, r#"{"cmd":"add","lhs":"X","rhs":"Y"}"#);
-        assert_eq!(error_code(&r), Some("budget_exhausted"));
-        let err = r.get("error").unwrap();
-        assert_eq!(err.get("reason").unwrap().as_str(), Some("cancelled"));
-        let after = run(&mut e, r#"{"cmd":"stats"}"#);
-        for key in ["vars", "edges", "constraints"] {
-            assert_eq!(after.get(key), before.get(key), "{key} changed");
-        }
     }
 
     #[test]

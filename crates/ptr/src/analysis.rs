@@ -23,6 +23,7 @@ use rasc_core::{ConsId, SetExpr, SolverConfig, System, VarId, Variance};
 
 use crate::ast::{Arg, Program, Stmt};
 use crate::error::{PtrError, Result};
+use crate::well_formed;
 
 /// The trivial annotation machine: one accepting state, empty alphabet
 /// (points-to constraints are unannotated; the framework degenerates to
@@ -129,21 +130,19 @@ impl PointsTo {
              target: VarId,
              loc_sources: &mut Vec<(VarId, String)>,
              loc_of_contents: &mut HashMap<VarId, String>| {
-                sys.add(
+                well_formed(sys.add(
                     SetExpr::cons_vars(r#ref, [contents, contents]),
                     SetExpr::var(target),
-                )
-                .expect("well-formed");
+                ));
                 loc_of_contents.insert(contents, name.to_owned());
                 loc_sources.push((target, name.to_owned()));
                 for cons in fld.values() {
                     // Per-(location, field) contents variable.
                     let fcontents = sys.var(&format!("{name}.$field{}", cons.index()));
-                    sys.add(
+                    well_formed(sys.add(
                         SetExpr::cons_vars(*cons, [fcontents, fcontents]),
                         SetExpr::var(target),
-                    )
-                    .expect("well-formed");
+                    ));
                 }
             };
 
@@ -180,34 +179,31 @@ impl PointsTo {
                     Stmt::Copy { dst, src } => {
                         let d = var(&mut sys, &mut vars1, &f.name, dst);
                         let s = var(&mut sys, &mut vars1, &f.name, src);
-                        sys.add(SetExpr::var(s), SetExpr::var(d))
-                            .expect("well-formed");
+                        well_formed(sys.add(SetExpr::var(s), SetExpr::var(d)));
                     }
                     Stmt::Load { dst, src } => {
                         let d = var(&mut sys, &mut vars1, &f.name, dst);
                         let s = var(&mut sys, &mut vars1, &f.name, src);
-                        sys.add(SetExpr::proj(r#ref, 0, s), SetExpr::var(d))
-                            .expect("well-formed");
+                        well_formed(sys.add(SetExpr::proj(r#ref, 0, s), SetExpr::var(d)));
                     }
                     Stmt::Store { dst, src } => {
                         let d = var(&mut sys, &mut vars1, &f.name, dst);
                         let s = var(&mut sys, &mut vars1, &f.name, src);
                         let top = sys.var("$discard");
-                        sys.add(SetExpr::var(d), SetExpr::cons_vars(r#ref, [top, s]))
-                            .expect("well-formed");
+                        well_formed(sys.add(SetExpr::var(d), SetExpr::cons_vars(r#ref, [top, s])));
                     }
                     Stmt::FieldLoad { dst, base, field } => {
                         let d = var(&mut sys, &mut vars1, &f.name, dst);
                         let b = var(&mut sys, &mut vars1, &f.name, base);
-                        sys.add(SetExpr::proj(fld[field], 0, b), SetExpr::var(d))
-                            .expect("well-formed");
+                        well_formed(sys.add(SetExpr::proj(fld[field], 0, b), SetExpr::var(d)));
                     }
                     Stmt::FieldStore { base, field, src } => {
                         let b = var(&mut sys, &mut vars1, &f.name, base);
                         let s = var(&mut sys, &mut vars1, &f.name, src);
                         let top = sys.var("$discard");
-                        sys.add(SetExpr::var(b), SetExpr::cons_vars(fld[field], [top, s]))
-                            .expect("well-formed");
+                        well_formed(
+                            sys.add(SetExpr::var(b), SetExpr::cons_vars(fld[field], [top, s])),
+                        );
                     }
                     Stmt::Call { dst, callee, args } => {
                         let fun = program
@@ -228,8 +224,7 @@ impl PointsTo {
                             match a {
                                 Arg::Var(v) => {
                                     let av = var(&mut sys, &mut vars1, &f.name, v);
-                                    sys.add(SetExpr::var(av), SetExpr::var(t))
-                                        .expect("well-formed");
+                                    well_formed(sys.add(SetExpr::var(av), SetExpr::var(t)));
                                 }
                                 Arg::AddrOf(of) => {
                                     let contents = var(&mut sys, &mut vars1, &f.name, of);
@@ -245,8 +240,7 @@ impl PointsTo {
                                 }
                             }
                             let p = var(&mut sys, &mut vars1, callee, &fun.params[i]);
-                            sys.add(SetExpr::var(t), SetExpr::var(p))
-                                .expect("well-formed");
+                            well_formed(sys.add(SetExpr::var(t), SetExpr::var(p)));
                             boundary.insert((t, p));
                             arg_vars.push(t);
                         }
@@ -254,8 +248,7 @@ impl PointsTo {
                             Some(d) => {
                                 let dv = var(&mut sys, &mut vars1, &f.name, d);
                                 let r = rets[callee.as_str()];
-                                sys.add(SetExpr::var(r), SetExpr::var(dv))
-                                    .expect("well-formed");
+                                well_formed(sys.add(SetExpr::var(r), SetExpr::var(dv)));
                                 boundary.insert((r, dv));
                                 Some(dv)
                             }
@@ -272,8 +265,7 @@ impl PointsTo {
                     Stmt::Return { var: v } => {
                         let rv = var(&mut sys, &mut vars1, &f.name, v);
                         let r = rets[f.name.as_str()];
-                        sys.add(SetExpr::var(rv), SetExpr::var(r))
-                            .expect("well-formed");
+                        well_formed(sys.add(SetExpr::var(rv), SetExpr::var(r)));
                     }
                 }
             }
@@ -296,8 +288,7 @@ impl PointsTo {
             let c = *loc_consts
                 .entry(name.clone())
                 .or_insert_with(|| qsys.constructor(&format!("loc_{name}"), &[]));
-            qsys.add(SetExpr::cons(c, []), SetExpr::var(mirror[target.index()]))
-                .expect("well-formed");
+            well_formed(qsys.add(SetExpr::cons(c, []), SetExpr::var(mirror[target.index()])));
         }
 
         // Replay the solved value-flow graph, minus call-boundary edges.
@@ -307,41 +298,39 @@ impl PointsTo {
                 if boundary.contains(&(from, to)) {
                     continue;
                 }
-                qsys.add(
+                well_formed(qsys.add(
                     SetExpr::var(mirror[from.index()]),
                     SetExpr::var(mirror[to.index()]),
-                )
-                .expect("well-formed");
+                ));
             }
         }
 
         // Calls: wrap with per-site constructors (§7.5).
         for call in &calls {
             let o_i = qsys.constructor(&format!("o{}", call.site), &[Variance::Covariant]);
-            let fun = program.find(&call.callee).expect("validated above");
+            let fun = program
+                .find(&call.callee)
+                .ok_or_else(|| PtrError::UnknownFunction(call.callee.clone()))?;
             for (i, &t) in call.args.iter().enumerate() {
                 let p = vars1[&format!("{}::{}", call.callee, fun.params[i])];
-                qsys.add(
+                well_formed(qsys.add(
                     SetExpr::cons_vars(o_i, [mirror[t.index()]]),
                     SetExpr::var(mirror[p.index()]),
-                )
-                .expect("well-formed");
+                ));
             }
             if let Some(dv) = call.dst {
                 let r = rets[call.callee.as_str()];
                 // Matched return (unwraps this site's wrapper)…
-                qsys.add(
+                well_formed(qsys.add(
                     SetExpr::proj(o_i, 0, mirror[r.index()]),
                     SetExpr::var(mirror[dv.index()]),
-                )
-                .expect("well-formed");
+                ));
                 // …plus the bare flow for callee-origin locations (values
                 // never wrapped by this call).
-                qsys.add(
+                well_formed(qsys.add(
                     SetExpr::var(mirror[r.index()]),
                     SetExpr::var(mirror[dv.index()]),
-                )
-                .expect("well-formed");
+                ));
             }
         }
         qsys.solve();
@@ -396,9 +385,8 @@ impl PointsTo {
     ///
     /// Returns [`PtrError::UnknownVariable`] for unknown names.
     pub fn may_alias(&self, x: &str, y: &str) -> Result<bool> {
-        let a = self.points_to(x)?;
-        let b = self.points_to(y)?;
-        Ok(a.iter().any(|l| b.contains(l)))
+        let a: HashSet<String> = self.points_to(x)?.into_iter().collect();
+        Ok(self.points_to(y)?.iter().any(|l| a.contains(l)))
     }
 
     /// Stack-aware may-alias (§7.5): do the two *term* sets — locations

@@ -22,6 +22,8 @@
 //!
 //! Variables are function-scoped and implicitly declared on first use.
 
+use std::collections::HashSet;
+
 use crate::error::{PtrError, Result};
 
 /// A call argument: a variable or an address-of expression.
@@ -145,6 +147,7 @@ impl Program {
     /// All field names used anywhere in the program.
     pub fn fields(&self) -> Vec<&str> {
         let mut out: Vec<&str> = Vec::new();
+        let mut seen = HashSet::new();
         for f in &self.funs {
             for s in &f.stmts {
                 let field = match s {
@@ -152,7 +155,7 @@ impl Program {
                     _ => None,
                 };
                 if let Some(field) = field {
-                    if !out.contains(&field.as_str()) {
+                    if seen.insert(field.as_str()) {
                         out.push(field);
                     }
                 }

@@ -59,3 +59,13 @@ mod error;
 pub use analysis::PointsTo;
 pub use ast::{Arg, FunDef, Program, Stmt};
 pub use error::{PtrError, Result};
+
+/// Unwraps the result of adding a constraint that the encoding built from
+/// ids it has just created, panicking with the error otherwise. Library
+/// code is otherwise free of `unwrap`/`expect` (enforced by the
+/// `disallowed-methods` clippy gate in CI).
+pub(crate) fn well_formed(added: rasc_core::Result<()>) {
+    if let Err(e) = added {
+        panic!("internal invariant violated: the encoding built an ill-formed constraint: {e}");
+    }
+}

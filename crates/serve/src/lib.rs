@@ -15,9 +15,9 @@
 //!   `{"error":{"code":"overloaded",…}}` in-band and closes, instead of
 //!   queuing unboundedly.
 //! * **Resource governance** — server-wide per-request caps
-//!   ([`rasc_inc::EngineCaps`]) wired into every engine, plus a
-//!   [`rasc_core::CancelToken`] per connection so a stalled drain can
-//!   interrupt in-flight solves, which roll back transactionally.
+//!   ([`rasc_inc::EngineCaps`]) wired into every engine: under a cap,
+//!   each `add` is transactional, and one that runs out of budget rolls
+//!   back.
 //! * **Graceful shutdown** — via [`ServerHandle::shutdown`], the in-band
 //!   `{"cmd":"shutdown"}` admin command, or an external shutdown flag
 //!   ([`ServeConfig::shutdown_flag`], wired to SIGINT/SIGTERM by the
@@ -25,11 +25,12 @@
 //!   responses flush, then connections close and workers join.
 //! * **Persistence & warm restart** — with [`ServeConfig::snapshot_dir`]
 //!   set, the server loads `<dir>/current.snap` as the base image every
-//!   connection's engine forks from, routes in-band
+//!   connection's engine forks from, and routes in-band
 //!   `{"cmd":"snapshot"}` commands there (client-chosen paths are
-//!   disabled), and checkpoints the latest base again on graceful
-//!   shutdown. Corrupt snapshots are detected (checksums) and rejected
-//!   — the server starts cold instead of serving a torn solved form.
+//!   disabled): each writes the file atomically and becomes the base of
+//!   later connections. Corrupt snapshots are detected (checksums) and
+//!   rejected — the server starts cold instead of serving a torn solved
+//!   form.
 //! * **Observability** — `rasc-obs` counters
 //!   (`serve.connections.opened/closed`, `serve.requests`,
 //!   `serve.rejected.overload`), `serve.request.micros` latency

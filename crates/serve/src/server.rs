@@ -1,7 +1,6 @@
 //! The TCP server: accept loop, admission control, per-connection
 //! sessions, and graceful drain.
 
-use std::collections::HashMap;
 use std::io::{self, BufRead, BufReader, BufWriter, ErrorKind, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::path::PathBuf;
@@ -11,8 +10,8 @@ use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use rasc_automata::{Alphabet, Dfa};
-use rasc_core::snapshot::{read_snapshot_file, write_atomic};
-use rasc_core::{CancelToken, Clock, SnapshotError};
+use rasc_core::snapshot::read_snapshot_file;
+use rasc_core::{Clock, SnapshotError};
 use rasc_inc::json::{obj, Json};
 use rasc_inc::{BatchEngine, EngineBase, EngineCaps};
 use rasc_obs::{self as obs, EventSink, Fanout, MetricsRegistry, MetricsSnapshot, ScopedSink};
@@ -23,6 +22,12 @@ use crate::pool::ThreadPool;
 fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
     m.lock().unwrap_or_else(PoisonError::into_inner)
 }
+
+/// How often blocked reads and the accept loop re-check the shutdown
+/// flag — the upper bound on how long an *idle* connection delays a
+/// drain, and on how long the accept loop sleeps before it sees a new
+/// connection.
+const POLL: Duration = Duration::from_millis(20);
 
 /// Server-wide configuration: concurrency, admission control, and the
 /// per-request resource caps applied to every connection's engine.
@@ -38,15 +43,6 @@ pub struct ServeConfig {
     /// [`BatchEngine`] (the protocol `limits` command can tighten but
     /// never exceed them).
     pub caps: EngineCaps,
-    /// How often blocked reads and the accept loop re-check the shutdown
-    /// flag, in milliseconds — the upper bound on how long an *idle*
-    /// connection delays a drain.
-    pub poll_millis: u64,
-    /// If set, a drain that has not finished after this many milliseconds
-    /// fires every connection's [`CancelToken`], so runaway in-flight
-    /// solves roll back (reported in-band as `budget_exhausted` /
-    /// `cancelled`) instead of stalling shutdown forever.
-    pub drain_cancel_millis: Option<u64>,
     /// Observability sink installed on every worker (and the accept
     /// thread) for the server's counters, latency histograms, and
     /// per-connection spans.
@@ -54,16 +50,12 @@ pub struct ServeConfig {
     /// Deadline time source injected into every engine (deterministic
     /// tests; `None` = real monotonic clock).
     pub clock: Option<Arc<dyn Clock>>,
-    /// Whether the in-band `{"cmd":"shutdown"}` admin command initiates a
-    /// graceful drain (the protocol answers `unknown_command` when off).
-    pub allow_shutdown_command: bool,
     /// Warm-restart directory. When set, the server decodes
     /// `<dir>/current.snap` **once** at startup into a shared read-only
     /// base that every new connection forks copy-on-write (O(vars) `Arc`
     /// bumps per connection; no solved-form entry is copied), routes the
     /// in-band `{"cmd":"snapshot"}` command to that file (client-chosen
-    /// paths are disabled), and checkpoints the latest base image there
-    /// again on graceful shutdown. A corrupt base file is rejected with a
+    /// paths are disabled). A corrupt base file is rejected with a
     /// `snap.corrupt_rejected` counter and the server starts cold; an
     /// unreadable (but present) file is counted as
     /// `serve.base.io_errors`.
@@ -97,11 +89,8 @@ impl Default for ServeConfig {
             threads: 4,
             max_connections: 64,
             caps: EngineCaps::unlimited(),
-            poll_millis: 20,
-            drain_cancel_millis: None,
             sink: None,
             clock: None,
-            allow_shutdown_command: true,
             snapshot_dir: None,
             shutdown_flag: None,
             admin_addr: None,
@@ -137,25 +126,16 @@ struct Shared {
     /// Connections admitted and not yet finished (serving or queued).
     active: AtomicUsize,
     next_conn: AtomicU64,
-    /// In-flight connections' cancellation tokens, keyed by connection id
-    /// (fired by the drain watchdog).
-    cancels: Mutex<HashMap<u64, CancelToken>>,
     connections: AtomicU64,
     requests: AtomicU64,
     rejected: AtomicU64,
     /// Warm-restart file (`<snapshot_dir>/current.snap`) when persistence
-    /// is configured.
+    /// is configured. Every in-band `snapshot` writes it atomically.
     snapshot_path: Option<PathBuf>,
-    /// The latest durable base image bytes: loaded from disk at startup,
-    /// refreshed by every in-band `snapshot` command, and checkpointed on
-    /// graceful shutdown. Connections never re-parse these — they fork
-    /// from [`Shared::base`].
-    snapshot: Mutex<Option<Arc<Vec<u8>>>>,
-    /// The decoded, frozen counterpart of [`Shared::snapshot`]: the image
-    /// is parsed and validated **once** (at startup or when an in-band
-    /// `snapshot` swaps it), and every new connection builds its engine
-    /// with [`BatchEngine::fork_from`] — a few `Arc` bumps instead of a
-    /// full per-connection restore.
+    /// The decoded, frozen base image: parsed and validated **once** (at
+    /// startup or when an in-band `snapshot` swaps it), and every new
+    /// connection builds its engine with [`BatchEngine::fork_from`] — a
+    /// few `Arc` bumps instead of a full per-connection restore.
     base: Mutex<Option<Arc<EngineBase>>>,
     /// Aggregated telemetry behind the admin endpoint. Always present;
     /// it is installed (fanned out with [`ServeConfig::sink`]) on every
@@ -280,11 +260,6 @@ impl ServerHandle {
         self.shared.is_draining()
     }
 
-    /// Connections currently admitted (serving or waiting for a worker).
-    pub fn active_connections(&self) -> usize {
-        self.shared.active.load(Ordering::SeqCst)
-    }
-
     /// The admin telemetry listener's resolved address, when configured
     /// (useful with an `--admin-addr` port of 0).
     pub fn admin_addr(&self) -> Option<SocketAddr> {
@@ -379,10 +354,6 @@ impl Server {
                 .unwrap_or(Duration::ZERO);
             (Instant::now(), file_age)
         });
-        let (snapshot, base) = match loaded {
-            Some((bytes, decoded)) => (Some(bytes), Some(Arc::new(decoded))),
-            None => (None, None),
-        };
         let shared = Arc::new(Shared {
             sigma,
             dfa: machine.clone(),
@@ -392,13 +363,11 @@ impl Server {
             done_cv: Condvar::new(),
             active: AtomicUsize::new(0),
             next_conn: AtomicU64::new(0),
-            cancels: Mutex::new(HashMap::new()),
             connections: AtomicU64::new(0),
             requests: AtomicU64::new(0),
             rejected: AtomicU64::new(0),
             snapshot_path,
-            snapshot: Mutex::new(snapshot),
-            base: Mutex::new(base),
+            base: Mutex::new(loaded.map(Arc::new)),
             metrics,
             effective_sink,
             admin_addr,
@@ -445,7 +414,6 @@ impl Server {
         } = self;
         let _sink_guard = ScopedSink::install(Arc::clone(&shared.effective_sink));
         listener.set_nonblocking(true)?;
-        let poll = Duration::from_millis(shared.config.poll_millis.max(1));
         // The admin plane answers scrapes from the registry on its own
         // thread; it stops once the drain begins.
         let admin_thread = admin_listener.map(|l| {
@@ -455,7 +423,7 @@ impl Server {
                 let route_shared = Arc::clone(&shared);
                 run_admin(
                     l,
-                    poll,
+                    POLL,
                     move || drain_check.is_draining(),
                     move |path| route_shared.admin_route(path),
                 );
@@ -464,56 +432,18 @@ impl Server {
         while !shared.is_draining() {
             match listener.accept() {
                 Ok((stream, _peer)) => admit(&shared, &pool, stream),
-                Err(e) if e.kind() == ErrorKind::WouldBlock => std::thread::sleep(poll),
+                Err(e) if e.kind() == ErrorKind::WouldBlock => std::thread::sleep(POLL),
                 Err(e) if e.kind() == ErrorKind::Interrupted => {}
                 // Transient accept failures (EMFILE, aborted handshakes)
                 // must not kill the server.
-                Err(_) => std::thread::sleep(poll),
+                Err(_) => std::thread::sleep(POLL),
             }
         }
-        // Stop accepting, then drain. A watchdog fires every in-flight
-        // connection's CancelToken if the drain outlives its deadline.
+        // Stop accepting, then drain.
         drop(listener);
-        let watchdog = shared.config.drain_cancel_millis.map(|ms| {
-            let shared = Arc::clone(&shared);
-            std::thread::spawn(move || {
-                let deadline = Duration::from_millis(ms);
-                let started = Instant::now();
-                let mut done = lock(&shared.done);
-                while !*done {
-                    let Some(left) = deadline.checked_sub(started.elapsed()) else {
-                        drop(done);
-                        for token in lock(&shared.cancels).values() {
-                            token.cancel();
-                        }
-                        return;
-                    };
-                    let (guard, _timeout) = shared
-                        .done_cv
-                        .wait_timeout(done, left)
-                        .unwrap_or_else(PoisonError::into_inner);
-                    done = guard;
-                }
-            })
-        });
         pool.drain();
-        // Checkpoint the latest base image before declaring the drain
-        // complete, so the next `rasc serve --snapshot-dir` warm-starts
-        // from the state the in-band `snapshot` commands last captured.
-        if let (Some(path), Some(bytes)) = (&shared.snapshot_path, lock(&shared.snapshot).clone()) {
-            match write_atomic(path, &bytes) {
-                Ok(()) => {
-                    obs::counter("serve.checkpoints", 1);
-                    *lock(&shared.last_checkpoint) = Some((Instant::now(), Duration::ZERO));
-                }
-                Err(_) => obs::counter("serve.checkpoint_failures", 1),
-            }
-        }
         *lock(&shared.done) = true;
         shared.done_cv.notify_all();
-        if let Some(w) = watchdog {
-            let _ = w.join();
-        }
         if let Some(a) = admin_thread {
             let _ = a.join();
         }
@@ -544,7 +474,7 @@ impl Server {
 ///   errors) bumps `serve.base.io_errors` and logs one stderr line;
 /// * **corrupt or mismatched** contents bump `snap.corrupt_rejected`
 ///   (inside [`EngineBase::decode`]) and log one stderr line.
-fn load_base_image(path: &std::path::Path, sigma: &Alphabet) -> Option<(Arc<Vec<u8>>, EngineBase)> {
+fn load_base_image(path: &std::path::Path, sigma: &Alphabet) -> Option<EngineBase> {
     let bytes = match read_snapshot_file(path) {
         Ok(b) => b,
         Err(SnapshotError::Io(e)) if e.kind() == ErrorKind::NotFound => return None,
@@ -558,7 +488,7 @@ fn load_base_image(path: &std::path::Path, sigma: &Alphabet) -> Option<(Arc<Vec<
         }
     };
     match EngineBase::decode(&bytes, sigma) {
-        Ok(base) => Some((Arc::new(bytes), base)),
+        Ok(base) => Some(base),
         Err(e) => {
             // decode() already counted `snap.corrupt_rejected` for torn
             // contents; mismatched-configuration (State) rejections ride
@@ -655,8 +585,7 @@ fn handle_connection(shared: &Arc<Shared>, stream: TcpStream) {
 
     let conn_id = shared.next_conn.fetch_add(1, Ordering::SeqCst);
     let _ = stream.set_nodelay(true);
-    let poll = Duration::from_millis(shared.config.poll_millis.max(1));
-    let _ = stream.set_read_timeout(Some(poll));
+    let _ = stream.set_read_timeout(Some(POLL));
     let Ok(read_half) = stream.try_clone() else {
         obs::counter("serve.connections.closed", 1);
         return;
@@ -680,16 +609,13 @@ fn handle_connection(shared: &Arc<Shared>, stream: TcpStream) {
     if let Some(clock) = &shared.config.clock {
         engine.set_clock(Arc::clone(clock));
     }
-    let cancel = CancelToken::new();
-    engine.set_cancel(cancel.clone());
-    lock(&shared.cancels).insert(conn_id, cancel);
 
     if let Some(path) = &shared.snapshot_path {
         // Persistence: snapshot/restore target the server's file only
-        // (remote clients must not choose filesystem paths), and in-band
-        // snapshots refresh both the durable image bytes and the decoded
-        // fork base for subsequent connections. A refresh that fails
-        // deep validation keeps the previous base — never half-swapped.
+        // (remote clients must not choose filesystem paths), and an
+        // in-band snapshot, once written, becomes the fork base of
+        // subsequent connections. A refresh that fails deep validation
+        // keeps the previous base — never half-swapped.
         engine.set_snapshot_path(path.clone());
         engine.set_client_snapshot_paths(false);
         let base_image = Arc::clone(shared);
@@ -698,7 +624,6 @@ fn handle_connection(shared: &Arc<Shared>, stream: TcpStream) {
                 Ok(decoded) => *lock(&base_image.base) = Some(Arc::new(decoded)),
                 Err(_) => obs::counter("serve.base.refresh_failures", 1),
             }
-            *lock(&base_image.snapshot) = Some(Arc::new(bytes.to_vec()));
             *lock(&base_image.last_checkpoint) = Some((Instant::now(), Duration::ZERO));
         });
     }
@@ -732,7 +657,6 @@ fn handle_connection(shared: &Arc<Shared>, stream: TcpStream) {
         }
     }
 
-    lock(&shared.cancels).remove(&conn_id);
     obs::counter("serve.connections.closed", 1);
 }
 
@@ -791,7 +715,7 @@ fn serve_request<W: Write>(
     request: &str,
     writer: &mut W,
 ) -> bool {
-    if shared.config.allow_shutdown_command && is_shutdown_command(request) {
+    if is_shutdown_command(request) {
         let response = obj([
             ("ok", Json::from("shutdown")),
             ("draining", Json::from(true)),

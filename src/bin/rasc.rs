@@ -32,8 +32,8 @@
 //! per-request resource caps. The server drains gracefully when any
 //! client sends `{"cmd":"shutdown"}` or on SIGINT/SIGTERM; with
 //! `--snapshot-dir DIR` it warm-starts every connection from
-//! `DIR/current.snap`, routes in-band `{"cmd":"snapshot"}` commands
-//! there, and checkpoints on graceful shutdown. `--trace`/`--profile` work as in `batch`.
+//! `DIR/current.snap` and routes in-band `{"cmd":"snapshot"}` commands
+//! there. `--trace`/`--profile` work as in `batch`.
 //! `--admin-addr` opens the telemetry plane — an HTTP listener
 //! answering `GET /metrics` (Prometheus text), `GET /stats` (JSON
 //! with quantile estimates), and `GET /healthz` — and `--slow-millis N`
@@ -520,8 +520,8 @@ fn serve(opts: &Opts) -> Result<(), String> {
         config.slow_millis = Some(n);
     }
     // SIGINT/SIGTERM request the same graceful drain as the in-band
-    // shutdown command: stop accepting, finish in-flight requests,
-    // checkpoint if --snapshot-dir is set, then exit cleanly.
+    // shutdown command: stop accepting, finish in-flight requests, then
+    // exit cleanly.
     config.shutdown_flag = signals::install();
 
     let setup = ObsSetup::from_opts(opts);
@@ -643,7 +643,7 @@ mod signals {
 }
 
 /// On non-Unix targets signals are not wired; ^C terminates the process
-/// the default way and no graceful checkpoint happens.
+/// the default way, without a graceful drain.
 #[cfg(not(unix))]
 mod signals {
     use std::sync::atomic::AtomicBool;

@@ -2,15 +2,15 @@
 //! served request does around its own work — `begin_request`,
 //! `request_stats` and a transactional `add` of a fresh edge — must cost
 //! about the same on a 1k-variable engine as on a fork of a 16k-variable
-//! base. Both engines carry a cancel token, as served engines do, so
-//! every `add` takes the transactional epoch path.
+//! base. Both engines set a step limit with the protocol's `limits`
+//! command, as a capped server does, so every `add` takes the
+//! transactional epoch path.
 //!
 //! `pop` is left out: pruning rolled-away names still scans the name map.
 
 use std::time::{Duration, Instant};
 
 use rasc::automata::{Alphabet, Regex};
-use rasc::constraints::CancelToken;
 use rasc::inc::{BatchEngine, EngineBase};
 
 const SMALL_VARS: usize = 1_000;
@@ -74,7 +74,10 @@ fn request_accounting_cost_does_not_grow_with_the_engine() {
     let mut large = BatchEngine::fork_from(&base);
     assert!(large.session().num_vars() >= LARGE_VARS);
     for e in [&mut small, &mut large] {
-        e.set_cancel(CancelToken::new());
+        let r = e
+            .handle_line(r#"{"cmd":"limits","max_steps":1000000000}"#)
+            .expect("answered");
+        assert!(r.contains(r#""transactional":true"#), "{r}");
     }
     // Warm-up: the fork's first fresh name copies the shared name map.
     run_batch(&mut small, &fresh_edges(0));

@@ -168,7 +168,6 @@ fn overload_is_a_typed_in_band_error() {
     let (handle, join) = spawn_server(ServeConfig {
         threads: 1,
         max_connections: 1,
-        poll_millis: 5,
         ..ServeConfig::default()
     });
     let addr = handle.addr();
@@ -291,7 +290,6 @@ fn graceful_shutdown_drains_the_in_flight_request() {
     // budget starts — which is where the gate holds the request open.
     let (handle, join) = spawn_server(ServeConfig {
         threads: 2,
-        poll_millis: 5,
         caps: EngineCaps {
             max_millis: Some(u64::MAX / 4),
             ..EngineCaps::unlimited()
@@ -387,7 +385,7 @@ fn snapshot_dir_warm_restarts_across_server_generations() {
     join.join().expect("server joins");
     assert!(
         dir.join("current.snap").exists(),
-        "graceful shutdown must leave a checkpoint"
+        "the in-band snapshot leaves a checkpoint behind"
     );
 
     // Generation 2: a fresh server over the same directory warm-starts
@@ -522,7 +520,6 @@ fn external_shutdown_flag_drains_and_checkpoints() {
     let dir = snapshot_temp_dir("flag");
     let flag = Arc::new(AtomicBool::new(false));
     let (handle, join) = spawn_server(ServeConfig {
-        poll_millis: 5,
         snapshot_dir: Some(dir.clone()),
         shutdown_flag: Some(Arc::clone(&flag)),
         ..ServeConfig::default()
@@ -552,7 +549,7 @@ fn external_shutdown_flag_drains_and_checkpoints() {
     );
     assert!(
         dir.join("current.snap").exists(),
-        "signal-driven shutdown must still checkpoint"
+        "the in-band snapshot's checkpoint survives a signal-driven shutdown"
     );
     let _ = std::fs::remove_dir_all(&dir);
 }
@@ -851,7 +848,7 @@ fn rasc_stats_cli_polls_the_admin_endpoint() {
 fn warm_restart_healthz_reports_the_snapshot_files_age() {
     let dir = snapshot_temp_dir("age");
 
-    // Generation 1 leaves a checkpoint behind on graceful shutdown.
+    // Generation 1 leaves a checkpoint behind with an in-band snapshot.
     let (handle, join) = spawn_server(ServeConfig {
         snapshot_dir: Some(dir.clone()),
         ..ServeConfig::default()
