@@ -205,21 +205,28 @@ impl Monoid {
         self.generators[sym.index()]
     }
 
-    /// `later ∘ earlier` — the representative function of `w_earlier ·
-    /// w_later` (the word that does `earlier` first).
-    pub fn compose(&mut self, later: FnId, earlier: FnId) -> FnId {
+    /// `later ∘ earlier` when it needs no new work: either side is the
+    /// identity, or the composition is memoized. A caller sharing the
+    /// monoid read-only tries this before [`Monoid::compose`].
+    pub fn composed(&self, later: FnId, earlier: FnId) -> Option<FnId> {
         if later == self.identity {
-            return earlier;
+            return Some(earlier);
         }
         if earlier == self.identity {
-            return later;
+            return Some(later);
         }
         let known = self
             .table
             .get(later.index())
             .and_then(|row| row.get(earlier.index()));
-        if let Some(&id) = known.filter(|&&id| id != NOT_COMPOSED) {
-            return FnId(id);
+        known.filter(|&&id| id != NOT_COMPOSED).map(|&id| FnId(id))
+    }
+
+    /// `later ∘ earlier` — the representative function of `w_earlier ·
+    /// w_later` (the word that does `earlier` first).
+    pub fn compose(&mut self, later: FnId, earlier: FnId) -> FnId {
+        if let Some(id) = self.composed(later, earlier) {
+            return id;
         }
         let images: Vec<u32> = self.fns[earlier.index()]
             .0

@@ -1,8 +1,7 @@
 //! The n-bit gen/kill algebra (§3.3) with bit-parallel composition.
 
-use std::collections::HashMap;
-
 use super::{Algebra, AnnId};
+use crate::idhash::IdMap;
 
 /// Annotations for the paper's *n-bit language*: the product of `n`
 /// 1-bit gen/kill machines (Figure 1), used for interprocedural bit-vector
@@ -37,7 +36,7 @@ pub struct GenKillAlgebra {
     /// overrides a kill of the same bit, so kill bits shadowed by gen are
     /// normalized away).
     anns: Vec<(u64, u64)>,
-    by_ann: HashMap<(u64, u64), AnnId>,
+    by_ann: IdMap<(u64, u64), AnnId>,
 }
 
 impl GenKillAlgebra {
@@ -57,7 +56,7 @@ impl GenKillAlgebra {
             bits,
             mask,
             anns: Vec::new(),
-            by_ann: HashMap::new(),
+            by_ann: IdMap::default(),
         };
         alg.intern(0, 0); // identity
         alg

@@ -1,5 +1,7 @@
 //! The plain transition-monoid algebra.
 
+use std::sync::Arc;
+
 use rasc_automata::{Dfa, FnId, Monoid, StateId, SymbolId};
 
 use super::{Algebra, AnnId};
@@ -12,6 +14,10 @@ use super::{Algebra, AnnId};
 /// non-accepting annotations). Monoid elements are interned lazily: on
 /// adversarial machines (Figure 2) only the functions that actually arise
 /// in a constraint graph are materialized.
+///
+/// Clones share the interned monoid copy-on-write, so forking a system
+/// does not copy it: a clone copies it only when it first interns a
+/// function or memoizes a composition.
 ///
 /// # Example
 ///
@@ -34,7 +40,7 @@ use super::{Algebra, AnnId};
 pub struct MonoidAlgebra {
     /// The interned transition monoid (the snapshot codec in
     /// [`crate::snapshot`] writes and rebuilds all three fields).
-    pub(crate) monoid: Monoid,
+    pub(crate) monoid: Arc<Monoid>,
     /// Machine states reachable from the start state.
     pub(crate) reachable: Vec<bool>,
     /// Machine states from which an accepting state is reachable.
@@ -49,7 +55,7 @@ impl MonoidAlgebra {
     pub fn new(machine: &Dfa) -> MonoidAlgebra {
         let minimal = machine.minimize();
         MonoidAlgebra {
-            monoid: Monoid::lazy_of_dfa(&minimal),
+            monoid: Arc::new(Monoid::lazy_of_dfa(&minimal)),
             // The minimized machine contains only reachable states.
             reachable: vec![true; minimal.len()],
             coreachable: minimal.coreachable(),
@@ -63,14 +69,23 @@ impl MonoidAlgebra {
 
     /// The annotation of a whole word.
     pub fn word(&mut self, word: &[SymbolId]) -> AnnId {
-        ann(self.monoid.of_word(word))
+        let mut f = self.identity();
+        for &sym in word {
+            f = self.compose_now(self.symbol(sym), f);
+        }
+        f
     }
 
     /// Like [`Algebra::compose`] but usable on a `&mut` receiver in
     /// expression position (`compose` through the trait needs the trait in
     /// scope).
     pub fn compose_now(&mut self, later: AnnId, earlier: AnnId) -> AnnId {
-        ann(self.monoid.compose(fnid(later), fnid(earlier)))
+        let (later, earlier) = (fnid(later), fnid(earlier));
+        let f = match self.monoid.composed(later, earlier) {
+            Some(f) => f,
+            None => Arc::make_mut(&mut self.monoid).compose(later, earlier),
+        };
+        ann(f)
     }
 
     /// Access to the underlying monoid.

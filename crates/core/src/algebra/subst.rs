@@ -9,11 +9,12 @@
 //! *residual* function recording non-parametric transitions.
 
 use std::borrow::Cow;
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
 
 use rasc_automata::{Dfa, FnId, Monoid, StateId, SymbolId};
 
 use super::{Algebra, AnnId};
+use crate::idhash::IdMap;
 
 /// The step-table cell of an (annotation, class) pair not stepped yet. No
 /// class id is this large: `u32::MAX` classes would be interned before it.
@@ -211,11 +212,11 @@ pub struct SubstAlgebra {
     params: Vec<String>,
     labels: Vec<String>,
     envs: Vec<SubstEnv>,
-    by_env: HashMap<SubstEnv, AnnId>,
-    memo: HashMap<(AnnId, AnnId), AnnId>,
+    by_env: IdMap<SubstEnv, AnnId>,
+    memo: IdMap<(AnnId, AnnId), AnnId>,
     /// The interned classes; class 0 is the start class `[ | s₀]`.
     classes: Vec<StateEnv>,
-    by_class: HashMap<StateEnv, StateEnvId>,
+    by_class: IdMap<StateEnv, StateEnvId>,
     /// The class step table: `steps[f][c]` is the raw id of
     /// `apply_class(f, c)`, or [`NOT_STEPPED`]. Each row is sized to the
     /// interned class count on its first write, and grows if a later write
@@ -236,10 +237,10 @@ impl SubstAlgebra {
             params: Vec::new(),
             labels: Vec::new(),
             envs: Vec::new(),
-            by_env: HashMap::new(),
-            memo: HashMap::new(),
+            by_env: IdMap::default(),
+            memo: IdMap::default(),
             classes: Vec::new(),
-            by_class: HashMap::new(),
+            by_class: IdMap::default(),
             steps: Vec::new(),
         };
         let identity = SubstEnv {

@@ -14,11 +14,12 @@
 //! decomposition through annotated paths requires full representative
 //! functions and hence the bidirectional solver (see DESIGN.md).
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 
 use rasc_automata::{Dfa, StateId};
 
 use crate::algebra::{Algebra, AnnId, MonoidAlgebra};
+use crate::idhash::IdMap;
 use crate::solver::VarId;
 
 /// A probe id: a named accepting sink registered with
@@ -30,9 +31,9 @@ pub struct ProbeId(u32);
 struct VarData {
     name: String,
     /// Reversed adjacency: incoming edges `(source var, annotation)`.
-    preds: HashMap<VarId, Vec<AnnId>>,
+    preds: IdMap<VarId, Vec<AnnId>>,
     /// Per-probe acceptance-set classes (bitmask over machine states).
-    classes: HashMap<ProbeId, Vec<u64>>,
+    classes: IdMap<ProbeId, Vec<u64>>,
 }
 
 /// A backward solver for the regular-reachability fragment of annotated

@@ -18,12 +18,13 @@
 //! carries the reachability facts in the paper's applications (the `pc`
 //! constant of §6, dataflow facts of §3.3).
 
-use std::collections::{HashMap, HashSet, VecDeque};
+use std::collections::VecDeque;
 
 use rasc_automata::{Dfa, StateId};
 
 use crate::algebra::{Algebra, AnnId, MonoidAlgebra};
 use crate::error::{CoreError, Result};
+use crate::idhash::{IdMap, IdSet};
 use crate::solver::VarId;
 use crate::term::{ConsId, Constructor, Variance};
 
@@ -56,11 +57,11 @@ pub enum ForwardClash {
 #[derive(Debug, Default)]
 struct VarData {
     name: String,
-    succs: HashMap<VarId, Vec<AnnId>>,
+    succs: IdMap<VarId, Vec<AnnId>>,
     /// Constant lower bounds by right-congruence class (machine state).
-    const_lbs: HashMap<ConsId, Vec<StateId>>,
+    const_lbs: IdMap<ConsId, Vec<StateId>>,
     /// Constructor lower bounds by full representative function.
-    cons_lbs: HashMap<u32, Vec<AnnId>>,
+    cons_lbs: IdMap<u32, Vec<AnnId>>,
     /// Static upper bounds `(pattern, annotation)`.
     sinks: Vec<(u32, AnnId)>,
 }
@@ -100,12 +101,12 @@ pub struct ForwardSystem {
     constructors: Vec<Constructor>,
     vars: Vec<VarData>,
     patterns: Vec<Pattern>,
-    pattern_ids: HashMap<Pattern, u32>,
+    pattern_ids: IdMap<Pattern, u32>,
     worklist: VecDeque<Fact>,
     clashes: Vec<ForwardClash>,
     /// Hash companion of `clashes` for O(1) dedup; `clashes` keeps the
     /// deterministic discovery order the public API reports.
-    clash_set: HashSet<ForwardClash>,
+    clash_set: IdSet<ForwardClash>,
     facts_processed: usize,
 }
 
@@ -117,10 +118,10 @@ impl ForwardSystem {
             constructors: Vec::new(),
             vars: Vec::new(),
             patterns: Vec::new(),
-            pattern_ids: HashMap::new(),
+            pattern_ids: IdMap::default(),
             worklist: VecDeque::new(),
             clashes: Vec::new(),
-            clash_set: HashSet::new(),
+            clash_set: IdSet::default(),
             facts_processed: 0,
         }
     }
@@ -454,7 +455,7 @@ impl ForwardSystem {
         // BFS over (var, outer-function) pairs; constants finish with a
         // state application.
         let id = self.algebra.identity();
-        let mut seen = std::collections::HashSet::new();
+        let mut seen = IdSet::default();
         let mut queue = VecDeque::new();
         seen.insert((x, id));
         queue.push_back((x, id));

@@ -70,6 +70,7 @@ mod budget;
 mod constraint;
 mod error;
 pub mod forward;
+mod idhash;
 mod notation;
 mod pattern;
 mod provenance;

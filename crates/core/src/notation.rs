@@ -6,13 +6,14 @@
 //! [`Algebra::describe`] of the annotation and is left out for `f_ε`. A
 //! constructor application reads `c(X, Y)` (a constant reads `c`) and a
 //! projection `c⁻ⁱ(X)`, with 1-based `i`. Variables print as their class
-//! representative's name.
+//! representative's name, except that a `collapse` step of `explain`
+//! names the variable that was collapsed.
 
-use std::collections::HashSet;
 use std::fmt::Write as _;
 
 use crate::algebra::{Algebra, AnnId};
 use crate::constraint::SetExpr;
+use crate::idhash::IdSet;
 use crate::provenance::{ExplainStep, ProvKey, Provenance, Reason};
 use crate::solver::{Sink, System, VarId};
 use crate::term::ConsId;
@@ -42,7 +43,7 @@ impl<A: Algebra> System<A> {
             return Vec::new();
         };
         let mut out = Vec::new();
-        let mut seen = HashSet::new();
+        let mut seen = IdSet::default();
         self.explain_key(prov, ProvKey::Lb(root, src, ann), &mut out, &mut seen, 0);
         out
     }
@@ -54,7 +55,7 @@ impl<A: Algebra> System<A> {
         prov: &Provenance,
         key: ProvKey,
         out: &mut Vec<ExplainStep>,
-        seen: &mut HashSet<ProvKey>,
+        seen: &mut IdSet<ProvKey>,
         depth: usize,
     ) {
         if depth > 64 || !seen.insert(key) {
@@ -112,7 +113,7 @@ impl<A: Algebra> System<A> {
                 "collapse",
                 format!(
                     "{entry} — re-derived when {} was collapsed into its ε-cycle class",
-                    self.var_name_safe(from)
+                    self.own_name(from)
                 ),
                 [None, None],
             ),
@@ -139,9 +140,15 @@ impl<A: Algebra> System<A> {
 
     /// A variable's class name, tolerating ids dropped by rollback.
     fn var_name_safe(&self, v: VarId) -> &str {
-        self.vars
-            .get(self.find(v).index())
-            .map_or(DROPPED, |d| &*d.name)
+        if v.index() >= self.num_vars() {
+            return DROPPED;
+        }
+        self.own_name(self.find(v))
+    }
+
+    /// A variable's own name, even when it was collapsed into a class.
+    fn own_name(&self, v: VarId) -> &str {
+        self.vars.get(v.index()).map_or(DROPPED, |d| &*d.name)
     }
 
     /// The `^f` of an inclusion `⊆^f`; empty for `f_ε`.

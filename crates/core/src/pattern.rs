@@ -8,9 +8,8 @@
 //! intersects it. This is the query shape used to "search for the
 //! existence of a term denoting an error in the program".
 
-use std::collections::HashSet;
-
 use crate::algebra::{Algebra, AnnId};
+use crate::idhash::IdSet;
 use crate::solver::{SrcId, System, VarId};
 use crate::term::ConsId;
 
@@ -105,7 +104,7 @@ impl<A: Algebra> System<A> {
     /// class and `outer` the composition above it.
     pub fn matches_pattern(&mut self, x: VarId, pattern: &TermPattern) -> bool {
         let id = self.algebra().identity();
-        let mut in_progress = HashSet::new();
+        let mut in_progress = IdSet::default();
         self.pattern_match(x, id, pattern, &mut in_progress)
     }
 
@@ -114,7 +113,7 @@ impl<A: Algebra> System<A> {
         x: VarId,
         outer: AnnId,
         pattern: &TermPattern,
-        in_progress: &mut HashSet<(VarId, AnnId, usize)>,
+        in_progress: &mut IdSet<(VarId, AnnId, usize)>,
     ) -> bool {
         // Cycle guard: a (var, ann, pattern-identity) triple currently on
         // the stack cannot justify itself (least-fixpoint semantics).
@@ -132,7 +131,7 @@ impl<A: Algebra> System<A> {
         x: VarId,
         outer: AnnId,
         pattern: &TermPattern,
-        in_progress: &mut HashSet<(VarId, AnnId, usize)>,
+        in_progress: &mut IdSet<(VarId, AnnId, usize)>,
     ) -> bool {
         // One `Copy` pair per entry: the recursion below needs `&mut self`.
         let lbs: Vec<(SrcId, AnnId)> = self.lbs_of(x).collect();
@@ -185,7 +184,7 @@ impl<A: Algebra> System<A> {
         &mut self,
         src: SrcId,
         outer: AnnId,
-        in_progress: &mut HashSet<(VarId, AnnId, usize)>,
+        in_progress: &mut IdSet<(VarId, AnnId, usize)>,
     ) -> bool {
         (0..self.source(src).args.len()).all(|i| {
             let a = self.source(src).args[i];

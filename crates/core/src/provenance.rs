@@ -14,9 +14,10 @@
 //! recorded while an epoch is open are journaled and removed again on
 //! [`crate::System::pop_epoch`].
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 
 use crate::algebra::AnnId;
+use crate::idhash::IdMap;
 use crate::solver::{SnkId, SrcId, VarId};
 
 /// Why a solved-form entry exists (the premise side of one derivation
@@ -76,9 +77,9 @@ pub(crate) enum ProvKey {
 #[derive(Debug, Default, Clone)]
 pub(crate) struct Provenance {
     /// Reasons frozen into the shared base layer at fork time.
-    pub(crate) base: Option<std::sync::Arc<HashMap<ProvKey, Reason>>>,
+    pub(crate) base: Option<std::sync::Arc<IdMap<ProvKey, Reason>>>,
     /// First recorded reason per solved-form entry since the fork.
-    pub(crate) map: HashMap<ProvKey, Reason>,
+    pub(crate) map: IdMap<ProvKey, Reason>,
     /// Reason of each pending worklist fact, in worklist order.
     pub(crate) pending: VecDeque<Reason>,
 }
@@ -102,7 +103,7 @@ impl Provenance {
     pub(crate) fn iter(&self) -> impl Iterator<Item = (&ProvKey, &Reason)> {
         self.base
             .as_deref()
-            .map(HashMap::iter)
+            .map(IdMap::iter)
             .into_iter()
             .flatten()
             .chain(self.map.iter())
@@ -117,7 +118,7 @@ impl Provenance {
         }
         let mut core = match self.base.take() {
             Some(b) => std::sync::Arc::try_unwrap(b).unwrap_or_else(|arc| (*arc).clone()),
-            None => HashMap::new(),
+            None => IdMap::default(),
         };
         core.extend(std::mem::take(&mut self.map));
         self.base = Some(std::sync::Arc::new(core));

@@ -11,9 +11,10 @@
 //! acceptance depends only on a path's class under the right congruence
 //! `≡_r` (§5), so it carries [`Algebra::Class`]es instead of functions.
 
-use std::collections::{HashMap, HashSet, VecDeque};
+use std::collections::{HashMap, VecDeque};
 
 use crate::algebra::{Algebra, AnnId};
+use crate::idhash::{IdMap, IdSet};
 use crate::solver::{SrcId, System, VarId};
 use crate::term::{ConsId, GroundTerm};
 
@@ -42,7 +43,7 @@ impl<A: Algebra> System<A> {
     pub fn occurrence_annotations(&mut self, x: VarId, target: ConsId) -> Vec<AnnId> {
         let id = self.algebra().identity();
         let mut found = Vec::new();
-        let mut seen: HashSet<(VarId, AnnId)> = HashSet::new();
+        let mut seen: IdSet<(VarId, AnnId)> = IdSet::default();
         let mut queue: VecDeque<(VarId, AnnId)> = VecDeque::new();
         seen.insert((x, id));
         queue.push_back((x, id));
@@ -84,8 +85,8 @@ impl<A: Algebra> System<A> {
         // reconstruct the wrapping stack.
         let id = self.algebra().identity();
         let start = (x, id);
-        let mut parents: HashMap<(VarId, AnnId), ((VarId, AnnId), ConsId)> = HashMap::new();
-        let mut seen: HashSet<(VarId, AnnId)> = HashSet::new();
+        let mut parents: IdMap<(VarId, AnnId), ((VarId, AnnId), ConsId)> = IdMap::default();
+        let mut seen: IdSet<(VarId, AnnId)> = IdSet::default();
         let mut queue: VecDeque<(VarId, AnnId)> = VecDeque::new();
         seen.insert(start);
         queue.push_back(start);
@@ -239,7 +240,7 @@ impl<A: Algebra> System<A> {
         // Discover the pair graph reachable from (x, y), then run a
         // Knaster–Tarski least-fixpoint iteration over it.
         let mut pairs: Vec<(VarId, VarId)> = Vec::new();
-        let mut index: HashMap<(VarId, VarId), usize> = HashMap::new();
+        let mut index: IdMap<(VarId, VarId), usize> = IdMap::default();
         let mut stack = vec![(x, y)];
         index.insert((x, y), 0);
         pairs.push((x, y));
@@ -336,7 +337,7 @@ impl<A: Algebra> System<A> {
         // hop results at canonical variables only.
         let id = self.algebra().identity();
         let mut out: Vec<AnnId> = Vec::new();
-        let mut seen: HashSet<(VarId, AnnId)> = HashSet::new();
+        let mut seen: IdSet<(VarId, AnnId)> = IdSet::default();
         let mut bfs: VecDeque<(VarId, AnnId)> = VecDeque::new();
         let x0 = self.find(x);
         seen.insert((x0, id));

@@ -36,17 +36,18 @@
 //! destination, and the directory is fsynced — a crash at any point leaves
 //! either the old snapshot or the new one, never a torn mix.
 
-use std::collections::HashMap;
 use std::fmt;
 use std::fs::{self, File};
 use std::hash::Hash;
 use std::io::{self, Write};
 use std::path::Path;
+use std::sync::Arc;
 
 use rasc_automata::{Monoid, StateId};
 
 use crate::algebra::{Algebra, AnnId, MonoidAlgebra};
 use crate::constraint::{Constraint, SetExpr};
+use crate::idhash::IdMap;
 use crate::provenance::{ProvKey, Provenance, Reason};
 use crate::solver::{
     entry_count, Clash, Sink, SnkId, SolverConfig, Source, SrcId, System, VarData, VarId,
@@ -561,13 +562,16 @@ impl System<MonoidAlgebra> {
                 }
             }
         }
-        for v in &self.vars {
+        for v in self.vars.iter() {
             w.str(&v.name);
             write_log(&mut w, &v.succs, |k: VarId| k.0);
             write_log(&mut w, &v.lbs, |k: SrcId| k.0);
             write_log(&mut w, &v.ubs, |k: SnkId| k.0);
         }
-        w.u32_seq(&self.parent);
+        w.seq_len(self.parent.len());
+        for &p in self.parent.iter() {
+            w.u32(p);
+        }
         w.seq_len(self.constraints.len());
         for con in self.constraints.iter() {
             write_expr(&mut w, &con.lhs);
@@ -710,9 +714,6 @@ impl System<MonoidAlgebra> {
         sys.sinks = InternTable::from_list(sinks)
             .map_err(|i| SnapshotError::corrupt(format!("duplicate sink {i}")))?;
 
-        // A variable's record takes at least 32 bytes (a name length and
-        // three log lengths), so reserve no more than the payload can hold.
-        sys.vars = Vec::with_capacity(d.vars.min(d.r.remaining() / 32));
         for vi in 0..d.vars {
             let dup = |what: &str| {
                 SnapshotError::corrupt(format!("duplicate {what} entry on variable {vi}"))
@@ -780,7 +781,7 @@ impl System<MonoidAlgebra> {
         sys.depth_limit_hits = d.usize()?;
         if d.r.bool()? {
             let n_prov = d.r.seq_len()?;
-            let mut map = HashMap::with_capacity(n_prov);
+            let mut map = IdMap::with_capacity_and_hasher(n_prov, Default::default());
             for _ in 0..n_prov {
                 let key = d.prov_key()?;
                 let reason = d.reason()?;
@@ -866,7 +867,7 @@ fn read_algebra(r: &mut ByteReader<'_>) -> Result<MonoidAlgebra, SnapshotError> 
         Monoid::from_parts(n_states, start, accepting, fn_images, identity, &generators)
             .map_err(|detail| SnapshotError::corrupt(format!("monoid table rejected: {detail}")))?;
     Ok(MonoidAlgebra {
-        monoid,
+        monoid: Arc::new(monoid),
         reachable,
         coreachable,
     })

@@ -28,7 +28,7 @@
 //! lives in [`crate::snapshot`], and the paper's notation (`explain`,
 //! `render_solved_form`) in `notation.rs`.
 
-use std::collections::{HashMap, HashSet, VecDeque};
+use std::collections::VecDeque;
 use std::sync::Arc;
 
 use rasc_obs as obs;
@@ -38,9 +38,10 @@ use crate::budget::{Budget, Outcome};
 use crate::constraint::{Constraint, SetExpr};
 use crate::error::{CoreError, Result};
 use crate::id_u32;
+use crate::idhash::{IdMap, IdSet};
 use crate::provenance::{ProvKey, Provenance, Reason};
 use crate::snapshot::SnapshotError;
-use crate::store::{AnnMap, CowVec, InternTable};
+use crate::store::{AnnMap, ChunkVec, CowVec, InternTable};
 use crate::term::{ConsId, Constructor, Variance};
 
 /// An interned set variable.
@@ -261,17 +262,17 @@ const CYCLE_SEARCH_DEPTH: usize = 32;
 pub struct System<A: Algebra> {
     pub(crate) algebra: A,
     pub(crate) constructors: CowVec<Constructor>,
-    pub(crate) vars: Vec<VarData>,
+    pub(crate) vars: ChunkVec<VarData>,
     pub(crate) sources: InternTable<Source>,
     pub(crate) sinks: InternTable<Sink>,
     worklist: VecDeque<Fact>,
     pub(crate) constraints: CowVec<Constraint>,
     pub(crate) clashes: Vec<Clash>,
-    pub(crate) clash_set: HashSet<Clash>,
+    pub(crate) clash_set: IdSet<Clash>,
     pub(crate) facts_processed: usize,
     pub(crate) config: SolverConfig,
     /// Union-find parents for cycle elimination (self-parent = root).
-    pub(crate) parent: Vec<u32>,
+    pub(crate) parent: ChunkVec<u32>,
     /// Variables collapsed by cycle elimination.
     pub(crate) cycles_collapsed: usize,
     /// Live solved-form entry count (annotated edges + lower bounds +
@@ -330,9 +331,9 @@ struct PendingCounts {
 #[derive(Debug, Default)]
 struct CycleScratch {
     stack: Vec<VarId>,
-    visited: HashSet<VarId>,
+    visited: IdSet<VarId>,
     path: Vec<VarId>,
-    parent_of: HashMap<VarId, VarId>,
+    parent_of: IdMap<VarId, VarId>,
 }
 
 impl CycleScratch {
@@ -407,16 +408,16 @@ impl<A: Algebra> System<A> {
         System {
             algebra,
             constructors: CowVec::default(),
-            vars: Vec::new(),
+            vars: ChunkVec::default(),
             sources: InternTable::default(),
             sinks: InternTable::default(),
             worklist: VecDeque::new(),
             constraints: CowVec::default(),
             clashes: Vec::new(),
-            clash_set: HashSet::new(),
+            clash_set: IdSet::default(),
             facts_processed: 0,
             config,
-            parent: Vec::new(),
+            parent: ChunkVec::default(),
             cycles_collapsed: 0,
             live_entries: 0,
             journal: None,
@@ -1332,7 +1333,7 @@ impl<A: Algebra> System<A> {
         let mut upper = 0;
         let mut max_lower = 0;
         let mut max_upper = 0;
-        for v in &self.vars {
+        for v in self.vars.iter() {
             edges += v.succs.len();
             let l = v.lbs.len();
             let u = v.ubs.len();
@@ -1379,7 +1380,7 @@ impl<A: Algebra> System<A> {
         // Hash-backed dedup (the linear `keys.contains` scan was quadratic
         // in the number of interned expressions); emission order is still
         // first-occurrence order.
-        let mut seen: HashSet<ExprKey> = HashSet::new();
+        let mut seen: IdSet<ExprKey> = IdSet::default();
         let mut keys: Vec<ExprKey> = Vec::new();
         for s in self.sources.iter() {
             let key = (s.cons, s.args.clone());
@@ -1435,10 +1436,13 @@ impl<A: Algebra> System<A> {
 ///
 /// Produced by [`System::into_base`], which freezes every layered store
 /// (entry logs, intern tables, constraints, provenance) into
-/// `Arc`-shared cores. Forks bump those `Arc`s instead of
-/// re-deserializing or re-solving: a fork costs O(vars) `Arc` bumps (no
-/// solved-form entry is copied), and each fork's private memory is
-/// proportional to its own deltas.
+/// `Arc`-shared cores, and shares the per-variable records and the
+/// union-find parents in chunks of 64 variables. Forks bump those `Arc`s
+/// instead of re-deserializing or re-solving, so a fork costs the same
+/// whatever the base's size, and each fork's private memory is
+/// proportional to its own deltas: its first write to a variable copies
+/// the list of chunks (one pointer per 64 variables) and clones that
+/// variable's chunk.
 #[derive(Debug)]
 pub struct BaseSystem<A: Algebra>(System<A>);
 
@@ -1474,11 +1478,12 @@ impl<A: Algebra> System<A> {
             )));
         }
         self.pending_counts.flush();
-        for v in &mut self.vars {
+        self.vars.freeze(|v| {
             v.succs.freeze();
             v.lbs.freeze();
             v.ubs.freeze();
-        }
+        });
+        self.parent.freeze(|_| {});
         self.constructors.freeze();
         self.constraints.freeze();
         self.sources.freeze();
@@ -1490,10 +1495,13 @@ impl<A: Algebra> System<A> {
     }
 
     /// Creates a mutable copy-on-write fork of a frozen base: all
-    /// solved-form tiers, intern tables, constraints, and provenance are
-    /// shared by `Arc`; only deltas made through the fork allocate. The
-    /// fork answers every query identically to the base (including stats
-    /// and provenance) and supports the full grow/solve/epoch surface.
+    /// solved-form tiers, intern tables, constraints, provenance, the
+    /// per-variable records and the algebra's monoid are shared by `Arc`,
+    /// so forking, and dropping a fork that wrote nothing, costs a fixed
+    /// handful of `Arc` bumps; only deltas made through the fork
+    /// allocate. The fork answers every query identically to the base
+    /// (including stats and provenance) and supports the full
+    /// grow/solve/epoch surface.
     pub fn fork(base: &BaseSystem<A>) -> System<A>
     where
         A: Clone,

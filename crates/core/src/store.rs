@@ -17,6 +17,8 @@
 //!   walks the log; the set only rejects duplicate entries.
 //! * [`CowVec`] — an append-only vector (constructors, constraints).
 //! * [`InternTable`] — an id ↔ value interning table (sources, sinks).
+//! * [`ChunkVec`] — the per-variable state (solved forms, union-find
+//!   parents) in fixed-size chunks, so a fork shares it chunk by chunk.
 //!
 //! An [`AnnMap`] layer picks its storage tier by size, because most
 //! categories are tiny (in the pushdown encoding nearly all edge
@@ -31,15 +33,22 @@
 //!
 //! # Copy-on-write layering
 //!
-//! Every table here is two layers: an optional immutable **base**
-//! (`Arc`-shared between every system forked from the same solved form)
-//! and a mutable **overlay** recording only what was added since the
-//! fork. Each [`AnnMap`] layer picks its tier from its own length. Reads
-//! merge both layers; writes touch only the overlay. A table that never
-//! forked simply has no base layer, so the single-system hot path pays one
-//! `Option` check per operation. `freeze` flattens the overlay onto the
-//! base (reusing the `Arc` untouched when the overlay is empty), which is
-//! how a solved system becomes a new shareable base.
+//! Every table here but [`ChunkVec`] is two layers: an optional
+//! immutable **base** (`Arc`-shared between every system forked from the
+//! same solved form) and a mutable **overlay** recording only what was
+//! added since the fork. Each [`AnnMap`] layer picks its tier from its
+//! own length. Reads merge both layers; writes touch only the overlay. A
+//! table that never forked simply has no base layer, so the single-system
+//! hot path pays one `Option` check per operation. `freeze` flattens the
+//! overlay onto the base (reusing the `Arc` untouched when the overlay is
+//! empty), which is how a solved system becomes a new shareable base.
+//!
+//! A [`ChunkVec`] holds one record per variable, so it shares chunks
+//! rather than layers: freezing cuts it into chunks of 64, a fork bumps
+//! one count for the whole frozen list of them, and the fork's first
+//! write copies that list (one pointer per 64 variables) and clones the
+//! written variable's chunk, whose records are frozen [`AnnMap`]s that
+//! clone by bumping their bases.
 //!
 //! Rollback discipline: epoch undo removes entries in exact reverse
 //! insertion order, so [`AnnMap::remove`] looks the log up from the back —
@@ -49,11 +58,11 @@
 //! overlay entry and every truncation watermark lies past the base; the
 //! base layer is never mutated.
 
-use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
 
 use crate::algebra::AnnId;
 use crate::id_u32;
+use crate::idhash::{IdMap, IdSet};
 
 /// Log-only tier capacity: an [`AnnMap`] layer with at most this many
 /// entries keeps no membership set and answers membership by scanning its
@@ -70,7 +79,7 @@ struct AnnMapCore<K> {
     entries: Vec<(K, AnnId)>,
     /// The same entries as a set, present iff `entries` is longer than
     /// [`ANNMAP_INDEX_LEN`].
-    index: Option<HashSet<(K, AnnId)>>,
+    index: Option<IdSet<(K, AnnId)>>,
 }
 
 impl<K> Default for AnnMapCore<K> {
@@ -251,7 +260,7 @@ impl<K: Copy + Eq + std::hash::Hash> AnnMap<K> {
     pub(crate) fn load_log(&mut self, entries: Vec<(K, AnnId)>) -> bool {
         debug_assert!(self.base.is_none() && self.over.entries.is_empty());
         let index = if entries.len() > ANNMAP_INDEX_LEN {
-            let mut index = HashSet::with_capacity(entries.len());
+            let mut index = IdSet::with_capacity_and_hasher(entries.len(), Default::default());
             if !entries.iter().all(|&e| index.insert(e)) {
                 return false;
             }
@@ -366,7 +375,7 @@ impl<T: Clone> CowVec<T> {
 pub(crate) struct InternTable<T> {
     base: Option<Arc<InternCore<T>>>,
     list: Vec<T>,
-    ids: HashMap<T, u32>,
+    ids: IdMap<T, u32>,
 }
 
 impl<T> Default for InternTable<T> {
@@ -374,7 +383,7 @@ impl<T> Default for InternTable<T> {
         InternTable {
             base: None,
             list: Vec::new(),
-            ids: HashMap::new(),
+            ids: IdMap::default(),
         }
     }
 }
@@ -382,14 +391,14 @@ impl<T> Default for InternTable<T> {
 #[derive(Debug, Clone)]
 struct InternCore<T> {
     list: Vec<T>,
-    ids: HashMap<T, u32>,
+    ids: IdMap<T, u32>,
 }
 
 impl<T> Default for InternCore<T> {
     fn default() -> Self {
         InternCore {
             list: Vec::new(),
-            ids: HashMap::new(),
+            ids: IdMap::default(),
         }
     }
 }
@@ -398,7 +407,7 @@ impl<T: Clone + Eq + std::hash::Hash> InternTable<T> {
     /// A table of `list` in order (the snapshot restore path), or the
     /// index of the first value that repeats an earlier one.
     pub(crate) fn from_list(list: Vec<T>) -> Result<InternTable<T>, usize> {
-        let mut ids = HashMap::with_capacity(list.len());
+        let mut ids = IdMap::with_capacity_and_hasher(list.len(), Default::default());
         for (i, value) in list.iter().enumerate() {
             if ids.insert(value.clone(), i as u32).is_some() {
                 return Err(i);
@@ -487,6 +496,205 @@ impl<T: Clone + Eq + std::hash::Hash> InternTable<T> {
         core.list.append(&mut self.list);
         core.ids.extend(std::mem::take(&mut self.ids));
         self.base = Some(Arc::new(core));
+    }
+}
+
+/// Elements per [`ChunkVec`] chunk: a fork's first write to a base
+/// variable clones 64 variables' records, each a few `Arc` bumps.
+const CHUNK: usize = 64;
+
+/// A vector that forks share in fixed-size chunks: the per-variable
+/// state of a [`System`](crate::System).
+///
+/// Until it is first frozen it is one flat `Vec`, so a system that never
+/// forks pays one branch per access for the chunking.
+/// [`ChunkVec::freeze`] cuts it into chunks and shares every chunk, and
+/// the list of them as a whole, so cloning a frozen `ChunkVec` bumps one
+/// count however long it is. The clone's first write copies the list
+/// (one pointer per chunk) and then the written chunk alone. An
+/// element's clone must be cheap: the solver's records are frozen entry
+/// logs, whose clones bump their shared base instead of copying entries.
+#[derive(Debug, Clone)]
+pub(crate) struct ChunkVec<T> {
+    chunks: Chunks<T>,
+    len: usize,
+}
+
+#[derive(Debug, Clone)]
+enum Chunks<T> {
+    /// Never frozen: every element in one vector of this vector's own.
+    Flat(Vec<T>),
+    /// Every chunk, and the list of them, shared and read-only.
+    Frozen(Arc<Vec<Arc<Vec<T>>>>),
+    /// A list of this vector's own, each chunk shared until written.
+    Open(Vec<Chunk<T>>),
+}
+
+impl<T> Default for Chunks<T> {
+    fn default() -> Self {
+        Chunks::Flat(Vec::new())
+    }
+}
+
+#[derive(Debug, Clone)]
+enum Chunk<T> {
+    Shared(Arc<Vec<T>>),
+    Owned(Vec<T>),
+}
+
+impl<T> Default for ChunkVec<T> {
+    fn default() -> Self {
+        ChunkVec {
+            chunks: Chunks::default(),
+            len: 0,
+        }
+    }
+}
+
+impl<T: Clone> ChunkVec<T> {
+    pub(crate) fn len(&self) -> usize {
+        self.len
+    }
+
+    /// Chunk `c`'s elements (of a flat vector, the same range of it).
+    fn chunk(&self, c: usize) -> Option<&[T]> {
+        match &self.chunks {
+            Chunks::Flat(all) => all.get(c * CHUNK..all.len().min((c + 1) * CHUNK)),
+            Chunks::Frozen(list) => list.get(c).map(|chunk| chunk.as_slice()),
+            Chunks::Open(list) => list.get(c).map(|chunk| match chunk {
+                Chunk::Shared(shared) => shared.as_slice(),
+                Chunk::Owned(own) => own.as_slice(),
+            }),
+        }
+    }
+
+    pub(crate) fn get(&self, i: usize) -> Option<&T> {
+        self.chunk(i / CHUNK).and_then(|c| c.get(i % CHUNK))
+    }
+
+    /// The list of chunks, made this vector's own: a flat vector is cut
+    /// into chunks, and a frozen one's list copied.
+    fn open(&mut self) -> &mut Vec<Chunk<T>> {
+        let list = match std::mem::take(&mut self.chunks) {
+            Chunks::Flat(all) => {
+                let mut rest = all.into_iter();
+                (0..self.len.div_ceil(CHUNK))
+                    .map(|_| Chunk::Owned(rest.by_ref().take(CHUNK).collect()))
+                    .collect()
+            }
+            Chunks::Frozen(list) => list.iter().map(|c| Chunk::Shared(Arc::clone(c))).collect(),
+            Chunks::Open(list) => list,
+        };
+        self.chunks = Chunks::Open(list);
+        match &mut self.chunks {
+            Chunks::Open(list) => list,
+            _ => unreachable!("opened above"),
+        }
+    }
+
+    /// Chunk `c` of the opened list, cloned out of the shared base first
+    /// if need be.
+    fn owned_chunk(&mut self, c: usize) -> &mut Vec<T> {
+        let chunk = &mut self.open()[c];
+        if let Chunk::Shared(shared) = chunk {
+            let mut own = Vec::with_capacity(CHUNK);
+            own.extend_from_slice(shared);
+            *chunk = Chunk::Owned(own);
+        }
+        match chunk {
+            Chunk::Owned(own) => own,
+            Chunk::Shared(_) => unreachable!("made owned above"),
+        }
+    }
+
+    pub(crate) fn push(&mut self, value: T) {
+        if let Chunks::Flat(all) = &mut self.chunks {
+            all.push(value);
+        } else if self.len.is_multiple_of(CHUNK) {
+            let mut own = Vec::with_capacity(CHUNK);
+            own.push(value);
+            self.open().push(Chunk::Owned(own));
+        } else {
+            self.owned_chunk(self.len / CHUNK).push(value);
+        }
+        self.len += 1;
+    }
+
+    /// Shortens the vector to `n` elements (epoch rollback), cloning at
+    /// most the one shared chunk that `n` cuts.
+    pub(crate) fn truncate(&mut self, n: usize) {
+        if n >= self.len {
+            return;
+        }
+        self.len = n;
+        if let Chunks::Flat(all) = &mut self.chunks {
+            all.truncate(n);
+            return;
+        }
+        self.open().truncate(n.div_ceil(CHUNK));
+        if !n.is_multiple_of(CHUNK) {
+            self.owned_chunk(n / CHUNK).truncate(n % CHUNK);
+        }
+    }
+
+    pub(crate) fn iter(&self) -> impl Iterator<Item = &T> {
+        (0..self.len.div_ceil(CHUNK))
+            .filter_map(|c| self.chunk(c))
+            .flatten()
+    }
+
+    /// Shares every chunk and the list of them, after applying `freeze`
+    /// to each element of the chunks this vector owned; shared chunks are
+    /// frozen already and stay as they are.
+    pub(crate) fn freeze(&mut self, mut freeze: impl FnMut(&mut T)) {
+        if matches!(self.chunks, Chunks::Frozen(_)) {
+            return;
+        }
+        let list = std::mem::take(self.open())
+            .into_iter()
+            .map(|chunk| match chunk {
+                Chunk::Shared(shared) => shared,
+                Chunk::Owned(mut own) => {
+                    own.iter_mut().for_each(&mut freeze);
+                    Arc::new(own)
+                }
+            })
+            .collect();
+        self.chunks = Chunks::Frozen(Arc::new(list));
+    }
+}
+
+impl<T: Clone> FromIterator<T> for ChunkVec<T> {
+    fn from_iter<I: IntoIterator<Item = T>>(items: I) -> Self {
+        let all: Vec<T> = items.into_iter().collect();
+        ChunkVec {
+            len: all.len(),
+            chunks: Chunks::Flat(all),
+        }
+    }
+}
+
+impl<T: Clone> std::ops::Index<usize> for ChunkVec<T> {
+    type Output = T;
+
+    fn index(&self, i: usize) -> &T {
+        match &self.chunks {
+            Chunks::Flat(all) => &all[i],
+            Chunks::Frozen(list) => &list[i / CHUNK][i % CHUNK],
+            Chunks::Open(list) => match &list[i / CHUNK] {
+                Chunk::Shared(shared) => &shared[i % CHUNK],
+                Chunk::Owned(own) => &own[i % CHUNK],
+            },
+        }
+    }
+}
+
+impl<T: Clone> std::ops::IndexMut<usize> for ChunkVec<T> {
+    fn index_mut(&mut self, i: usize) -> &mut T {
+        match self.chunks {
+            Chunks::Flat(ref mut all) => &mut all[i],
+            _ => &mut self.owned_chunk(i / CHUNK)[i % CHUNK],
+        }
     }
 }
 
@@ -669,5 +877,45 @@ mod tests {
             .iter_entries()
             .eq([(1, ann(10)), (2, ann(20)), (1, ann(12)), (4, ann(40))]));
         assert_eq!(grown.base_len(), 4);
+    }
+
+    #[test]
+    fn chunk_vec_forks_share_chunks_until_written() {
+        let n = 3 * CHUNK + 5;
+        let mut base: ChunkVec<u32> = (0..n as u32).collect();
+        base.freeze(|x| *x += 1000);
+        let expect: Vec<u32> = (1000..1000 + n as u32).collect();
+        assert!(base.iter().copied().eq(expect.iter().copied()));
+
+        // A clone of a frozen vector shares the whole chunk list.
+        let mut fork = base.clone();
+        let (Chunks::Frozen(a), Chunks::Frozen(b)) = (&base.chunks, &fork.chunks) else {
+            panic!("freeze shares every chunk");
+        };
+        assert!(Arc::ptr_eq(a, b));
+
+        // Its first write clones the written chunk alone.
+        fork[CHUNK + 1] = 7;
+        fork.push(8);
+        let Chunks::Open(list) = &fork.chunks else {
+            panic!("a write opens the list");
+        };
+        let owned: Vec<bool> = list.iter().map(|c| matches!(c, Chunk::Owned(_))).collect();
+        assert_eq!(owned, [false, true, false, true]);
+        assert_eq!((fork[CHUNK + 1], fork[n], fork.len()), (7, 8, n + 1));
+        assert!(
+            base.iter().copied().eq(expect.iter().copied()),
+            "base unchanged"
+        );
+
+        // Rollback truncates back into the shared prefix.
+        fork.truncate(2 * CHUNK + 3);
+        assert_eq!(fork.len(), 2 * CHUNK + 3);
+        assert_eq!(fork.get(2 * CHUNK + 3), None);
+        assert_eq!(fork.iter().count(), 2 * CHUNK + 3);
+        assert_eq!(
+            fork.get(2 * CHUNK + 2),
+            Some(&(1000 + 2 * CHUNK as u32 + 2))
+        );
     }
 }

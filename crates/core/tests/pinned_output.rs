@@ -158,7 +158,7 @@ explain R c
   trans-lb -: o(Y) ⊆ Q — lower bound pushed across edge Z ⊆ Q
   constraint 12: Z ⊆ Q — from constraint #12: Z ⊆ Q
   constraint 3: o(Y) ⊆ Z — from constraint #3: o(Y) ⊆ Z
-  collapse -: Q ⊆ o(R) — re-derived when Q was collapsed into its ε-cycle class
+  collapse -: Q ⊆ o(R) — re-derived when P was collapsed into its ε-cycle class
   trans-lb -: c ⊆^[1,1] Y — lower bound pushed across edge W ⊆^[1,1] Y
   resolve -: W ⊆^[1,1] Y — §3.1 resolution at X
   constraint 1: o(W) ⊆^[1,1] X — from constraint #1: o(W) ⊆^[1,1] X
@@ -180,7 +180,7 @@ explain R o
   trans-lb -: o(Y) ⊆ Q — lower bound pushed across edge Z ⊆ Q
   constraint 12: Z ⊆ Q — from constraint #12: Z ⊆ Q
   constraint 3: o(Y) ⊆ Z — from constraint #3: o(Y) ⊆ Z
-  collapse -: Q ⊆ o(R) — re-derived when Q was collapsed into its ε-cycle class
+  collapse -: Q ⊆ o(R) — re-derived when P was collapsed into its ε-cycle class
   constraint 11: o(F1) ⊆ Y — from constraint #11: o(F1) ⊆ Y
 explain F1 d
   constraint 10: d ⊆ F1 — from constraint #10: d ⊆ F1

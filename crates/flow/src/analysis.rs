@@ -10,6 +10,7 @@ use crate::ast::{Expr, Program};
 use crate::brackets::BracketLang;
 use crate::error::{FlowError, Result};
 use crate::types::{TypeId, TypeTable};
+use crate::{known_label, well_formed};
 
 /// Per-function signature labels: one top-level label for the parameter
 /// and one for the return (constraints extend only to top-level
@@ -106,10 +107,11 @@ impl FlowAnalysis {
                     found: analysis.types.render(body_ty),
                 });
             }
-            analysis
-                .sys
-                .add(SetExpr::var(body_label), SetExpr::var(sig.ret_label))
-                .expect("well-formed");
+            well_formed(
+                analysis
+                    .sys
+                    .add(SetExpr::var(body_label), SetExpr::var(sig.ret_label)),
+            );
         }
         Ok(analysis)
     }
@@ -138,9 +140,7 @@ impl FlowAnalysis {
                 // queries (§7.5) see concrete abstract values.
                 let k = self.sys.num_vars();
                 let lit = self.sys.constructor(&format!("lit_{value}_{k}"), &[]);
-                self.sys
-                    .add(SetExpr::cons(lit, []), SetExpr::var(v))
-                    .expect("well-formed");
+                well_formed(self.sys.add(SetExpr::cons(lit, []), SetExpr::var(v)));
                 Ok((ty, v))
             }
             Expr::Var { name, label } => {
@@ -148,9 +148,7 @@ impl FlowAnalysis {
                     .get(name.as_str())
                     .ok_or_else(|| FlowError::Unbound(name.clone()))?;
                 let v = self.fresh(label, ty, name);
-                self.sys
-                    .add(SetExpr::var(src), SetExpr::var(v))
-                    .expect("well-formed");
+                well_formed(self.sys.add(SetExpr::var(src), SetExpr::var(v)));
                 Ok((ty, v))
             }
             Expr::Pair { fst, snd, label } => {
@@ -164,12 +162,8 @@ impl FlowAnalysis {
                 // tl(σ₁) ⊆^{[1_π} P and tl(σ₂) ⊆^{[2_π} P (§7.2.2).
                 let a1 = self.bracket_open(0, pair_ty);
                 let a2 = self.bracket_open(1, pair_ty);
-                self.sys
-                    .add_ann(SetExpr::var(l1), SetExpr::var(p), a1)
-                    .expect("well-formed");
-                self.sys
-                    .add_ann(SetExpr::var(l2), SetExpr::var(p), a2)
-                    .expect("well-formed");
+                well_formed(self.sys.add_ann(SetExpr::var(l1), SetExpr::var(p), a1));
+                well_formed(self.sys.add_ann(SetExpr::var(l2), SetExpr::var(p), a2));
                 Ok((pair_ty, p))
             }
             Expr::Proj {
@@ -187,9 +181,7 @@ impl FlowAnalysis {
                 let z = self.fresh(label, comp_ty, "proj");
                 // P ⊆^{]ᵢ_π} Z.
                 let a = self.bracket_close(*index, pt);
-                self.sys
-                    .add_ann(SetExpr::var(pl), SetExpr::var(z), a)
-                    .expect("well-formed");
+                well_formed(self.sys.add_ann(SetExpr::var(pl), SetExpr::var(z), a));
                 Ok((comp_ty, z))
             }
             Expr::Call {
@@ -223,9 +215,10 @@ impl FlowAnalysis {
                             });
                         }
                         // o_i(A) ⊆ P_f (Fig. 12: o_i(B) ⊆ Y).
-                        self.sys
-                            .add(SetExpr::cons_vars(o_i, [al]), SetExpr::var(pl))
-                            .expect("well-formed");
+                        well_formed(
+                            self.sys
+                                .add(SetExpr::cons_vars(o_i, [al]), SetExpr::var(pl)),
+                        );
                     }
                     (None, None, None) => {}
                     _ => {
@@ -246,9 +239,10 @@ impl FlowAnalysis {
                 }
                 let t = self.fresh(label, sig.ret_ty, "call");
                 // o_i⁻¹(R_f) ⊆ T (Fig. 12: o_i⁻¹(H) ⊆ T).
-                self.sys
-                    .add(SetExpr::proj(o_i, 0, sig.ret_label), SetExpr::var(t))
-                    .expect("well-formed");
+                well_formed(
+                    self.sys
+                        .add(SetExpr::proj(o_i, 0, sig.ret_label), SetExpr::var(t)),
+                );
                 Ok((sig.ret_ty, t))
             }
             Expr::Let { name, bound, body } => {
@@ -268,35 +262,16 @@ impl FlowAnalysis {
                     });
                 }
                 let v = self.fresh(label, t1, "choice");
-                self.sys
-                    .add(SetExpr::var(l1), SetExpr::var(v))
-                    .expect("well-formed");
-                self.sys
-                    .add(SetExpr::var(l2), SetExpr::var(v))
-                    .expect("well-formed");
+                well_formed(self.sys.add(SetExpr::var(l1), SetExpr::var(v)));
+                well_formed(self.sys.add(SetExpr::var(l2), SetExpr::var(v)));
                 Ok((t1, v))
             }
         }
     }
 
     fn pair_type(&mut self, t1: TypeId, t2: TypeId) -> Result<TypeId> {
-        // Rebuild the surface type and intern: component ids are stable.
-        fn surface(table: &TypeTable, t: TypeId) -> crate::ast::Type {
-            if table.is_pair(t) {
-                crate::ast::Type::Pair(
-                    Box::new(surface(table, table.component(t, 0).expect("pair"))),
-                    Box::new(surface(table, table.component(t, 1).expect("pair"))),
-                )
-            } else {
-                crate::ast::Type::Int
-            }
-        }
-        let ty = crate::ast::Type::Pair(
-            Box::new(surface(&self.types, t1)),
-            Box::new(surface(&self.types, t2)),
-        );
         let before = self.types.all().count();
-        let id = self.types.intern(&ty);
+        let id = self.types.pair(t1, t2);
         if self.types.all().count() != before {
             // The collect_types pre-pass interns every expression type, so
             // a fresh pair type here is a bug in the pre-pass.
@@ -345,7 +320,7 @@ impl FlowAnalysis {
     /// to validate labels first when they come from user input).
     pub fn flows(&mut self, src: &str, dst: &str) -> bool {
         let probe = self.probe(src);
-        let dst_var = self.label_var(dst).expect("unknown destination label");
+        let dst_var = known_label(self.label_var(dst));
         self.sys
             .lower_bound_annotations(dst_var, probe)
             .iter()
@@ -357,9 +332,13 @@ impl FlowAnalysis {
     /// and may have escaped through unmatched returns/projections (the N
     /// part). Acceptance is "substring of a matched flow" — for the
     /// bracket languages here, exactly the N-then-P words.
+    ///
+    /// # Panics
+    ///
+    /// Panics if either label is unknown, as [`Self::flows`] does.
     pub fn flows_pn(&mut self, src: &str, dst: &str) -> bool {
         let probe = self.probe(src);
-        let dst_var = self.label_var(dst).expect("unknown destination label");
+        let dst_var = known_label(self.label_var(dst));
         let anns = self.sys.pn_occurrence_annotations(dst_var, probe);
         anns.iter().any(|&a| self.sys.algebra().is_useful(a))
     }
@@ -377,11 +356,9 @@ impl FlowAnalysis {
         if let Some(&c) = self.probes.get(src) {
             return c;
         }
-        let var = self.label_var(src).expect("unknown source label");
+        let var = known_label(self.label_var(src));
         let c = self.sys.constructor(&format!("probe_{src}"), &[]);
-        self.sys
-            .add(SetExpr::cons(c, []), SetExpr::var(var))
-            .expect("well-formed");
+        well_formed(self.sys.add(SetExpr::cons(c, []), SetExpr::var(var)));
         self.sys.solve();
         self.probes.insert(src.to_owned(), c);
         c
@@ -426,21 +403,7 @@ pub(crate) fn collect_types(program: &Program, types: &mut TypeTable) -> Result<
             Expr::Pair { fst, snd, .. } => {
                 let t1 = walk(fst, env, sigs, types)?;
                 let t2 = walk(snd, env, sigs, types)?;
-                fn surface(table: &TypeTable, t: TypeId) -> crate::ast::Type {
-                    if table.is_pair(t) {
-                        crate::ast::Type::Pair(
-                            Box::new(surface(table, table.component(t, 0).expect("pair"))),
-                            Box::new(surface(table, table.component(t, 1).expect("pair"))),
-                        )
-                    } else {
-                        crate::ast::Type::Int
-                    }
-                }
-                let ty = crate::ast::Type::Pair(
-                    Box::new(surface(types, t1)),
-                    Box::new(surface(types, t2)),
-                );
-                Ok(types.intern(&ty))
+                Ok(types.pair(t1, t2))
             }
             Expr::Proj { subject, index, .. } => {
                 let pt = walk(subject, env, sigs, types)?;

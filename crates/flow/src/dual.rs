@@ -18,6 +18,7 @@ use rasc_core::{ConsId, SetExpr, System, VarId, Variance};
 use crate::ast::{Expr, Program};
 use crate::error::{FlowError, Result};
 use crate::types::{TypeId, TypeTable};
+use crate::{known_label, well_formed};
 
 #[derive(Debug, Clone, Copy)]
 struct FunSig {
@@ -140,9 +141,10 @@ impl DualAnalysis {
                     found: types.render(body_ty),
                 });
             }
-            dual.sys
-                .add(SetExpr::var(body_label), SetExpr::var(sig.ret_label))
-                .expect("well-formed");
+            well_formed(
+                dual.sys
+                    .add(SetExpr::var(body_label), SetExpr::var(sig.ret_label)),
+            );
         }
         Ok(dual)
     }
@@ -168,9 +170,7 @@ impl DualAnalysis {
                 let v = self.fresh(label, "int");
                 let k = self.sys.num_vars();
                 let lit = self.sys.constructor(&format!("lit_{value}_{k}"), &[]);
-                self.sys
-                    .add(SetExpr::cons(lit, []), SetExpr::var(v))
-                    .expect("well-formed");
+                well_formed(self.sys.add(SetExpr::cons(lit, []), SetExpr::var(v)));
                 Ok((types.int(), v))
             }
             Expr::Var { name, label } => {
@@ -178,35 +178,20 @@ impl DualAnalysis {
                     .get(name.as_str())
                     .ok_or_else(|| FlowError::Unbound(name.clone()))?;
                 let v = self.fresh(label, name);
-                self.sys
-                    .add(SetExpr::var(src), SetExpr::var(v))
-                    .expect("well-formed");
+                well_formed(self.sys.add(SetExpr::var(src), SetExpr::var(v)));
                 Ok((ty, v))
             }
             Expr::Pair { fst, snd, label } => {
                 let (t1, l1) = self.gen(fst, env, sigs, site_map, types)?;
                 let (t2, l2) = self.gen(snd, env, sigs, site_map, types)?;
-                fn surface(table: &TypeTable, t: TypeId) -> crate::ast::Type {
-                    if table.is_pair(t) {
-                        crate::ast::Type::Pair(
-                            Box::new(surface(table, table.component(t, 0).expect("pair"))),
-                            Box::new(surface(table, table.component(t, 1).expect("pair"))),
-                        )
-                    } else {
-                        crate::ast::Type::Int
-                    }
-                }
-                let ty = crate::ast::Type::Pair(
-                    Box::new(surface(types, t1)),
-                    Box::new(surface(types, t2)),
-                );
-                let pair_ty = types.intern(&ty);
+                let pair_ty = types.pair(t1, t2);
                 let p = self.fresh(label, "pair");
                 let c = self.pair_cons[&pair_ty];
                 // pair(A, Y) ⊆ H — one n-ary constructor (§7.6).
-                self.sys
-                    .add(SetExpr::cons_vars(c, [l1, l2]), SetExpr::var(p))
-                    .expect("well-formed");
+                well_formed(
+                    self.sys
+                        .add(SetExpr::cons_vars(c, [l1, l2]), SetExpr::var(p)),
+                );
                 Ok((pair_ty, p))
             }
             Expr::Proj {
@@ -224,9 +209,7 @@ impl DualAnalysis {
                 let z = self.fresh(label, "proj");
                 let c = self.pair_cons[&pt];
                 // pair⁻ⁱ(T) ⊆ V.
-                self.sys
-                    .add(SetExpr::proj(c, *index, pl), SetExpr::var(z))
-                    .expect("well-formed");
+                well_formed(self.sys.add(SetExpr::proj(c, *index, pl), SetExpr::var(z)));
                 Ok((comp_ty, z))
             }
             Expr::Call {
@@ -258,9 +241,7 @@ impl DualAnalysis {
                             });
                         }
                         // B ⊆^{[ᵢ} Y.
-                        self.sys
-                            .add_ann(SetExpr::var(al), SetExpr::var(pl), open)
-                            .expect("well-formed");
+                        well_formed(self.sys.add_ann(SetExpr::var(al), SetExpr::var(pl), open));
                     }
                     (None, None, None) => {}
                     _ => {
@@ -273,9 +254,10 @@ impl DualAnalysis {
                 }
                 let t = self.fresh(label, "call");
                 // H ⊆^{]ᵢ} T.
-                self.sys
-                    .add_ann(SetExpr::var(sig.ret_label), SetExpr::var(t), close)
-                    .expect("well-formed");
+                well_formed(
+                    self.sys
+                        .add_ann(SetExpr::var(sig.ret_label), SetExpr::var(t), close),
+                );
                 Ok((sig.ret_ty, t))
             }
             Expr::Let { name, bound, body } => {
@@ -295,12 +277,8 @@ impl DualAnalysis {
                     });
                 }
                 let v = self.fresh(label, "choice");
-                self.sys
-                    .add(SetExpr::var(l1), SetExpr::var(v))
-                    .expect("well-formed");
-                self.sys
-                    .add(SetExpr::var(l2), SetExpr::var(v))
-                    .expect("well-formed");
+                well_formed(self.sys.add(SetExpr::var(l1), SetExpr::var(v)));
+                well_formed(self.sys.add(SetExpr::var(l2), SetExpr::var(v)));
                 Ok((t1, v))
             }
         }
@@ -332,7 +310,7 @@ impl DualAnalysis {
     /// [`DualAnalysis::label_var`] first for user input).
     pub fn flows(&mut self, src: &str, dst: &str) -> bool {
         let probe = self.probe(src);
-        let dst_var = self.label_var(dst).expect("unknown destination label");
+        let dst_var = known_label(self.label_var(dst));
         self.sys
             .lower_bound_annotations(dst_var, probe)
             .iter()
@@ -344,9 +322,13 @@ impl DualAnalysis {
     /// and may have escaped through unmatched returns/projections (the N
     /// part). Acceptance is "substring of a matched flow" — for the
     /// bracket languages here, exactly the N-then-P words.
+    ///
+    /// # Panics
+    ///
+    /// Panics if either label is unknown, as [`Self::flows`] does.
     pub fn flows_pn(&mut self, src: &str, dst: &str) -> bool {
         let probe = self.probe(src);
-        let dst_var = self.label_var(dst).expect("unknown destination label");
+        let dst_var = known_label(self.label_var(dst));
         let anns = self.sys.pn_occurrence_annotations(dst_var, probe);
         anns.iter().any(|&a| self.sys.algebra().is_useful(a))
     }
@@ -355,11 +337,9 @@ impl DualAnalysis {
         if let Some(&c) = self.probes.get(src) {
             return c;
         }
-        let var = self.label_var(src).expect("unknown source label");
+        let var = known_label(self.label_var(src));
         let c = self.sys.constructor(&format!("probe_{src}"), &[]);
-        self.sys
-            .add(SetExpr::cons(c, []), SetExpr::var(var))
-            .expect("well-formed");
+        well_formed(self.sys.add(SetExpr::cons(c, []), SetExpr::var(var)));
         self.sys.solve();
         self.probes.insert(src.to_owned(), c);
         c

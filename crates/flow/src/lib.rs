@@ -58,3 +58,22 @@ pub use ast::{Expr, FunDef, Program, Type};
 pub use dual::DualAnalysis;
 pub use error::{FlowError, Result};
 pub use types::{TypeId, TypeTable};
+
+/// Unwraps the result of adding a constraint that the encoding built from
+/// ids it has just created, panicking with the error otherwise. Library
+/// code is otherwise free of `unwrap`/`expect` (enforced by the
+/// `disallowed-methods` clippy gate in CI).
+pub(crate) fn well_formed(added: rasc_core::Result<()>) {
+    if let Err(e) = added {
+        panic!("internal invariant violated: the encoding built an ill-formed constraint: {e}");
+    }
+}
+
+/// The variable of a label a flow query was asked about, panicking when
+/// the program has no such label (the queries' documented `# Panics`).
+pub(crate) fn known_label(var: Result<rasc_core::VarId>) -> rasc_core::VarId {
+    match var {
+        Ok(v) => v,
+        Err(e) => panic!("{e}"),
+    }
+}

@@ -51,10 +51,18 @@ impl TypeTable {
         if let Some(&id) = self.by_node.get(&node) {
             return id;
         }
-        let id = TypeId(u32::try_from(self.nodes.len()).expect("too many types"));
+        let Ok(index) = u32::try_from(self.nodes.len()) else {
+            panic!("capacity overflow: too many types (limit 2^32)");
+        };
+        let id = TypeId(index);
         self.nodes.push(node);
         self.by_node.insert(node, id);
         id
+    }
+
+    /// The pair type `(a, b)` of two interned types.
+    pub(crate) fn pair(&mut self, a: TypeId, b: TypeId) -> TypeId {
+        self.intern_node(TyNode::Pair(a, b))
     }
 
     /// The `int` type (interned on demand).

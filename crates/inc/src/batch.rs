@@ -69,7 +69,6 @@
 //! responses additionally carry a top-level `"req"` field correlating the
 //! error with the embedder's spans and slow-query-log lines.
 
-use std::collections::HashMap;
 use std::path::PathBuf;
 use std::sync::Arc;
 
@@ -78,6 +77,7 @@ use rasc_core::algebra::{Algebra, MonoidAlgebra};
 use rasc_core::{Budget, Clock, ConsId, Outcome, SetExpr, SnapshotError, System, VarId, Variance};
 
 use crate::json::{obj, Json};
+use crate::names::Names;
 
 /// A structured in-band protocol error: a stable machine-readable code,
 /// a human-readable message, and optional extra fields.
@@ -181,12 +181,11 @@ pub struct BatchEngine {
     /// `pop` open and roll back its epochs, and queries read it.
     pub(crate) sys: System<MonoidAlgebra>,
     pub(crate) sigma: Alphabet,
-    /// Constructor name→id map. Behind an `Arc` so forking from a shared
-    /// [`crate::EngineBase`] is a pointer bump; the first post-fork
-    /// `declare` copies it once (`Arc::make_mut`).
-    pub(crate) cons: Arc<HashMap<String, ConsId>>,
-    /// Variable name→id map, `Arc`-shared like `cons`.
-    pub(crate) vars: Arc<HashMap<String, VarId>>,
+    /// Constructor names. A fork of a [`crate::EngineBase`] shares the
+    /// base's map and binds its own names beside it.
+    pub(crate) cons: Names<ConsId>,
+    /// Variable names, shared with a fork base like `cons`.
+    pub(crate) vars: Names<VarId>,
     /// The client's limits (the `limits` command).
     limits: EngineCaps,
     /// Embedder-imposed caps clamping every budget (see [`EngineCaps`]).
@@ -267,8 +266,8 @@ impl BatchEngine {
         BatchEngine {
             sys,
             sigma,
-            cons: Arc::new(HashMap::new()),
-            vars: Arc::new(HashMap::new()),
+            cons: Names::default(),
+            vars: Names::default(),
             limits: EngineCaps::default(),
             caps: EngineCaps::default(),
             clock: None,
@@ -283,16 +282,16 @@ impl BatchEngine {
     /// An engine forked from a shared read-only [`crate::EngineBase`].
     ///
     /// The solved form, provenance records, and name maps are aliased
-    /// copy-on-write: no solved-form entry is copied, but the
-    /// per-variable bookkeeping makes a fork O(vars) `Arc` bumps.
+    /// copy-on-write, so a fork costs the same whatever the base's size:
+    /// no solved-form entry, per-variable record or name is copied.
     /// Connection state — limits, caps, hooks — starts fresh exactly as
     /// with [`BatchEngine::new`].
     pub fn fork_from(base: &crate::EngineBase) -> BatchEngine {
         BatchEngine {
             sys: System::fork(&base.base),
             sigma: base.sigma.clone(),
-            cons: Arc::clone(&base.cons),
-            vars: Arc::clone(&base.vars),
+            cons: Names::shared(Arc::clone(&base.cons)),
+            vars: Names::shared(Arc::clone(&base.vars)),
             limits: EngineCaps::default(),
             caps: EngineCaps::default(),
             clock: None,
@@ -427,10 +426,9 @@ impl BatchEngine {
                 ]))
             }
             "pop" => {
-                if !self.sys.pop_epoch() {
+                if !self.pop_epoch() {
                     return Err(BatchError::new("no_open_epoch", "no open epoch"));
                 }
-                self.prune_names();
                 Ok(obj([
                     ("ok", Json::from("pop")),
                     ("depth", Json::from(self.sys.epoch_depth())),
@@ -448,18 +446,24 @@ impl BatchEngine {
         }
     }
 
-    /// Drops name bindings that refer to rolled-away ids (after any
-    /// `pop_epoch`).
-    fn prune_names(&mut self) {
-        let n_vars = self.sys.num_vars();
-        let n_cons = self.sys.num_constructors();
-        // Only copy-on-write the shared maps when something actually
-        // rolled away (the common pop touches no names).
-        if self.vars.values().any(|v| v.index() >= n_vars) {
-            Arc::make_mut(&mut self.vars).retain(|_, v| v.index() < n_vars);
+    /// Rolls back the innermost epoch and unbinds the names it bound;
+    /// `false` when no epoch is open.
+    fn pop_epoch(&mut self) -> bool {
+        if !self.sys.pop_epoch() {
+            return false;
         }
-        if self.cons.values().any(|c| c.index() >= n_cons) {
-            Arc::make_mut(&mut self.cons).retain(|_, c| c.index() < n_cons);
+        let (n_vars, n_cons) = (self.sys.num_vars(), self.sys.num_constructors());
+        self.vars.unbind_past(|v| v.index() < n_vars);
+        self.cons.unbind_past(|c| c.index() < n_cons);
+        true
+    }
+
+    /// Commits the innermost epoch; its names stay bound.
+    fn commit_epoch(&mut self) {
+        self.sys.commit_epoch();
+        if self.sys.epoch_depth() == 0 {
+            self.vars.close_epochs();
+            self.cons.close_epochs();
         }
     }
 
@@ -468,13 +472,13 @@ impl BatchEngine {
             .get("cons")
             .and_then(Json::as_str)
             .ok_or_else(|| bad_request("declare: missing `cons`"))?;
-        if self.cons.contains_key(name) {
+        if self.cons.contains(name) {
             return Err(BatchError::new(
                 "already_declared",
                 format!("constructor `{name}` already declared"),
             ));
         }
-        if self.vars.contains_key(name) {
+        if self.vars.contains(name) {
             return Err(BatchError::new(
                 "already_declared",
                 format!("`{name}` is already a variable"),
@@ -494,7 +498,7 @@ impl BatchEngine {
                 .collect::<Result<_, _>>()?,
         };
         let id = self.sys.constructor(name, &signature);
-        Arc::make_mut(&mut self.cons).insert(name.to_owned(), id);
+        self.cons.bind(name, id, self.sys.epoch_depth() > 0);
         Ok(obj([
             ("ok", Json::from("declare")),
             ("cons", Json::from(name)),
@@ -614,8 +618,7 @@ impl BatchEngine {
                 let (lhs, rhs) = match parsed {
                     Ok(pair) => pair,
                     Err(err) => {
-                        self.sys.pop_epoch();
-                        self.prune_names();
+                        self.pop_epoch();
                         return Err(err);
                     }
                 };
@@ -625,16 +628,12 @@ impl BatchEngine {
                     .map(|()| self.sys.solve_bounded(&budget));
                 match outcome {
                     Err(e) => {
-                        self.sys.pop_epoch();
-                        self.prune_names();
+                        self.pop_epoch();
                         return Err(BatchError::new("constraint_rejected", format!("add: {e}")));
                     }
-                    Ok(Outcome::Complete) => {
-                        self.sys.commit_epoch();
-                    }
+                    Ok(Outcome::Complete) => self.commit_epoch(),
                     Ok(Outcome::Interrupted(reason)) => {
-                        self.sys.pop_epoch();
-                        self.prune_names();
+                        self.pop_epoch();
                         return Err(BatchError::new(
                             "budget_exhausted",
                             format!("add interrupted: {reason}; rolled back"),
@@ -662,7 +661,7 @@ impl BatchEngine {
             .get("var")
             .and_then(Json::as_str)
             .ok_or_else(|| bad_request("query: missing `var`"))?;
-        let &x = self.vars.get(var_name).ok_or_else(|| {
+        let x = self.vars.get(var_name).ok_or_else(|| {
             BatchError::new("unknown_variable", format!("unknown variable `{var_name}`"))
         })?;
         let target = || -> Result<ConsId, BatchError> {
@@ -670,7 +669,7 @@ impl BatchEngine {
                 .get("cons")
                 .and_then(Json::as_str)
                 .ok_or_else(|| bad_request("query: missing `cons`"))?;
-            self.cons.get(name).copied().ok_or_else(|| {
+            self.cons.get(name).ok_or_else(|| {
                 BatchError::new(
                     "unknown_constructor",
                     format!("unknown constructor `{name}`"),
@@ -715,14 +714,14 @@ impl BatchEngine {
             .get("var")
             .and_then(Json::as_str)
             .ok_or_else(|| bad_request("explain: missing `var`"))?;
-        let &x = self.vars.get(var_name).ok_or_else(|| {
+        let x = self.vars.get(var_name).ok_or_else(|| {
             BatchError::new("unknown_variable", format!("unknown variable `{var_name}`"))
         })?;
         let cons_name = cmd
             .get("cons")
             .and_then(Json::as_str)
             .ok_or_else(|| bad_request("explain: missing `cons`"))?;
-        let &c = self.cons.get(cons_name).ok_or_else(|| {
+        let c = self.cons.get(cons_name).ok_or_else(|| {
             BatchError::new(
                 "unknown_constructor",
                 format!("unknown constructor `{cons_name}`"),
@@ -882,7 +881,7 @@ impl BatchEngine {
         let Some((head, rest)) = text.split_once('(') else {
             // Bare identifier: a declared constant, or a variable.
             let name = validate_ident(text)?;
-            if let Some(&c) = self.cons.get(name) {
+            if let Some(c) = self.cons.get(name) {
                 return Ok(SetExpr::cons_vars(c, []));
             }
             return Ok(SetExpr::var(self.var_of(name)));
@@ -893,7 +892,7 @@ impl BatchEngine {
         if let Some((cons_name, index_text)) = head.split_once("^-") {
             // Projection `c^-i(X)`, 1-based index.
             let cons_name = validate_ident(cons_name.trim())?;
-            let &c = self.cons.get(cons_name).ok_or_else(|| {
+            let c = self.cons.get(cons_name).ok_or_else(|| {
                 BatchError::new(
                     "unknown_constructor",
                     format!("unknown constructor `{cons_name}`"),
@@ -911,7 +910,7 @@ impl BatchEngine {
             return Ok(SetExpr::proj(c, index - 1, v));
         }
         let cons_name = validate_ident(head.trim())?;
-        let &c = self.cons.get(cons_name).ok_or_else(|| {
+        let c = self.cons.get(cons_name).ok_or_else(|| {
             BatchError::new(
                 "unknown_constructor",
                 format!("unknown constructor `{cons_name}`"),
@@ -921,7 +920,7 @@ impl BatchEngine {
         if !args_text.trim().is_empty() {
             for part in args_text.split(',') {
                 let name = validate_ident(part.trim())?;
-                if self.cons.contains_key(name) {
+                if self.cons.contains(name) {
                     return Err(bad_request(format!(
                         "constructor argument `{name}` must be a variable"
                     )));
@@ -933,11 +932,11 @@ impl BatchEngine {
     }
 
     fn var_of(&mut self, name: &str) -> VarId {
-        if let Some(&v) = self.vars.get(name) {
+        if let Some(v) = self.vars.get(name) {
             return v;
         }
         let v = self.sys.var(name);
-        Arc::make_mut(&mut self.vars).insert(name.to_owned(), v);
+        self.vars.bind(name, v, self.sys.epoch_depth() > 0);
         v
     }
 }
@@ -1521,5 +1520,69 @@ mod tests {
         assert_eq!(r.get("epoch_depth").unwrap().as_u64(), Some(1));
         let r = run(&mut e, r#"{"cmd":"pop"}"#);
         assert_eq!(r.get("ok").unwrap().as_str(), Some("pop"));
+    }
+
+    /// Whether `name` is bound as a variable: `nonempty` answers for a
+    /// bound name and says `unknown_variable` otherwise.
+    fn bound(e: &mut BatchEngine, name: &str) -> bool {
+        let line = format!(r#"{{"cmd":"query","kind":"nonempty","var":"{name}"}}"#);
+        error_code(&run(e, &line)).is_none()
+    }
+
+    #[test]
+    fn each_pop_unbinds_exactly_the_names_its_epoch_bound() {
+        let mut e = engine();
+        run(&mut e, r#"{"cmd":"declare","cons":"c"}"#);
+        run(&mut e, r#"{"cmd":"add","lhs":"c","rhs":"A"}"#);
+        // Nested epochs: B in the outer one, C and the constructor d in
+        // the inner one.
+        run(&mut e, r#"{"cmd":"push"}"#);
+        run(&mut e, r#"{"cmd":"add","lhs":"A","rhs":"B"}"#);
+        run(&mut e, r#"{"cmd":"push"}"#);
+        run(&mut e, r#"{"cmd":"declare","cons":"d"}"#);
+        run(&mut e, r#"{"cmd":"add","lhs":"d","rhs":"C"}"#);
+        run(&mut e, r#"{"cmd":"pop"}"#);
+        assert!(bound(&mut e, "A") && bound(&mut e, "B"));
+        assert!(!bound(&mut e, "C"), "C was bound in the inner epoch");
+        let r = run(&mut e, r#"{"cmd":"declare","cons":"d"}"#);
+        assert_eq!(r.get("ok").unwrap().as_str(), Some("declare"), "d unbound");
+        run(&mut e, r#"{"cmd":"pop"}"#);
+        assert!(bound(&mut e, "A") && !bound(&mut e, "B"));
+
+        // A transactional add that runs out of budget unbinds the names
+        // its parse bound; one that completes keeps them once committed.
+        for i in 0..4 {
+            let line = format!(r#"{{"cmd":"add","lhs":"A","rhs":"V{i}"}}"#);
+            run(&mut e, &line);
+        }
+        run(&mut e, r#"{"cmd":"limits","max_steps":1}"#);
+        let r = run(&mut e, r#"{"cmd":"add","lhs":"V3","rhs":"W"}"#);
+        assert_eq!(error_code(&r), Some("budget_exhausted"));
+        assert!(!bound(&mut e, "W") && bound(&mut e, "V3"));
+        run(&mut e, r#"{"cmd":"limits","max_steps":100000}"#);
+        run(&mut e, r#"{"cmd":"add","lhs":"V3","rhs":"W"}"#);
+        assert!(bound(&mut e, "W"));
+        assert_eq!(e.vars.logged(), 0, "committed names leave no log");
+    }
+
+    #[test]
+    fn a_fork_binds_fresh_names_beside_the_shared_base() {
+        let mut e = engine();
+        run(&mut e, r#"{"cmd":"declare","cons":"c"}"#);
+        run(&mut e, r#"{"cmd":"add","lhs":"c","rhs":"A"}"#);
+        let base = crate::EngineBase::decode(&e.snapshot_bytes().unwrap(), &e.sigma).unwrap();
+        let mut fork = BatchEngine::fork_from(&base);
+        run(&mut fork, r#"{"cmd":"push"}"#);
+        run(&mut fork, r#"{"cmd":"add","lhs":"A","rhs":"B"}"#);
+        assert!(bound(&mut fork, "A") && bound(&mut fork, "B"));
+        assert!(
+            Arc::ptr_eq(fork.vars.base(), &base.vars) && !base.vars.contains_key("B"),
+            "the fork's first name leaves the base's map shared and unchanged"
+        );
+        run(&mut fork, r#"{"cmd":"pop"}"#);
+        assert!(bound(&mut fork, "A") && !bound(&mut fork, "B"));
+        run(&mut fork, r#"{"cmd":"add","lhs":"A","rhs":"B"}"#);
+        assert!(bound(&mut fork, "B"), "bound for good outside an epoch");
+        assert!(Arc::ptr_eq(fork.vars.base(), &base.vars));
     }
 }

@@ -19,6 +19,7 @@
 
 mod batch;
 pub mod json;
+mod names;
 mod snapshot;
 mod stream;
 

@@ -33,6 +33,7 @@ use rasc_core::snapshot::{
 use rasc_core::{ConsId, SnapshotError, System, VarId};
 
 use crate::batch::BatchEngine;
+use crate::names::Names;
 
 /// Micros elapsed since `start`, saturating into a `u64`.
 fn micros_since(start: Instant) -> u64 {
@@ -146,8 +147,8 @@ impl BatchEngine {
         // from here on, so `explain` keeps working.
         sys.enable_provenance();
         self.sys = sys;
-        self.cons = Arc::new(cons);
-        self.vars = Arc::new(vars);
+        self.cons = Names::shared(Arc::new(cons));
+        self.vars = Names::shared(Arc::new(vars));
         Ok(())
     }
 }
@@ -233,7 +234,7 @@ fn decode_engine_snapshot(bytes: &[u8], sigma: &Alphabet) -> Result<DecodedEngin
 /// The serve layer decodes its warm-start image into one of these **once**
 /// and hands an `Arc<EngineBase>` to every connection;
 /// [`BatchEngine::fork_from`] then builds a private copy-on-write engine
-/// over it with O(vars) `Arc` bumps, instead of re-parsing the snapshot
+/// over it with a few `Arc` bumps, instead of re-parsing the snapshot
 /// per connection.
 #[derive(Debug)]
 pub struct EngineBase {

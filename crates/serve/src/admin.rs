@@ -32,21 +32,19 @@ impl ContentType {
     }
 }
 
-/// Runs the admin accept loop until `draining` reports true. `route`
-/// maps a request path to a response body; unknown paths 404.
+/// Runs the admin accept loop until `draining` reports true, blocking in
+/// `accept`: the drain wakes it with one connection, which it drops.
+/// `route` maps a request path to a response body; unknown paths 404.
 pub(crate) fn run_admin(
     listener: TcpListener,
     poll: Duration,
     draining: impl Fn() -> bool,
     route: impl Fn(&str) -> Option<(ContentType, String)>,
 ) {
-    if listener.set_nonblocking(true).is_err() {
-        return;
-    }
     while !draining() {
         match listener.accept() {
+            Ok(_) if draining() => break,
             Ok((stream, _peer)) => answer_one(stream, poll, &route),
-            Err(e) if e.kind() == io::ErrorKind::WouldBlock => std::thread::sleep(poll),
             Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
             Err(_) => std::thread::sleep(poll),
         }

@@ -21,8 +21,14 @@
 //! * **Graceful shutdown** — via [`ServerHandle::shutdown`], the in-band
 //!   `{"cmd":"shutdown"}` admin command, or an external shutdown flag
 //!   ([`ServeConfig::shutdown_flag`], wired to SIGINT/SIGTERM by the
-//!   CLI): the accept loop stops, in-flight requests finish and their
-//!   responses flush, then connections close and workers join.
+//!   CLI, and watched by a thread of the server's): the accept loops
+//!   block in `accept`, so each trigger takes one drain path that wakes
+//!   them with a loopback connection; then in-flight requests finish and
+//!   their responses flush, connections close and workers join.
+//! * **Cheap connections** — a new connection is accepted as soon as it
+//!   arrives, and its engine forks the shared base in O(1): the base's
+//!   per-variable records are shared 64 variables to a pointer, and the
+//!   fork copies a chunk only when it first writes to it.
 //! * **Persistence & warm restart** — with [`ServeConfig::snapshot_dir`]
 //!   set, the server loads `<dir>/current.snap` as the base image every
 //!   connection's engine forks from, and routes in-band

@@ -2,7 +2,7 @@
 //! sessions, and graceful drain.
 
 use std::io::{self, BufRead, BufReader, BufWriter, ErrorKind, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
+use std::net::{IpAddr, Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
@@ -23,11 +23,16 @@ fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
     m.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
-/// How often blocked reads and the accept loop re-check the shutdown
-/// flag — the upper bound on how long an *idle* connection delays a
-/// drain, and on how long the accept loop sleeps before it sees a new
-/// connection.
+/// How often an idle connection's blocked read re-checks for a drain —
+/// the upper bound on how long an idle connection delays one. The
+/// signal-flag watcher checks the flag this often, and a failed `accept`
+/// (say, out of file descriptors) backs off this long. The accept loops
+/// themselves block in `accept`: a drain wakes them (see
+/// [`Shared::begin_drain`]).
 const POLL: Duration = Duration::from_millis(20);
+
+/// How long a drain waits for its wake-up connection to a listener.
+const WAKE_TIMEOUT: Duration = Duration::from_secs(1);
 
 /// Server-wide configuration: concurrency, admission control, and the
 /// per-request resource caps applied to every connection's engine.
@@ -52,17 +57,19 @@ pub struct ServeConfig {
     pub clock: Option<Arc<dyn Clock>>,
     /// Warm-restart directory. When set, the server decodes
     /// `<dir>/current.snap` **once** at startup into a shared read-only
-    /// base that every new connection forks copy-on-write (O(vars) `Arc`
-    /// bumps per connection; no solved-form entry is copied), routes the
+    /// base that every new connection forks copy-on-write (a few `Arc`
+    /// bumps per connection, whatever the base's size), routes the
     /// in-band `{"cmd":"snapshot"}` command to that file (client-chosen
     /// paths are disabled). A corrupt base file is rejected with a
     /// `snap.corrupt_rejected` counter and the server starts cold; an
     /// unreadable (but present) file is counted as
     /// `serve.base.io_errors`.
     pub snapshot_dir: Option<PathBuf>,
-    /// External shutdown request polled by the accept loop (the CLI wires
-    /// its SIGINT/SIGTERM handler here): setting it true initiates the
-    /// same graceful drain as [`ServerHandle::begin_shutdown`].
+    /// External shutdown request (the CLI wires its SIGINT/SIGTERM
+    /// handler here): setting it true initiates the same graceful drain
+    /// as [`ServerHandle::begin_shutdown`]. A signal handler can only
+    /// store to the flag, so [`Server::run`] watches it from a thread of
+    /// its own, which checks it every 20 ms until the drain begins.
     pub shutdown_flag: Option<Arc<AtomicBool>>,
     /// Address of the admin telemetry listener (`rasc serve
     /// --admin-addr`). When set, the server answers `GET /metrics`
@@ -145,6 +152,8 @@ struct Shared {
     /// The sink every server thread installs: the metrics registry,
     /// fanned out with the embedder's [`ServeConfig::sink`] if any.
     effective_sink: Arc<dyn EventSink>,
+    /// The protocol listener's resolved address (port 0 resolved).
+    addr: SocketAddr,
     /// Resolved admin listener address (port 0 resolved), when configured.
     admin_addr: Option<SocketAddr>,
     /// Monotone request-id source shared by every connection.
@@ -215,11 +224,37 @@ impl Shared {
         // requests the same graceful drain as ServerHandle::begin_shutdown.
         if let Some(flag) = &self.config.shutdown_flag {
             if flag.load(Ordering::SeqCst) {
-                self.draining.store(true, Ordering::SeqCst);
+                self.begin_drain();
             }
         }
         self.draining.load(Ordering::SeqCst)
     }
+
+    /// The one drain path, taken by [`ServerHandle::begin_shutdown`], the
+    /// in-band `shutdown` and the signal flag: flags the drain, then
+    /// wakes each listener blocked in `accept` with one loopback
+    /// connection, which its accept loop drops on seeing the flag. Only
+    /// the first call wakes.
+    fn begin_drain(&self) {
+        if self.draining.swap(true, Ordering::SeqCst) {
+            return;
+        }
+        for addr in std::iter::once(self.addr).chain(self.admin_addr) {
+            let _ = TcpStream::connect_timeout(&reachable(addr), WAKE_TIMEOUT);
+        }
+    }
+}
+
+/// Where a local client reaches a listener bound to `addr`: a wildcard
+/// bind is reached on loopback.
+fn reachable(mut addr: SocketAddr) -> SocketAddr {
+    if addr.ip().is_unspecified() {
+        addr.set_ip(match addr.ip() {
+            IpAddr::V4(_) => IpAddr::V4(Ipv4Addr::LOCALHOST),
+            IpAddr::V6(_) => IpAddr::V6(Ipv6Addr::LOCALHOST),
+        });
+    }
+    addr
 }
 
 /// A cloneable handle for inspecting and stopping a running [`Server`].
@@ -238,7 +273,7 @@ impl ServerHandle {
     /// Signals a graceful shutdown and returns immediately: the accept
     /// loop stops, in-flight requests complete, connections close.
     pub fn begin_shutdown(&self) {
-        self.shared.draining.store(true, Ordering::SeqCst);
+        self.shared.begin_drain();
     }
 
     /// Signals a graceful shutdown and blocks until the server has fully
@@ -370,6 +405,7 @@ impl Server {
             base: Mutex::new(loaded.map(Arc::new)),
             metrics,
             effective_sink,
+            addr,
             admin_addr,
             next_req: AtomicU64::new(0),
             inflight: AtomicUsize::new(0),
@@ -400,10 +436,12 @@ impl Server {
     }
 
     /// Runs the accept loop on the calling thread until a shutdown is
-    /// initiated (via [`ServerHandle`] or the in-band `shutdown` admin
-    /// command), then drains: stops accepting, finishes in-flight
-    /// requests, closes connections, joins the workers, and wakes every
-    /// [`ServerHandle::shutdown`] waiter.
+    /// initiated (via [`ServerHandle`], the in-band `shutdown` admin
+    /// command or [`ServeConfig::shutdown_flag`]), then drains: stops
+    /// accepting, finishes in-flight requests, closes connections, joins
+    /// the workers, and wakes every [`ServerHandle::shutdown`] waiter.
+    /// The loop blocks in `accept`, so a new connection is admitted as
+    /// soon as it arrives.
     pub fn run(self) -> io::Result<ServeReport> {
         let Server {
             listener,
@@ -413,7 +451,16 @@ impl Server {
             pool,
         } = self;
         let _sink_guard = ScopedSink::install(Arc::clone(&shared.effective_sink));
-        listener.set_nonblocking(true)?;
+        // A signal handler can only set the flag, so a thread watches it
+        // and starts the drain that wakes the accept loops.
+        let flag_watch = shared.config.shutdown_flag.is_some().then(|| {
+            let shared = Arc::clone(&shared);
+            std::thread::spawn(move || {
+                while !shared.is_draining() {
+                    std::thread::sleep(POLL);
+                }
+            })
+        });
         // The admin plane answers scrapes from the registry on its own
         // thread; it stops once the drain begins.
         let admin_thread = admin_listener.map(|l| {
@@ -431,8 +478,10 @@ impl Server {
         });
         while !shared.is_draining() {
             match listener.accept() {
-                Ok((stream, _peer)) => admit(&shared, &pool, stream),
-                Err(e) if e.kind() == ErrorKind::WouldBlock => std::thread::sleep(POLL),
+                // A connection that arrives once the drain has begun —
+                // the drain's own wake-up among them — is dropped.
+                Ok((stream, _peer)) if !shared.is_draining() => admit(&shared, &pool, stream),
+                Ok(_) => break,
                 Err(e) if e.kind() == ErrorKind::Interrupted => {}
                 // Transient accept failures (EMFILE, aborted handshakes)
                 // must not kill the server.
@@ -444,8 +493,8 @@ impl Server {
         pool.drain();
         *lock(&shared.done) = true;
         shared.done_cv.notify_all();
-        if let Some(a) = admin_thread {
-            let _ = a.join();
+        for thread in admin_thread.into_iter().chain(flag_watch) {
+            let _ = thread.join();
         }
         Ok(ServeReport {
             connections: shared.connections.load(Ordering::SeqCst),
@@ -725,7 +774,7 @@ fn serve_request<W: Write>(
         let _ = writer.write_all(b"\n");
         let _ = writer.flush();
         obs::counter("serve.shutdown_commands", 1);
-        shared.draining.store(true, Ordering::SeqCst);
+        shared.begin_drain();
         return false;
     }
     let inflight = shared.inflight.fetch_add(1, Ordering::SeqCst) + 1;

@@ -608,7 +608,8 @@ fn http_get(addr: &str, path: &str) -> Result<String, String> {
 /// Graceful-shutdown signal wiring for `rasc serve`.
 ///
 /// The handler only flips an atomic flag — the one operation that is
-/// async-signal-safe — and the serve layer's accept loop polls it. The
+/// async-signal-safe — and a thread of the serve layer watches it and
+/// starts the drain that wakes the blocked accept loops. The
 /// raw `signal(2)` FFI lives here, in the binary, because every library
 /// crate in the workspace is `#![forbid(unsafe_code)]`.
 #[cfg(unix)]

@@ -18,6 +18,7 @@ use std::cell::Cell;
 use rasc::automata::PropertySpec;
 use rasc::cfgir::{Cfg, Program};
 use rasc::constraints::algebra::MonoidAlgebra;
+use rasc::constraints::System as Solver;
 use rasc::pdmc::{properties, ConstraintChecker};
 use rasc_bench::workload::{generate, WorkloadConfig};
 
@@ -163,5 +164,53 @@ fn property_algebra_and_parse_stay_within_their_allocation_budgets() {
     assert!(
         parse_allocs <= PARSE_BUDGET,
         "Program::parse made {parse_allocs} allocations (budget {PARSE_BUDGET})"
+    );
+}
+
+/// Allocations plus frees of one `System::fork` of `base` and the drop of
+/// that fork.
+fn fork_and_drop_allocations(base: &rasc::constraints::BaseSystem<MonoidAlgebra>) -> u64 {
+    let before = counts();
+    let fork = Solver::fork(base);
+    drop(fork);
+    let after = counts();
+    (after.0 - before.0) + (after.1 - before.1)
+}
+
+/// A solved base over the full privilege property, built from a
+/// generated program of `statements` statements.
+fn privilege_base(statements: usize) -> (rasc::constraints::BaseSystem<MonoidAlgebra>, usize) {
+    let (sigma, dfa) = properties::full_privilege_property();
+    let names: Vec<String> = sigma.symbols().map(|s| sigma.name(s).to_owned()).collect();
+    let program = generate(&WorkloadConfig::sized(statements, names, 3));
+    let cfg = Cfg::build(&program).unwrap();
+    let mut checker = ConstraintChecker::new(&cfg, &sigma, &dfa, "main").unwrap();
+    checker.solve();
+    let bytes = checker.system().snapshot_bytes().unwrap();
+    let mut sys = Solver::<MonoidAlgebra>::restore_bytes(&bytes).unwrap();
+    sys.enable_provenance();
+    let vars = sys.num_vars();
+    (sys.into_base().unwrap(), vars)
+}
+
+/// A fork shares the base's per-variable records chunk by chunk, so
+/// forking a base eight times larger, and dropping the fork, makes
+/// exactly as many allocations. When a fork copied one record per
+/// variable the larger base cost proportionally more.
+#[test]
+fn fork_and_drop_allocations_do_not_grow_with_the_base() {
+    let (small, small_vars) = privilege_base(1_000);
+    let (large, large_vars) = privilege_base(8_000);
+    let small_allocs = fork_and_drop_allocations(&small);
+    let large_allocs = fork_and_drop_allocations(&large);
+    println!(
+        "fork + drop: {small_allocs} allocations and frees at {small_vars} variables, \
+         {large_allocs} at {large_vars}"
+    );
+    assert!(large_vars > 6 * small_vars, "the bases differ in size");
+    assert_eq!(
+        small_allocs, large_allocs,
+        "forking and dropping a {large_vars}-variable base must allocate exactly as \
+         forking a {small_vars}-variable one"
     );
 }

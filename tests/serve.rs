@@ -1,6 +1,7 @@
 //! Integration tests for `rasc-serve`: concurrent loopback clients,
 //! hostile input over TCP, admission control, graceful shutdown with a
-//! request deterministically in flight, crash-safe warm restart from a
+//! request deterministically in flight, every drain trigger waking the
+//! blocked accept loops, crash-safe warm restart from a
 //! snapshot directory, and the admin telemetry plane (`/metrics`,
 //! `/stats`, `/healthz`, the slow-query log, request-id correlation,
 //! and the `rasc stats` poller).
@@ -17,7 +18,7 @@ use rasc::constraints::snapshot::SNAPSHOT_VERSION;
 use rasc::constraints::Clock;
 use rasc::inc::json::Json;
 use rasc::inc::EngineCaps;
-use rasc::serve::{ServeConfig, Server, ServerHandle};
+use rasc::serve::{ServeConfig, ServeReport, Server, ServerHandle};
 use rasc_devtools::SteppedClock;
 
 /// A connected client speaking one JSON line per request.
@@ -338,6 +339,77 @@ fn graceful_shutdown_drains_the_in_flight_request() {
         TcpStream::connect_timeout(&addr, Duration::from_millis(500)).is_err(),
         "a drained server must not accept new connections"
     );
+}
+
+/// How long a drained server's `run` may take to return. The accept
+/// loops block in `accept`, so a drain that failed to wake one would
+/// hang `run` for good; these tests fail at the deadline instead.
+const DRAIN_DEADLINE: Duration = Duration::from_secs(10);
+
+/// Binds a server with an admin listener, so a drain has two accept
+/// loops to wake, and runs it on a thread of its own. The receiver gets
+/// what `run` returns.
+fn run_watched(config: ServeConfig) -> (ServerHandle, mpsc::Receiver<ServeReport>) {
+    let mut sigma = Alphabet::new();
+    let (g, k) = (sigma.intern("g"), sigma.intern("k"));
+    let machine = Dfa::one_bit(&sigma, g, k);
+    let config = ServeConfig {
+        admin_addr: Some("127.0.0.1:0".to_owned()),
+        ..config
+    };
+    let server = Server::bind("127.0.0.1:0", sigma, &machine, config).expect("bind");
+    let handle = server.handle();
+    let (tx, rx) = mpsc::channel();
+    std::thread::spawn(move || {
+        let _ = tx.send(server.run().expect("server io"));
+    });
+    // Give `run` time to block in `accept`, the state a drain must wake.
+    std::thread::sleep(Duration::from_millis(100));
+    (handle, rx)
+}
+
+#[test]
+fn begin_shutdown_wakes_a_server_that_never_accepted_a_connection() {
+    let (handle, returned) = run_watched(ServeConfig::default());
+    handle.begin_shutdown();
+    let report = returned
+        .recv_timeout(DRAIN_DEADLINE)
+        .expect("run returns after begin_shutdown");
+    assert_eq!(report.connections, 0, "the drain's wake-up is not served");
+}
+
+#[test]
+fn in_band_shutdown_drains_while_another_connection_idles() {
+    let (handle, returned) = run_watched(ServeConfig {
+        threads: 2,
+        ..ServeConfig::default()
+    });
+    let mut idle = Client::connect(handle.addr());
+    assert!(idle
+        .roundtrip(r#"{"cmd":"declare","cons":"pc"}"#)
+        .contains(r#""ok":"declare""#));
+    let mut admin = Client::connect(handle.addr());
+    assert!(admin
+        .roundtrip(r#"{"cmd":"shutdown"}"#)
+        .contains(r#""ok":"shutdown""#));
+    let report = returned
+        .recv_timeout(DRAIN_DEADLINE)
+        .expect("run returns after the in-band shutdown");
+    assert_eq!(idle.recv(), None, "the idle connection closes");
+    assert_eq!((report.connections, report.requests), (2, 1));
+}
+
+#[test]
+fn shutdown_flag_wakes_an_idle_server() {
+    let flag = Arc::new(AtomicBool::new(false));
+    let (_handle, returned) = run_watched(ServeConfig {
+        shutdown_flag: Some(Arc::clone(&flag)),
+        ..ServeConfig::default()
+    });
+    flag.store(true, Ordering::SeqCst);
+    returned
+        .recv_timeout(DRAIN_DEADLINE)
+        .expect("run returns after the shutdown flag is raised");
 }
 
 fn snapshot_temp_dir(tag: &str) -> std::path::PathBuf {
