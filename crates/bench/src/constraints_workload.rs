@@ -28,6 +28,15 @@ pub struct EdgeListWorkload {
     pub sink: usize,
 }
 
+/// Unwraps the result of adding a constraint built from ids the workload
+/// has just created, panicking with the error otherwise (library code is
+/// otherwise free of `unwrap`/`expect`, as CI's panic-free gate checks).
+fn well_formed(added: rasc_core::Result<()>) {
+    if let Err(e) = added {
+        panic!("internal invariant violated: the workload built an ill-formed constraint: {e}");
+    }
+}
+
 /// Builds (without solving) the bidirectional system for `wl`: variables
 /// `v0…`, the constant `probe` seeded at `wl.source`, and one annotated
 /// edge per workload edge. Returns the system, its variables (indexed as
@@ -39,12 +48,10 @@ pub fn edge_list_system(
     let mut sys = System::new(MonoidAlgebra::new(machine));
     let vars: Vec<VarId> = (0..wl.n_vars).map(|i| sys.var(&format!("v{i}"))).collect();
     let probe = sys.constructor("probe", &[]);
-    sys.add(SetExpr::cons(probe, []), SetExpr::var(vars[wl.source]))
-        .expect("well-formed");
+    well_formed(sys.add(SetExpr::cons(probe, []), SetExpr::var(vars[wl.source])));
     for (from, to, word) in &wl.edges {
         let ann = sys.algebra_mut().word(word);
-        sys.add_ann(SetExpr::var(vars[*from]), SetExpr::var(vars[*to]), ann)
-            .expect("well-formed");
+        well_formed(sys.add_ann(SetExpr::var(vars[*from]), SetExpr::var(vars[*to]), ann));
     }
     (sys, vars, probe)
 }
@@ -142,19 +149,16 @@ pub fn cons_chain(
         .collect();
     let probe = sys.constructor("probe", &[]);
     let o = sys.constructor("o", &[rasc_core::Variance::Covariant]);
-    sys.add(SetExpr::cons(probe, []), SetExpr::var(vars[0]))
-        .expect("well-formed");
+    well_formed(sys.add(SetExpr::cons(probe, []), SetExpr::var(vars[0])));
     for i in 0..stages {
-        sys.add(
+        well_formed(sys.add(
             SetExpr::cons_vars(o, [vars[2 * i]]),
             SetExpr::var(vars[2 * i + 1]),
-        )
-        .expect("well-formed");
-        sys.add(
+        ));
+        well_formed(sys.add(
             SetExpr::proj(o, 0, vars[2 * i + 1]),
             SetExpr::var(vars[2 * i + 2]),
-        )
-        .expect("well-formed");
+        ));
     }
     (sys, vars[2 * stages], probe)
 }

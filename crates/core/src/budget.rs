@@ -1,17 +1,15 @@
 //! Resource governance for bounded solving.
 //!
-//! A [`Budget`] caps a worklist drain along four independent axes — fuel
+//! A [`Budget`] caps a worklist drain along three independent axes — fuel
 //! (worklist steps), wall-clock time (through an injectable [`Clock`], so
-//! deadlines are deterministic under test), solved-form memory (term and
-//! entry counts), and cooperative cancellation ([`CancelToken`]). The
-//! solver checks the budget *before* popping each fact, so an interrupted
-//! solve leaves the pending worklist intact: the caller can resume under a
-//! fresh budget (converging to the same fixpoint — closure is monotone) or
-//! roll back with [`crate::System::pop_epoch`] to the last consistent
-//! snapshot.
+//! deadlines are deterministic under test), and solved-form memory (term
+//! and entry counts). The solver checks the budget *before* popping each
+//! fact, so an interrupted solve leaves the pending worklist intact: the
+//! caller can resume under a fresh budget (converging to the same fixpoint
+//! — closure is monotone) or roll back with [`crate::System::pop_epoch`]
+//! to the last consistent snapshot.
 
 use std::fmt;
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -54,33 +52,6 @@ impl Clock for MonotonicClock {
     }
 }
 
-/// A cooperative cancellation handle.
-///
-/// Clones share one flag; any clone may [`CancelToken::cancel`] (e.g. from
-/// another thread handling a client disconnect) and the solver observes it
-/// at the next worklist step.
-#[derive(Debug, Clone, Default)]
-pub struct CancelToken {
-    flag: Arc<AtomicBool>,
-}
-
-impl CancelToken {
-    /// A fresh, un-cancelled token.
-    pub fn new() -> CancelToken {
-        CancelToken::default()
-    }
-
-    /// Requests cancellation. Idempotent; never blocks.
-    pub fn cancel(&self) {
-        self.flag.store(true, Ordering::Relaxed);
-    }
-
-    /// Whether cancellation has been requested.
-    pub fn is_cancelled(&self) -> bool {
-        self.flag.load(Ordering::Relaxed)
-    }
-}
-
 /// Why a bounded solve stopped before reaching the fixpoint.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum InterruptReason {
@@ -90,8 +61,6 @@ pub enum InterruptReason {
     Deadline,
     /// The solved form outgrew the term or entry cap.
     Memory,
-    /// The [`CancelToken`] was cancelled.
-    Cancelled,
 }
 
 impl InterruptReason {
@@ -101,7 +70,6 @@ impl InterruptReason {
             InterruptReason::Steps => "steps",
             InterruptReason::Deadline => "deadline",
             InterruptReason::Memory => "memory",
-            InterruptReason::Cancelled => "cancelled",
         }
     }
 }
@@ -112,7 +80,6 @@ impl fmt::Display for InterruptReason {
             InterruptReason::Steps => "step budget exhausted",
             InterruptReason::Deadline => "deadline exceeded",
             InterruptReason::Memory => "memory cap exceeded",
-            InterruptReason::Cancelled => "cancelled",
         };
         f.write_str(msg)
     }
@@ -138,14 +105,12 @@ impl Outcome {
 /// builder methods tighten them independently.
 ///
 /// ```
-/// use rasc_core::{Budget, CancelToken};
+/// use rasc_core::Budget;
 ///
-/// let token = CancelToken::new();
 /// let budget = Budget::unlimited()
 ///     .with_steps(10_000)
 ///     .with_deadline_millis(50)
-///     .with_max_entries(1_000_000)
-///     .with_cancel(token.clone());
+///     .with_max_entries(1_000_000);
 /// assert!(!budget.is_unlimited());
 /// ```
 #[derive(Debug, Clone, Default)]
@@ -155,7 +120,6 @@ pub struct Budget {
     max_terms: Option<usize>,
     max_entries: Option<usize>,
     clock: Option<Arc<dyn Clock>>,
-    cancel: Option<CancelToken>,
 }
 
 impl Budget {
@@ -196,12 +160,6 @@ impl Budget {
         self
     }
 
-    /// Attaches a cooperative cancellation token.
-    pub fn with_cancel(mut self, cancel: CancelToken) -> Budget {
-        self.cancel = Some(cancel);
-        self
-    }
-
     /// Whether no axis is limited (the clock alone does not count: it is
     /// only consulted when a deadline is set).
     pub fn is_unlimited(&self) -> bool {
@@ -209,7 +167,6 @@ impl Budget {
             && self.max_millis.is_none()
             && self.max_terms.is_none()
             && self.max_entries.is_none()
-            && self.cancel.is_none()
     }
 
     /// The step cap, if any.
@@ -263,11 +220,6 @@ impl BudgetMeter<'_> {
     /// Checks every axis against the current solver dimensions. Called
     /// before each worklist pop; `None` means "keep going".
     pub(crate) fn check(&self, terms: usize, entries: usize) -> Option<InterruptReason> {
-        if let Some(cancel) = &self.budget.cancel {
-            if cancel.is_cancelled() {
-                return Some(InterruptReason::Cancelled);
-            }
-        }
         if let Some(max) = self.budget.max_steps {
             if self.steps >= max {
                 return Some(InterruptReason::Steps);
@@ -337,12 +289,6 @@ mod tests {
 
         let b = Budget::unlimited().with_max_entries(5);
         assert_eq!(b.start().check(0, 6), Some(InterruptReason::Memory));
-
-        let token = CancelToken::new();
-        let b = Budget::unlimited().with_cancel(token.clone());
-        assert_eq!(b.start().check(0, 0), None);
-        token.cancel();
-        assert_eq!(b.start().check(0, 0), Some(InterruptReason::Cancelled));
     }
 
     #[test]
@@ -350,7 +296,6 @@ mod tests {
         assert_eq!(InterruptReason::Steps.code(), "steps");
         assert_eq!(InterruptReason::Deadline.code(), "deadline");
         assert_eq!(InterruptReason::Memory.code(), "memory");
-        assert_eq!(InterruptReason::Cancelled.code(), "cancelled");
         assert!(Outcome::Complete.is_complete());
         assert!(!Outcome::Interrupted(InterruptReason::Steps).is_complete());
     }

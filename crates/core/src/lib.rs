@@ -72,7 +72,6 @@ mod error;
 pub mod forward;
 mod idhash;
 mod notation;
-mod pattern;
 mod provenance;
 mod query;
 pub mod snapshot;
@@ -80,10 +79,9 @@ mod solver;
 mod store;
 mod term;
 
-pub use budget::{Budget, CancelToken, Clock, InterruptReason, MonotonicClock, Outcome};
+pub use budget::{Budget, Clock, InterruptReason, MonotonicClock, Outcome};
 pub use constraint::{Constraint, SetExpr};
 pub use error::{CoreError, Result};
-pub use pattern::{AnnPred, TermPattern};
 pub use provenance::ExplainStep;
 pub use query::OccurrenceWitness;
 pub use snapshot::SnapshotError;

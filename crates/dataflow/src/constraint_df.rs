@@ -1,26 +1,25 @@
 //! Forward may-dataflow via annotated set constraints.
 
-use rasc_cfgir::{Cfg, CfgError, EdgeLabel, NodeId};
+use rasc_cfgir::{Cfg, NodeId};
 use rasc_core::algebra::{AnnId, GenKillAlgebra};
-use rasc_core::{ConsId, SetExpr, System, VarId, Variance};
+use rasc_core::{SolverConfig, System};
+use rasc_pdmc::{CheckError, ConstraintChecker};
 
 use crate::spec::GenKillSpec;
-use crate::well_formed;
 
 /// A context-sensitive forward may-analysis: which facts *may* hold at
 /// each program point, for executions from the entry with no initial
 /// facts.
 ///
-/// The encoding mirrors the model checker's (§6.1): one variable per CFG
-/// node, `pc` seeded at the entry, event edges annotated with their
-/// gen/kill transfer, and per-call-site constructors matching call/return
-/// paths — which is exactly what makes the analysis context-sensitive
-/// (facts generated in one calling context do not leak into another).
+/// It is the model checker's §6.1 encoding ([`ConstraintChecker::encode`])
+/// over the gen/kill algebra: one variable per CFG node, `pc` seeded at
+/// the entry, event edges annotated with their gen/kill transfer, and
+/// per-call-site constructors matching call/return paths — which is
+/// exactly what makes the analysis context-sensitive (facts generated in
+/// one calling context do not leak into another).
 #[derive(Debug)]
 pub struct ConstraintDataflow {
-    sys: System<GenKillAlgebra>,
-    node_vars: Vec<VarId>,
-    pc: ConsId,
+    checker: ConstraintChecker<GenKillAlgebra>,
     facts: Vec<u64>,
 }
 
@@ -29,50 +28,22 @@ impl ConstraintDataflow {
     ///
     /// # Errors
     ///
-    /// Returns [`CfgError::MissingEntry`] if `entry` is missing.
-    pub fn new(cfg: &Cfg, spec: &GenKillSpec, entry: &str) -> Result<ConstraintDataflow, CfgError> {
-        let entry_node = cfg.entry(entry)?.entry;
-        let mut sys = System::new(GenKillAlgebra::new(spec.num_facts() as u32));
-        let node_vars: Vec<VarId> = (0..cfg.num_nodes())
-            .map(|i| sys.var(&format!("S{i}")))
-            .collect();
-        let pc = sys.constructor("pc", &[]);
-        well_formed(sys.add(
-            SetExpr::cons(pc, []),
-            SetExpr::var(node_vars[entry_node.index()]),
-        ));
-
-        for (from, to, label) in cfg.edges() {
-            let ann = match label {
-                EdgeLabel::Plain => None,
-                EdgeLabel::Event { name, .. } => spec
-                    .effect(name)
-                    .map(|(g, k)| sys.algebra_mut().transfer(g, k)),
-            };
-            let lhs = SetExpr::var(node_vars[from.index()]);
-            let rhs = SetExpr::var(node_vars[to.index()]);
-            well_formed(match ann {
-                Some(a) => sys.add_ann(lhs, rhs, a),
-                None => sys.add(lhs, rhs),
-            });
-        }
-        for site in cfg.call_sites() {
-            let callee = &cfg.functions()[site.callee.index()];
-            let o_i = sys.constructor(&format!("o{}", site.id.index()), &[Variance::Covariant]);
-            well_formed(sys.add(
-                SetExpr::cons_vars(o_i, [node_vars[site.call_node.index()]]),
-                SetExpr::var(node_vars[callee.entry.index()]),
-            ));
-            well_formed(sys.add(
-                SetExpr::proj(o_i, 0, node_vars[callee.exit.index()]),
-                SetExpr::var(node_vars[site.return_node.index()]),
-            ));
-        }
-
+    /// Returns [`CheckError::Cfg`] if `entry` is missing.
+    pub fn new(
+        cfg: &Cfg,
+        spec: &GenKillSpec,
+        entry: &str,
+    ) -> Result<ConstraintDataflow, CheckError> {
+        let algebra = GenKillAlgebra::new(spec.num_facts() as u32);
+        let checker = ConstraintChecker::encode(
+            cfg,
+            entry,
+            algebra,
+            SolverConfig::default(),
+            |alg, name, _| spec.effect(name).map(|(g, k)| alg.transfer(g, k)),
+        )?;
         Ok(ConstraintDataflow {
-            sys,
-            node_vars,
-            pc,
+            checker,
             facts: Vec::new(),
         })
     }
@@ -81,12 +52,12 @@ impl ConstraintDataflow {
     /// union of the fact vectors (the gen/kill algebra's classes) with
     /// which `pc` reaches each node.
     pub fn solve(&mut self) {
-        self.sys.solve();
-        let occ = self.sys.constant_occurrence_classes(self.pc);
+        self.checker.solve();
         self.facts = self
-            .node_vars
+            .checker
+            .pc_classes()
             .iter()
-            .map(|&v| occ[v.index()].iter().fold(0u64, |m, &c| m | c))
+            .map(|classes| classes.iter().fold(0u64, |m, &c| m | c))
             .collect();
     }
 
@@ -109,13 +80,12 @@ impl ConstraintDataflow {
     /// The transfer functions with which `pc` reaches a node, one per
     /// distinct composed path annotation.
     pub fn pc_annotations(&mut self, n: NodeId) -> Vec<AnnId> {
-        let var = self.node_vars[n.index()];
-        self.sys.occurrence_annotations(var, self.pc)
+        self.checker.pc_annotations(n)
     }
 
     /// The underlying constraint system, for diagnostics.
     pub fn system(&self) -> &System<GenKillAlgebra> {
-        &self.sys
+        self.checker.system()
     }
 }
 

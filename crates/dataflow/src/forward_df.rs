@@ -5,24 +5,24 @@
 //! analysis is unidirectional solving with the coarser congruence. Here
 //! each fact runs on its own Figure 1 machine through the forward solver
 //! (`i = |S| = 2` states per fact), which also matches how bit-vector
-//! problems decompose classically. Precision is identical to the
-//! bidirectional engine — both compute context-sensitive may-facts — which
-//! the cross-validation tests assert.
+//! problems decompose classically. Each fact's system is the model
+//! checker's forward encoding ([`ForwardChecker::encode`]). Precision is
+//! identical to the bidirectional engine — both compute context-sensitive
+//! may-facts — which the cross-validation tests assert.
 
 use rasc_automata::{Alphabet, Dfa};
-use rasc_cfgir::{Cfg, CfgError, EdgeLabel, NodeId};
-use rasc_core::forward::ForwardSystem;
-use rasc_core::{ConsId, VarId, Variance};
+use rasc_cfgir::{Cfg, NodeId};
+use rasc_pdmc::{CheckError, ForwardChecker};
 
 use crate::spec::GenKillSpec;
-use crate::well_formed;
 
 /// A context-sensitive forward may-analysis on the forward solver, one
 /// run per fact.
 #[derive(Debug)]
 pub struct ForwardDataflow {
-    /// Per-fact `(system, node variables, pc)` triples.
-    systems: Vec<(ForwardSystem, Vec<VarId>, ConsId)>,
+    /// One checker per fact: the fact holds where its machine accepts.
+    checkers: Vec<ForwardChecker>,
+    num_nodes: usize,
     facts: Vec<u64>,
 }
 
@@ -31,79 +31,43 @@ impl ForwardDataflow {
     ///
     /// # Errors
     ///
-    /// Returns [`CfgError::MissingEntry`] if `entry` is missing.
-    pub fn new(cfg: &Cfg, spec: &GenKillSpec, entry: &str) -> Result<ForwardDataflow, CfgError> {
-        let entry_node = cfg.entry(entry)?.entry;
-        let mut systems = Vec::new();
-        for fact in 0..spec.num_facts() {
-            // Fact-local 1-bit machine: `g` when the fact is genned, `k`
-            // when killed.
-            let mut sigma = Alphabet::new();
-            let g = sigma.intern("g");
-            let k = sigma.intern("k");
-            let machine = Dfa::one_bit(&sigma, g, k);
-            let mut sys = ForwardSystem::new(&machine);
-            let vars: Vec<VarId> = (0..cfg.num_nodes())
-                .map(|i| sys.var(&format!("S{i}")))
-                .collect();
-            let pc = sys.constant("pc");
-            sys.add_constant(pc, vars[entry_node.index()]);
-            for (from, to, label) in cfg.edges() {
-                let ann = match label {
-                    EdgeLabel::Plain => sys.identity(),
-                    EdgeLabel::Event { name, .. } => match spec.effect(name) {
-                        Some((gen_mask, kill_mask)) => {
-                            let bit = 1u64 << fact;
-                            if gen_mask & bit != 0 {
-                                sys.word(&[g])
-                            } else if kill_mask & bit != 0 {
-                                sys.word(&[k])
-                            } else {
-                                sys.identity()
-                            }
-                        }
-                        None => sys.identity(),
-                    },
-                };
-                sys.add_edge(vars[from.index()], vars[to.index()], ann);
-            }
-            let eps = sys.identity();
-            for site in cfg.call_sites() {
-                let callee = &cfg.functions()[site.callee.index()];
-                let o_i = sys.declare(&format!("o{}", site.id.index()), &[Variance::Covariant]);
-                well_formed(sys.add_source(
-                    o_i,
-                    &[vars[site.call_node.index()]],
-                    vars[callee.entry.index()],
-                    eps,
-                ));
-                well_formed(sys.add_projection(
-                    o_i,
-                    0,
-                    vars[callee.exit.index()],
-                    vars[site.return_node.index()],
-                    eps,
-                ));
-            }
-            systems.push((sys, vars, pc));
-        }
+    /// Returns [`CheckError::Cfg`] if `entry` is missing.
+    pub fn new(cfg: &Cfg, spec: &GenKillSpec, entry: &str) -> Result<ForwardDataflow, CheckError> {
+        // The 1-bit machine each fact runs: `g` when the fact is genned,
+        // `k` when killed.
+        let mut sigma = Alphabet::new();
+        let g = sigma.intern("g");
+        let k = sigma.intern("k");
+        let machine = Dfa::one_bit(&sigma, g, k);
+        let checkers = (0..spec.num_facts())
+            .map(|fact| {
+                let bit = 1u64 << fact;
+                ForwardChecker::encode(cfg, entry, &machine, |name| {
+                    let (gen_mask, kill_mask) = spec.effect(name)?;
+                    if gen_mask & bit != 0 {
+                        Some(g)
+                    } else if kill_mask & bit != 0 {
+                        Some(k)
+                    } else {
+                        None
+                    }
+                })
+            })
+            .collect::<Result<_, _>>()?;
         Ok(ForwardDataflow {
-            systems,
+            checkers,
+            num_nodes: cfg.num_nodes(),
             facts: Vec::new(),
         })
     }
 
     /// Solves all per-fact systems and assembles the fact vectors.
     pub fn solve(&mut self) {
-        let n_nodes = self.systems.first().map_or(0, |(_, vars, _)| vars.len());
-        let mut facts = vec![0u64; n_nodes];
-        for (fact, (sys, vars, pc)) in self.systems.iter_mut().enumerate() {
-            sys.solve();
-            let occ = sys.constant_occurrence_states(*pc);
-            for (node, &var) in vars.iter().enumerate() {
-                if occ[var.index()].iter().any(|&s| sys.state_accepting(s)) {
-                    facts[node] |= 1 << fact;
-                }
+        let mut facts = vec![0u64; self.num_nodes];
+        for (fact, checker) in self.checkers.iter_mut().enumerate() {
+            checker.solve();
+            for node in checker.violations() {
+                facts[node.index()] |= 1 << fact;
             }
         }
         self.facts = facts;

@@ -8,16 +8,25 @@
 //! holding at a program point are read off the `pc` occurrence
 //! annotations.
 //!
-//! Three engines are provided:
+//! The constraint engines do not encode the CFG themselves: they reuse
+//! `rasc-pdmc`'s §6.1 encoders with a gen/kill annotation per event, so a
+//! dataflow problem is a model-checking problem over another algebra.
+//! The engines provided:
 //!
 //! * [`ConstraintDataflow`] — forward may-analysis via annotated set
 //!   constraints with the [`GenKillAlgebra`](rasc_core::algebra::GenKillAlgebra)
-//!   (context-sensitive: call/return paths are matched);
+//!   (context-sensitive: call/return paths are matched), a
+//!   [`ConstraintChecker`](rasc_pdmc::ConstraintChecker) over that
+//!   algebra;
+//! * [`ForwardDataflow`] — the same analysis on §5's forward solver, one
+//!   1-bit machine per fact, each a
+//!   [`ForwardChecker`](rasc_pdmc::ForwardChecker);
 //! * [`IterativeDataflow`] — the classical context-insensitive worklist
 //!   baseline, for cross-validation and benchmarking;
 //! * [`Liveness`] — a backward analysis built on the
 //!   [`BackwardSystem`](rasc_core::backward::BackwardSystem) solver (§5's
-//!   backward congruence), one 3-state machine per fact.
+//!   backward congruence), one 3-state machine per fact, with
+//!   [`IterativeLiveness`] as its baseline.
 //!
 //! # Example
 //!
@@ -57,13 +66,3 @@ pub use forward_df::ForwardDataflow;
 pub use iterative::IterativeDataflow;
 pub use liveness::{Liveness, LivenessSpecEntry};
 pub use spec::GenKillSpec;
-
-/// Unwraps the result of adding a constraint that the encoding built from
-/// ids it has just created, panicking with the error otherwise. Library
-/// code is otherwise free of `unwrap`/`expect` (enforced by the
-/// `disallowed-methods` clippy gate in CI).
-pub(crate) fn well_formed(added: rasc_core::Result<()>) {
-    if let Err(e) = added {
-        panic!("internal invariant violated: the encoding built an ill-formed constraint: {e}");
-    }
-}

@@ -9,7 +9,7 @@
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-use rasc_core::{Budget, CancelToken, Clock};
+use rasc_core::{Budget, Clock};
 
 use crate::rng::Rng;
 
@@ -20,9 +20,6 @@ pub enum FaultKind {
     StepExhaustion,
     /// The wall-clock deadline passes (driven by a stepped fake clock).
     Deadline,
-    /// The [`CancelToken`] fires (driven by a trigger clock, standing in
-    /// for an external canceller such as a disconnecting client).
-    Cancellation,
 }
 
 /// A deterministic plan to interrupt a bounded solve at the `at_step`-th
@@ -45,42 +42,27 @@ impl FaultPlan {
     /// Draws a random plan (uniform kind, step in `0..max_step`) — for
     /// composing with the [`crate::forall`] property harness.
     pub fn arbitrary(rng: &mut Rng, max_step: u64) -> FaultPlan {
-        let kind = match rng.gen_range(0..3) {
-            0 => FaultKind::StepExhaustion,
-            1 => FaultKind::Deadline,
-            _ => FaultKind::Cancellation,
+        let kind = if rng.gen_bool(0.5) {
+            FaultKind::StepExhaustion
+        } else {
+            FaultKind::Deadline
         };
         FaultPlan::new(kind, rng.gen_range(0..max_step.max(1) as usize) as u64)
     }
 
-    /// Materializes the plan as a [`Budget`]. Each call builds fresh
-    /// clock/token state, so one plan can bound many solves
-    /// independently.
+    /// Materializes the plan as a [`Budget`]. Each call builds a fresh
+    /// clock, so one plan can bound many solves independently.
     ///
     /// The solver consults the budget once per worklist step, which is
-    /// what makes the fake clocks step-deterministic: `StepExhaustion`
-    /// trips exactly at `at_step`; `Deadline` and `Cancellation` trip
-    /// within one step of it.
+    /// what makes the fake clock step-deterministic: `StepExhaustion`
+    /// trips exactly at `at_step`; `Deadline` trips within one step of
+    /// it.
     pub fn budget(&self) -> Budget {
         match self.kind {
             FaultKind::StepExhaustion => Budget::unlimited().with_steps(self.at_step),
             FaultKind::Deadline => Budget::unlimited()
                 .with_deadline_millis(self.at_step)
                 .with_clock(Arc::new(SteppedClock::default())),
-            FaultKind::Cancellation => {
-                let token = CancelToken::new();
-                let trigger = TriggerClock {
-                    ticks: AtomicU64::new(0),
-                    fire_at: self.at_step,
-                    token: token.clone(),
-                };
-                // The huge deadline never trips; it only forces the
-                // solver to consult the trigger clock every step.
-                Budget::unlimited()
-                    .with_deadline_millis(u64::MAX / 2)
-                    .with_clock(Arc::new(trigger))
-                    .with_cancel(token)
-            }
         }
     }
 }
@@ -113,29 +95,9 @@ impl Clock for SteppedClock {
     }
 }
 
-/// A fake clock that cancels a token at its `fire_at`-th consultation,
-/// standing in for an external canceller.
-#[derive(Debug)]
-struct TriggerClock {
-    ticks: AtomicU64,
-    fire_at: u64,
-    token: CancelToken,
-}
-
-impl Clock for TriggerClock {
-    fn now_millis(&self) -> u64 {
-        let t = self.ticks.fetch_add(1, Ordering::Relaxed);
-        if t >= self.fire_at {
-            self.token.cancel();
-        }
-        0
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rasc_core::InterruptReason;
 
     #[test]
     fn plans_are_deterministic_per_seed() {
@@ -157,13 +119,10 @@ mod tests {
     #[test]
     fn budgets_trip_the_planned_axis() {
         // Exercise the materialized budgets through their public shape:
-        // steps-only plans produce a steps cap, the others install clocks.
+        // a steps plan produces a steps cap, a deadline plan a deadline.
         let b = FaultPlan::new(FaultKind::StepExhaustion, 7).budget();
         assert_eq!(b.max_steps(), Some(7));
         let b = FaultPlan::new(FaultKind::Deadline, 7).budget();
         assert_eq!(b.max_millis(), Some(7));
-        let b = FaultPlan::new(FaultKind::Cancellation, 7).budget();
-        assert!(b.max_millis().is_some());
-        let _ = InterruptReason::Cancelled; // axis exercised end-to-end in proptest_faults
     }
 }

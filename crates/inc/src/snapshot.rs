@@ -113,9 +113,9 @@ impl BatchEngine {
 
     /// Replaces the engine's solved form and name maps with the snapshotted
     /// state. Validates *everything* before mutating: on any error the
-    /// engine is untouched. The client-set `limits`, embedder caps,
-    /// cancellation token, and clock all survive the restore — they are
-    /// connection state, not solved-form state.
+    /// engine is untouched. The client-set `limits`, embedder caps and
+    /// clock all survive the restore — they are connection state, not
+    /// solved-form state.
     ///
     /// The snapshot's alphabet must match this engine's (same names, same
     /// order); a snapshot taken under a different property machine

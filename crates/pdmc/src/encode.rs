@@ -2,7 +2,7 @@
 
 use std::fmt;
 
-use rasc_automata::{Alphabet, Dfa, PropertySpec};
+use rasc_automata::{Alphabet, Dfa, PropertySpec, SymbolId};
 use rasc_cfgir::{Cfg, CfgError, EdgeLabel, NodeId};
 use rasc_core::algebra::{Algebra, AnnId, MonoidAlgebra, SubstAlgebra};
 use rasc_core::forward::ForwardSystem;
@@ -42,10 +42,12 @@ impl From<rasc_core::CoreError> for CheckError {
 
 /// A pushdown model checker built on regularly annotated set constraints.
 ///
-/// Construct with [`ConstraintChecker::from_spec`] (plain or parametric —
-/// chosen automatically) or the explicit
-/// [`ConstraintChecker::new`] / [`ConstraintChecker::parametric`]; then
-/// [`solve`](ConstraintChecker::solve) and query.
+/// Construct with [`ConstraintChecker::from_spec`] or
+/// [`ConstraintChecker::new`] for a plain property,
+/// [`ConstraintChecker::parametric`] for a parametric one, or
+/// [`ConstraintChecker::encode`], which all of them call, for any other
+/// annotation algebra; then [`solve`](ConstraintChecker::solve) and
+/// query.
 #[derive(Debug)]
 pub struct ConstraintChecker<A: Algebra> {
     sys: System<A>,
@@ -73,14 +75,15 @@ impl ConstraintChecker<MonoidAlgebra> {
         property: &Dfa,
         entry: &str,
     ) -> Result<Self, CheckError> {
-        let algebra = MonoidAlgebra::new(property);
-        build(cfg, entry, algebra, |alg, name, _args| {
-            sigma.lookup(name).map(|sym| alg.symbol(sym))
-        })
+        Self::new_with_config(cfg, sigma, property, entry, SolverConfig::default())
     }
 
     /// Like [`ConstraintChecker::new`] with explicit solver configuration
     /// (for the cycle-elimination ablation bench).
+    ///
+    /// # Errors
+    ///
+    /// Returns [`CheckError::Cfg`] if `entry` is missing.
     pub fn new_with_config(
         cfg: &Cfg,
         sigma: &Alphabet,
@@ -89,9 +92,20 @@ impl ConstraintChecker<MonoidAlgebra> {
         config: SolverConfig,
     ) -> Result<Self, CheckError> {
         let algebra = MonoidAlgebra::new(property);
-        build_with_config(cfg, entry, algebra, config, |alg, name, _args| {
+        Self::encode(cfg, entry, algebra, config, |alg, name, _args| {
             sigma.lookup(name).map(|sym| alg.symbol(sym))
         })
+    }
+
+    /// Builds a plain checker from a [`PropertySpec`] (which must be
+    /// non-parametric; use [`ConstraintChecker::parametric`] otherwise).
+    ///
+    /// # Errors
+    ///
+    /// Returns [`CheckError::Cfg`] if `entry` is missing.
+    pub fn from_spec(cfg: &Cfg, spec: &PropertySpec, entry: &str) -> Result<Self, CheckError> {
+        let (sigma, dfa) = spec.compile();
+        Self::new(cfg, &sigma, &dfa, entry)
     }
 }
 
@@ -120,7 +134,8 @@ impl ConstraintChecker<SubstAlgebra> {
             }
             v
         };
-        build(cfg, entry, algebra, move |alg, name, args| {
+        let config = SolverConfig::default();
+        Self::encode(cfg, entry, algebra, config, move |alg, name, args| {
             let sym = sigma.lookup(name)?;
             let (_, param_ids) = symbol_params.iter().find(|(n, _)| n == name)?;
             if param_ids.is_empty() || args.is_empty() {
@@ -137,94 +152,169 @@ impl ConstraintChecker<SubstAlgebra> {
     }
 }
 
-/// Builds a checker from a property spec, choosing the plain or parametric
-/// algebra automatically.
-impl ConstraintChecker<MonoidAlgebra> {
-    /// Builds a plain checker from a [`PropertySpec`] (which must be
-    /// non-parametric; use [`ConstraintChecker::parametric`] otherwise).
+impl<A: Algebra> ConstraintChecker<A> {
+    /// The §6.1 encoding of `cfg` from function `entry`, over any
+    /// annotation algebra: one set variable `S_i` per CFG node, `pc ⊆
+    /// S_entry`, one inclusion per statement edge, and per call site `i`
+    /// a constructor `o_i` with `o_i(S_call) ⊆ F_entry` and
+    /// `o_i⁻¹(F_exit) ⊆ S_ret`.
+    ///
+    /// `event_ann` gives an event edge's annotation from the event's name
+    /// and value labels, or `None` for an event the property ignores; an
+    /// edge without an annotation is an unannotated inclusion. Every other
+    /// constructor — the model checkers here and the gen/kill dataflow of
+    /// §3.3 — calls this one.
     ///
     /// # Errors
     ///
     /// Returns [`CheckError::Cfg`] if `entry` is missing.
-    pub fn from_spec(cfg: &Cfg, spec: &PropertySpec, entry: &str) -> Result<Self, CheckError> {
-        let (sigma, dfa) = spec.compile();
-        Self::new(cfg, &sigma, &dfa, entry)
-    }
-}
+    pub fn encode(
+        cfg: &Cfg,
+        entry: &str,
+        algebra: A,
+        config: SolverConfig,
+        mut event_ann: impl FnMut(&mut A, &str, &[String]) -> Option<AnnId>,
+    ) -> Result<Self, CheckError> {
+        let entry_node = cfg.entry(entry)?.entry;
+        let mut sys = System::with_config(algebra, config);
+        let node_vars: Vec<VarId> = (0..cfg.num_nodes())
+            .map(|i| sys.var(&format!("S{i}")))
+            .collect();
+        let pc = sys.constructor("pc", &[]);
 
-fn build<A: Algebra>(
-    cfg: &Cfg,
-    entry: &str,
-    algebra: A,
-    event_ann: impl FnMut(&mut A, &str, &[String]) -> Option<AnnId>,
-) -> Result<ConstraintChecker<A>, CheckError> {
-    build_with_config(cfg, entry, algebra, SolverConfig::default(), event_ann)
-}
+        // pc ⊆ S_main.
+        sys.add(
+            SetExpr::cons(pc, []),
+            SetExpr::var(node_vars[entry_node.index()]),
+        )?;
 
-fn build_with_config<A: Algebra>(
-    cfg: &Cfg,
-    entry: &str,
-    algebra: A,
-    config: SolverConfig,
-    mut event_ann: impl FnMut(&mut A, &str, &[String]) -> Option<AnnId>,
-) -> Result<ConstraintChecker<A>, CheckError> {
-    let entry_node = cfg.entry(entry)?.entry;
-    let mut sys = System::with_config(algebra, config);
-    let node_vars: Vec<VarId> = (0..cfg.num_nodes())
-        .map(|i| sys.var(&format!("S{i}")))
-        .collect();
-    let pc = sys.constructor("pc", &[]);
-
-    // pc ⊆ S_main.
-    sys.add(
-        SetExpr::cons(pc, []),
-        SetExpr::var(node_vars[entry_node.index()]),
-    )?;
-
-    // Statement edges.
-    for (from, to, label) in cfg.edges() {
-        let ann = match label {
-            EdgeLabel::Plain => None,
-            EdgeLabel::Event { name, args } => event_ann(sys.algebra_mut(), name, args),
-        };
-        let lhs = SetExpr::var(node_vars[from.index()]);
-        let rhs = SetExpr::var(node_vars[to.index()]);
-        match ann {
-            Some(a) => sys.add_ann(lhs, rhs, a)?,
-            None => sys.add(lhs, rhs)?,
+        // Statement edges.
+        for (from, to, label) in cfg.edges() {
+            let ann = match label {
+                EdgeLabel::Plain => None,
+                EdgeLabel::Event { name, args } => event_ann(sys.algebra_mut(), name, args),
+            };
+            let lhs = SetExpr::var(node_vars[from.index()]);
+            let rhs = SetExpr::var(node_vars[to.index()]);
+            match ann {
+                Some(a) => sys.add_ann(lhs, rhs, a)?,
+                None => sys.add(lhs, rhs)?,
+            }
         }
-    }
 
-    // Call/return matching via per-site constructors.
-    let mut site_names = Vec::new();
-    for site in cfg.call_sites() {
-        let callee = &cfg.functions()[site.callee.index()];
-        let name = format!("o{}", site.id.index());
-        let o_i = sys.constructor(&name, &[Variance::Covariant]);
-        site_names.push(name);
-        sys.add(
-            SetExpr::cons_vars(o_i, [node_vars[site.call_node.index()]]),
-            SetExpr::var(node_vars[callee.entry.index()]),
-        )?;
-        sys.add(
-            SetExpr::proj(o_i, 0, node_vars[callee.exit.index()]),
-            SetExpr::var(node_vars[site.return_node.index()]),
-        )?;
-    }
+        // Call/return matching via per-site constructors.
+        let mut site_names = Vec::new();
+        for site in cfg.call_sites() {
+            let callee = &cfg.functions()[site.callee.index()];
+            let name = format!("o{}", site.id.index());
+            let o_i = sys.constructor(&name, &[Variance::Covariant]);
+            site_names.push(name);
+            sys.add(
+                SetExpr::cons_vars(o_i, [node_vars[site.call_node.index()]]),
+                SetExpr::var(node_vars[callee.entry.index()]),
+            )?;
+            sys.add(
+                SetExpr::proj(o_i, 0, node_vars[callee.exit.index()]),
+                SetExpr::var(node_vars[site.return_node.index()]),
+            )?;
+        }
 
-    Ok(ConstraintChecker {
-        sys,
-        node_vars,
-        pc,
-        site_names,
-    })
+        Ok(ConstraintChecker {
+            sys,
+            node_vars,
+            pc,
+            site_names,
+        })
+    }
 }
 
 /// The §6.1 encoding of a non-parametric property on the forward solver
 /// of §5 ([`ForwardSystem`]): the constraints [`ConstraintChecker::new`]
-/// builds, solved forward. Returns the nodes at which the program counter
-/// occurs in an accepting state — the nodes
-/// [`ConstraintChecker::violations`] reports — in node order.
+/// builds, solved forward. [`forward_violations`] checks a property with
+/// it, and the forward gen/kill dataflow runs one per fact.
+#[derive(Debug)]
+pub struct ForwardChecker {
+    sys: ForwardSystem,
+    node_vars: Vec<VarId>,
+    pc: ConsId,
+}
+
+impl ForwardChecker {
+    /// Encodes `cfg` from function `entry` for the property machine
+    /// `property`, in the order [`ConstraintChecker::encode`] uses.
+    /// `event_symbol` names the symbol an event edge reads, or `None` for
+    /// an event the property ignores; such an edge, like a plain one,
+    /// carries the identity.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`CheckError::Cfg`] if `entry` is missing.
+    pub fn encode(
+        cfg: &Cfg,
+        entry: &str,
+        property: &Dfa,
+        mut event_symbol: impl FnMut(&str) -> Option<SymbolId>,
+    ) -> Result<ForwardChecker, CheckError> {
+        let entry_node = cfg.entry(entry)?.entry;
+        let mut sys = ForwardSystem::new(property);
+        let node_vars: Vec<VarId> = (0..cfg.num_nodes())
+            .map(|i| sys.var(&format!("S{i}")))
+            .collect();
+        let pc = sys.constant("pc");
+        sys.add_constant(pc, node_vars[entry_node.index()]);
+        for (from, to, label) in cfg.edges() {
+            let ann = match label {
+                EdgeLabel::Plain => sys.identity(),
+                EdgeLabel::Event { name, .. } => match event_symbol(name) {
+                    Some(s) => sys.word(&[s]),
+                    None => sys.identity(),
+                },
+            };
+            sys.add_edge(node_vars[from.index()], node_vars[to.index()], ann);
+        }
+        let eps = sys.identity();
+        for site in cfg.call_sites() {
+            let callee = &cfg.functions()[site.callee.index()];
+            let o_i = sys.declare(&format!("o{}", site.id.index()), &[Variance::Covariant]);
+            sys.add_source(
+                o_i,
+                &[node_vars[site.call_node.index()]],
+                node_vars[callee.entry.index()],
+                eps,
+            )?;
+            sys.add_projection(
+                o_i,
+                0,
+                node_vars[callee.exit.index()],
+                node_vars[site.return_node.index()],
+                eps,
+            )?;
+        }
+        Ok(ForwardChecker { sys, node_vars, pc })
+    }
+
+    /// Runs the forward solver to a fixpoint.
+    pub fn solve(&mut self) {
+        self.sys.solve();
+    }
+
+    /// The nodes at which `pc` occurs in an accepting state, in node
+    /// order — the nodes [`ConstraintChecker::violations`] reports.
+    pub fn violations(&mut self) -> Vec<NodeId> {
+        let occ = self.sys.constant_occurrence_states(self.pc);
+        (0..self.node_vars.len())
+            .filter(|&n| {
+                occ[self.node_vars[n].index()]
+                    .iter()
+                    .any(|&s| self.sys.state_accepting(s))
+            })
+            .map(NodeId::from_index)
+            .collect()
+    }
+}
+
+/// Checks a non-parametric property with a [`ForwardChecker`]: returns
+/// the nodes [`ConstraintChecker::violations`] reports, in node order.
 ///
 /// # Errors
 ///
@@ -235,47 +325,9 @@ pub fn forward_violations(
     property: &Dfa,
     entry: &str,
 ) -> Result<Vec<NodeId>, CheckError> {
-    let entry_node = cfg.entry(entry)?.entry;
-    let mut sys = ForwardSystem::new(property);
-    let vars: Vec<VarId> = (0..cfg.num_nodes())
-        .map(|i| sys.var(&format!("S{i}")))
-        .collect();
-    let pc = sys.constant("pc");
-    sys.add_constant(pc, vars[entry_node.index()]);
-    for (from, to, label) in cfg.edges() {
-        let ann = match label {
-            EdgeLabel::Plain => sys.identity(),
-            EdgeLabel::Event { name, .. } => match sigma.lookup(name) {
-                Some(s) => sys.word(&[s]),
-                None => sys.identity(),
-            },
-        };
-        sys.add_edge(vars[from.index()], vars[to.index()], ann);
-    }
-    let eps = sys.identity();
-    for site in cfg.call_sites() {
-        let callee = &cfg.functions()[site.callee.index()];
-        let o_i = sys.declare(&format!("o{}", site.id.index()), &[Variance::Covariant]);
-        sys.add_source(
-            o_i,
-            &[vars[site.call_node.index()]],
-            vars[callee.entry.index()],
-            eps,
-        )?;
-        sys.add_projection(
-            o_i,
-            0,
-            vars[callee.exit.index()],
-            vars[site.return_node.index()],
-            eps,
-        )?;
-    }
-    sys.solve();
-    let occ = sys.constant_occurrence_states(pc);
-    Ok((0..cfg.num_nodes())
-        .filter(|&n| occ[vars[n].index()].iter().any(|&s| sys.state_accepting(s)))
-        .map(NodeId::from_index)
-        .collect())
+    let mut checker = ForwardChecker::encode(cfg, entry, property, |name| sigma.lookup(name))?;
+    checker.solve();
+    Ok(checker.violations())
 }
 
 impl<A: Algebra> ConstraintChecker<A> {
@@ -314,25 +366,17 @@ impl<A: Algebra> ConstraintChecker<A> {
         !self.violations().is_empty()
     }
 
-    /// Like [`ConstraintChecker::violations`] but along *PN paths*
-    /// (§6.2's partially matched reachability): the `pc` may additionally
-    /// have escaped through returns not matched by a call on the path.
-    /// Acceptance still requires an error-state annotation.
-    ///
-    /// For whole-program checking from `main` this coincides with
-    /// [`ConstraintChecker::violations`] (every frame was entered by a
-    /// call); it differs when analyzing libraries or code fragments whose
-    /// callers are unknown.
-    pub fn violations_pn(&mut self) -> Vec<NodeId> {
-        let mut out = Vec::new();
-        for node in 0..self.node_vars.len() {
-            let var = self.node_vars[node];
-            let anns = self.sys.pn_occurrence_annotations(var, self.pc);
-            if anns.iter().any(|&a| self.sys.algebra().is_accepting(a)) {
-                out.push(NodeId::from_index(node));
-            }
-        }
-        out
+    /// Per CFG node, in node order, the right-congruence classes
+    /// ([`Algebra::Class`]) with which `pc` occurs there: the class scan
+    /// behind [`ConstraintChecker::violations`], before acceptance is
+    /// asked. Under the gen/kill algebra a class is the fact vector of a
+    /// path.
+    pub fn pc_classes(&mut self) -> Vec<Vec<A::Class>> {
+        let mut occ = self.sys.constant_occurrence_classes(self.pc);
+        self.node_vars
+            .iter()
+            .map(|v| std::mem::take(&mut occ[v.index()]))
+            .collect()
     }
 
     /// The annotations with which `pc` occurs at a node (the property
@@ -485,22 +529,6 @@ mod tests {
         );
         checker.solve();
         assert!(checker.violated());
-    }
-
-    #[test]
-    fn pn_violations_match_matched_violations_from_main() {
-        // Whole-program checking from main: every frame on a path was
-        // entered by a call, so PN adds nothing.
-        let (_, mut checker) = plain_check(
-            "fn deep() { event execl; }
-             fn mid() { deep(); }
-             fn main() { event seteuid_zero; if (*) { mid(); } }",
-        );
-        checker.solve();
-        let matched = checker.violations();
-        let pn = checker.violations_pn();
-        assert_eq!(matched, pn);
-        assert!(!matched.is_empty());
     }
 
     #[test]

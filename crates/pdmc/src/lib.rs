@@ -21,6 +21,14 @@
 //! substitution-environment algebra instead of the plain monoid; nothing
 //! else in the encoding changes.
 //!
+//! The encoding is written once per solver. [`ConstraintChecker::encode`]
+//! writes it onto the bidirectional [`System`](rasc_core::System) for any
+//! annotation algebra; the plain, parametric and spec constructors call
+//! it, and so does `rasc-dataflow`'s gen/kill engine (§3.3).
+//! [`ForwardChecker::encode`] writes it onto the forward solver of §5;
+//! [`forward_violations`] and `rasc-dataflow`'s per-fact forward engine
+//! use it.
+//!
 //! # Example
 //!
 //! ```
@@ -47,6 +55,7 @@ pub mod properties;
 pub mod trace;
 
 pub use encode::{
-    forward_violations, CheckError, ConstraintChecker, ParametricChecker, PlainChecker,
+    forward_violations, CheckError, ConstraintChecker, ForwardChecker, ParametricChecker,
+    PlainChecker,
 };
 pub use trace::{render_trace, witness_trace, TraceStep};

@@ -15,10 +15,10 @@
 //!
 //! Run with `cargo run --example custom_taint`.
 
-use rasc::automata::PropertySpec;
+use rasc::automata::{Alphabet, Dfa, PropertySpec};
 use rasc::cfgir::{Cfg, EdgeLabel, Program};
 use rasc::constraints::algebra::{Algebra, MonoidAlgebra};
-use rasc::constraints::{SetExpr, System, VarId, Variance};
+use rasc::constraints::{ConsId, SetExpr, System, VarId, Variance};
 
 /// The taint discipline: a value read from the network is tainted until
 /// sanitized; executing a query with a tainted value is a violation.
@@ -33,29 +33,16 @@ state Tainted :
 accept state Injected;
 ";
 
-fn main() {
-    let spec = PropertySpec::parse(TAINT).expect("valid spec");
-    let (sigma, machine) = spec.compile();
-
-    // A web handler: the sanitizer runs only on one branch, and the query
-    // happens inside a helper two calls deep.
-    let src = r#"
-        fn run() { q: event run_query; done: skip; }
-        fn db_layer() { run(); }
-        fn handler() {
-            event read_network;
-            if (*) { event sanitize; } else { skip; }
-            db_layer();
-        }
-        fn main() {
-            while (*) { handler(); }
-        }
-    "#;
-    let program = Program::parse(src).expect("valid MiniImp");
-    let cfg = Cfg::build(&program).expect("valid program");
-
-    // --- The whole encoding, by hand, on the public API. ---
-    let mut sys = System::new(MonoidAlgebra::new(&machine));
+/// The whole encoding, by hand, on the public API: one variable per
+/// program point, `pc` seeded at `main`'s entry, one annotated edge per
+/// statement, and per call site a constructor and its projection.
+/// Returns the solved system, the program points' variables and `pc`.
+fn encode(
+    cfg: &Cfg,
+    sigma: &Alphabet,
+    machine: &Dfa,
+) -> (System<MonoidAlgebra>, Vec<VarId>, ConsId) {
+    let mut sys = System::new(MonoidAlgebra::new(machine));
     let vars: Vec<VarId> = (0..cfg.num_nodes())
         .map(|i| sys.var(&format!("S{i}")))
         .collect();
@@ -93,23 +80,52 @@ fn main() {
         .expect("well-formed");
     }
     sys.solve();
+    (sys, vars, pc)
+}
 
-    // Query: can an injected state reach the point after the query?
+/// The program points `pc` reaches in an accepting (injected) state.
+fn injected(sys: &mut System<MonoidAlgebra>, vars: &[VarId], pc: ConsId) -> Vec<usize> {
     let occ = sys.constant_occurrence_classes(pc);
-    let injected: Vec<usize> = (0..cfg.num_nodes())
+    (0..vars.len())
         .filter(|&n| {
             occ[vars[n].index()]
                 .iter()
                 .any(|&c| sys.algebra().class_accepting(c))
         })
-        .collect();
+        .collect()
+}
+
+fn main() {
+    let spec = PropertySpec::parse(TAINT).expect("valid spec");
+    let (sigma, machine) = spec.compile();
+
+    // A web handler: the sanitizer runs only on one branch, and the query
+    // happens inside a helper two calls deep.
+    let src = r#"
+        fn run() { q: event run_query; done: skip; }
+        fn db_layer() { run(); }
+        fn handler() {
+            event read_network;
+            if (*) { event sanitize; } else { skip; }
+            db_layer();
+        }
+        fn main() {
+            while (*) { handler(); }
+        }
+    "#;
+    let program = Program::parse(src).expect("valid MiniImp");
+    let cfg = Cfg::build(&program).expect("valid program");
+    let (mut sys, vars, pc) = encode(&cfg, &sigma, &machine);
+
+    // Query: can an injected state reach the point after the query?
+    let injected_points = injected(&mut sys, &vars, pc);
     println!(
         "program points reachable with an injected query: {}",
-        injected.len()
+        injected_points.len()
     );
     let after_query = cfg.label_node("done").expect("label exists");
     assert!(
-        injected.contains(&after_query.index()),
+        injected_points.contains(&after_query.index()),
         "the unsanitized branch reaches run_query tainted"
     );
 
@@ -130,52 +146,12 @@ fn main() {
         "if (*) { event sanitize; } else { skip; }",
         "event sanitize;",
     );
-    let fixed = Program::parse(&fixed_src).unwrap();
-    let fixed_cfg = Cfg::build(&fixed).unwrap();
-    let mut sys2 = System::new(MonoidAlgebra::new(&machine));
-    let vars2: Vec<VarId> = (0..fixed_cfg.num_nodes())
-        .map(|i| sys2.var(&format!("S{i}")))
-        .collect();
-    let pc2 = sys2.constructor("pc", &[]);
-    let entry2 = fixed_cfg.entry("main").unwrap().entry;
-    sys2.add(SetExpr::cons(pc2, []), SetExpr::var(vars2[entry2.index()]))
-        .unwrap();
-    for (from, to, label) in fixed_cfg.edges() {
-        let ann = match label {
-            EdgeLabel::Event { name, .. } => match sigma.lookup(name) {
-                Some(sym) => sys2.algebra().symbol(sym),
-                None => sys2.algebra().identity(),
-            },
-            EdgeLabel::Plain => sys2.algebra().identity(),
-        };
-        sys2.add_ann(
-            SetExpr::var(vars2[from.index()]),
-            SetExpr::var(vars2[to.index()]),
-            ann,
-        )
-        .unwrap();
-    }
-    for site in fixed_cfg.call_sites() {
-        let callee = &fixed_cfg.functions()[site.callee.index()];
-        let o_i = sys2.constructor(&format!("o{}", site.id.index()), &[Variance::Covariant]);
-        sys2.add(
-            SetExpr::cons_vars(o_i, [vars2[site.call_node.index()]]),
-            SetExpr::var(vars2[callee.entry.index()]),
-        )
-        .unwrap();
-        sys2.add(
-            SetExpr::proj(o_i, 0, vars2[callee.exit.index()]),
-            SetExpr::var(vars2[site.return_node.index()]),
-        )
-        .unwrap();
-    }
-    sys2.solve();
-    let occ2 = sys2.constant_occurrence_classes(pc2);
-    let any_injected = (0..fixed_cfg.num_nodes()).any(|n| {
-        occ2[vars2[n].index()]
-            .iter()
-            .any(|&c| sys2.algebra().class_accepting(c))
-    });
-    assert!(!any_injected, "sanitizing on every path removes the risk");
+    let fixed = Program::parse(&fixed_src).expect("valid MiniImp");
+    let fixed_cfg = Cfg::build(&fixed).expect("valid program");
+    let (mut sys2, vars2, pc2) = encode(&fixed_cfg, &sigma, &machine);
+    assert!(
+        injected(&mut sys2, &vars2, pc2).is_empty(),
+        "sanitizing on every path removes the risk"
+    );
     println!("ok: custom taint analysis found the bug and cleared the fix");
 }

@@ -21,7 +21,9 @@ use std::collections::{BTreeMap, BTreeSet};
 
 use rasc::automata::{Alphabet, Dfa, Regex, SymbolId};
 use rasc::constraints::algebra::{Algebra, AnnId, MonoidAlgebra};
-use rasc::constraints::{ConsId, SetExpr, SolverConfig, System, VarId, Variance};
+use rasc::constraints::{
+    ConsId, OccurrenceWitness, SetExpr, SolverConfig, System, VarId, Variance,
+};
 use rasc_devtools::Rng;
 
 const N_VARS: usize = 8;
@@ -191,7 +193,8 @@ pub struct Signature {
     /// accepting annotation, by the violation scan's classes.
     accepting: Vec<bool>,
     /// The same, by the search that stops at the first accepting path
-    /// (the served `occurs` answer).
+    /// (the served `occurs` answer). Each witness that search reports is
+    /// replayed as a derivation ([`replay_witness`]).
     occurs: Vec<bool>,
     /// Per variable: whether `o` occurs in it with an accepting
     /// annotation, by the same search.
@@ -218,8 +221,21 @@ pub fn signature(sys: &mut System<MonoidAlgebra>) -> Signature {
             described(sys.algebra(), anns)
         })
         .collect();
-    let occurs = vars().map(|v| sys.occurs_accepting(v, probe)).collect();
-    let o_occurs = vars().map(|v| sys.occurs_accepting(v, head(O))).collect();
+    let occurs: Vec<bool> = vars().map(|v| sys.occurs_accepting(v, probe)).collect();
+    let o_occurs: Vec<bool> = vars().map(|v| sys.occurs_accepting(v, head(O))).collect();
+    for (target, found) in [(probe, &occurs), (head(O), &o_occurs)] {
+        for v in vars() {
+            let w = sys.occurrence_witness(v, target);
+            assert_eq!(
+                w.is_some(),
+                found[v.index()],
+                "witness of {target:?} at {v:?}"
+            );
+            if let Some(w) = w {
+                replay_witness(sys, v, target, &w);
+            }
+        }
+    }
     let occ = sys.constant_occurrence_classes(probe);
     let accepting = vars()
         .map(|v| {
@@ -256,6 +272,63 @@ pub fn signature(sys: &mut System<MonoidAlgebra>) -> Signature {
         pn,
         cons_anns,
     }
+}
+
+/// Replays `w`, a witness that `target` occurs at `x`, as a derivation
+/// through the solved form's lower bounds ([`System::lower_bounds`]),
+/// sharing no code with the search that found it, and panics unless it
+/// is one:
+/// - each stack constructor heads a lower bound at the current variable,
+///   and one of that bound's arguments is the next variable;
+/// - the last variable holds `target` as a lower bound;
+/// - the entries' annotations, composed outermost first, give `w.ann`,
+///   and `w.ann` is accepting.
+///
+/// A frame does not say which bound or argument it went through, so the
+/// replay carries every `(variable, composed annotation)` the stack so
+/// far reaches.
+fn replay_witness(
+    sys: &mut System<MonoidAlgebra>,
+    x: VarId,
+    target: ConsId,
+    w: &OccurrenceWitness,
+) {
+    let bounds =
+        |sys: &System<MonoidAlgebra>, v: VarId, head: ConsId| -> Vec<(Vec<VarId>, AnnId)> {
+            sys.lower_bounds(v)
+                .filter(|&(c, _, _)| c == head)
+                .map(|(_, args, f)| (args.to_vec(), f))
+                .collect()
+        };
+    let mut reached = BTreeSet::from([(x, sys.algebra().identity())]);
+    for (depth, &frame) in w.stack.iter().enumerate() {
+        let mut next = BTreeSet::new();
+        for &(v, outer) in &reached {
+            for (args, f) in bounds(sys, v, frame) {
+                let total = sys.algebra_mut().compose(outer, f);
+                next.extend(args.into_iter().map(|a| (a, total)));
+            }
+        }
+        assert!(
+            !next.is_empty(),
+            "witness {w:?} of {target:?} at {x:?}: frame {depth} ({frame:?}) heads no lower bound"
+        );
+        reached = next;
+    }
+    let mut ends = BTreeSet::new();
+    for &(v, outer) in &reached {
+        for (_, f) in bounds(sys, v, target) {
+            ends.insert(sys.algebra_mut().compose(outer, f));
+        }
+    }
+    assert!(
+        ends.contains(&w.ann),
+        "witness {w:?} of {target:?} at {x:?} replays to {ends:?}, not its annotation"
+    );
+    assert!(
+        sys.algebra().is_accepting(w.ann),
+        "witness {w:?} of {target:?} at {x:?} is not accepting"
+    );
 }
 
 /// Sorted, deduplicated `describe` renderings.

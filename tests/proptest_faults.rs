@@ -1,8 +1,8 @@
 //! Fault-injection property tests for the resource governor:
 //!
 //! * **Resume equals uninterrupted** — interrupting a bounded solve at an
-//!   arbitrary worklist step (via any [`FaultPlan`] mechanism: fuel,
-//!   deadline, cancellation) and then resuming must converge to exactly
+//!   arbitrary worklist step (via either [`FaultPlan`] mechanism: fuel
+//!   or deadline) and then resuming must converge to exactly
 //!   the observable fixpoint of an uninterrupted solve.
 //! * **Rollback restores every observable query** — interrupting the
 //!   solve of an epoch's constraints and popping the epoch must restore
