@@ -9,7 +9,7 @@
 use rasc_bench::flow_workload::nested_pairs_program;
 use rasc_bench::{secs, timed};
 use rasc_core::SolverStats;
-use rasc_flow::{DualAnalysis, FlowAnalysis, Program};
+use rasc_flow::{FlowAnalysis, Program};
 
 fn main() {
     let max_depth: usize = std::env::args()
@@ -37,7 +37,7 @@ fn main() {
             (a.system().stats(), ok)
         });
         let ((d_stats, ok_d), t_dual) = timed(|| {
-            let mut d = DualAnalysis::new(&program).expect("well-typed");
+            let mut d = FlowAnalysis::dual(&program).expect("well-typed");
             d.solve();
             let ok = d.flows("SRC0", "DST0") && !d.flows("SRC0", "DST1");
             (d.system().stats(), ok)

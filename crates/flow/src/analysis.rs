@@ -1,188 +1,213 @@
-//! The primary flow analysis (§7.2–§7.5): calls as terms, type brackets
-//! as regular annotations.
+//! The §7 flow analysis: one typed walk of a program (Fig. 8) records
+//! its flows between program points (Fig. 9), and two encodings write
+//! them as constraints — the primary (§7.2–§7.5: calls as terms, type
+//! brackets as regular annotations) and the dual (§7.6: pairs as terms,
+//! call brackets as regular annotations).
 
 use std::collections::HashMap;
 
-use rasc_core::algebra::{Algebra, MonoidAlgebra};
+use rasc_core::algebra::{Algebra, AnnId, MonoidAlgebra};
 use rasc_core::{ConsId, SetExpr, System, VarId, Variance};
 
 use crate::ast::{Expr, Program};
 use crate::brackets::BracketLang;
+use crate::dual::CallBrackets;
 use crate::error::{FlowError, Result};
 use crate::types::{TypeId, TypeTable};
 use crate::{known_label, well_formed};
 
-/// Per-function signature labels: one top-level label for the parameter
-/// and one for the return (constraints extend only to top-level
-/// constructors, §7.2).
-#[derive(Debug, Clone, Copy)]
-struct FunSig {
-    param_ty: Option<TypeId>,
-    param_label: Option<VarId>,
-    ret_ty: TypeId,
-    ret_label: VarId,
+/// A program point: an index into [`Walk::points`], one per signature
+/// slot (a function's parameter and return) and per expression.
+type Point = usize;
+
+/// One flow between program points, as the typed walk meets it.
+#[derive(Clone, Copy)]
+enum Flow {
+    /// A literal's own constant flows to `to`.
+    Lit { value: i64, to: Point },
+    /// `from ⊆ to`: a variable use, a `choice` arm, a function body.
+    Copy { from: Point, to: Point },
+    /// The pair `(fst, snd)` of pair type `ty` flows to `to`.
+    Pair {
+        fst: Point,
+        snd: Point,
+        ty: TypeId,
+        to: Point,
+    },
+    /// Component `index` of `from`, of pair type `ty`, flows to `to`.
+    Proj {
+        from: Point,
+        index: usize,
+        ty: TypeId,
+        to: Point,
+    },
+    /// The call at `site` passes `arg` to the callee's parameter.
+    Arg {
+        site: usize,
+        arg: Point,
+        param: Point,
+    },
+    /// The callee's return `ret` flows back to the call at `site`.
+    Ret { site: usize, ret: Point, to: Point },
 }
 
-/// The paper's primary context-sensitive, field-sensitive flow analysis:
-/// polymorphic recursion (calls/returns matched by per-site constructors)
-/// combined with non-structural subtyping (type-constructor matching as a
-/// regular bracket language).
-///
-/// See the crate-level documentation for an example.
-#[derive(Debug)]
-pub struct FlowAnalysis {
-    sys: System<MonoidAlgebra>,
-    brackets: BracketLang,
+/// A call site: the function its first call sits in and the function
+/// that call calls (a reused site name is the same instantiation).
+pub(crate) struct Site {
+    pub(crate) name: String,
+    pub(crate) caller: usize,
+    pub(crate) callee: usize,
+}
+
+/// What type-checking a program records: its types, its program points
+/// (signature slots first, then each body in walk order) and their
+/// labels, the flows between them, and its call sites.
+pub(crate) struct Walk<'p> {
     types: TypeTable,
-    labels: HashMap<String, VarId>,
-    label_types: HashMap<String, TypeId>,
-    probes: HashMap<String, ConsId>,
+    /// Each point's variable name: its label, or what the point is.
+    points: Vec<String>,
+    labels: HashMap<String, Point>,
+    flows: Vec<Flow>,
+    /// The call sites, in the order first met.
+    pub(crate) sites: Vec<Site>,
+    /// The call graph: every call's caller and callee.
+    pub(crate) calls: Vec<(usize, usize)>,
+    /// Each function's index by name, and its signature by index.
+    funs: HashMap<&'p str, usize>,
+    sigs: Vec<Sig>,
+    /// Each site's index in `sites` by name.
+    site_ids: HashMap<&'p str, usize>,
 }
 
-impl FlowAnalysis {
-    /// Type-checks `program` and generates its constraints.
+/// A function's parameter and return points, with their types.
+#[derive(Clone, Copy)]
+struct Sig {
+    param: Option<(TypeId, Point)>,
+    ret: (TypeId, Point),
+}
+
+type Env<'p> = HashMap<&'p str, (TypeId, Point)>;
+
+impl<'p> Walk<'p> {
+    /// Type-checks `program` (Fig. 8) and records its flows (Fig. 9).
     ///
     /// # Errors
     ///
-    /// Returns type errors ([`FlowError::TypeMismatch`],
-    /// [`FlowError::ProjectNonPair`], [`FlowError::Unbound`]) and
-    /// [`FlowError::MissingMain`].
-    pub fn new(program: &Program) -> Result<FlowAnalysis> {
+    /// Returns the type errors and [`FlowError::MissingMain`] that
+    /// [`FlowAnalysis::new`] documents.
+    pub(crate) fn run(program: &'p Program) -> Result<Walk<'p>> {
         if program.find("main").is_none() {
             return Err(FlowError::MissingMain);
         }
-        // Intern every type occurring anywhere: declared signatures plus
-        // the types of all subexpressions (a checking pre-pass), so the
-        // bracket automaton covers every pair the program constructs.
-        let mut types = TypeTable::new();
-        collect_types(program, &mut types)?;
-        let brackets = BracketLang::build(&types);
-        let mut sys: System<MonoidAlgebra> = System::new(MonoidAlgebra::new(&brackets.dfa));
-
-        // Function signatures first (mutual recursion).
-        let mut sigs: HashMap<String, FunSig> = HashMap::new();
-        for f in &program.funs {
-            let (param_ty, param_label) = match &f.param {
-                Some((_, ty)) => {
-                    let t = types.intern(ty);
-                    (Some(t), Some(sys.var(&format!("{}::param", f.name))))
-                }
-                None => (None, None),
-            };
-            let ret_ty = types.intern(&f.ret);
-            let ret_label = sys.var(&format!("{}::ret", f.name));
-            sigs.insert(
-                f.name.clone(),
-                FunSig {
-                    param_ty,
-                    param_label,
-                    ret_ty,
-                    ret_label,
-                },
-            );
-        }
-
-        let mut analysis = FlowAnalysis {
-            sys,
-            brackets,
-            types,
+        let mut walk = Walk {
+            types: TypeTable::new(),
+            points: Vec::new(),
             labels: HashMap::new(),
-            label_types: HashMap::new(),
-            probes: HashMap::new(),
+            flows: Vec::new(),
+            sites: Vec::new(),
+            calls: Vec::new(),
+            funs: HashMap::new(),
+            sigs: Vec::new(),
+            site_ids: HashMap::new(),
         };
-
-        // Generate constraints per function body.
-        let mut sites: HashMap<String, ConsId> = HashMap::new();
-        for f in &program.funs {
-            let sig = sigs[&f.name];
-            let mut env: HashMap<&str, (TypeId, VarId)> = HashMap::new();
-            if let (Some((name, _)), Some(t), Some(l)) = (&f.param, sig.param_ty, sig.param_label) {
-                env.insert(name, (t, l));
-            }
-            let (body_ty, body_label) = analysis.gen(&f.body, &env, &sigs, &mut sites)?;
-            if body_ty != sig.ret_ty {
-                return Err(FlowError::TypeMismatch {
-                    context: format!("return of `{}`", f.name),
-                    expected: analysis.types.render(sig.ret_ty),
-                    found: analysis.types.render(body_ty),
-                });
-            }
-            well_formed(
-                analysis
-                    .sys
-                    .add(SetExpr::var(body_label), SetExpr::var(sig.ret_label)),
-            );
+        // Signatures first (mutual recursion).
+        for (i, f) in program.funs.iter().enumerate() {
+            let param = f.param.as_ref().map(|(_, ty)| {
+                let t = walk.types.intern(ty);
+                (t, walk.point(format!("{}::param", f.name)))
+            });
+            let ret_ty = walk.types.intern(&f.ret);
+            let ret = (ret_ty, walk.point(format!("{}::ret", f.name)));
+            walk.funs.insert(&f.name, i);
+            walk.sigs.push(Sig { param, ret });
         }
-        Ok(analysis)
+        for (i, f) in program.funs.iter().enumerate() {
+            let sig = walk.sigs[i];
+            let mut env = Env::new();
+            if let (Some((name, _)), Some(param)) = (&f.param, sig.param) {
+                env.insert(name, param);
+            }
+            let (body_ty, body) = walk.expr(&f.body, &env, i)?;
+            let (ret_ty, ret) = sig.ret;
+            walk.check(ret_ty, body_ty, || format!("return of `{}`", f.name))?;
+            walk.flows.push(Flow::Copy {
+                from: body,
+                to: ret,
+            });
+        }
+        Ok(walk)
     }
 
-    fn fresh(&mut self, label: &Option<String>, ty: TypeId, what: &str) -> VarId {
-        let v = self.sys.var(label.as_deref().unwrap_or(what));
+    fn point(&mut self, name: String) -> Point {
+        self.points.push(name);
+        self.points.len() - 1
+    }
+
+    /// A new point for an expression, named by its label if it has one.
+    fn labeled(&mut self, label: &Option<String>, what: &str) -> Point {
+        let p = self.point(label.clone().unwrap_or_else(|| what.to_owned()));
         if let Some(l) = label {
-            self.labels.insert(l.clone(), v);
-            self.label_types.insert(l.clone(), ty);
+            self.labels.insert(l.clone(), p);
         }
-        v
+        p
     }
 
-    fn gen(
-        &mut self,
-        e: &Expr,
-        env: &HashMap<&str, (TypeId, VarId)>,
-        sigs: &HashMap<String, FunSig>,
-        sites: &mut HashMap<String, ConsId>,
-    ) -> Result<(TypeId, VarId)> {
+    /// A type mismatch in `context` unless `found` is `expected`.
+    fn check(&self, expected: TypeId, found: TypeId, context: impl Fn() -> String) -> Result<()> {
+        if expected == found {
+            return Ok(());
+        }
+        Err(FlowError::TypeMismatch {
+            context: context(),
+            expected: self.types.render(expected),
+            found: self.types.render(found),
+        })
+    }
+
+    /// Checks `e` and records its flows; returns its type and point.
+    fn expr(&mut self, e: &'p Expr, env: &Env<'p>, caller: usize) -> Result<(TypeId, Point)> {
         match e {
             Expr::Int { value, label } => {
-                let ty = self.types.int();
-                let v = self.fresh(label, ty, "int");
-                // Seed a distinct constant per literal occurrence so alias
-                // queries (§7.5) see concrete abstract values.
-                let k = self.sys.num_vars();
-                let lit = self.sys.constructor(&format!("lit_{value}_{k}"), &[]);
-                well_formed(self.sys.add(SetExpr::cons(lit, []), SetExpr::var(v)));
-                Ok((ty, v))
+                let to = self.labeled(label, "int");
+                self.flows.push(Flow::Lit { value: *value, to });
+                Ok((self.types.int(), to))
             }
             Expr::Var { name, label } => {
-                let &(ty, src) = env
+                let &(ty, from) = env
                     .get(name.as_str())
                     .ok_or_else(|| FlowError::Unbound(name.clone()))?;
-                let v = self.fresh(label, ty, name);
-                well_formed(self.sys.add(SetExpr::var(src), SetExpr::var(v)));
-                Ok((ty, v))
+                let to = self.labeled(label, name);
+                self.flows.push(Flow::Copy { from, to });
+                Ok((ty, to))
             }
             Expr::Pair { fst, snd, label } => {
-                let (t1, l1) = self.gen(fst, env, sigs, sites)?;
-                let (t2, l2) = self.gen(snd, env, sigs, sites)?;
-                // The pair type must already be interned (it is a subterm
-                // of some declared type, or we intern it now for
-                // expression-local pairs).
-                let pair_ty = self.pair_type(t1, t2)?;
-                let p = self.fresh(label, pair_ty, "pair");
-                // tl(σ₁) ⊆^{[1_π} P and tl(σ₂) ⊆^{[2_π} P (§7.2.2).
-                let a1 = self.bracket_open(0, pair_ty);
-                let a2 = self.bracket_open(1, pair_ty);
-                well_formed(self.sys.add_ann(SetExpr::var(l1), SetExpr::var(p), a1));
-                well_formed(self.sys.add_ann(SetExpr::var(l2), SetExpr::var(p), a2));
-                Ok((pair_ty, p))
+                let (t1, fst) = self.expr(fst, env, caller)?;
+                let (t2, snd) = self.expr(snd, env, caller)?;
+                let ty = self.types.pair(t1, t2);
+                let to = self.labeled(label, "pair");
+                self.flows.push(Flow::Pair { fst, snd, ty, to });
+                Ok((ty, to))
             }
             Expr::Proj {
                 subject,
                 index,
                 label,
             } => {
-                let (pt, pl) = self.gen(subject, env, sigs, sites)?;
-                let comp_ty =
+                let (ty, from) = self.expr(subject, env, caller)?;
+                let component =
                     self.types
-                        .component(pt, *index)
+                        .component(ty, *index)
                         .ok_or_else(|| FlowError::ProjectNonPair {
-                            found: self.types.render(pt),
+                            found: self.types.render(ty),
                         })?;
-                let z = self.fresh(label, comp_ty, "proj");
-                // P ⊆^{]ᵢ_π} Z.
-                let a = self.bracket_close(*index, pt);
-                well_formed(self.sys.add_ann(SetExpr::var(pl), SetExpr::var(z), a));
-                Ok((comp_ty, z))
+                let to = self.labeled(label, "proj");
+                self.flows.push(Flow::Proj {
+                    from,
+                    index: *index,
+                    ty,
+                    to,
+                });
+                Ok((component, to))
             }
             Expr::Call {
                 callee,
@@ -190,107 +215,241 @@ impl FlowAnalysis {
                 arg,
                 label,
             } => {
-                let sig = *sigs
-                    .get(callee)
+                let &f = self
+                    .funs
+                    .get(callee.as_str())
                     .ok_or_else(|| FlowError::Unbound(callee.clone()))?;
-                // Per-site constructor o_i (§7.2.1).
-                let o_i = match sites.get(site) {
-                    Some(&c) => c,
-                    None => {
-                        let c = self
-                            .sys
-                            .constructor(&format!("o_{site}"), &[Variance::Covariant]);
-                        sites.insert(site.clone(), c);
-                        c
+                let sig = self.sigs[f];
+                let site = *self.site_ids.entry(site).or_insert_with(|| {
+                    self.sites.push(Site {
+                        name: site.clone(),
+                        caller,
+                        callee: f,
+                    });
+                    self.sites.len() - 1
+                });
+                self.calls.push((caller, f));
+                match (arg, sig.param) {
+                    (Some(a), Some((param_ty, param))) => {
+                        let (arg_ty, arg) = self.expr(a, env, caller)?;
+                        self.check(param_ty, arg_ty, || format!("argument of `{callee}`"))?;
+                        self.flows.push(Flow::Arg { site, arg, param });
                     }
-                };
-                match (arg, sig.param_ty, sig.param_label) {
-                    (Some(a), Some(pt), Some(pl)) => {
-                        let (at, al) = self.gen(a, env, sigs, sites)?;
-                        if at != pt {
-                            return Err(FlowError::TypeMismatch {
-                                context: format!("argument of `{callee}`"),
-                                expected: self.types.render(pt),
-                                found: self.types.render(at),
-                            });
-                        }
-                        // o_i(A) ⊆ P_f (Fig. 12: o_i(B) ⊆ Y).
-                        well_formed(
-                            self.sys
-                                .add(SetExpr::cons_vars(o_i, [al]), SetExpr::var(pl)),
-                        );
-                    }
-                    (None, None, None) => {}
-                    _ => {
+                    (None, None) => {}
+                    (arg, param) => {
+                        let count = |some: bool| if some { "one argument" } else { "no argument" };
                         return Err(FlowError::TypeMismatch {
                             context: format!("arity of call to `{callee}`"),
-                            expected: if sig.param_ty.is_some() {
-                                "one argument".to_owned()
-                            } else {
-                                "no argument".to_owned()
-                            },
-                            found: if arg.is_some() {
-                                "one argument".to_owned()
-                            } else {
-                                "no argument".to_owned()
-                            },
-                        })
+                            expected: count(param.is_some()).to_owned(),
+                            found: count(arg.is_some()).to_owned(),
+                        });
                     }
                 }
-                let t = self.fresh(label, sig.ret_ty, "call");
-                // o_i⁻¹(R_f) ⊆ T (Fig. 12: o_i⁻¹(H) ⊆ T).
-                well_formed(
-                    self.sys
-                        .add(SetExpr::proj(o_i, 0, sig.ret_label), SetExpr::var(t)),
-                );
-                Ok((sig.ret_ty, t))
+                let (ret_ty, ret) = sig.ret;
+                let to = self.labeled(label, "call");
+                self.flows.push(Flow::Ret { site, ret, to });
+                Ok((ret_ty, to))
             }
             Expr::Let { name, bound, body } => {
-                let (bt, bl) = self.gen(bound, env, sigs, sites)?;
+                let bound = self.expr(bound, env, caller)?;
                 let mut inner = env.clone();
-                inner.insert(name, (bt, bl));
-                self.gen(body, &inner, sigs, sites)
+                inner.insert(name, bound);
+                self.expr(body, &inner, caller)
             }
             Expr::Choice { fst, snd, label } => {
-                let (t1, l1) = self.gen(fst, env, sigs, sites)?;
-                let (t2, l2) = self.gen(snd, env, sigs, sites)?;
-                if t1 != t2 {
-                    return Err(FlowError::TypeMismatch {
-                        context: "arms of choice".to_owned(),
-                        expected: self.types.render(t1),
-                        found: self.types.render(t2),
-                    });
-                }
-                let v = self.fresh(label, t1, "choice");
-                well_formed(self.sys.add(SetExpr::var(l1), SetExpr::var(v)));
-                well_formed(self.sys.add(SetExpr::var(l2), SetExpr::var(v)));
-                Ok((t1, v))
+                let (t1, fst) = self.expr(fst, env, caller)?;
+                let (t2, snd) = self.expr(snd, env, caller)?;
+                self.check(t1, t2, || "arms of choice".to_owned())?;
+                let to = self.labeled(label, "choice");
+                self.flows.push(Flow::Copy { from: fst, to });
+                self.flows.push(Flow::Copy { from: snd, to });
+                Ok((t1, to))
             }
         }
     }
+}
 
-    fn pair_type(&mut self, t1: TypeId, t2: TypeId) -> Result<TypeId> {
-        let before = self.types.all().count();
-        let id = self.types.pair(t1, t2);
-        if self.types.all().count() != before {
-            // The collect_types pre-pass interns every expression type, so
-            // a fresh pair type here is a bug in the pre-pass.
-            return Err(FlowError::Internal(format!(
-                "pair type {} missed by the type-collection pre-pass",
-                self.types.render(id)
-            )));
+/// How an encoding writes the four flows in which §7.2 and §7.6 differ.
+enum Encoding {
+    /// §7.2: a pair's components enter it under `[ᵢ_π` and a projection
+    /// leaves under `]ᵢ_π`; a call wraps its argument in its site's
+    /// constructor `o_i` and projects the return back out of it.
+    Primary {
+        brackets: BracketLang,
+        sites: Vec<ConsId>,
+    },
+    /// §7.6: one binary constructor per pair type; a call's argument
+    /// enters under `[ᵢ` and its return leaves under `]ᵢ` (both ε at a
+    /// recursive site).
+    Dual {
+        pairs: HashMap<TypeId, ConsId>,
+        calls: Vec<(AnnId, AnnId)>,
+    },
+}
+
+/// The §7 context-sensitive, field-sensitive flow analysis of a MiniLam
+/// program, under either encoding: [`FlowAnalysis::new`], the paper's
+/// primary analysis, or [`FlowAnalysis::dual`]. Both share the type
+/// checking, the program points and every query.
+///
+/// See the crate-level documentation for an example.
+#[derive(Debug)]
+pub struct FlowAnalysis {
+    sys: System<MonoidAlgebra>,
+    types: TypeTable,
+    labels: HashMap<String, VarId>,
+    probes: HashMap<String, ConsId>,
+}
+
+impl FlowAnalysis {
+    /// Type-checks `program` and generates the primary analysis's
+    /// constraints (§7.2): polymorphic recursion (calls and returns
+    /// matched by per-site constructors) combined with non-structural
+    /// subtyping (type-constructor matching as a regular bracket
+    /// language, Figure 10).
+    ///
+    /// # Errors
+    ///
+    /// Returns type errors ([`FlowError::TypeMismatch`],
+    /// [`FlowError::ProjectNonPair`], [`FlowError::Unbound`]) and
+    /// [`FlowError::MissingMain`].
+    pub fn new(program: &Program) -> Result<FlowAnalysis> {
+        let walk = Walk::run(program)?;
+        let brackets = BracketLang::build(&walk.types);
+        let mut sys = System::new(MonoidAlgebra::new(&brackets.dfa));
+        let sites = walk
+            .sites
+            .iter()
+            .map(|s| sys.constructor(&format!("o_{}", s.name), &[Variance::Covariant]))
+            .collect();
+        Ok(FlowAnalysis::write(
+            walk,
+            sys,
+            &Encoding::Primary { brackets, sites },
+        ))
+    }
+
+    /// Type-checks `program` and generates the dual analysis's
+    /// constraints (§7.6): an n-ary `pair` constructor per pair type
+    /// carries type matching, and call/return brackets `[ᵢ`/`]ᵢ` are the
+    /// regular annotations, with recursive call cycles approximated by ε
+    /// (monomorphically — the standard approximation). The dual finds
+    /// every flow the primary analysis finds, and on programs without
+    /// recursion exactly those.
+    ///
+    /// # Errors
+    ///
+    /// As [`FlowAnalysis::new`].
+    pub fn dual(program: &Program) -> Result<FlowAnalysis> {
+        let walk = Walk::run(program)?;
+        let machine = CallBrackets::build(&walk.sites, &walk.calls);
+        let mut sys = System::new(MonoidAlgebra::new(&machine.dfa));
+        let pairs = walk
+            .types
+            .pairs()
+            .map(|pt| {
+                let c = sys.constructor(
+                    &format!("pair_t{}", pt.index()),
+                    &[Variance::Covariant, Variance::Covariant],
+                );
+                (pt, c)
+            })
+            .collect();
+        let calls = machine
+            .symbols
+            .iter()
+            .map(|symbols| match *symbols {
+                Some((open, close)) => (
+                    sys.algebra_mut().word(&[open]),
+                    sys.algebra_mut().word(&[close]),
+                ),
+                None => (sys.algebra().identity(), sys.algebra().identity()),
+            })
+            .collect();
+        Ok(FlowAnalysis::write(
+            walk,
+            sys,
+            &Encoding::Dual { pairs, calls },
+        ))
+    }
+
+    /// Creates a variable per program point and writes every flow.
+    fn write(walk: Walk<'_>, mut sys: System<MonoidAlgebra>, enc: &Encoding) -> FlowAnalysis {
+        let vars: Vec<VarId> = walk.points.iter().map(|name| sys.var(name)).collect();
+        let var = |p: Point| SetExpr::var(vars[p]);
+        for &flow in &walk.flows {
+            match (flow, enc) {
+                (Flow::Lit { value, to }, _) => {
+                    // A distinct constant per literal occurrence, so alias
+                    // queries (§7.5) see concrete abstract values.
+                    let lit = sys.constructor(&format!("lit_{value}_{to}"), &[]);
+                    well_formed(sys.add(SetExpr::cons(lit, []), var(to)));
+                }
+                (Flow::Copy { from, to }, _) => well_formed(sys.add(var(from), var(to))),
+                // tl(σ₁) ⊆^{[1_π} P and tl(σ₂) ⊆^{[2_π} P (§7.2.2).
+                (Flow::Pair { fst, snd, ty, to }, Encoding::Primary { brackets, .. }) => {
+                    for (i, part) in [fst, snd].into_iter().enumerate() {
+                        let open = sys.algebra_mut().word(&[brackets.open(i, ty)]);
+                        well_formed(sys.add_ann(var(part), var(to), open));
+                    }
+                }
+                // pair(A, Y) ⊆ H: one n-ary constructor (§7.6).
+                (Flow::Pair { fst, snd, ty, to }, Encoding::Dual { pairs, .. }) => {
+                    let pair = SetExpr::cons_vars(pairs[&ty], [vars[fst], vars[snd]]);
+                    well_formed(sys.add(pair, var(to)));
+                }
+                // P ⊆^{]ᵢ_π} Z.
+                (
+                    Flow::Proj {
+                        from,
+                        index,
+                        ty,
+                        to,
+                    },
+                    Encoding::Primary { brackets, .. },
+                ) => {
+                    let close = sys.algebra_mut().word(&[brackets.close(index, ty)]);
+                    well_formed(sys.add_ann(var(from), var(to), close));
+                }
+                // pair⁻ⁱ(T) ⊆ V.
+                (
+                    Flow::Proj {
+                        from,
+                        index,
+                        ty,
+                        to,
+                    },
+                    Encoding::Dual { pairs, .. },
+                ) => well_formed(sys.add(SetExpr::proj(pairs[&ty], index, vars[from]), var(to))),
+                // o_i(A) ⊆ P_f (Fig. 12: o_i(B) ⊆ Y).
+                (Flow::Arg { site, arg, param }, Encoding::Primary { sites, .. }) => {
+                    well_formed(sys.add(SetExpr::cons_vars(sites[site], [vars[arg]]), var(param)));
+                }
+                // B ⊆^{[ᵢ} Y.
+                (Flow::Arg { site, arg, param }, Encoding::Dual { calls, .. }) => {
+                    well_formed(sys.add_ann(var(arg), var(param), calls[site].0));
+                }
+                // o_i⁻¹(R_f) ⊆ T (Fig. 12: o_i⁻¹(H) ⊆ T).
+                (Flow::Ret { site, ret, to }, Encoding::Primary { sites, .. }) => {
+                    well_formed(sys.add(SetExpr::proj(sites[site], 0, vars[ret]), var(to)));
+                }
+                // H ⊆^{]ᵢ} T.
+                (Flow::Ret { site, ret, to }, Encoding::Dual { calls, .. }) => {
+                    well_formed(sys.add_ann(var(ret), var(to), calls[site].1));
+                }
+            }
         }
-        Ok(id)
-    }
-
-    fn bracket_open(&mut self, component: usize, pair: TypeId) -> rasc_core::algebra::AnnId {
-        let sym = self.brackets.open(component, pair);
-        self.sys.algebra_mut().word(&[sym])
-    }
-
-    fn bracket_close(&mut self, component: usize, pair: TypeId) -> rasc_core::algebra::AnnId {
-        let sym = self.brackets.close(component, pair);
-        self.sys.algebra_mut().word(&[sym])
+        let labels = walk
+            .labels
+            .into_iter()
+            .map(|(label, p)| (label, vars[p]))
+            .collect();
+        FlowAnalysis {
+            sys,
+            types: walk.types,
+            labels,
+            probes: HashMap::new(),
+        }
     }
 
     /// Runs constraint resolution.
@@ -344,8 +503,15 @@ impl FlowAnalysis {
     }
 
     /// Stack-aware alias query (§7.5): do the two labels' solutions share
-    /// a ground term? Term sets encode calling contexts, so labels whose
-    /// flat value sets overlap can still be proven non-aliased.
+    /// a ground term? Under the primary analysis, term sets encode calling
+    /// contexts, so labels whose flat value sets overlap can still be
+    /// proven non-aliased. Under the dual the contexts are annotations,
+    /// which the intersection ignores, so it answers the
+    /// context-insensitive question.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`FlowError::UnknownLabel`] for an unknown label.
     pub fn may_alias(&mut self, l1: &str, l2: &str) -> Result<bool> {
         let v1 = self.label_var(l1)?;
         let v2 = self.label_var(l2)?;
@@ -373,86 +539,6 @@ impl FlowAnalysis {
     pub fn types(&self) -> &TypeTable {
         &self.types
     }
-}
-
-/// Type-checking pre-pass: interns the type of every subexpression so the
-/// bracket automaton covers every pair the program can construct. The
-/// error cases are re-checked (with labels available) during constraint
-/// generation; this pass only needs the types.
-pub(crate) fn collect_types(program: &Program, types: &mut TypeTable) -> Result<()> {
-    // Signatures first.
-    let mut sigs: HashMap<&str, (Option<TypeId>, TypeId)> = HashMap::new();
-    for f in &program.funs {
-        let param = f.param.as_ref().map(|(_, ty)| types.intern(ty));
-        let ret = types.intern(&f.ret);
-        sigs.insert(&f.name, (param, ret));
-    }
-
-    fn walk(
-        e: &Expr,
-        env: &HashMap<&str, TypeId>,
-        sigs: &HashMap<&str, (Option<TypeId>, TypeId)>,
-        types: &mut TypeTable,
-    ) -> Result<TypeId> {
-        match e {
-            Expr::Int { .. } => Ok(types.int()),
-            Expr::Var { name, .. } => env
-                .get(name.as_str())
-                .copied()
-                .ok_or_else(|| FlowError::Unbound(name.clone())),
-            Expr::Pair { fst, snd, .. } => {
-                let t1 = walk(fst, env, sigs, types)?;
-                let t2 = walk(snd, env, sigs, types)?;
-                Ok(types.pair(t1, t2))
-            }
-            Expr::Proj { subject, index, .. } => {
-                let pt = walk(subject, env, sigs, types)?;
-                types
-                    .component(pt, *index)
-                    .ok_or_else(|| FlowError::ProjectNonPair {
-                        found: types.render(pt),
-                    })
-            }
-            Expr::Call { callee, arg, .. } => {
-                let &(param, ret) = sigs
-                    .get(callee.as_str())
-                    .ok_or_else(|| FlowError::Unbound(callee.clone()))?;
-                if let Some(a) = arg {
-                    walk(a, env, sigs, types)?;
-                }
-                let _ = param;
-                Ok(ret)
-            }
-            Expr::Let { name, bound, body } => {
-                let bt = walk(bound, env, sigs, types)?;
-                let mut inner = env.clone();
-                inner.insert(name, bt);
-                walk(body, &inner, sigs, types)
-            }
-            Expr::Choice { fst, snd, .. } => {
-                let t1 = walk(fst, env, sigs, types)?;
-                let t2 = walk(snd, env, sigs, types)?;
-                if t1 != t2 {
-                    return Err(FlowError::TypeMismatch {
-                        context: "arms of choice".to_owned(),
-                        expected: types.render(t1),
-                        found: types.render(t2),
-                    });
-                }
-                Ok(t1)
-            }
-        }
-    }
-
-    for f in &program.funs {
-        let mut env: HashMap<&str, TypeId> = HashMap::new();
-        if let Some((name, ty)) = &f.param {
-            let t = types.intern(ty);
-            env.insert(name, t);
-        }
-        walk(&f.body, &env, &sigs, types)?;
-    }
-    Ok(())
 }
 
 #[cfg(test)]

@@ -37,9 +37,6 @@ pub enum FlowError {
     UnknownLabel(String),
     /// The program has no `main` function.
     MissingMain,
-    /// The program contains recursive types/uses beyond what the bracket
-    /// automaton models (should not occur: MiniLam types are finite).
-    Internal(String),
 }
 
 impl fmt::Display for FlowError {
@@ -63,7 +60,6 @@ impl fmt::Display for FlowError {
             FlowError::DuplicateFunction(name) => write!(f, "function `{name}` defined twice"),
             FlowError::UnknownLabel(name) => write!(f, "no expression carries label `{name}`"),
             FlowError::MissingMain => write!(f, "program has no `main` function"),
-            FlowError::Internal(msg) => write!(f, "internal error: {msg}"),
         }
     }
 }

@@ -2,21 +2,24 @@
 //! subtyping (paper §7).
 //!
 //! The analysis operates on **MiniLam**, the paper's first-order source
-//! language with pairs (§7.1). Two precision-equivalent formulations are
-//! provided:
+//! language with pairs (§7.1). One typed walk checks a program (Fig. 8)
+//! and records its flows between program points (Fig. 9); one
+//! [`FlowAnalysis`] writes them under either of two encodings and answers
+//! every query:
 //!
-//! * [`FlowAnalysis`] — the paper's primary analysis: function call/return
-//!   matching is the *context-free* property, modeled with per-site
-//!   constructors `o_i` (the set-constraint/CFL-reachability reduction of
-//!   §7.2.1); type-constructor matching is the *regular* property, modeled
-//!   with bracket annotations `[ᵢ_π` / `]ᵢ_π` over an automaton derived
-//!   from the program's types (Figure 10, §7.2.2). This combination
-//!   supports polymorphic recursion *and* non-structural subtyping — the
-//!   open problem the paper solves.
-//! * [`DualAnalysis`] (§7.6) — the roles swapped: an n-ary `pair`
-//!   constructor carries type matching, and call/return brackets `[ᵢ`/`]ᵢ`
-//!   are the regular annotations (recursive call cycles approximated with
-//!   ε, i.e. monomorphically — the standard approximation).
+//! * [`FlowAnalysis::new`] — the paper's primary analysis: function
+//!   call/return matching is the *context-free* property, modeled with
+//!   per-site constructors `o_i` (the set-constraint/CFL-reachability
+//!   reduction of §7.2.1); type-constructor matching is the *regular*
+//!   property, modeled with bracket annotations `[ᵢ_π` / `]ᵢ_π` over an
+//!   automaton derived from the program's types (Figure 10, §7.2.2).
+//!   This combination supports polymorphic recursion *and*
+//!   non-structural subtyping — the open problem the paper solves.
+//! * [`FlowAnalysis::dual`] (§7.6) — the roles swapped: an n-ary `pair`
+//!   constructor carries type matching, and call/return brackets
+//!   `[ᵢ`/`]ᵢ` are the regular annotations (recursive call cycles
+//!   approximated with ε, i.e. monomorphically — the standard
+//!   approximation).
 //!
 //! Flow queries (§7.3) seed a fresh constant at the source label and test
 //! for an *accepting* (bracket-balanced) annotation at the target.
@@ -40,6 +43,10 @@
 //! assert!(analysis.flows("B", "V"));
 //! // The constant 1's label A does not flow to V (it is component 1).
 //! assert!(!analysis.flows("A", "V"));
+//! // The §7.6 dual finds the same flows here (§7.6's `pair(A,Y) ⊆ H`).
+//! let mut dual = FlowAnalysis::dual(&program)?;
+//! dual.solve();
+//! assert!(dual.flows("B", "V") && !dual.flows("A", "V"));
 //! # Ok::<(), rasc_flow::FlowError>(())
 //! ```
 
@@ -55,7 +62,6 @@ mod types;
 
 pub use analysis::FlowAnalysis;
 pub use ast::{Expr, FunDef, Program, Type};
-pub use dual::DualAnalysis;
 pub use error::{FlowError, Result};
 pub use types::{TypeId, TypeTable};
 

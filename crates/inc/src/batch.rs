@@ -905,8 +905,7 @@ impl BatchEngine {
             if index == 0 {
                 return Err(bad_request("projection indices are 1-based"));
             }
-            let subject = validate_ident(args_text.trim())?;
-            let v = self.var_of(subject);
+            let v = self.arg_var(args_text)?;
             return Ok(SetExpr::proj(c, index - 1, v));
         }
         let cons_name = validate_ident(head.trim())?;
@@ -919,16 +918,22 @@ impl BatchEngine {
         let mut args = Vec::new();
         if !args_text.trim().is_empty() {
             for part in args_text.split(',') {
-                let name = validate_ident(part.trim())?;
-                if self.cons.contains(name) {
-                    return Err(bad_request(format!(
-                        "constructor argument `{name}` must be a variable"
-                    )));
-                }
-                args.push(self.var_of(name));
+                args.push(self.arg_var(part)?);
             }
         }
         Ok(SetExpr::cons_vars(c, args))
+    }
+
+    /// The variable an argument of a constructor or projection names; a
+    /// declared constant there would read as a variable of its name.
+    fn arg_var(&mut self, text: &str) -> Result<VarId, BatchError> {
+        let name = validate_ident(text.trim())?;
+        if self.cons.contains(name) {
+            return Err(bad_request(format!(
+                "constructor argument `{name}` must be a variable"
+            )));
+        }
+        Ok(self.var_of(name))
     }
 
     fn var_of(&mut self, name: &str) -> VarId {
@@ -1055,6 +1060,23 @@ mod tests {
         assert_eq!(r.get("ok").unwrap().as_str(), Some("declare"));
         let r = run(&mut e, r#"{"cmd":"declare","cons":"c"}"#);
         assert_eq!(error_code(&r), Some("already_declared"));
+    }
+
+    #[test]
+    fn a_declared_constant_is_no_argument_of_a_constructor_or_projection() {
+        let mut e = engine();
+        run(&mut e, r#"{"cmd":"declare","cons":"k"}"#);
+        run(&mut e, r#"{"cmd":"declare","cons":"o","signature":"+"}"#);
+        for lhs in ["o(k)", "o^-1(k)"] {
+            let r = run(
+                &mut e,
+                &format!(r#"{{"cmd":"add","lhs":"{lhs}","rhs":"X"}}"#),
+            );
+            assert_eq!(error_code(&r), Some("bad_request"), "{lhs}");
+        }
+        // Neither bound a variable named like the constant.
+        let r = run(&mut e, r#"{"cmd":"query","kind":"nonempty","var":"k"}"#);
+        assert_eq!(error_code(&r), Some("unknown_variable"));
     }
 
     #[test]

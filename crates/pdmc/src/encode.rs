@@ -53,8 +53,6 @@ pub struct ConstraintChecker<A: Algebra> {
     sys: System<A>,
     node_vars: Vec<VarId>,
     pc: ConsId,
-    /// Per-call-site constructors `o_i`, for rendering witnesses.
-    site_names: Vec<String>,
 }
 
 /// A checker over the plain transition-monoid algebra.
@@ -203,12 +201,9 @@ impl<A: Algebra> ConstraintChecker<A> {
         }
 
         // Call/return matching via per-site constructors.
-        let mut site_names = Vec::new();
         for site in cfg.call_sites() {
             let callee = &cfg.functions()[site.callee.index()];
-            let name = format!("o{}", site.id.index());
-            let o_i = sys.constructor(&name, &[Variance::Covariant]);
-            site_names.push(name);
+            let o_i = sys.constructor(&format!("o{}", site.id.index()), &[Variance::Covariant]);
             sys.add(
                 SetExpr::cons_vars(o_i, [node_vars[site.call_node.index()]]),
                 SetExpr::var(node_vars[callee.entry.index()]),
@@ -219,12 +214,7 @@ impl<A: Algebra> ConstraintChecker<A> {
             )?;
         }
 
-        Ok(ConstraintChecker {
-            sys,
-            node_vars,
-            pc,
-            site_names,
-        })
+        Ok(ConstraintChecker { sys, node_vars, pc })
     }
 }
 
@@ -415,11 +405,6 @@ impl<A: Algebra> ConstraintChecker<A> {
     /// Mutable access to the underlying system (for ad-hoc queries).
     pub fn system_mut(&mut self) -> &mut System<A> {
         &mut self.sys
-    }
-
-    /// Number of call sites encoded.
-    pub fn num_call_sites(&self) -> usize {
-        self.site_names.len()
     }
 }
 

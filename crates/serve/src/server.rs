@@ -659,14 +659,15 @@ fn handle_connection(shared: &Arc<Shared>, stream: TcpStream) {
         engine.set_clock(Arc::clone(clock));
     }
 
+    // Remote clients must not choose filesystem paths: without a
+    // snapshot directory, snapshot and restore have no file at all.
+    engine.set_client_snapshot_paths(false);
     if let Some(path) = &shared.snapshot_path {
-        // Persistence: snapshot/restore target the server's file only
-        // (remote clients must not choose filesystem paths), and an
-        // in-band snapshot, once written, becomes the fork base of
+        // Persistence: snapshot/restore target the server's file only,
+        // and an in-band snapshot, once written, becomes the fork base of
         // subsequent connections. A refresh that fails deep validation
         // keeps the previous base — never half-swapped.
         engine.set_snapshot_path(path.clone());
-        engine.set_client_snapshot_paths(false);
         let base_image = Arc::clone(shared);
         engine.set_snapshot_hook(move |bytes| {
             match EngineBase::decode(bytes, &base_image.sigma) {

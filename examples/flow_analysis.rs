@@ -5,7 +5,7 @@
 //!
 //! Run with `cargo run --example flow_analysis`.
 
-use rasc::flow::{DualAnalysis, FlowAnalysis, Program};
+use rasc::flow::{FlowAnalysis, Program};
 
 fn main() {
     // Figure 11 (non-structural subtyping example):
@@ -28,7 +28,7 @@ fn main() {
     assert!(!primary.flows("A", "V"), "A is the first component");
 
     // Dual analysis: the same facts via the swapped encoding (§7.6).
-    let mut dual = DualAnalysis::new(&program).expect("well-typed");
+    let mut dual = FlowAnalysis::dual(&program).expect("well-typed");
     dual.solve();
     println!("dual analysis (§7.6, calls = brackets, pairs = terms):");
     for (src, dst) in [("B", "V"), ("A", "V")] {

@@ -17,8 +17,11 @@
 //! ```
 //!
 //! `check` verifies a §8-syntax property specification against a MiniImp
-//! program; `flow` runs the §7 type-based flow analysis on a MiniLam
-//! program; `points-to` runs the §7.5 analysis on a MiniPtr program;
+//! program, with the bidirectional constraint checker (`--engine
+//! constraints`, the default), the §5 forward solver (`forward`) or the
+//! PDS `post*` checker (`pushdown`); `flow` runs the §7 type-based flow
+//! analysis on a MiniLam program (`--dual` for the §7.6 encoding);
+//! `points-to` runs the §7.5 analysis on a MiniPtr program;
 //! `batch` runs an incremental solving session over a JSON-lines command
 //! stream (see `rasc::inc::BatchEngine` for the protocol); its `--trace`
 //! flag writes a Chrome trace-event file (load it in Perfetto or
@@ -55,8 +58,8 @@ use std::process::ExitCode;
 use rasc::automata::{Monoid, PropertySpec};
 use rasc::cfgir::Cfg;
 use rasc::dataflow::{ConstraintDataflow, GenKillSpec};
-use rasc::flow::{DualAnalysis, FlowAnalysis};
-use rasc::pdmc::{render_trace, witness_trace, ConstraintChecker};
+use rasc::flow::FlowAnalysis;
+use rasc::pdmc::{forward_violations, render_trace, witness_trace, ConstraintChecker};
 use rasc::ptr::PointsTo;
 use rasc::pushdown::PdsChecker;
 
@@ -240,10 +243,8 @@ fn check(opts: &Opts) -> Result<(), String> {
                 checker.violations()
             }
         }
-        "forward" | "pushdown" => {
-            // The PDS checker serves both names here; `forward` users want
-            // the faster engine, which for the CLI's purposes is the
-            // saturation checker.
+        "forward" => forward_violations(&cfg, &sigma, &dfa, entry).map_err(|e| e.to_string())?,
+        "pushdown" => {
             let checker = PdsChecker::new(&cfg, &sigma, &dfa, entry).map_err(|e| e.to_string())?;
             let mut nodes: Vec<_> = checker.run().into_iter().map(|v| v.node).collect();
             nodes.sort();
@@ -329,23 +330,19 @@ fn flow(opts: &Opts) -> Result<(), String> {
     let from = opts.required("from")?;
     let to = opts.required("to")?;
     let program = rasc::flow::Program::parse(&program_text).map_err(|e| e.to_string())?;
-    let (matched, pn) = if opts.flag("dual") {
-        let mut d = DualAnalysis::new(&program).map_err(|e| e.to_string())?;
-        d.solve();
-        d.label_var(from).map_err(|e| e.to_string())?;
-        d.label_var(to).map_err(|e| e.to_string())?;
-        (d.flows(from, to), d.flows_pn(from, to))
+    let mut a = if opts.flag("dual") {
+        FlowAnalysis::dual(&program)
     } else {
-        let mut a = FlowAnalysis::new(&program).map_err(|e| e.to_string())?;
-        a.solve();
-        a.label_var(from).map_err(|e| e.to_string())?;
-        a.label_var(to).map_err(|e| e.to_string())?;
-        (a.flows(from, to), a.flows_pn(from, to))
-    };
+        FlowAnalysis::new(&program)
+    }
+    .map_err(|e| e.to_string())?;
+    a.solve();
+    a.label_var(from).map_err(|e| e.to_string())?;
+    a.label_var(to).map_err(|e| e.to_string())?;
     if opts.flag("pn") {
-        println!("{from} flows to {to} (PN): {pn}");
+        println!("{from} flows to {to} (PN): {}", a.flows_pn(from, to));
     } else {
-        println!("{from} flows to {to} (matched): {matched}");
+        println!("{from} flows to {to} (matched): {}", a.flows(from, to));
     }
     Ok(())
 }

@@ -99,17 +99,29 @@ fn check_reports_a_non_ascii_identifier_as_a_parse_error() {
 
 #[test]
 fn check_engines_agree() {
-    for engine in ["constraints", "pushdown"] {
-        let (ok, _) = rasc(&[
-            "check",
-            "--spec",
-            "assets/specs/privilege.spec",
-            "--program",
-            "assets/programs/vulnerable.mimp",
-            "--engine",
-            engine,
-        ]);
-        assert!(!ok, "engine {engine} must find the violation");
+    for (program, violating) in [("vulnerable", true), ("safe", false)] {
+        let verdicts: Vec<String> = ["constraints", "forward", "pushdown"]
+            .into_iter()
+            .map(|engine| {
+                let (ok, text) = rasc(&[
+                    "check",
+                    "--spec",
+                    "assets/specs/privilege.spec",
+                    "--program",
+                    &format!("assets/programs/{program}.mimp"),
+                    "--engine",
+                    engine,
+                ]);
+                assert_eq!(ok, !violating, "{program} under {engine}: {text}");
+                // The verdict line names the violation count or the
+                // checked point count, without the engine.
+                text.lines().next().unwrap_or_default().to_owned()
+            })
+            .collect();
+        assert!(
+            verdicts.iter().all(|v| *v == verdicts[0]),
+            "{program}: {verdicts:?}"
+        );
     }
 }
 

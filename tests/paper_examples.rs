@@ -4,7 +4,7 @@
 use rasc::automata::PropertySpec;
 use rasc::cfgir::{Cfg, Program};
 use rasc::constraints::algebra::Algebra;
-use rasc::flow::{DualAnalysis, FlowAnalysis};
+use rasc::flow::FlowAnalysis;
 use rasc::pdmc::{properties, ConstraintChecker};
 use rasc::pushdown::PdsChecker;
 
@@ -114,7 +114,7 @@ fn section_7_4_and_7_6_agree() {
     let program = rasc::flow::Program::parse(src).unwrap();
     let mut primary = FlowAnalysis::new(&program).unwrap();
     primary.solve();
-    let mut dual = DualAnalysis::new(&program).unwrap();
+    let mut dual = FlowAnalysis::dual(&program).unwrap();
     dual.solve();
 
     for src_label in ["A", "B"] {

@@ -2,7 +2,8 @@
 //! hostile input over TCP, admission control, graceful shutdown with a
 //! request deterministically in flight, every drain trigger waking the
 //! blocked accept loops, crash-safe warm restart from a
-//! snapshot directory, and the admin telemetry plane (`/metrics`,
+//! snapshot directory (and no client-chosen snapshot paths, with or
+//! without one), and the admin telemetry plane (`/metrics`,
 //! `/stats`, `/healthz`, the slow-query log, request-id correlation,
 //! and the `rasc stats` poller).
 
@@ -483,6 +484,36 @@ fn snapshot_dir_warm_restarts_across_server_generations() {
     handle.shutdown();
     join.join().expect("server joins");
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn without_a_snapshot_dir_clients_choose_no_snapshot_paths() {
+    let (handle, join) = spawn_server(ServeConfig::default());
+    let mut c = Client::connect(handle.addr());
+    let path = std::env::temp_dir().join(format!("rasc-serve-no-dir-{}.snap", std::process::id()));
+    let _ = std::fs::remove_file(&path);
+    // Neither writes the file, and `restore` does not reveal whether
+    // one exists.
+    let answers: Vec<(&str, String)> = ["snapshot", "restore"]
+        .into_iter()
+        .map(|cmd| {
+            let r = c.roundtrip(&format!(r#"{{"cmd":"{cmd}","path":"{}"}}"#, path.display()));
+            (cmd, r)
+        })
+        .collect();
+    let wrote = path.exists();
+    let _ = std::fs::remove_file(&path);
+    for (cmd, r) in answers {
+        let parsed = Json::parse(&r).expect("valid JSON");
+        let code = parsed
+            .get("error")
+            .and_then(|e| e.get("code"))
+            .and_then(Json::as_str);
+        assert_eq!(code, Some("bad_request"), "{cmd}: {r}");
+    }
+    assert!(!wrote, "a client wrote a file on the server");
+    handle.shutdown();
+    join.join().expect("server joins");
 }
 
 #[test]
