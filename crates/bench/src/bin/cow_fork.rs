@@ -7,40 +7,41 @@
 //! what the server does now).
 //!
 //! Each arm brings a system up, reads the sink's lower bounds and drops
-//! the system. Restore is linear in the solved form; a fork shares the
+//! the system; a fork is sub-microsecond, so its arm times a batch of
+//! [`FORKS`]. Restore is linear in the solved form; a fork shares the
 //! per-variable records 64 variables to a pointer, so its cost hardly
 //! grows with the base. Also reports per-connection resident overhead:
 //! the RSS delta of holding [`FLEET`] live systems built each way (Linux
 //! `/proc`, best effort — reported, not enforced).
 //!
 //! Emits `BENCH_cow.json` (one row per rung, 2k → 32k constraints) and
-//! enforces two bounds: at the largest rung the fork must be at least 5×
-//! faster than the per-connection restore, and the largest rung's fork
-//! may take at most twice the smallest rung's, though its base has 16
-//! times the variables.
+//! guards two per-round ratios: at the largest rung the fork must be at
+//! least 5× faster than the per-connection restore, and the largest
+//! rung's fork may take at most twice the smallest rung's, though its
+//! base has 16 times the variables.
 //!
 //! Usage: `cow_fork [out.json]`.
 
-use std::time::Duration;
+use std::process::ExitCode;
 
-use rasc_automata::{adversarial_machine, Dfa};
-use rasc_bench::constraints_workload::{dense, edge_list_system, EdgeListWorkload};
+use rasc_automata::adversarial_machine;
+use rasc_bench::constraints_workload::dense_rungs;
 use rasc_core::algebra::MonoidAlgebra;
-use rasc_core::{BaseSystem, System, VarId};
-use rasc_devtools::bench;
-use rasc_inc::json::{obj, Json};
+use rasc_core::System;
+use rasc_devtools::bench::Bound::{AtLeast, AtMost};
+use rasc_devtools::bench::{median, ratios, Arm, Report};
+use rasc_inc::json::Json;
 
 /// Concurrent systems held live for the resident-overhead measurement.
 const FLEET: usize = 64;
+/// Forks timed as one batch by the fork arm.
+const FORKS: u64 = 1_000;
+/// Interleaved rounds, and calls per arm per round (a sample is their median).
+const ROUNDS: usize = 20;
+const REPS: usize = 3;
 
-fn build_solved(machine: &Dfa, wl: &EdgeListWorkload) -> System<MonoidAlgebra> {
-    let (mut sys, _, _) = edge_list_system(machine, wl);
-    sys.solve();
-    sys
-}
-
-/// Resident set size in KiB, from `/proc/self/statm` (0 where absent).
-#[cfg(target_os = "linux")]
+/// Resident set size in KiB, from Linux's `/proc/self/statm` (0 where
+/// absent).
 fn resident_kb() -> u64 {
     let statm = std::fs::read_to_string("/proc/self/statm").unwrap_or_default();
     let pages: u64 = statm
@@ -49,11 +50,6 @@ fn resident_kb() -> u64 {
         .and_then(|f| f.parse().ok())
         .unwrap_or(0);
     pages * 4096 / 1024
-}
-
-#[cfg(not(target_os = "linux"))]
-fn resident_kb() -> u64 {
-    0
 }
 
 /// RSS growth per system, holding `FLEET` of them live at once.
@@ -65,99 +61,73 @@ fn fleet_overhead_kb(make: impl Fn() -> System<MonoidAlgebra>) -> u64 {
     after.saturating_sub(before) / FLEET as u64
 }
 
-fn main() {
+fn restore(bytes: &[u8]) -> System<MonoidAlgebra> {
+    System::restore_bytes(bytes).expect("valid snapshot")
+}
+
+fn main() -> ExitCode {
     let out_path = std::env::args()
         .nth(1)
         .unwrap_or_else(|| "BENCH_cow.json".to_owned());
     let (sigma, machine) = adversarial_machine(4);
 
-    println!("rasc-inc: copy-on-write fork vs per-connection restore");
-    println!(
-        "{:>12} {:>8} {:>14} {:>12} {:>9} {:>12} {:>12}",
-        "graph", "edges", "restore (ms)", "fork (ms)", "speedup", "rss/conn", "rss/conn"
+    // A rung is its row's fixed fields, the sink, the serialized solved
+    // form and the frozen base decoded from it.
+    let rungs: Vec<_> = dense_rungs(&sigma, &machine)
+        .expect("solved systems snapshot")
+        .into_iter()
+        .map(|rung| {
+            let (mut row, sink) = (rung.fields(), rung.sink());
+            let bytes = rung.bytes;
+            let base = rung.solved.into_base().expect("solved system freezes");
+            row.extend([
+                (
+                    "restore_rss_per_conn_kb",
+                    Json::from(fleet_overhead_kb(|| restore(&bytes))),
+                ),
+                (
+                    "fork_rss_per_conn_kb",
+                    Json::from(fleet_overhead_kb(|| System::fork(&base))),
+                ),
+            ]);
+            (row, sink, bytes, base)
+        })
+        .collect();
+
+    let mut arms: Vec<Arm> = rungs
+        .iter()
+        .flat_map(|(_, sink, bytes, base)| {
+            [
+                Arm::new(move || restore(bytes).lower_bounds(*sink).count()),
+                Arm::ops(move || {
+                    for _ in 0..FORKS {
+                        std::hint::black_box(System::fork(base).lower_bounds(*sink).count());
+                    }
+                    FORKS
+                }),
+            ]
+        })
+        .collect();
+    let mut report = Report::new(
+        "cow_fork_vs_restore",
+        [
+            ("machine", Json::from("adversarial(4)")),
+            ("fleet", Json::from(FLEET)),
+            ("forks_per_batch", Json::from(FORKS)),
+        ],
     );
-    println!(
-        "{:>12} {:>8} {:>14} {:>12} {:>9} {:>12} {:>12}",
-        "", "", "", "", "", "restore(KB)", "fork(KB)"
-    );
+    let ns = report.interleave(ROUNDS, REPS, &mut arms);
 
-    let mut rows: Vec<Json> = Vec::new();
-    let mut last_speedup = 0.0_f64;
-    let mut fork_ns: Vec<f64> = Vec::new();
-    // out_degree * n_vars edges per rung: 2k → 8k → 32k constraints.
-    let shapes = [(125usize, 16usize), (500, 16), (2000, 16)];
-    for (i, &(n_vars, out_degree)) in shapes.iter().enumerate() {
-        let wl = dense(n_vars, out_degree, &sigma, 7 + i as u64);
-        let sink = VarId::from_index(wl.sink);
-
-        // The durable artifact, serialized once; the frozen base is the
-        // decode-once product the server shares across connections.
-        let solved = build_solved(&machine, &wl);
-        let bytes = solved.snapshot_bytes().expect("solved system snapshots");
-        let base: BaseSystem<MonoidAlgebra> = solved.into_base().expect("solved system freezes");
-
-        // Per-connection restore: deserialize the solved form and answer.
-        let restore = bench("restore", 5, Duration::from_millis(400), || {
-            let sys = System::<MonoidAlgebra>::restore_bytes(&bytes).expect("valid snapshot");
-            sys.lower_bounds(sink).count()
-        });
-
-        // Copy-on-write fork: alias the frozen base and answer.
-        let fork = bench("fork", 5, Duration::from_millis(400), || {
-            System::fork(&base).lower_bounds(sink).count()
-        });
-
-        let restore_rss = fleet_overhead_kb(|| {
-            System::<MonoidAlgebra>::restore_bytes(&bytes).expect("valid snapshot")
-        });
-        let fork_rss = fleet_overhead_kb(|| System::fork(&base));
-
-        let speedup = restore.median_ns / fork.median_ns;
-        last_speedup = speedup;
-        fork_ns.push(fork.median_ns);
-        println!(
-            "{:>12} {:>8} {:>14.3} {:>12.4} {:>8.1}x {:>12} {:>12}",
-            format!("{n_vars}x{out_degree}"),
-            wl.edges.len(),
-            restore.median_ns / 1e6,
-            fork.median_ns / 1e6,
-            speedup,
-            restore_rss,
-            fork_rss
-        );
-        rows.push(obj([
-            ("n_vars", Json::from(n_vars)),
-            ("out_degree", Json::from(out_degree)),
-            ("constraints", Json::from(wl.edges.len())),
-            ("snapshot_bytes", Json::from(bytes.len())),
-            ("restore_median_ns", Json::Num(restore.median_ns)),
-            ("fork_median_ns", Json::Num(fork.median_ns)),
-            ("speedup", Json::Num(speedup)),
-            ("restore_rss_per_conn_kb", Json::from(restore_rss)),
-            ("fork_rss_per_conn_kb", Json::from(fork_rss)),
+    for ((row, ..), times) in rungs.iter().zip(ns.chunks(2)) {
+        let (restore, fork) = (&times[0], &times[1]);
+        report.row(row.iter().cloned().chain([
+            ("restore_median_ns", Json::Num(median(restore))),
+            ("fork_median_ns", Json::Num(median(fork))),
+            ("speedup", Json::Num(median(&ratios(restore, fork)))),
         ]));
     }
-
-    // The largest rung's fork against the smallest's.
-    let growth = fork_ns[fork_ns.len() - 1] / fork_ns[0];
-    let report = obj([
-        ("bench", Json::from("cow_fork_vs_restore")),
-        ("machine", Json::from("adversarial(4)")),
-        ("fleet", Json::from(FLEET)),
-        ("rows", Json::Arr(rows)),
-        ("fork_growth", Json::Num(growth)),
-    ]);
-    std::fs::write(&out_path, report.render() + "\n").expect("write report");
-    println!("wrote {out_path}");
-
-    assert!(
-        last_speedup >= 5.0,
-        "a copy-on-write fork must be ≥5× faster than a per-connection \
-         restore at the largest rung (got {last_speedup:.1}×)"
-    );
-    assert!(
-        growth <= 2.0,
-        "a fork of the largest base may take at most 2× a fork of the \
-         smallest (got {growth:.2}×)"
-    );
+    let (speedup, growth) = (ratios(&ns[4], &ns[5]), ratios(&ns[5], &ns[1]));
+    report.guard("restore / fork at 32k", &speedup, AtLeast(5.0));
+    report.guard("fork at 32k / fork at 2k", &growth, AtMost(2.0));
+    report.finish(&out_path)
 }

@@ -5,20 +5,25 @@
 //! facts; epoch pop) or by rebuilding and solving the whole system from
 //! nothing.
 //!
-//! Emits `BENCH_incremental.json` (one row per ladder) and enforces the
-//! acceptance bound: on the largest ladder the incremental path must be at
-//! least 5× faster than the from-scratch path.
+//! Emits `BENCH_incremental.json` (one row per ladder) and guards the
+//! per-round ratio of the two arms: on the largest ladder the incremental
+//! path must be at least 5× faster than the from-scratch path.
 //!
-//! Usage: `incremental [out.json]`.
+//! Usage: `incremental_resolve [out.json]`.
 
-use std::time::Duration;
+use std::process::ExitCode;
 
 use rasc_automata::{adversarial_machine, Dfa, SymbolId};
 use rasc_bench::constraints_workload::{edge_list_system, ladder, EdgeListWorkload};
 use rasc_core::algebra::MonoidAlgebra;
 use rasc_core::{SetExpr, System, VarId};
-use rasc_devtools::{bench, Rng};
-use rasc_inc::json::{obj, Json};
+use rasc_devtools::bench::{median, ratios, Arm, Bound::AtLeast, Report};
+use rasc_devtools::Rng;
+use rasc_inc::json::Json;
+
+/// Interleaved rounds, and calls per arm per round (a sample is their median).
+const ROUNDS: usize = 30;
+const REPS: usize = 5;
 
 /// The +1% delta: fresh random edges over the existing variables.
 fn delta_edges(wl: &EdgeListWorkload, seed: u64) -> Vec<(usize, usize, Vec<SymbolId>)> {
@@ -46,85 +51,76 @@ fn build_base(machine: &Dfa, wl: &EdgeListWorkload) -> (System<MonoidAlgebra>, V
     (sys, vars)
 }
 
-fn main() {
+fn main() -> ExitCode {
     let out_path = std::env::args()
         .nth(1)
         .unwrap_or_else(|| "BENCH_incremental.json".to_owned());
     let (sigma, machine) = adversarial_machine(3);
+    // A rung is its row's fixed fields, the ladder, its +1% delta and the
+    // solved base system.
+    let mut rungs: Vec<_> = [(4usize, 16usize), (4, 64), (4, 256)]
+        .iter()
+        .enumerate()
+        .map(|(i, &(width, len))| {
+            let wl = ladder(width, len, &sigma, 7 + i as u64);
+            let delta = delta_edges(&wl, 1000 + i as u64);
+            let row = [
+                ("ladder_width", Json::from(width)),
+                ("ladder_len", Json::from(len)),
+                ("base_edges", Json::from(wl.edges.len())),
+                ("delta_edges", Json::from(delta.len())),
+            ];
+            let base = build_base(&machine, &wl);
+            (row, wl, delta, base)
+        })
+        .collect();
 
-    println!("rasc-inc: incremental (+1% constraints) vs from-scratch re-solve");
-    println!(
-        "{:>12} {:>8} {:>7} {:>14} {:>14} {:>9}",
-        "ladder", "edges", "delta", "scratch (ms)", "inc (ms)", "speedup"
-    );
-
-    let mut rows: Vec<Json> = Vec::new();
-    let mut last_speedup = 0.0_f64;
-    let shapes = [(4usize, 16usize), (4, 64), (4, 256)];
-    for (i, &(width, len)) in shapes.iter().enumerate() {
-        let wl = ladder(width, len, &sigma, 7 + i as u64);
-        let delta = delta_edges(&wl, 1000 + i as u64);
-
-        // From-scratch: rebuild and solve base + delta every time.
-        let scratch = bench("scratch", 10, Duration::from_millis(400), || {
+    let machine = &machine;
+    let mut arms: Vec<Arm> = Vec::new();
+    for (_, wl, delta, (sys, vars)) in &mut rungs {
+        let (wl, delta, vars) = (&*wl, &*delta, &*vars);
+        // From scratch: rebuild and solve base + delta every time.
+        arms.push(Arm::new(move || {
             let mut full = wl.clone();
             full.edges.extend(delta.iter().cloned());
-            let (sys, vars) = build_base(&machine, &full);
+            let (sys, vars) = build_base(machine, &full);
             sys.nonempty(vars[full.sink])
-        });
-
-        // Incremental: one pre-solved system; each round opens an epoch,
+        }));
+        // Incremental: one pre-solved system; each call opens an epoch,
         // feeds the delta through the worklist, queries, and rolls back so
-        // the next round starts from the same base fixpoint.
-        let (mut sys, vars) = build_base(&machine, &wl);
-        let sink = vars[wl.sink];
-        let inc = bench("incremental", 10, Duration::from_millis(400), || {
+        // the next call starts from the same base fixpoint.
+        arms.push(Arm::new(move || {
             sys.push_epoch();
-            for (from, to, word) in &delta {
+            for (from, to, word) in delta {
                 let ann = sys.algebra_mut().word(word);
                 sys.add_ann(SetExpr::var(vars[*from]), SetExpr::var(vars[*to]), ann)
                     .expect("well-formed");
                 sys.solve();
             }
-            let reached = sys.nonempty(sink);
+            let reached = sys.nonempty(vars[wl.sink]);
             assert!(sys.pop_epoch());
             reached
-        });
+        }));
+    }
+    let mut report = Report::new(
+        "incremental_vs_scratch",
+        [
+            ("machine", Json::from("adversarial(3)")),
+            ("delta_fraction", Json::Num(0.01)),
+        ],
+    );
+    let ns = report.interleave(ROUNDS, REPS, &mut arms);
+    drop(arms);
 
-        let speedup = scratch.median_ns / inc.median_ns;
-        last_speedup = speedup;
-        println!(
-            "{:>12} {:>8} {:>7} {:>14.3} {:>14.3} {:>8.1}x",
-            format!("{width}x{len}"),
-            wl.edges.len(),
-            delta.len(),
-            scratch.median_ns / 1e6,
-            inc.median_ns / 1e6,
-            speedup
-        );
-        rows.push(obj([
-            ("ladder_width", Json::from(width)),
-            ("ladder_len", Json::from(len)),
-            ("base_edges", Json::from(wl.edges.len())),
-            ("delta_edges", Json::from(delta.len())),
-            ("scratch_median_ns", Json::Num(scratch.median_ns)),
-            ("incremental_median_ns", Json::Num(inc.median_ns)),
-            ("speedup", Json::Num(speedup)),
+    for ((row, ..), times) in rungs.iter().zip(ns.chunks(2)) {
+        let (scratch, inc) = (&times[0], &times[1]);
+        report.row(row.iter().cloned().chain([
+            ("scratch_median_ns", Json::Num(median(scratch))),
+            ("incremental_median_ns", Json::Num(median(inc))),
+            ("speedup", Json::Num(median(&ratios(scratch, inc)))),
         ]));
     }
-
-    let report = obj([
-        ("bench", Json::from("incremental_vs_scratch")),
-        ("machine", Json::from("adversarial(3)")),
-        ("delta_fraction", Json::Num(0.01)),
-        ("rows", Json::Arr(rows)),
-    ]);
-    std::fs::write(&out_path, report.render() + "\n").expect("write report");
-    println!("wrote {out_path}");
-
-    assert!(
-        last_speedup >= 5.0,
-        "incremental re-solve must be ≥5× faster than scratch on the largest \
-         ladder (got {last_speedup:.1}×)"
-    );
+    let speedup = ratios(&ns[4], &ns[5]);
+    report.guard("scratch / incremental at 4x256", &speedup, AtLeast(5.0));
+    report.finish(&out_path)
 }

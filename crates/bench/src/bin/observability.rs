@@ -8,32 +8,25 @@
 //! permanently installed, since its hot path is a shard lookup plus one
 //! relaxed atomic add.
 //!
-//! Each timed iteration builds the system and solves it. The arms are
-//! interleaved: every round times each arm once, in an order that rotates
-//! from round to round, and each sink arm's ratio is taken to the no-sink
-//! time of the same round. The guard is the median of those ratios over
-//! the rounds, so a host whose speed drifts during the run moves every
-//! arm of a round alike instead of one arm alone.
-//!
-//! Emits `BENCH_observability.json` with the per-arm medians and the
-//! ratios' quartiles, and exits non-zero when the guard is violated.
+//! Each arm builds the system and solves it. The guards are each sink
+//! arm's median per-round ratio to the no-sink arm (the interleaved
+//! rounds of [`rasc_devtools::bench`]). Emits `BENCH_observability.json`
+//! and exits non-zero when a guard fails.
 //!
 //! Usage: `observability [out.json]`.
 
+use std::process::ExitCode;
 use std::sync::Arc;
-use std::time::Instant;
 
 use rasc_automata::{adversarial_machine, Dfa};
 use rasc_bench::constraints_workload::{edge_list_system, ladder, EdgeListWorkload};
-use rasc_inc::json::{obj, Json};
+use rasc_devtools::bench::{median, ratios, Arm, Bound::AtMost, Report};
+use rasc_inc::json::Json;
 use rasc_obs::{scoped, EventSink, MetricsRegistry, NoopSink};
 
-/// Rounds of the interleaved arms.
+/// Interleaved rounds, and solves per arm per round (a sample is their median).
 const ROUNDS: usize = 60;
-/// Solves per arm per round; a round's time for an arm is their median.
-const SOLVES: usize = 3;
-/// The guard's bound on each sink arm's median ratio to no sink.
-const MAX_RATIO: f64 = 1.05;
+const REPS: usize = 3;
 
 /// Builds and solves the workload, returning whether the probe reached
 /// the sink.
@@ -43,55 +36,7 @@ fn solve_once(machine: &Dfa, wl: &EdgeListWorkload) -> bool {
     sys.nonempty(vars[wl.sink])
 }
 
-/// Median nanoseconds of `SOLVES` solves under `sink` (none: no sink).
-fn time_arm(sink: Option<&Arc<dyn EventSink>>, machine: &Dfa, wl: &EdgeListWorkload) -> f64 {
-    let samples: Vec<f64> = (0..SOLVES)
-        .map(|_| {
-            let t0 = Instant::now();
-            let reached = match sink {
-                None => solve_once(machine, wl),
-                Some(s) => scoped(Arc::clone(s), || solve_once(machine, wl)),
-            };
-            std::hint::black_box(reached);
-            t0.elapsed().as_nanos() as f64
-        })
-        .collect();
-    median(&samples)
-}
-
-fn quantile(sorted: &[f64], q: f64) -> f64 {
-    sorted[((sorted.len() - 1) as f64 * q).round() as usize]
-}
-
-fn median(samples: &[f64]) -> f64 {
-    let mut sorted = samples.to_vec();
-    sorted.sort_by(f64::total_cmp);
-    quantile(&sorted, 0.5)
-}
-
-/// A sink arm against the no-sink arm: its median time, and the
-/// quartiles of its per-round ratio to the no-sink time.
-struct Overhead {
-    median_ns: f64,
-    q1: f64,
-    ratio: f64,
-    q3: f64,
-}
-
-impl Overhead {
-    fn of(times: &[f64], baseline: &[f64]) -> Overhead {
-        let mut ratios: Vec<f64> = times.iter().zip(baseline).map(|(t, b)| t / b).collect();
-        ratios.sort_by(f64::total_cmp);
-        Overhead {
-            median_ns: median(times),
-            q1: quantile(&ratios, 0.25),
-            ratio: quantile(&ratios, 0.5),
-            q3: quantile(&ratios, 0.75),
-        }
-    }
-}
-
-fn main() {
+fn main() -> ExitCode {
     let out_path = std::env::args()
         .nth(1)
         .unwrap_or_else(|| "BENCH_observability.json".to_owned());
@@ -102,80 +47,39 @@ fn main() {
         "the probe must reach the sink once the ladder is solved"
     );
 
-    println!(
-        "rasc-obs: instrumentation overhead on solving ladder 4x192 ({} edges), \
-         {ROUNDS} interleaved rounds of {SOLVES} solves per arm",
-        wl.edges.len()
-    );
-
-    let sinks: [Option<Arc<dyn EventSink>>; 3] = [
-        None,
-        Some(Arc::new(NoopSink)),
-        Some(Arc::new(MetricsRegistry::new())),
+    let sinks: [(&str, Option<Arc<dyn EventSink>>); 3] = [
+        ("no_sink", None),
+        ("noop_sink", Some(Arc::new(NoopSink))),
+        ("metrics_registry", Some(Arc::new(MetricsRegistry::new()))),
     ];
-    // times[arm][round]: the arm's median solve time in that round.
-    let mut times = vec![Vec::with_capacity(ROUNDS); sinks.len()];
-    for round in 0..ROUNDS {
-        for k in 0..sinks.len() {
-            let arm = (round + k) % sinks.len();
-            times[arm].push(time_arm(sinks[arm].as_ref(), &machine, &wl));
-        }
+    let mut arms: Vec<Arm> = sinks
+        .iter()
+        .map(|(_, sink)| {
+            let (machine, wl) = (&machine, &wl);
+            Arm::new(move || match sink {
+                None => solve_once(machine, wl),
+                Some(s) => scoped(Arc::clone(s), || solve_once(machine, wl)),
+            })
+        })
+        .collect();
+    let mut report = Report::new(
+        "observability_overhead",
+        [
+            ("machine", Json::from("adversarial(3)")),
+            ("workload", Json::from("ladder(4,192), built and solved")),
+            ("edges", Json::from(wl.edges.len())),
+        ],
+    );
+    let ns = report.interleave(ROUNDS, REPS, &mut arms);
+    for ((arm, _), times) in sinks.iter().zip(&ns) {
+        report.row([
+            ("arm", Json::from(*arm)),
+            ("median_ns", Json::Num(median(times))),
+        ]);
     }
-    let baseline_ns = median(&times[0]);
-    let noop = Overhead::of(&times[1], &times[0]);
-    let registry = Overhead::of(&times[2], &times[0]);
-
-    println!(
-        "{:>16}: median {:.3} ms per solve",
-        "no sink",
-        baseline_ns / 1e6
-    );
-    for (label, o) in [("noop sink", &noop), ("metrics registry", &registry)] {
-        println!(
-            "{label:>16}: median {:.3} ms per solve; ratio to no sink in the same round: \
-             median {:.3}x (quartiles {:.3}–{:.3})",
-            o.median_ns / 1e6,
-            o.ratio,
-            o.q1,
-            o.q3
-        );
+    for (i, (arm, _)) in sinks.iter().enumerate().skip(1) {
+        let expr = format!("{arm} / no_sink");
+        report.guard(&expr, &ratios(&ns[i], &ns[0]), AtMost(1.05));
     }
-
-    let report = obj([
-        ("bench", Json::from("observability_overhead")),
-        ("machine", Json::from("adversarial(3)")),
-        ("workload", Json::from("ladder(4,192), built and solved")),
-        ("edges", Json::from(wl.edges.len())),
-        (
-            "cores",
-            Json::from(std::thread::available_parallelism().map_or(1, |n| n.get())),
-        ),
-        ("rounds", Json::from(ROUNDS)),
-        ("solves_per_arm_per_round", Json::from(SOLVES)),
-        ("baseline_median_ns", Json::Num(baseline_ns)),
-        ("noop_sink_median_ns", Json::Num(noop.median_ns)),
-        ("noop_overhead_ratio", Json::Num(noop.ratio)),
-        ("noop_ratio_q1", Json::Num(noop.q1)),
-        ("noop_ratio_q3", Json::Num(noop.q3)),
-        ("metrics_registry_median_ns", Json::Num(registry.median_ns)),
-        ("metrics_registry_overhead_ratio", Json::Num(registry.ratio)),
-        ("metrics_registry_ratio_q1", Json::Num(registry.q1)),
-        ("metrics_registry_ratio_q3", Json::Num(registry.q3)),
-        ("max_allowed_ratio", Json::Num(MAX_RATIO)),
-    ]);
-    std::fs::write(&out_path, report.render() + "\n").expect("write report");
-    println!("wrote {out_path}");
-
-    assert!(
-        noop.ratio <= MAX_RATIO,
-        "a NoopSink subscriber may add at most 5% to solve time \
-         (median ratio over the rounds {:.3}x)",
-        noop.ratio
-    );
-    assert!(
-        registry.ratio <= MAX_RATIO,
-        "the aggregating MetricsRegistry must fit the same 5% budget \
-         (median ratio over the rounds {:.3}x)",
-        registry.ratio
-    );
+    report.finish(&out_path)
 }

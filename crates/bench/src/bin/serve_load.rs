@@ -11,47 +11,48 @@
 //! connections, and holds even on a single-core host where CPU-bound
 //! clients could never scale.
 //!
-//! Emits `BENCH_serve.json` and exits non-zero when the scaling floor
-//! is violated.
+//! Each rung is an arm of [`rasc_devtools::bench`]'s interleaved rounds:
+//! a round runs every rung for its share of `--secs`, and the guard is
+//! the median over the rounds of the 16-client rung's throughput over the
+//! one-client rung's. Emits `BENCH_serve.json` and exits non-zero when
+//! the guard fails.
 //!
 //! Usage: `serve_load [out.json] [--secs S]` (default 1.2 s per rung).
 
 use std::io::{BufRead, BufReader, BufWriter, Write};
 use std::net::{SocketAddr, TcpStream};
+use std::process::ExitCode;
 use std::time::{Duration, Instant};
 
 use rasc_automata::{Alphabet, Dfa};
+use rasc_devtools::bench::{median, quantile, ratios, Arm, Bound::AtLeast, Report};
 use rasc_devtools::Rng;
-use rasc_inc::json::{obj, Json};
+use rasc_inc::json::Json;
 use rasc_serve::{ServeConfig, Server};
 
 /// Mean think time between a client's requests, in microseconds.
 const THINK_MICROS: u64 = 1_000;
-/// Scaling floor: 16 clients must deliver at least this multiple of the
-/// single-client throughput.
-const MIN_SPEEDUP: f64 = 3.0;
-
-/// One client's run: request count and per-request latencies (µs).
-struct ClientRun {
-    requests: u64,
-    latencies_us: Vec<u64>,
-}
+/// Rounds of the interleaved rungs; each runs a rung for `secs / ROUNDS`.
+const ROUNDS: usize = 6;
+/// Concurrent clients per rung.
+const CLIENTS: [usize; 3] = [1, 4, 16];
 
 /// Connects, seeds a tiny session, then issues closed-loop queries with
-/// jittered think time until the deadline.
-fn run_client(addr: SocketAddr, seed: u64, duration: Duration) -> ClientRun {
+/// jittered think time until the deadline. Returns each query's latency
+/// in microseconds.
+fn run_client(addr: SocketAddr, seed: u64, duration: Duration) -> Vec<f64> {
     let stream = TcpStream::connect(addr).expect("connect");
     stream.set_nodelay(true).expect("nodelay");
     let mut reader = BufReader::new(stream.try_clone().expect("clone"));
     let mut writer = BufWriter::new(stream);
     let mut line = String::new();
-    let mut request = |req: &str, line: &mut String| {
+    let mut request = |req: &str| {
         writer.write_all(req.as_bytes()).expect("write");
         writer.write_all(b"\n").expect("write");
         writer.flush().expect("flush");
         line.clear();
-        reader.read_line(line).expect("read");
-        assert!(!line.is_empty(), "server closed mid-session");
+        reader.read_line(&mut line).expect("read");
+        assert!(line.contains("\"ok\""), "{req} failed: {line:?}");
     };
 
     // Per-connection session setup: the server gives every connection
@@ -61,74 +62,50 @@ fn run_client(addr: SocketAddr, seed: u64, duration: Duration) -> ClientRun {
         r#"{"cmd":"add","lhs":"probe","rhs":"Src"}"#,
         r#"{"cmd":"add","lhs":"Src","rhs":"Dst","ann":["g","k"]}"#,
     ] {
-        request(setup, &mut line);
-        assert!(line.contains("\"ok\""), "setup failed: {line}");
+        request(setup);
     }
 
     let mut rng = Rng::new(seed);
-    let mut run = ClientRun {
-        requests: 0,
-        latencies_us: Vec::new(),
-    };
+    let mut latencies_us = Vec::new();
     let deadline = Instant::now() + duration;
     while Instant::now() < deadline {
         let t0 = Instant::now();
-        request(
-            r#"{"cmd":"query","kind":"occurs","var":"Dst","cons":"probe"}"#,
-            &mut line,
-        );
-        assert!(line.contains("\"ok\""), "query failed: {line}");
-        run.requests += 1;
-        run.latencies_us.push(t0.elapsed().as_micros() as u64);
+        request(r#"{"cmd":"query","kind":"occurs","var":"Dst","cons":"probe"}"#);
+        latencies_us.push(t0.elapsed().as_micros() as f64);
         // Think: uniform in [0.5, 1.5) × the mean, so clients desynchronize.
         let jitter = THINK_MICROS / 2 + (rng.next_u64() % THINK_MICROS);
         std::thread::sleep(Duration::from_micros(jitter));
     }
-    run
+    latencies_us
 }
 
-/// Runs one rung of `clients` concurrent closed-loop clients.
-fn run_rung(addr: SocketAddr, clients: usize, duration: Duration) -> (f64, Vec<u64>, u64) {
-    let t0 = Instant::now();
+/// Runs one rung of `clients` concurrent closed-loop clients, returning
+/// every query's latency in microseconds.
+fn run_rung(addr: SocketAddr, clients: usize, duration: Duration) -> Vec<f64> {
     let handles: Vec<_> = (0..clients)
         .map(|i| std::thread::spawn(move || run_client(addr, 0x5eed + i as u64, duration)))
         .collect();
-    let mut latencies = Vec::new();
-    let mut requests = 0;
-    for h in handles {
-        let run = h.join().expect("client thread");
-        requests += run.requests;
-        latencies.extend(run.latencies_us);
-    }
-    let secs = t0.elapsed().as_secs_f64();
-    latencies.sort_unstable();
-    (requests as f64 / secs, latencies, requests)
+    handles
+        .into_iter()
+        .flat_map(|h| h.join().expect("client thread"))
+        .collect()
 }
 
-fn percentile(sorted: &[u64], p: f64) -> u64 {
-    if sorted.is_empty() {
-        return 0;
-    }
-    let idx = ((sorted.len() as f64 - 1.0) * p).round() as usize;
-    sorted[idx.min(sorted.len() - 1)]
-}
-
-fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
+fn main() -> ExitCode {
     let mut out_path = "BENCH_serve.json".to_owned();
     let mut secs = 1.2f64;
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
+    let mut args = std::env::args().skip(1);
+    while let Some(a) = args.next() {
         if a == "--secs" {
-            secs = it
+            secs = args
                 .next()
                 .and_then(|v| v.parse().ok())
                 .expect("--secs expects a number");
         } else {
-            out_path = a.clone();
+            out_path = a;
         }
     }
-    let duration = Duration::from_secs_f64(secs);
+    let window = Duration::from_secs_f64(secs / ROUNDS as f64);
 
     let mut sigma = Alphabet::new();
     let (g, k) = (sigma.intern("g"), sigma.intern("k"));
@@ -142,66 +119,54 @@ fn main() {
     let addr = server.local_addr();
     let (handle, join) = server.spawn();
 
-    println!(
-        "rasc-serve load: loopback fleet on {addr}, think ~{THINK_MICROS} us, \
-         {secs:.1} s per rung"
-    );
-
     // Warmup rung (discarded): populates code paths and the listener.
-    let _ = run_rung(addr, 2, Duration::from_millis(200));
+    run_rung(addr, 2, Duration::from_millis(200));
 
-    let mut rung_rows = Vec::new();
-    let mut rates = Vec::new();
-    for clients in [1usize, 4, 16] {
-        let (rps, latencies, requests) = run_rung(addr, clients, duration);
-        let p50 = percentile(&latencies, 0.50);
-        let p99 = percentile(&latencies, 0.99);
-        println!(
-            "{clients:>3} clients: {rps:>8.1} req/s  ({requests} requests, \
-             p50 {p50} us, p99 {p99} us)"
-        );
-        rung_rows.push(Json::Obj(vec![
-            ("clients".to_owned(), Json::from(clients)),
-            ("requests".to_owned(), Json::from(requests as usize)),
-            ("throughput_rps".to_owned(), Json::Num(rps)),
-            ("p50_micros".to_owned(), Json::from(p50 as usize)),
-            ("p99_micros".to_owned(), Json::from(p99 as usize)),
-        ]));
-        rates.push(rps);
-    }
+    // Each rung's latencies over every round; a sample is the rung's
+    // wall time per completed query.
+    let mut latencies: Vec<Vec<f64>> = vec![Vec::new(); CLIENTS.len()];
+    let mut arms: Vec<Arm> = CLIENTS
+        .iter()
+        .zip(&mut latencies)
+        .map(|(&clients, lat)| {
+            Arm::ops(move || {
+                let run = run_rung(addr, clients, window);
+                let requests = run.len() as u64;
+                lat.extend(run);
+                requests
+            })
+        })
+        .collect();
+    let mut report = Report::new(
+        "serve_load",
+        [
+            ("threads", Json::from(16usize)),
+            ("max_connections", Json::from(64usize)),
+            ("think_micros", Json::from(THINK_MICROS)),
+            ("secs_per_rung", Json::Num(secs)),
+        ],
+    );
+    let ns_per_request = report.interleave(ROUNDS, 1, &mut arms);
+    drop(arms);
 
     handle.begin_shutdown();
     handle.shutdown();
-    let report = join.join().expect("server thread").expect("server io");
-    let speedup = rates[2] / rates[0];
+    let served = join.join().expect("server thread").expect("server io");
     println!(
-        "16-client speedup over 1: {speedup:.2}x (floor {MIN_SPEEDUP:.1}x); \
-         server saw {} connections, {} requests, {} rejected",
-        report.connections, report.requests, report.rejected
+        "server saw {} connections, {} requests, {} rejected",
+        served.connections, served.requests, served.rejected
     );
 
-    let json = obj([
-        ("bench", Json::from("serve_load")),
-        ("threads", Json::from(16usize)),
-        ("max_connections", Json::from(64usize)),
-        ("think_micros", Json::from(THINK_MICROS as usize)),
-        ("secs_per_rung", Json::Num(secs)),
-        ("rungs", Json::Arr(rung_rows)),
-        ("speedup_16_over_1", Json::Num(speedup)),
-        ("min_required_speedup", Json::Num(MIN_SPEEDUP)),
-        (
-            "server_connections",
-            Json::from(report.connections as usize),
-        ),
-        ("server_requests", Json::from(report.requests as usize)),
-        ("server_rejected", Json::from(report.rejected as usize)),
-    ]);
-    std::fs::write(&out_path, json.render() + "\n").expect("write report");
-    println!("wrote {out_path}");
-
-    assert!(
-        speedup >= MIN_SPEEDUP,
-        "16 concurrent clients must deliver at least {MIN_SPEEDUP}x the \
-         single-client throughput (got {speedup:.2}x)"
-    );
+    for ((clients, lat), ns) in CLIENTS.iter().zip(&latencies).zip(&ns_per_request) {
+        report.row([
+            ("clients", Json::from(*clients)),
+            ("requests", Json::from(lat.len())),
+            ("throughput_rps", Json::Num(1e9 / median(ns))),
+            ("p50_micros", Json::Num(quantile(lat, 0.50))),
+            ("p99_micros", Json::Num(quantile(lat, 0.99))),
+        ]);
+    }
+    let speedup = ratios(&ns_per_request[0], &ns_per_request[2]);
+    report.guard("rps 16 clients / 1 client", &speedup, AtLeast(3.0));
+    report.finish(&out_path)
 }

@@ -12,32 +12,38 @@
 //!   decompose machinery, with the probe's lower bounds read back by head
 //!   from the lower-bound log.
 //!
-//! Emits `BENCH_solver.json` (one row per rung) and enforces near-linear
-//! scaling: within each family, ns per processed fact at the largest rung
-//! must be ≤ 3× the smallest rung.
+//! Each arm builds and solves one rung and counts the facts it processed,
+//! so a sample is nanoseconds per fact. Emits `BENCH_solver.json` (one
+//! row per rung) and guards near-linear scaling: within each family, the
+//! per-round ratio of the largest rung's ns per fact to the smallest's
+//! must be ≤ 3.
 //!
 //! Usage: `solver_scaling [out.json]`.
 
-use std::time::Duration;
+use std::process::ExitCode;
 
-use rasc_automata::adversarial_machine;
+use rasc_automata::{adversarial_machine, Dfa};
 use rasc_bench::constraints_workload::{chain, cons_chain, edge_list_system, EdgeListWorkload};
-use rasc_devtools::bench;
-use rasc_inc::json::{obj, Json};
+use rasc_devtools::bench::{median, ratios, Arm, Bound::AtMost, Report};
+use rasc_inc::json::Json;
+
+/// Interleaved rounds, and calls per arm per round (a sample is their median).
+const ROUNDS: usize = 20;
+const REPS: usize = 3;
 
 /// Builds and solves one closure-chain rung; returns facts processed.
-fn run_chain(machine: &rasc_automata::Dfa, wl: &EdgeListWorkload) -> usize {
+fn run_chain(machine: &Dfa, wl: &EdgeListWorkload) -> u64 {
     let (mut sys, vars, probe) = edge_list_system(machine, wl);
     sys.solve();
     assert!(
         !sys.lower_bound_annotations(vars[wl.sink], probe).is_empty(),
         "probe must reach the chain sink"
     );
-    sys.stats().facts_processed
+    sys.stats().facts_processed as u64
 }
 
 /// Builds and solves one constructor-chain rung; returns facts processed.
-fn run_cons(machine: &rasc_automata::Dfa, stages: usize) -> usize {
+fn run_cons(machine: &Dfa, stages: usize) -> u64 {
     let (mut sys, sink, probe) = cons_chain(machine, stages);
     sys.solve();
     assert!(sys.is_consistent());
@@ -45,101 +51,51 @@ fn run_cons(machine: &rasc_automata::Dfa, stages: usize) -> usize {
         !sys.lower_bound_annotations(sink, probe).is_empty(),
         "probe must tunnel through every wrap/project stage"
     );
-    sys.stats().facts_processed
+    sys.stats().facts_processed as u64
 }
 
-struct Rung {
-    family: &'static str,
-    size: usize,
-    facts: usize,
-    median_ns: f64,
-}
-
-impl Rung {
-    fn ns_per_fact(&self) -> f64 {
-        self.median_ns / self.facts.max(1) as f64
-    }
-}
-
-fn main() {
+fn main() -> ExitCode {
     let out_path = std::env::args()
         .nth(1)
         .unwrap_or_else(|| "BENCH_solver.json".to_owned());
     let (sigma, machine) = adversarial_machine(3);
+    let chains: Vec<(usize, EdgeListWorkload)> = [2_000usize, 8_000, 32_000]
+        .iter()
+        .enumerate()
+        .map(|(i, &n)| (n, chain(n, &sigma, 11 + i as u64)))
+        .collect();
 
-    println!("solver scaling: ns per processed fact across growing rungs");
-    println!(
-        "{:>12} {:>8} {:>10} {:>12} {:>10}",
-        "family", "size", "facts", "median (ms)", "ns/fact"
+    // (family, size, facts processed) per rung, in arm order.
+    let mut rungs: Vec<(&str, usize, u64)> = Vec::new();
+    let mut arms: Vec<Arm> = Vec::new();
+    let machine = &machine;
+    for (n, wl) in &chains {
+        rungs.push(("closure_chain", *n, run_chain(machine, wl)));
+        arms.push(Arm::ops(move || run_chain(machine, wl)));
+    }
+    for n in [1_000usize, 4_000, 16_000] {
+        rungs.push(("cons_chain", n, run_cons(machine, n)));
+        arms.push(Arm::ops(move || run_cons(machine, n)));
+    }
+    let mut report = Report::new(
+        "solver_scaling",
+        [("machine", Json::from("adversarial(3)"))],
     );
+    let ns_per_fact = report.interleave(ROUNDS, REPS, &mut arms);
 
-    let mut rungs: Vec<Rung> = Vec::new();
-    for (i, &n) in [2_000usize, 8_000, 32_000].iter().enumerate() {
-        let wl = chain(n, &sigma, 11 + i as u64);
-        let facts = run_chain(&machine, &wl);
-        let stats = bench("chain", 5, Duration::from_secs(2), || {
-            run_chain(&machine, &wl)
-        });
-        rungs.push(Rung {
-            family: "closure_chain",
-            size: n,
-            facts,
-            median_ns: stats.median_ns,
-        });
+    for ((family, size, facts), ns) in rungs.iter().zip(&ns_per_fact) {
+        report.row([
+            ("family", Json::from(*family)),
+            ("size", Json::from(*size)),
+            ("facts_processed", Json::from(*facts)),
+            ("median_ns", Json::Num(median(ns) * *facts as f64)),
+            ("ns_per_fact", Json::Num(median(ns))),
+        ]);
     }
-    for &stages in &[1_000usize, 4_000, 16_000] {
-        let facts = run_cons(&machine, stages);
-        let stats = bench("cons", 5, Duration::from_secs(2), || {
-            run_cons(&machine, stages)
-        });
-        rungs.push(Rung {
-            family: "cons_chain",
-            size: stages,
-            facts,
-            median_ns: stats.median_ns,
-        });
+    for (family, first) in [("closure_chain", 0), ("cons_chain", 3)] {
+        let expr = format!("{family}: ns/fact at the largest rung / the smallest");
+        let growth = ratios(&ns_per_fact[first + 2], &ns_per_fact[first]);
+        report.guard(&expr, &growth, AtMost(3.0));
     }
-
-    let mut rows: Vec<Json> = Vec::new();
-    for r in &rungs {
-        println!(
-            "{:>12} {:>8} {:>10} {:>12.3} {:>10.1}",
-            r.family,
-            r.size,
-            r.facts,
-            r.median_ns / 1e6,
-            r.ns_per_fact()
-        );
-        rows.push(obj([
-            ("family", Json::from(r.family)),
-            ("size", Json::from(r.size)),
-            ("facts_processed", Json::from(r.facts)),
-            ("median_ns", Json::Num(r.median_ns)),
-            ("ns_per_fact", Json::Num(r.ns_per_fact())),
-        ]));
-    }
-
-    let report = obj([
-        ("bench", Json::from("solver_scaling")),
-        ("machine", Json::from("adversarial(3)")),
-        (
-            "guard",
-            Json::from("largest rung ns/fact <= 3x smallest, per family"),
-        ),
-        ("rows", Json::Arr(rows)),
-    ]);
-    std::fs::write(&out_path, report.render() + "\n").expect("write report");
-    println!("wrote {out_path}");
-
-    for family in ["closure_chain", "cons_chain"] {
-        let fam: Vec<&Rung> = rungs.iter().filter(|r| r.family == family).collect();
-        let first = fam.first().expect("rungs").ns_per_fact();
-        let last = fam.last().expect("rungs").ns_per_fact();
-        assert!(
-            last <= 3.0 * first,
-            "{family}: ns/fact grew superlinearly — {last:.1} at the largest \
-             rung vs {first:.1} at the smallest (limit 3x)"
-        );
-    }
-    println!("scaling guard passed");
+    report.finish(&out_path)
 }

@@ -12,8 +12,10 @@ use rasc_automata::{Alphabet, Dfa, SymbolId};
 use rasc_core::algebra::{Algebra, MonoidAlgebra};
 use rasc_core::backward::BackwardSystem;
 use rasc_core::forward::ForwardSystem;
-use rasc_core::{ConsId, SetExpr, System, VarId};
+use rasc_core::{ConsId, SetExpr, SnapshotError, System, VarId};
+use rasc_devtools::bench::Field;
 use rasc_devtools::Rng;
+use rasc_inc::json::Json;
 
 /// An annotated edge-list workload over some machine's alphabet.
 #[derive(Debug, Clone)]
@@ -129,6 +131,56 @@ pub fn dense(n_vars: usize, out_degree: usize, sigma: &Alphabet, seed: u64) -> E
         source: 0,
         sink: n_vars - 1,
     }
+}
+
+/// Out-edges per variable of every [`dense_rungs`] digraph.
+pub const DENSE_OUT_DEGREE: usize = 16;
+
+/// One rung of the dense warm-start ladder: the workload, its solved
+/// system and the snapshot of that solved form.
+pub struct DenseRung {
+    /// The digraph.
+    pub wl: EdgeListWorkload,
+    /// Its bidirectional system, solved.
+    pub solved: System<MonoidAlgebra>,
+    /// `solved`'s snapshot bytes.
+    pub bytes: Vec<u8>,
+}
+
+impl DenseRung {
+    /// The queried variable.
+    pub fn sink(&self) -> VarId {
+        VarId::from_index(self.wl.sink)
+    }
+
+    /// The row fields every rung reports: `n_vars`, `out_degree`,
+    /// `constraints` and `snapshot_bytes`.
+    pub fn fields(&self) -> Vec<Field> {
+        vec![
+            ("n_vars", Json::from(self.wl.n_vars)),
+            ("out_degree", Json::from(DENSE_OUT_DEGREE)),
+            ("constraints", Json::from(self.wl.edges.len())),
+            ("snapshot_bytes", Json::from(self.bytes.len())),
+        ]
+    }
+}
+
+/// The dense warm-start ladder that `cow_fork` and `snapshot_restore`
+/// time: [`dense`] digraphs of 125, 500 and 2,000 variables with
+/// [`DENSE_OUT_DEGREE`] out-edges each (2k → 8k → 32k constraints) over
+/// `machine`, whose alphabet is `sigma`, each solved and serialized.
+pub fn dense_rungs(sigma: &Alphabet, machine: &Dfa) -> Result<Vec<DenseRung>, SnapshotError> {
+    [125, 500, 2000]
+        .into_iter()
+        .zip(7..)
+        .map(|(n_vars, seed)| {
+            let wl = dense(n_vars, DENSE_OUT_DEGREE, sigma, seed);
+            let (mut solved, _, _) = edge_list_system(machine, &wl);
+            solved.solve();
+            let bytes = solved.snapshot_bytes()?;
+            Ok(DenseRung { wl, solved, bytes })
+        })
+        .collect()
 }
 
 /// Builds (without solving) a constructor-heavy chain system: a probe

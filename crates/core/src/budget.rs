@@ -169,6 +169,27 @@ impl Budget {
             && self.max_entries.is_none()
     }
 
+    /// The element-wise tightest combination of two budgets: each axis
+    /// takes the smaller of the two caps (an unset axis imposes nothing),
+    /// so a caller can tighten an embedder's budget but never loosen it.
+    /// The clock is `self`'s, or else `other`'s.
+    pub fn min_with(&self, other: &Budget) -> Budget {
+        fn tighter<T: Ord + Copy>(a: Option<T>, b: Option<T>) -> Option<T> {
+            match (a, b) {
+                (Some(x), Some(y)) => Some(x.min(y)),
+                (x, None) => x,
+                (None, y) => y,
+            }
+        }
+        Budget {
+            max_steps: tighter(self.max_steps, other.max_steps),
+            max_millis: tighter(self.max_millis, other.max_millis),
+            max_terms: tighter(self.max_terms, other.max_terms),
+            max_entries: tighter(self.max_entries, other.max_entries),
+            clock: self.clock.clone().or_else(|| other.clock.clone()),
+        }
+    }
+
     /// The step cap, if any.
     pub fn max_steps(&self) -> Option<u64> {
         self.max_steps
@@ -289,6 +310,45 @@ mod tests {
 
         let b = Budget::unlimited().with_max_entries(5);
         assert_eq!(b.start().check(0, 6), Some(InterruptReason::Memory));
+    }
+
+    #[test]
+    fn limits_min_with_covers_every_edge() {
+        let unset = Budget::unlimited();
+        // all-None on both sides stays all-None.
+        assert!(unset.min_with(&unset).is_unlimited());
+        let tight = Budget::unlimited()
+            .with_steps(1)
+            .with_deadline_millis(2)
+            .with_max_terms(3)
+            .with_max_entries(4);
+        // An unset side imposes nothing, in either direction.
+        for combined in [unset.min_with(&tight), tight.min_with(&unset)] {
+            assert_eq!(combined.max_steps(), Some(1));
+            assert_eq!(combined.max_millis(), Some(2));
+            assert_eq!(combined.max_terms(), Some(3));
+            assert_eq!(combined.max_entries(), Some(4));
+            assert!(!combined.is_unlimited());
+        }
+        // Element-wise minimum on every field, whichever side is tighter.
+        let looser = Budget::unlimited()
+            .with_steps(100)
+            .with_deadline_millis(1) // tighter than `tight` on this axis only
+            .with_max_entries(400);
+        let combined = tight.min_with(&looser);
+        assert_eq!(combined.max_steps(), Some(1));
+        assert_eq!(combined.max_millis(), Some(1));
+        assert_eq!(combined.max_terms(), Some(3));
+        assert_eq!(combined.max_entries(), Some(4));
+        assert_eq!(
+            looser.min_with(&tight).max_millis(),
+            Some(1),
+            "min_with must be symmetric"
+        );
+        // Zero is a valid (maximally tight) cap, not an unset marker.
+        let zero = Budget::unlimited().with_steps(0);
+        assert!(!zero.is_unlimited());
+        assert_eq!(tight.min_with(&zero).max_steps(), Some(0));
     }
 
     #[test]

@@ -7,8 +7,8 @@
 //! * [`Rng`] — a seedable xorshift64* PRNG (deterministic per seed);
 //! * [`forall`] / [`Config`] — a minimal property-test harness with
 //!   counterexample shrinking for `Vec`-shaped inputs;
-//! * [`fn@bench`] — wall-clock benchmark timing with warmup and
-//!   median/mean reporting;
+//! * [`mod@bench`] — the guard benches' interleaved timing loop and their
+//!   one `BENCH_*.json` report schema;
 //! * [`FaultPlan`] — deterministic fault injection for the solver's
 //!   resource governor (trips a budget axis at the N-th solver step);
 //! * [`IoFaultPlan`] / [`FaultyWriter`] — deterministic IO fault
@@ -24,7 +24,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-mod bench;
+pub mod bench;
 mod fault;
 mod faultio;
 pub mod hostile;
@@ -33,7 +33,6 @@ mod prop;
 mod rng;
 mod trace_check;
 
-pub use bench::{bench, BenchStats};
 pub use fault::{FaultKind, FaultPlan, SteppedClock};
 pub use faultio::{FaultyWriter, IoFaultKind, IoFaultPlan};
 pub use promcheck::{validate_prometheus, PromSummary};

@@ -28,10 +28,11 @@
 //!   fuel), `max_millis` (wall-clock deadline), `max_terms`, and
 //!   `max_entries` (solved-form memory caps). Omitted fields are
 //!   unlimited; `{"cmd":"limits"}` clears every limit. The answer reports
-//!   the budget in force: the client's limits clamped by the embedder's
-//!   caps (see [`EngineCaps`]). While that budget bounds any axis, each
-//!   `add` is **transactional**: it either fully solves, or the session
-//!   is rolled back to exactly its prior state and the response is
+//!   the budget in force: the client's limits clamped axis by axis by the
+//!   embedder's caps (see [`BatchEngine::set_caps`]). While that budget
+//!   bounds any axis, each `add` is **transactional**: it either fully
+//!   solves, or the session is rolled back to exactly its prior state and
+//!   the response is
 //!   `{"error":{"code":"budget_exhausted","reason":…,
 //!   "rolled_back":true,…}}`.
 //! * `add` — add `lhs ⊆ rhs` and re-solve incrementally. Expressions are
@@ -47,12 +48,9 @@
 //!   each citing a resolution rule and (where applicable) the surface
 //!   constraint it came from. Provenance recording is always on for
 //!   batch sessions.
-//! * `stats` — solver statistics (including budget fuel, interruptions,
-//!   and cycle-search depth-limit hits). An optional
-//!   `scope` selects `"session"` (the default: whole-session totals) or
-//!   `"request"` (deltas since the embedder's last
-//!   [`BatchEngine::begin_request`] boundary — what one request cost);
-//!   any other scope is a `bad_request`.
+//! * `stats` — whole-session solver statistics (including budget fuel,
+//!   interruptions, and cycle-search depth-limit hits). An optional
+//!   `scope` may only be `"session"`; any other scope is a `bad_request`.
 //! * `snapshot` / `restore` — persist the session's solved form to a
 //!   crash-safe snapshot file and reload one. `path` selects the file;
 //!   omitted, the engine's configured default path (set by the embedder,
@@ -74,7 +72,7 @@ use std::sync::Arc;
 
 use rasc_automata::{Alphabet, Dfa};
 use rasc_core::algebra::{Algebra, MonoidAlgebra};
-use rasc_core::{Budget, Clock, ConsId, Outcome, SetExpr, SnapshotError, System, VarId, Variance};
+use rasc_core::{Budget, ConsId, Outcome, SetExpr, SnapshotError, System, VarId, Variance};
 
 use crate::json::{obj, Json};
 use crate::names::Names;
@@ -119,60 +117,6 @@ fn bad_request(message: impl Into<String>) -> BatchError {
     BatchError::new("bad_request", message)
 }
 
-/// Per-`add` resource limits on four axes. The engine holds two sets:
-/// the limits the client sets with the protocol `limits` command, and
-/// the caps the embedder imposes (e.g. the serve layer's server-wide
-/// per-request limits).
-///
-/// Caps *clamp* rather than replace: the budget applied to each `add` is
-/// the element-wise minimum of the caps and the client's own limits, so a
-/// client can tighten its budget but never escape the embedder's. While
-/// any axis of either set is in force every `add` is transactional.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct EngineCaps {
-    /// Worklist-step (fuel) cap per `add`.
-    pub max_steps: Option<u64>,
-    /// Wall-clock deadline per `add`, in milliseconds.
-    pub max_millis: Option<u64>,
-    /// Interned-term cap (variables + sources + sinks).
-    pub max_terms: Option<usize>,
-    /// Solved-form entry cap (edges plus lower and upper bounds).
-    pub max_entries: Option<usize>,
-}
-
-impl EngineCaps {
-    /// Caps with every axis unlimited.
-    pub fn unlimited() -> EngineCaps {
-        EngineCaps::default()
-    }
-
-    /// Whether no axis is capped.
-    pub fn is_unset(&self) -> bool {
-        self.max_steps.is_none()
-            && self.max_millis.is_none()
-            && self.max_terms.is_none()
-            && self.max_entries.is_none()
-    }
-
-    /// The element-wise tightest combination of two limit sets: each axis
-    /// takes the smaller of the two caps (an unset axis imposes nothing).
-    fn min_with(&self, other: &EngineCaps) -> EngineCaps {
-        fn tighter<T: Ord + Copy>(a: Option<T>, b: Option<T>) -> Option<T> {
-            match (a, b) {
-                (Some(x), Some(y)) => Some(x.min(y)),
-                (x, None) => x,
-                (None, y) => y,
-            }
-        }
-        EngineCaps {
-            max_steps: tighter(self.max_steps, other.max_steps),
-            max_millis: tighter(self.max_millis, other.max_millis),
-            max_terms: tighter(self.max_terms, other.max_terms),
-            max_entries: tighter(self.max_entries, other.max_entries),
-        }
-    }
-}
-
 /// A stateful batch-protocol interpreter over one incremental
 /// [`System`].
 #[derive(Debug)]
@@ -187,12 +131,10 @@ pub struct BatchEngine {
     /// Variable names, shared with a fork base like `cons`.
     pub(crate) vars: Names<VarId>,
     /// The client's limits (the `limits` command).
-    limits: EngineCaps,
-    /// Embedder-imposed caps clamping every budget (see [`EngineCaps`]).
-    caps: EngineCaps,
-    /// Deadline time source for budgets (injectable for deterministic
-    /// tests; `None` = the real monotonic clock).
-    clock: Option<Arc<dyn Clock>>,
+    limits: Budget,
+    /// Embedder-imposed caps clamping every budget (see
+    /// [`BatchEngine::set_caps`]).
+    caps: Budget,
     /// Default target for the `snapshot`/`restore` commands when the
     /// client omits `path` (wired by `rasc serve --snapshot-dir`).
     snapshot_path: Option<PathBuf>,
@@ -209,15 +151,14 @@ pub struct BatchEngine {
     /// protocol errors against spans and slow-query-log lines.
     request_id: Option<u64>,
     /// Engine figures captured at the last [`BatchEngine::begin_request`]
-    /// boundary; `{"cmd":"stats","scope":"request"}` reports deltas
-    /// against it.
+    /// boundary; [`BatchEngine::request_delta`] reports deltas against it.
     request_base: RequestStats,
 }
 
 /// Point-in-time engine figures sampled around every request: the serve
-/// layer's slow-query log and the `{"cmd":"stats","scope":"request"}`
-/// command both diff two of these. Every field is a counter the engine
-/// already keeps, so a sample is O(1) whatever the engine's size.
+/// layer's slow-query log diffs two of these. Every field is a counter
+/// the engine already keeps, so a sample is O(1) whatever the engine's
+/// size.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct RequestStats {
     /// Worklist fuel charged against limited budgets so far.
@@ -268,9 +209,8 @@ impl BatchEngine {
             sigma,
             cons: Names::default(),
             vars: Names::default(),
-            limits: EngineCaps::default(),
-            caps: EngineCaps::default(),
-            clock: None,
+            limits: Budget::unlimited(),
+            caps: Budget::unlimited(),
             snapshot_path: None,
             client_snapshot_paths: true,
             snapshot_hook: None,
@@ -292,9 +232,8 @@ impl BatchEngine {
             sigma: base.sigma.clone(),
             cons: Names::shared(Arc::clone(&base.cons)),
             vars: Names::shared(Arc::clone(&base.vars)),
-            limits: EngineCaps::default(),
-            caps: EngineCaps::default(),
-            clock: None,
+            limits: Budget::unlimited(),
+            caps: Budget::unlimited(),
             snapshot_path: None,
             client_snapshot_paths: true,
             snapshot_hook: None,
@@ -309,16 +248,13 @@ impl BatchEngine {
         &self.sys
     }
 
-    /// Injects the time source used for `max_millis` budgets (tests and
-    /// the fault-injection harness drive deadlines deterministically).
-    pub fn set_clock(&mut self, clock: Arc<dyn Clock>) {
-        self.clock = Some(clock);
-    }
-
-    /// Imposes embedder-wide resource caps on every `add` (see
-    /// [`EngineCaps`]): the client's `limits` command can tighten the
-    /// budget further but never loosen past these.
-    pub fn set_caps(&mut self, caps: EngineCaps) {
+    /// Imposes embedder-wide resource caps on every `add`. Caps clamp
+    /// rather than replace: each `add`'s budget is the client's `limits`
+    /// tightened axis by axis by these ([`Budget::min_with`]), so a client
+    /// can tighten its budget but never escape the embedder's. A clock on
+    /// the caps ([`Budget::with_clock`]) times every deadline; without
+    /// one, deadlines read the real monotonic clock.
+    pub fn set_caps(&mut self, caps: Budget) {
         self.caps = caps;
     }
 
@@ -343,7 +279,7 @@ impl BatchEngine {
 
     /// Marks the start of a new request: records `id` (echoed as `"req"`
     /// on error responses; `None` clears it) and snapshots the engine
-    /// figures that `{"cmd":"stats","scope":"request"}` reports deltas
+    /// figures that [`BatchEngine::request_delta`] reports deltas
     /// against. The serve layer calls this once per request line.
     pub fn begin_request(&mut self, id: Option<u64>) {
         self.request_id = id;
@@ -519,53 +455,42 @@ impl BatchEngine {
             }
         }
         let to_usize = |n: u64| usize::try_from(n).unwrap_or(usize::MAX);
-        self.limits = EngineCaps {
-            max_steps: field(cmd, "max_steps")?,
-            max_millis: field(cmd, "max_millis")?,
-            max_terms: field(cmd, "max_terms")?.map(to_usize),
-            max_entries: field(cmd, "max_entries")?.map(to_usize),
-        };
+        let mut limits = Budget::unlimited();
+        if let Some(n) = field(cmd, "max_steps")? {
+            limits = limits.with_steps(n);
+        }
+        if let Some(ms) = field(cmd, "max_millis")? {
+            limits = limits.with_deadline_millis(ms);
+        }
+        if let Some(n) = field(cmd, "max_terms")? {
+            limits = limits.with_max_terms(to_usize(n));
+        }
+        if let Some(n) = field(cmd, "max_entries")? {
+            limits = limits.with_max_entries(to_usize(n));
+        }
+        self.limits = limits;
         // The answer is the budget each `add` now gets: the client's
         // limits clamped by the embedder's caps.
         let effective = self.limits.min_with(&self.caps);
         let report = |v: Option<u64>| v.map_or(Json::Null, Json::from);
         Ok(obj([
             ("ok", Json::from("limits")),
-            ("max_steps", report(effective.max_steps)),
-            ("max_millis", report(effective.max_millis)),
-            ("max_terms", report(effective.max_terms.map(|n| n as u64))),
+            ("max_steps", report(effective.max_steps())),
+            ("max_millis", report(effective.max_millis())),
+            ("max_terms", report(effective.max_terms().map(|n| n as u64))),
             (
                 "max_entries",
-                report(effective.max_entries.map(|n| n as u64)),
+                report(effective.max_entries().map(|n| n as u64)),
             ),
-            ("transactional", Json::from(!effective.is_unset())),
+            ("transactional", Json::from(!effective.is_unlimited())),
         ]))
     }
 
     /// The budget for the next `add` — the client's `limits` clamped by
     /// the embedder's caps — or `None` when nothing bounds the solve.
     fn current_budget(&self) -> Option<Budget> {
-        let effective = self.limits.min_with(&self.caps);
-        if effective.is_unset() {
-            return None;
-        }
-        let mut b = Budget::unlimited();
-        if let Some(n) = effective.max_steps {
-            b = b.with_steps(n);
-        }
-        if let Some(ms) = effective.max_millis {
-            b = b.with_deadline_millis(ms);
-        }
-        if let Some(n) = effective.max_terms {
-            b = b.with_max_terms(n);
-        }
-        if let Some(n) = effective.max_entries {
-            b = b.with_max_entries(n);
-        }
-        if let Some(clock) = &self.clock {
-            b = b.with_clock(Arc::clone(clock));
-        }
-        Some(b)
+        let budget = self.limits.min_with(&self.caps);
+        (!budget.is_unlimited()).then_some(budget)
     }
 
     fn add(&mut self, cmd: &Json) -> Result<Json, BatchError> {
@@ -814,33 +739,12 @@ impl BatchEngine {
         ]))
     }
 
-    /// `{"cmd":"stats"}` / `{"cmd":"stats","scope":"session"|"request"}`.
-    /// The default `session` scope reports whole-session totals (the
-    /// historical shape); `request` reports deltas since the last
-    /// [`BatchEngine::begin_request`] boundary.
+    /// `{"cmd":"stats"}` / `{"cmd":"stats","scope":"session"}`: the
+    /// whole-session totals.
     fn cmd_stats(&self, cmd: &Json) -> Result<Json, BatchError> {
-        match cmd.get("scope") {
-            None => Ok(self.stats()),
-            Some(scope) => match scope.as_str() {
-                Some("session") => Ok(self.stats()),
-                Some("request") => {
-                    let d = self.request_delta();
-                    let mut fields = vec![
-                        ("ok", Json::from("stats")),
-                        ("scope", Json::from("request")),
-                        ("fuel_spent", Json::from(d.fuel_spent)),
-                        ("facts_processed", Json::from(d.facts_processed)),
-                        ("epoch_depth", Json::from(d.epoch_depth)),
-                    ];
-                    if let Some(id) = self.request_id {
-                        fields.push(("req", Json::from(id)));
-                    }
-                    Ok(obj(fields))
-                }
-                _ => Err(bad_request(
-                    "stats: `scope` must be \"session\" or \"request\"",
-                )),
-            },
+        match cmd.get("scope").map(Json::as_str) {
+            None | Some(Some("session")) => Ok(self.stats()),
+            _ => Err(bad_request("stats: `scope` must be \"session\"")),
         }
     }
 
@@ -1099,10 +1003,7 @@ mod tests {
     #[test]
     fn limits_report_the_budget_clamped_by_the_caps() {
         let mut e = engine();
-        e.set_caps(EngineCaps {
-            max_steps: Some(10),
-            ..EngineCaps::unlimited()
-        });
+        e.set_caps(Budget::unlimited().with_steps(10));
         // A bare `limits` leaves the cap in force: adds stay transactional.
         let r = run(&mut e, r#"{"cmd":"limits"}"#);
         assert_eq!(r.get("max_steps").unwrap().as_u64(), Some(10));
@@ -1205,10 +1106,7 @@ mod tests {
         }
         // A server-wide cap of one step bounds the add even though the
         // client asked for a generous budget of its own.
-        e.set_caps(EngineCaps {
-            max_steps: Some(1),
-            ..EngineCaps::default()
-        });
+        e.set_caps(Budget::unlimited().with_steps(1));
         run(&mut e, r#"{"cmd":"limits","max_steps":1000000}"#);
         let r = run(&mut e, r#"{"cmd":"add","lhs":"V8","rhs":"W"}"#);
         assert_eq!(error_code(&r), Some("budget_exhausted"));
@@ -1219,8 +1117,8 @@ mod tests {
         let r = run(&mut e, r#"{"cmd":"add","lhs":"V8","rhs":"W"}"#);
         assert_eq!(error_code(&r), Some("budget_exhausted"));
         // Lifting the cap restores unbounded adds.
-        e.set_caps(EngineCaps::unlimited());
-        assert!(EngineCaps::unlimited().is_unset());
+        e.set_caps(Budget::unlimited());
+        assert!(Budget::unlimited().is_unlimited());
         let r = run(&mut e, r#"{"cmd":"add","lhs":"V8","rhs":"W"}"#);
         assert_eq!(r.get("ok").unwrap().as_str(), Some("add"));
     }
@@ -1259,30 +1157,21 @@ mod tests {
     }
 
     #[test]
-    fn stats_request_scope_reports_deltas_and_rejects_bad_scopes() {
+    fn stats_scope_is_session_or_a_bad_request() {
         let mut e = engine();
         run(&mut e, r#"{"cmd":"declare","cons":"c"}"#);
         run(&mut e, r#"{"cmd":"limits","max_steps":100000}"#);
         e.begin_request(Some(7));
         run(&mut e, r#"{"cmd":"add","lhs":"c","rhs":"X","ann":["g"]}"#);
-        let r = run(&mut e, r#"{"cmd":"stats","scope":"request"}"#);
-        assert_eq!(r.get("ok").unwrap().as_str(), Some("stats"));
-        assert_eq!(r.get("scope").unwrap().as_str(), Some("request"));
-        assert_eq!(r.get("req").unwrap().as_u64(), Some(7));
-        assert!(r.get("fuel_spent").unwrap().as_u64().unwrap() > 0);
-        // A fresh boundary zeroes the deltas.
-        e.begin_request(Some(8));
-        let r = run(&mut e, r#"{"cmd":"stats","scope":"request"}"#);
-        assert_eq!(r.get("fuel_spent").unwrap().as_u64(), Some(0));
-        // `session` scope keeps the historical shape; totals persist.
+        // `session` scope is the whole-session totals.
         let r = run(&mut e, r#"{"cmd":"stats","scope":"session"}"#);
         assert!(r.get("fuel_spent").unwrap().as_u64().unwrap() > 0);
         assert!(r.get("vars").is_some());
-        // Unknown or non-string scopes are rejected in-band.
-        let r = run(&mut e, r#"{"cmd":"stats","scope":"bogus"}"#);
-        assert_eq!(error_code(&r), Some("bad_request"));
-        let r = run(&mut e, r#"{"cmd":"stats","scope":3}"#);
-        assert_eq!(error_code(&r), Some("bad_request"));
+        // Every other scope, `request` included, is rejected in-band.
+        for scope in [r#""request""#, r#""bogus""#, "3"] {
+            let r = run(&mut e, &format!(r#"{{"cmd":"stats","scope":{scope}}}"#));
+            assert_eq!(error_code(&r), Some("bad_request"), "{scope}");
+        }
     }
 
     #[test]
@@ -1342,63 +1231,15 @@ mod tests {
     }
 
     #[test]
-    fn limits_min_with_covers_every_edge() {
-        let unset = EngineCaps::default();
-        // all-None on both sides stays all-None.
-        assert!(unset.min_with(&unset).is_unset());
-        let tight = EngineCaps {
-            max_steps: Some(1),
-            max_millis: Some(2),
-            max_terms: Some(3),
-            max_entries: Some(4),
-        };
-        // An unset side imposes nothing, in either direction.
-        for combined in [unset.min_with(&tight), tight.min_with(&unset)] {
-            assert_eq!(combined.max_steps, Some(1));
-            assert_eq!(combined.max_millis, Some(2));
-            assert_eq!(combined.max_terms, Some(3));
-            assert_eq!(combined.max_entries, Some(4));
-            assert!(!combined.is_unset());
-        }
-        // Element-wise minimum on every field, whichever side is tighter.
-        let looser = EngineCaps {
-            max_steps: Some(100),
-            max_millis: Some(1), // tighter than `tight` on this axis only
-            max_terms: None,
-            max_entries: Some(400),
-        };
-        let combined = tight.min_with(&looser);
-        assert_eq!(combined.max_steps, Some(1));
-        assert_eq!(combined.max_millis, Some(1));
-        assert_eq!(combined.max_terms, Some(3));
-        assert_eq!(combined.max_entries, Some(4));
-        assert_eq!(
-            looser.min_with(&tight).max_millis,
-            Some(1),
-            "min_with must be symmetric"
-        );
-        // Zero is a valid (maximally tight) cap, not an unset marker.
-        let zero = EngineCaps {
-            max_steps: Some(0),
-            ..EngineCaps::default()
-        };
-        assert!(!zero.is_unset());
-        assert_eq!(tight.min_with(&zero).max_steps, Some(0));
-    }
-
-    #[test]
     fn zero_step_cap_blocks_every_add_until_lifted() {
         let mut e = engine();
         run(&mut e, r#"{"cmd":"declare","cons":"c"}"#);
-        e.set_caps(EngineCaps {
-            max_steps: Some(0),
-            ..EngineCaps::default()
-        });
+        e.set_caps(Budget::unlimited().with_steps(0));
         // A client asking for *more* budget cannot escape the zero cap.
         run(&mut e, r#"{"cmd":"limits","max_steps":5}"#);
         let r = run(&mut e, r#"{"cmd":"add","lhs":"c","rhs":"X","ann":["g"]}"#);
         assert_eq!(error_code(&r), Some("budget_exhausted"));
-        e.set_caps(EngineCaps::unlimited());
+        e.set_caps(Budget::unlimited());
         let r = run(&mut e, r#"{"cmd":"add","lhs":"c","rhs":"X","ann":["g"]}"#);
         assert_eq!(r.get("ok").unwrap().as_str(), Some("add"));
     }
@@ -1409,10 +1250,7 @@ mod tests {
         // budget honors both axes at once.
         let mut e = engine();
         run(&mut e, r#"{"cmd":"declare","cons":"c"}"#);
-        e.set_caps(EngineCaps {
-            max_terms: Some(1),
-            ..EngineCaps::default()
-        });
+        e.set_caps(Budget::unlimited().with_max_terms(1));
         run(&mut e, r#"{"cmd":"limits","max_steps":100000}"#);
         // Exceeding the *server's* term cap trips even though the client
         // never mentioned terms (the add interns a source and a variable).

@@ -7,7 +7,8 @@
 //!
 //! * [`BatchEngine`] — the JSON-lines batch protocol (`rasc batch` and
 //!   the `rasc serve` connection layer) over one `System`, with
-//!   [`EngineCaps`] for client limits and embedder-imposed resource caps;
+//!   [`rasc_core::Budget`]s for client limits and embedder-imposed
+//!   resource caps;
 //! * [`BatchEngine::run_stream`] — newline-delimited framing over any
 //!   `BufRead`/`Write` pair, flushing each response;
 //! * [`EngineBase`] — a decoded engine snapshot frozen into a shared
@@ -23,5 +24,5 @@ mod names;
 mod snapshot;
 mod stream;
 
-pub use batch::{BatchEngine, EngineCaps, RequestStats};
+pub use batch::{BatchEngine, RequestStats};
 pub use snapshot::EngineBase;

@@ -300,7 +300,7 @@ mod tests {
         assert!(json.starts_with("{\"traceEvents\":["), "{json}");
         assert!(json.ends_with("],\"displayTimeUnit\":\"ms\"}"), "{json}");
         assert!(json.contains("\"name\":\"interrupted\""), "{json}");
-        let _ = std::fs::remove_file(&path);
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
@@ -318,6 +318,6 @@ mod tests {
         }
         assert!(saved.exists());
         assert!(!armed.exists(), "drop must not rewrite after explicit save");
-        let _ = std::fs::remove_file(&saved);
+        let _ = std::fs::remove_dir_all(&dir);
     }
 }

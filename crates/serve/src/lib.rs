@@ -15,7 +15,7 @@
 //!   `{"error":{"code":"overloaded",…}}` in-band and closes, instead of
 //!   queuing unboundedly.
 //! * **Resource governance** — server-wide per-request caps
-//!   ([`rasc_inc::EngineCaps`]) wired into every engine: under a cap,
+//!   (a [`rasc_core::Budget`]) wired into every engine: under a cap,
 //!   each `add` is transactional, and one that runs out of budget rolls
 //!   back.
 //! * **Graceful shutdown** — via [`ServerHandle::shutdown`], the in-band

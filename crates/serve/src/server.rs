@@ -11,9 +11,9 @@ use std::time::{Duration, Instant};
 
 use rasc_automata::{Alphabet, Dfa};
 use rasc_core::snapshot::read_snapshot_file;
-use rasc_core::{Clock, SnapshotError};
+use rasc_core::{Budget, SnapshotError};
 use rasc_inc::json::{obj, Json};
-use rasc_inc::{BatchEngine, EngineBase, EngineCaps};
+use rasc_inc::{BatchEngine, EngineBase};
 use rasc_obs::{self as obs, EventSink, Fanout, MetricsRegistry, MetricsSnapshot, ScopedSink};
 
 use crate::admin::{run_admin, ContentType, SlowLog};
@@ -46,15 +46,13 @@ pub struct ServeConfig {
     pub max_connections: usize,
     /// Per-request resource caps wired into every connection's
     /// [`BatchEngine`] (the protocol `limits` command can tighten but
-    /// never exceed them).
-    pub caps: EngineCaps,
+    /// never exceed them). A clock set on the caps
+    /// ([`Budget::with_clock`]) times every engine's deadlines.
+    pub caps: Budget,
     /// Observability sink installed on every worker (and the accept
     /// thread) for the server's counters, latency histograms, and
     /// per-connection spans.
     pub sink: Option<Arc<dyn EventSink>>,
-    /// Deadline time source injected into every engine (deterministic
-    /// tests; `None` = real monotonic clock).
-    pub clock: Option<Arc<dyn Clock>>,
     /// Warm-restart directory. When set, the server decodes
     /// `<dir>/current.snap` **once** at startup into a shared read-only
     /// base that every new connection forks copy-on-write (a few `Arc`
@@ -95,9 +93,8 @@ impl Default for ServeConfig {
         ServeConfig {
             threads: 4,
             max_connections: 64,
-            caps: EngineCaps::unlimited(),
+            caps: Budget::unlimited(),
             sink: None,
-            clock: None,
             snapshot_dir: None,
             shutdown_flag: None,
             admin_addr: None,
@@ -654,10 +651,7 @@ fn handle_connection(shared: &Arc<Shared>, stream: TcpStream) {
         }
         None => BatchEngine::new(shared.sigma.clone(), &shared.dfa),
     };
-    engine.set_caps(shared.config.caps);
-    if let Some(clock) = &shared.config.clock {
-        engine.set_clock(Arc::clone(clock));
-    }
+    engine.set_caps(shared.config.caps.clone());
 
     // Remote clients must not choose filesystem paths: without a
     // snapshot directory, snapshot and restore have no file at all.

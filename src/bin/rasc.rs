@@ -225,6 +225,14 @@ fn check(opts: &Opts) -> Result<(), String> {
     let engine = opts.value("engine").unwrap_or("constraints");
 
     let spec = PropertySpec::parse(&spec_text).map_err(|e| e.to_string())?;
+    // The forward and pushdown engines check the one machine
+    // `spec.compile()` builds, which cannot tell a parametric property's
+    // instances (one per descriptor) apart.
+    if spec.is_parametric() && matches!(engine, "forward" | "pushdown") {
+        return Err(format!(
+            "engine `{engine}` cannot check a parametric property; use --engine constraints"
+        ));
+    }
     let program = rasc::cfgir::Program::parse(&program_text).map_err(|e| e.to_string())?;
     let cfg = Cfg::build(&program).map_err(|e| e.to_string())?;
     let (sigma, dfa) = spec.compile();
@@ -710,8 +718,8 @@ fn restore_cmd(opts: &Opts) -> Result<(), String> {
 }
 
 /// Parses `--limits steps=N,millis=N,terms=N,entries=N` (any subset).
-fn parse_limits(spec: &str) -> Result<rasc::inc::EngineCaps, String> {
-    let mut caps = rasc::inc::EngineCaps::unlimited();
+fn parse_limits(spec: &str) -> Result<rasc::constraints::Budget, String> {
+    let mut caps = rasc::constraints::Budget::unlimited();
     for part in spec.split(',').filter(|p| !p.trim().is_empty()) {
         let (key, value) = part
             .split_once('=')
@@ -722,10 +730,10 @@ fn parse_limits(spec: &str) -> Result<rasc::inc::EngineCaps, String> {
             .map_err(|_| format!("bad --limits value in `{part}`"))?;
         let as_usize = usize::try_from(n).unwrap_or(usize::MAX);
         match key.trim() {
-            "steps" => caps.max_steps = Some(n),
-            "millis" => caps.max_millis = Some(n),
-            "terms" => caps.max_terms = Some(as_usize),
-            "entries" => caps.max_entries = Some(as_usize),
+            "steps" => caps = caps.with_steps(n),
+            "millis" => caps = caps.with_deadline_millis(n),
+            "terms" => caps = caps.with_max_terms(as_usize),
+            "entries" => caps = caps.with_max_entries(as_usize),
             other => {
                 return Err(format!(
                     "unknown --limits key `{other}` (want steps, millis, terms, or entries)"

@@ -16,9 +16,9 @@ use std::time::Duration;
 
 use rasc::automata::{Alphabet, Dfa};
 use rasc::constraints::snapshot::SNAPSHOT_VERSION;
+use rasc::constraints::Budget;
 use rasc::constraints::Clock;
 use rasc::inc::json::Json;
-use rasc::inc::EngineCaps;
 use rasc::serve::{ServeConfig, ServeReport, Server, ServerHandle};
 use rasc_devtools::SteppedClock;
 
@@ -205,10 +205,7 @@ fn overload_is_a_typed_in_band_error() {
 #[test]
 fn per_request_caps_clamp_client_limits() {
     let (handle, join) = spawn_server(ServeConfig {
-        caps: EngineCaps {
-            max_steps: Some(1),
-            ..EngineCaps::unlimited()
-        },
+        caps: Budget::unlimited().with_steps(1),
         ..ServeConfig::default()
     });
     let addr = handle.addr();
@@ -292,11 +289,9 @@ fn graceful_shutdown_drains_the_in_flight_request() {
     // budget starts — which is where the gate holds the request open.
     let (handle, join) = spawn_server(ServeConfig {
         threads: 2,
-        caps: EngineCaps {
-            max_millis: Some(u64::MAX / 4),
-            ..EngineCaps::unlimited()
-        },
-        clock: Some(clock),
+        caps: Budget::unlimited()
+            .with_deadline_millis(u64::MAX / 4)
+            .with_clock(clock),
         ..ServeConfig::default()
     });
     let addr = handle.addr();
